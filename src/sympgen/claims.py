@@ -2,7 +2,7 @@
 
 Every claim is a named, parameterized computation with an expected outcome;
 :func:`run_claim` executes one, :func:`run_all` executes a glob-filtered set
-in parallel and emits a JSON-serializable report.  The module also houses the
+serially and emits a JSON-serializable report.  The module also houses the
 admissible-parameter search (:func:`search_parameter`) and the quadratic-form
 obstruction solver for even characteristic.
 """
@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as _dcfield
 from functools import lru_cache
 
 from .anchors import ANCHORS
 from .errors import (BadParam, OddCharacteristic, UnknownClaim, UnknownLemma)
-from .gf import (FieldCtx, FieldElem, campoN_bound, default_modulus, embed,
-                 make_ext_field, mult_order, standard_field, subfield_degree)
-from .matrix import (Mat, char_poly, eigenspace, in_span, paper_commutator,
-                     same_span, similarity_invariants)
+from .gf import (FieldCtx, FieldElem, embed, mult_order, standard_field,
+                 subfield_degree)
+from .matrix import (Mat, char_poly, eigenspace, paper_commutator, same_span,
+                     similarity_invariants)
 from .poly import Poly
 from .grouporder import (Certificate, PrimeSet, element_order,
                          lps_certificate, varpi, varpi_group)
@@ -181,10 +179,6 @@ def s_restrict(g: Mat, space, ell: int) -> Mat:
     return Mat(g.field, [[rows[i][j] for j in range(k, n)] for i in range(k, n)])
 
 
-def v_restrict(g: Mat, space) -> Mat:
-    return restriction_matrix(g, space, list(range(1, space.n + 1)))
-
-
 def restrict_to_span(g: Mat, basis_cols) -> Mat:
     """Matrix of g on an arbitrary (independent) spanning set; BadParam if
     the span is not invariant."""
@@ -246,7 +240,7 @@ def quadratic_form_obstruction(pair: GeneratorPair) -> Obstruction:
         raise OddCharacteristic("the obstruction solver needs q even")
     n2 = 2 * pair.n
     J = pair.space.J
-    rows = []
+    rows, rhs_col = [], []
     for g in (pair.x, pair.y):
         for j in range(n2):
             c = g.col_raw(j)
@@ -260,34 +254,12 @@ def quadratic_form_obstruction(pair: GeneratorPair) -> Obstruction:
                     if c[i2]:
                         rhs = field.add(rhs, field.mul(field.mul(c[i], c[i2]),
                                                        J[(i, i2)]))
-            rows.append(row + [rhs])
-    # Gaussian elimination over F_q
-    nrows, ncols = len(rows), n2
-    r = 0
-    pivots = []
-    for col in range(ncols):
-        piv = next((i for i in range(r, nrows) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        invp = field.inv(rows[r][col])
-        rows[r] = [field.mul(invp, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [field.sub(rows[i][k], field.mul(f, rows[r][k]))
-                           for k in range(ncols + 1)]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if rows[i][ncols]:
-            return Obstruction("Inconsistent")
-    values = [0] * ncols
-    for i, col in enumerate(pivots):
-        values[col] = rows[i][ncols]
-    return Obstruction("FormFound", tuple(values))
+            rows.append(row)
+            rhs_col.append(rhs)
+    sol = Mat(field, rows).solve(rhs_col)
+    if sol is None:
+        return Obstruction("Inconsistent")
+    return Obstruction("FormFound", tuple(sol))
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +378,7 @@ CONDITIONS = {
 def _sigma_of(field: FieldCtx, a: FieldElem):
     """Root of t^2 + a t + 1 of order q+1 in F_{q^2}, or None."""
     q = field.q
-    big = make_ext_field(field.p, 2 * field.f,
-                         default_modulus(field.p, 2 * field.f))
+    big = standard_field(q * q)
     em = embed(field, big)
     av = em(a).val
     for v in range(big.q):
@@ -679,17 +650,8 @@ def claim_ids():
     return sorted(_REGISTRY)
 
 
-def run_all(filter: str = "*", threads: int | None = None):
-    ids = sorted(i for i in _REGISTRY if fnmatch.fnmatch(i, filter))
-    if threads is None:
-        threads = int(os.environ.get("SYMPGEN_THREADS", "0")) or (os.cpu_count() or 1)
-    threads = max(1, min(threads, len(ids) or 1))
-    if threads == 1:
-        results = [run_claim(i) for i in ids]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_claim, ids))
-    return results
+def run_all(filter: str = "*"):
+    return [run_claim(i) for i in sorted(_REGISTRY) if fnmatch.fnmatch(i, filter)]
 
 
 def report_json(results, stable=True) -> str:
@@ -784,8 +746,7 @@ def _register_lset(cid, anchor, n, q):
 
 @claim("prop-q2-n6", "q=2-L67", n=6, q=2)
 def _prop_q2_n6():
-    out = _lset_outcome(6, 2, "general", 1, None, [1, 3, 4, 7, 11],
-                        word_comm_k_xy)
+    out = _lset_outcome(6, 2, *DEFAULT_WORDS[(6, 2)])
     obstruction = quadratic_form_obstruction(_pair(6, 2, "general", 1))
     out["expected"] = [out["expected"], "Inconsistent"]
     out["computed"] = [out["computed"], obstruction.kind]
@@ -794,8 +755,7 @@ def _prop_q2_n6():
 
 @claim("prop-q2-n8", "q=2-L8", n=8, q=2)
 def _prop_q2_n8():
-    out = _lset_outcome(8, 2, "general", 1, None, [1, 14, 15, 18, 23, 25, 28],
-                        word_xy_k_y)
+    out = _lset_outcome(8, 2, *DEFAULT_WORDS[(8, 2)])
     obstruction = quadratic_form_obstruction(_pair(8, 2, "general", 1))
     out["expected"] = [out["expected"], "Inconsistent"]
     out["computed"] = [out["computed"], obstruction.kind]
@@ -1115,8 +1075,7 @@ def _omega_roots(field):
         roots = [b for b in field.units()
                  if b.val != 1 and (b * b * b).val == 1]
         return roots, None
-    big = make_ext_field(field.p, 2 * field.f,
-                         default_modulus(field.p, 2 * field.f))
+    big = standard_field(field.q ** 2)
     em = embed(field, big)
     roots = [b for b in big.units() if b.val != 1 and (b * b * b).val == 1]
     return roots, em
@@ -1314,12 +1273,13 @@ def _main8_tau_relations():
                     I5 + E(5, 1, four_a2) + E(5, 4, F.neg(four_a2))]
         blocks = []
         for g in gens:
-            gv = v_restrict(g, pair.space)
+            gv = restriction_matrix(g, pair.space, range(1, 9))
             # identity on the quotient V / E_5
             rows = gv.rows_raw()
             quot_ok = all(rows[i][j] == (1 if i == j else 0)
                           for i in range(5, 8) for j in range(5, 8))
-            blocks.append((restriction_matrix_block(gv, 5), quot_ok))
+            blocks.append((restriction_matrix(g, pair.space, range(1, 6)),
+                           quot_ok))
         match = [blocks[i][0] == expected[i] and blocks[i][1]
                  for i in range(7)]
         t5, t6 = expected[4], expected[5]
@@ -1329,17 +1289,6 @@ def _main8_tau_relations():
         odd.append(match + [cp_ok])
     return {"expected": [[[True] * 3] * 2, [[True] * 8] * 2],
             "computed": [even, odd]}
-
-
-def restriction_matrix_block(gv: Mat, k: int) -> Mat:
-    """Leading k x k block, asserting the lower-left block vanishes."""
-    rows = gv.rows_raw()
-    n = gv.rows
-    for i in range(k, n):
-        for j in range(k):
-            if rows[i][j]:
-                raise BadParam("leading subspace is not invariant")
-    return Mat(gv.field, [[rows[i][j] for j in range(k)] for i in range(k)])
 
 
 @claim("main9-tau-charpoly", "tau-n9")
@@ -1367,8 +1316,8 @@ def _main9_ytau_even():
         pair = _pair(9, q, "general", aspec, tag)
         F, sp = pair.field, pair.space
         tau = tau_of(pair)
-        y9 = v_restrict(pair.y, sp)
-        t9 = v_restrict(tau, sp)
+        y9 = restriction_matrix(pair.y, sp, range(1, 10))
+        t9 = restriction_matrix(tau, sp, range(1, 10))
         m = y9 * t9
         chi = char_poly(m)
         div = _poly_int(F, (1, 1)) * _poly_int(F, (1, 1, 1))
@@ -1501,8 +1450,8 @@ def _main11_tau():
         pair = _pair(11, q, "general", aspec, tag)
         F = pair.field
         tau = tau_of(pair)
-        tv = v_restrict(tau, pair.space)
-        xv = v_restrict(pair.x, pair.space)
+        tv = restriction_matrix(tau, pair.space, range(1, 12))
+        xv = restriction_matrix(pair.x, pair.space, range(1, 12))
         a8 = F.pow(pair.a.val, 8)
         even.append([
             char_poly(tv) == (_poly_int(F, (1, 1)) ** 9) * Poly(F, [1, a8, 1]),
@@ -1517,27 +1466,24 @@ def _main11_tau():
 # claims: small-group actions (eq. G3 family), sigma eigenvectors, theta
 # ---------------------------------------------------------------------------
 
-def _g3_check(pair, tau, basis_cols, eq, transpose=False):
-    """The triple (tau, tau^y, tau^{y^2}) acts on the span of basis_cols as
-    the displayed generator triple (as a multiset)."""
+def _tau_triple(pair, tau):
+    """(tau, tau^y, tau^{y^2})."""
     y = pair.y
-    trip = [tau, y.inverse() * tau * y,
-            (y * y).inverse() * tau * (y * y)]
-    if transpose:
-        V = list(range(1, pair.n + 1))
-        trip = [restriction_matrix(g, pair.space, V).transpose() for g in trip]
+    return [tau, y.inverse() * tau * y, (y * y).inverse() * tau * (y * y)]
+
+
+def _g3_check(pair, trip, basis_cols, eq):
+    """The three matrices of trip act on the span of basis_cols as the
+    displayed generator triple (as a multiset)."""
     disp = list(g3_displayed(pair.field, pair.a, eq))
-    got = []
     for g in trip:
         try:
-            got.append(restrict_to_span(g, basis_cols))
+            m = restrict_to_span(g, basis_cols)
         except BadParam:
             return False
-    for m in got:
-        if m in disp:
-            disp.remove(m)
-        else:
+        if m not in disp:
             return False
+        disp.remove(m)
     return True
 
 
@@ -1559,7 +1505,7 @@ def _g3_action():
         a3 = F.pow(a, 3)
         w1 = _vcombo(F, [(F.mul(_iv(F, 8), a), yu)])
         w3 = _vcombo(F, [(a3, u), (a, yu), (F.mul(a, a), y2u)])
-        ok = _g3_check(pair, tau, [w1, u, w3], "G3")
+        ok = _g3_check(pair, _tau_triple(pair, tau), [w1, u, w3], "G3")
         # transpose side, on the 9x9 restrictions to the last-9 subspace
         s9_idx = [sp.idx(i) for i in range(n - 8, n + 1)]
 
@@ -1575,20 +1521,8 @@ def _g3_action():
         v1 = _vcombo(F, [(F.mul(_iv(F, 8), a), y2ub)])
         v3 = _vcombo(F, [(a3, ub), (F.mul(a, a), yub), (a, y2ub)])
         trip = [s_restrict(g, sp, 9).transpose()
-                for g in (tau, y.inverse() * tau * y,
-                          (y * y).inverse() * tau * (y * y))]
-        disp = list(g3_displayed(F, pair.a, "G3"))
-        okT = ub is not None and yub is not None and y2ub is not None
-        for g in trip if okT else []:
-            try:
-                m = restrict_to_span(g, [v1, ub, v3])
-            except BadParam:
-                okT = False
-                break
-            if m in disp:
-                disp.remove(m)
-            else:
-                okT = False
+                for g in _tau_triple(pair, tau)]
+        okT = _g3_check(pair, trip, [v1, ub, v3], "G3")
         # charpoly of (tau tau^y)|S9
         g = tau * (y.inverse() * tau * y)
         s9 = s_restrict(g, sp, 9)
@@ -1610,7 +1544,7 @@ def _g3_action():
         w1 = _vcombo(F, [(F.mul(_iv(F, 4), a2), u)])
         w2 = tuple(F.neg(t) for t in yu)
         w3 = _vcombo(F, [(a2, u), (1, yu), (F.neg(a), y2u)])
-        ok = _g3_check(pair, tau, [w1, w2, w3], "G39")
+        ok = _g3_check(pair, _tau_triple(pair, tau), [w1, w2, w3], "G39")
         # transpose side on V-restrictions
         wb1 = [0] * n
         wb1[3] = a
@@ -1631,9 +1565,11 @@ def _g3_action():
         v1 = _vcombo(F, [(F.mul(_iv(F, 4), a2), tuple(wb1))])
         v2 = tuple(wb2)
         v3 = tuple(F.neg(F.add(wb2[i], F.mul(a, wb3[i]))) for i in range(n))
-        okT = _g3_check(pair, tau, [v1, v2, v3], "G39", transpose=True)
+        trip = [restriction_matrix(g, sp, range(1, n + 1)).transpose()
+                for g in _tau_triple(pair, tau)]
+        okT = _g3_check(pair, trip, [v1, v2, v3], "G39")
         g = tau * ((y * y).inverse() * tau * (y * y))
-        gv = v_restrict(g, sp)
+        gv = restriction_matrix(g, sp, range(1, n + 1))
         lam = F.add(F.mul(_iv(F, 16), F.pow(a, 3)), _iv(F, 2))
         cp_ok = char_poly(gv) == ((_poly_int(F, (-1, 1)) ** 5)
                                   * Poly(F, [1, F.neg(lam), 1]))
@@ -1655,9 +1591,9 @@ def _g3_action():
         c1 = F.mul(F.mul(ap2, ap2), F.inv(F.mul(_iv(F, 4), a2)))
         c2 = F.mul(ap2, F.inv(F.mul(_iv(F, 2), a)))
         w3 = _vcombo(F, [(1, u), (c1, yu), (c2, y2u)])
-        ok = _g3_check(pair, tau, [w1, yu, w3], "39")
+        ok = _g3_check(pair, _tau_triple(pair, tau), [w1, yu, w3], "39")
         g = tau * ((y * y).inverse() * tau * (y * y))
-        gv = v_restrict(g, sp)
+        gv = restriction_matrix(g, sp, range(1, 10))
         co = F.add(F.sub(F.mul(_iv(F, 2), F.pow(a, 4)), _iv(F, 2)),
                    F.mul(_iv(F, 4), F.pow(a, 3)))
         cp_ok = char_poly(gv) == ((_poly_int(F, (-1, 1)) ** 7)
@@ -1678,9 +1614,9 @@ def _g3_action():
         c1 = F.mul(F.mul(ap2, ap2), F.inv(F.mul(_iv(F, 4), a)))
         c2 = F.mul(ap2, F.inv(_iv(F, 2)))
         w3 = _vcombo(F, [(a, u), (c1, yu), (F.neg(c2), y2u)])
-        ok = _g3_check(pair, tau, [u, w2, w3], "G311")
+        ok = _g3_check(pair, _tau_triple(pair, tau), [u, w2, w3], "G311")
         g = tau * ((y * y).inverse() * tau * (y * y))
-        gv = v_restrict(g, sp)
+        gv = restriction_matrix(g, sp, range(1, 12))
         lam = F.mul(_iv(F, 2),
                     F.add(F.add(F.mul(_iv(F, 16), F.pow(a, 4)),
                                 F.mul(_iv(F, 32), F.pow(a, 3))), 1))
@@ -1696,7 +1632,8 @@ def _g3_action():
         b1 = sp.vector([(F.neg(a2), 2)])
         b2 = sp.vector([(1, 3)])
         b3 = sp.vector([(1, 4)])
-        results[f"SL3-5-q{q}"] = [_g3_check(pair, tau, [b1, b2, b3], "SL3-5")]
+        results[f"SL3-5-q{q}"] = [
+            _g3_check(pair, _tau_triple(pair, tau), [b1, b2, b3], "SL3-5")]
     expected = {k: [True] * len(v) for k, v in results.items()}
     return {"expected": expected, "computed": results}
 

@@ -9,7 +9,6 @@ Subcommands:
 
 `--a` accepts a prime-field integer or "minpoly:c0,c1,..." naming the
 ascending coefficients of the minimal polynomial of a over F_p.
-Thread count for `verify` comes from SYMPGEN_THREADS (default: CPU count).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParam, NoTauDefined, OutOfRange
+from .errors import BadParam, CheckFailed, NoTauDefined, OutOfRange
 from .gf import FieldCtx, FieldElem, standard_field
 from .matrix import Mat, paper_commutator
 
@@ -304,8 +304,8 @@ def build_general(n: int, q: int, a, field: FieldCtx | None = None) -> Generator
     x2 = _hatgl(space, _x2_action(n, field, a_val))
     y1 = _y1_matrix(space, r)
     y2 = _hatgl(space, _y2_action(n, field, q))
-    assert x1 * x2 == x2 * x1
-    assert y1 * y2 == y2 * y1
+    if x1 * x2 != x2 * x1 or y1 * y2 != y2 * y1:
+        raise CheckFailed("the factors of x or of y do not commute")
     pair = GeneratorPair(space=space, x=x1 * x2, y=y1 * y2, n=n, q=q,
                          a=FieldElem(field, a_val), recipe="general")
     return pair.validate()
@@ -628,7 +628,8 @@ def block_decomposition(pair: GeneratorPair) -> BlockDecomp:
     seen = []
     for sub in decomp.all_subspaces():
         seen.extend(sub)
-    assert sorted(pair.space.idx(i) for i in seen) == list(range(2 * n))
+    if sorted(pair.space.idx(i) for i in seen) != list(range(2 * n)):
+        raise CheckFailed("the summands do not partition the coordinates")
     return decomp
 
 
@@ -821,16 +822,3 @@ def g3_displayed(field, a, eq: str) -> tuple:
         g2 = M([[1, 0, 0], [0, 1, field.neg(a2)], [0, 0, 1]])
         return (g1, g2, e12)
     raise BadParam(f"unknown generator triple {eq!r}")
-
-
-def aux_matrices(field, a, kind: str, *, n=None, i=None, beta=None, eq="G3"):
-    """Dispatch for the auxiliary matrices used by the small-group claims."""
-    if kind == "Phat":
-        return phat_base_change(field, a, n)
-    if kind == "Ri":
-        return small_r(field, a, i, beta)
-    if kind == "G3_action":
-        return g3_displayed(field, a, eq)
-    if kind == "theta":
-        return theta_matrix(field, a, field.q)
-    raise BadParam(f"unknown matrix kind {kind!r}")

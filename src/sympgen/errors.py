@@ -67,3 +67,7 @@ class UnknownLemma(SympgenError):
 
 class OddCharacteristic(SympgenError):
     pass
+
+
+class CheckFailed(SympgenError):
+    """An internal consistency check on a computed result failed."""

@@ -9,7 +9,6 @@ parameters exercised here).
 from __future__ import annotations
 
 import functools
-import math
 
 import sympy
 
@@ -129,6 +128,3 @@ def multiplicative_order(base: int, modulus_order: FactoredInt, power) -> Factor
             del order[prime]
     return FactoredInt(order)
 
-
-def math_lcm(values):
-    return math.lcm(*values) if values else 1

@@ -30,80 +30,6 @@ _TABLE_LIMIT = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over F_p (coefficient lists, constant term first),
-# used only for modulus validation and table construction
-# ---------------------------------------------------------------------------
-
-def _ptrim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _pmulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
-    return _pmod(res, mod, p)
-
-
-def _pmod(a, mod, p):
-    a = _ptrim(list(a))
-    d = len(mod) - 1
-    lead_inv = pow(mod[-1], p - 2, p)
-    while len(a) - 1 >= d:
-        coef = (a[-1] * lead_inv) % p
-        shift = len(a) - 1 - d
-        for i, mi in enumerate(mod):
-            a[shift + i] = (a[shift + i] - coef * mi) % p
-        _ptrim(a)
-    return a
-
-
-def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmulmod(result, base, mod, p)
-        base = _pmulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a = _pmod(a, b, p)
-        a, b = b, a
-    return a
-
-
-def _is_irreducible_fp(mod, p):
-    """Rabin test for a monic polynomial over F_p."""
-    f = len(mod) - 1
-    if f < 1:
-        return False
-    if f == 1:
-        return True
-    t = [0, 1]
-    for r in {f // d for d in sympy.primefactors(f)}:
-        h = _ppowmod(t, p**r, mod, p)
-        if len(_pgcd(mod, _psub(h, t, p), p)) > 1:
-            return False
-    h = _ppowmod(t, p**f, mod, p)
-    return not _psub(h, t, p)
-
-
-# ---------------------------------------------------------------------------
 # FieldCtx
 # ---------------------------------------------------------------------------
 
@@ -123,8 +49,11 @@ class FieldCtx:
             modulus = tuple(c % p for c in modulus)
         if len(modulus) != f + 1 or modulus[-1] != 1:
             raise BadParam("modulus must be monic of degree f")
-        if f > 1 and not _is_irreducible_fp(list(modulus), p):
-            raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
+        if f > 1:
+            from .poly import Poly, is_irreducible  # poly imports this module
+            self._mod_poly = Poly(standard_field(p), modulus)
+            if not is_irreducible(self._mod_poly):
+                raise ReducibleModulus(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.f = f
         self.q = p**f
@@ -179,9 +108,10 @@ class FieldCtx:
     # -- tables ------------------------------------------------------------
 
     def _raw_mul(self, a, b):
-        mod, p = list(self.modulus), self.p
-        prod = _pmulmod(list(self.coeffs(a)), list(self.coeffs(b)), mod, p)
-        return self.from_coeffs(prod)
+        from .poly import Poly
+        fp, mod = self._mod_poly.field, self._mod_poly
+        prod = Poly(fp, self.coeffs(a)) * Poly(fp, self.coeffs(b)) % mod
+        return self.from_coeffs(prod.coeffs)
 
     def _raw_add(self, a, b):
         p = self.p
@@ -192,13 +122,10 @@ class FieldCtx:
         if q > _TABLE_LIMIT:
             self._exp = self._log = self._add_table = None
             return
-        # discrete-log tables on the lexicographically least generator
-        gen = None
-        for cand in range(2, q):
-            if self._order_bruteforce_ok(cand):
-                gen = cand
-                break
-        assert gen is not None
+        # discrete-log tables on the lexicographically least generator,
+        # searched with table-free arithmetic
+        self._exp = None
+        gen = self.mult_generator().val
         exp = [1] * (2 * (q - 1))
         log = [0] * q
         cur = 1
@@ -222,14 +149,6 @@ class FieldCtx:
                     add_table[a * q + b] = s
                     add_table[b * q + a] = s
             self._add_table = add_table
-
-    def _order_bruteforce_ok(self, a):
-        """True iff a generates the multiplicative group (table-build helper)."""
-        n = self.q - 1
-        for prime in sympy.primefactors(n):
-            if self._raw_pow(a, n // prime) == 1:
-                return False
-        return True
 
     def _raw_pow(self, a, e):
         result, base = 1, a
@@ -558,11 +477,12 @@ def default_modulus(p: int, f: int) -> tuple[int, ...]:
     "Least" compares the packed integer c0 + c1*p + ... of the non-leading
     coefficients, ascending.
     """
+    from .poly import Poly, is_irreducible  # poly imports this module
     if f == 1:
         return (0, 1)
     for packed in range(p**f):
         coeffs = [(packed // p**i) % p for i in range(f)] + [1]
-        if coeffs[0] != 0 and _is_irreducible_fp(coeffs, p):
+        if coeffs[0] != 0 and is_irreducible(Poly(standard_field(p), coeffs)):
             return tuple(coeffs)
     raise AssertionError("irreducible polynomial always exists")
 

@@ -10,10 +10,9 @@ largest multiplicity; the result is verified by explicit powering.
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
-from .errors import BadParam, ShapeMismatch, SingularMatrix
+from .errors import BadParam, CheckFailed, ShapeMismatch, SingularMatrix
 from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
 from .gf import _split_prime_power
 from .matrix import Mat, char_poly
@@ -120,9 +119,11 @@ def element_order(g: Mat, verify: bool = True) -> FactoredInt:
     if verify:
         n_val = order.value_unchecked()
         ident = Mat.identity(F, g.rows)
-        assert (g ** n_val).is_identity()
+        if not (g ** n_val).is_identity():
+            raise CheckFailed(f"g^{n_val} is not the identity")
         for prime in order.primes():
-            assert not (g ** (n_val // prime)) == ident
+            if g ** (n_val // prime) == ident:
+                raise CheckFailed(f"g^({n_val}/{prime}) is the identity")
     return order
 
 

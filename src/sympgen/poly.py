@@ -242,10 +242,6 @@ class Factorization:
         return iter(self.factors)
 
 
-def eval_poly(p: Poly, b) -> FieldElem:
-    return p.eval(b)
-
-
 def is_self_reciprocal(p: Poly) -> bool:
     """True iff t^deg * p(1/t), normalized, equals p (even degree required)."""
     if p.is_zero() or p.degree % 2 != 0 or p.coeffs[0] == 0:

@@ -55,7 +55,7 @@ def test_unknown_claim_raises():
 
 
 def test_prop_q2_filter_matches_exactly_six():
-    results = claims.run_all("prop-q2-*", threads=1)
+    results = claims.run_all("prop-q2-*")
     assert len(results) == 6
     assert all(r.status == "Pass" for r in results)
 
@@ -78,13 +78,16 @@ def test_paper_ref_quotes_match_anchor_table():
 
 def test_run_all_idempotent_and_order_independent():
     subset = "subfield*"
-    first = claims.report_json(claims.run_all(subset, threads=1))
-    second = claims.report_json(claims.run_all(subset, threads=4))
+    first = claims.report_json(claims.run_all(subset))
+    second = claims.report_json(claims.run_all(subset))
     assert first == second
+    ids = [entry["id"] for entry in json.loads(first)]
+    backwards = [claims.run_claim(i) for i in reversed(ids)]
+    assert claims.report_json(backwards[::-1]) == first
 
 
 def test_report_json_structure():
-    results = claims.run_all("quadform-n4", threads=1)
+    results = claims.run_all("quadform-n4")
     payload = json.loads(claims.report_json(results))
     assert isinstance(payload, list) and len(payload) == 1
     entry = payload[0]
@@ -95,8 +98,8 @@ def test_report_json_structure():
 
 
 def test_report_json_stable_mode_is_byte_stable():
-    a = claims.report_json(claims.run_all("theta-charpoly", threads=1))
-    b = claims.report_json(claims.run_all("theta-charpoly", threads=1))
+    a = claims.report_json(claims.run_all("theta-charpoly"))
+    b = claims.report_json(claims.run_all("theta-charpoly"))
     assert a == b
 
 

@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from sympgen import claims
-from sympgen.cli import main
+from sympgen.cli import main, make_parser
 
 
 def run_cli(capsys, *argv):
@@ -81,13 +83,6 @@ def test_verify_nonzero_exit_on_failure(capsys):
         del claims._REGISTRY[cid]
 
 
-def test_verify_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv("SYMPGEN_THREADS", "2")
-    rc, out = run_cli(capsys, "verify", "subfield")
-    assert rc == 0
-    assert json.loads(out)[0]["id"] == "subfield"
-
-
 def test_search_named_fixture(capsys):
     rc, out = run_cli(capsys, "search", "--lemma", "M=H", "--q", "7")
     assert rc == 0
@@ -116,3 +111,16 @@ def test_certify_default_words(capsys):
 def test_certify_unknown_pair_is_an_error(capsys):
     rc, _ = run_cli(capsys, "certify", "--n", "4", "--q", "3", "--a", "1")
     assert rc == 2
+
+
+def test_readme_command_examples_parse():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    lines = [line for line in block.split("```", 1)[0].splitlines()
+             if line.startswith("sympgen ")]
+    assert len(lines) >= 5
+    for line in lines:
+        try:
+            make_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"the CLI rejects the README example {line!r}")

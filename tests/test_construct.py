@@ -11,7 +11,6 @@ from sympgen.construct import (
     BlockDecomp,
     GeneratorPair,
     SympSpace,
-    aux_matrices,
     block_decomposition,
     build,
     build_general,
@@ -263,15 +262,15 @@ def test_displayed_triples_det_one(eq, q, a):
 
 def test_displayed_triple_entry():
     F = gf.standard_field(7)
-    gens = aux_matrices(F, 1, "G3_action", eq="G3")
+    gens = g3_displayed(F, 1, "G3")
     assert gens[1][(1, 0)] == (-64) % 7
 
 
-def test_aux_matrices_dispatch_errors():
+def test_aux_matrix_builders_reject_bad_parameters():
     F = gf.standard_field(5)
     with pytest.raises(BadParam):
-        aux_matrices(F, 1, "nothing")
+        g3_displayed(F, 1, "nothing")
     with pytest.raises(BadParam):
-        aux_matrices(F, 1, "Phat", n=10)
+        phat_base_change(F, 1, 10)
     with pytest.raises(BadParam):
         small_r(gf.standard_field(4), 1, 1, 1)

@@ -1,5 +1,7 @@
 """Field arithmetic: defining relations, orders, subfields, embeddings."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from sympgen.errors import (
     NoEmbedding,
     ReducibleModulus,
 )
+from sympgen.poly import Poly
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
 
@@ -204,3 +207,18 @@ def test_field_axioms_random(q, data):
     assert a + (-a) == 0
     if b != 0:
         assert (a / b) * b == a
+
+
+@pytest.mark.parametrize("q", [2**17, 3**11])
+def test_untabled_field_arithmetic(q):
+    ctx = gf.standard_field(q)
+    assert q > gf._TABLE_LIMIT and ctx._exp is None
+    fp = gf.standard_field(ctx.p)
+    mod = Poly(fp, ctx.modulus)
+    rng = random.Random(q)
+    a, b, c = (ctx.elem(rng.randrange(1, q)) for _ in range(3))
+    for u in (a, b, c):
+        assert u * u.inv() == 1
+    assert (a * b) * c == a * (b * c)
+    prod = Poly(fp, a.coeffs) * Poly(fp, b.coeffs) % mod
+    assert (a * b).val == ctx.from_coeffs(prod.coeffs)

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from sympgen import gf
-from sympgen.errors import BadParam
+from sympgen import gf, grouporder
+from sympgen.errors import BadParam, CheckFailed
+from sympgen.factorint import FactoredInt
 from sympgen.grouporder import (
     OVERFLOW,
     Certificate,
@@ -60,6 +61,15 @@ def test_element_order_mixed():
     assert element_order(m).value() == 3
     c = Mat(F3, [[0, -1], [1, -1]])  # order 3 semisimple (t^2+t+1 | t^3-1)
     assert element_order(c).value() == 3
+
+
+def test_element_order_verification_raises_on_a_wrong_order(monkeypatch):
+    # diag(2, 1) over F_3 has order 2; claim 4 for the factor t - 2
+    monkeypatch.setattr(grouporder, "_poly_t_order",
+                        lambda irr: FactoredInt({2: 2}))
+    m = Mat(F3, [[2, 0], [0, 1]])
+    with pytest.raises(CheckFailed):
+        element_order(m, verify=True)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
