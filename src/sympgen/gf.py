@@ -110,7 +110,7 @@ class FieldCtx:
     def _raw_mul(self, a, b):
         from .poly import Poly
         fp, mod = self._mod_poly.field, self._mod_poly
-        prod = Poly(fp, self.coeffs(a)) * Poly(fp, self.coeffs(b)) % mod
+        prod = Poly._make(fp, self.coeffs(a)) * Poly._make(fp, self.coeffs(b)) % mod
         return self.from_coeffs(prod.coeffs)
 
     def _raw_add(self, a, b):
@@ -319,7 +319,7 @@ class FieldElem:
         return NotImplemented
 
     def __hash__(self):
-        return hash((id(self.ctx), self.val))
+        return hash((self.ctx, self.val))
 
     def __bool__(self):
         return self.val != 0

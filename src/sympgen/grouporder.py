@@ -100,9 +100,10 @@ def element_order(g: Mat, verify: bool = True) -> FactoredInt:
         raise SingularMatrix("zero determinant")
     order = FactoredInt.one()
     max_mult = 1
+    t_minus_one = Poly(F, [-1, 1])  # contributes only via multiplicity
     for irr, mult in factor(cp):
         max_mult = max(max_mult, mult)
-        if irr == Poly(F, [-1, 1]):  # t - 1 contributes only via multiplicity
+        if irr == t_minus_one:
             continue
         order = order.lcm(_poly_t_order(irr))
     # unipotent part: least p-power k with g^(N0 * p^k) = I; the bound from
@@ -119,7 +120,7 @@ def element_order(g: Mat, verify: bool = True) -> FactoredInt:
     if verify:
         n_val = order.value_unchecked()
         ident = Mat.identity(F, g.rows)
-        if not (g ** n_val).is_identity():
+        if g ** n_val != ident:
             raise CheckFailed(f"g^{n_val} is not the identity")
         for prime in order.primes():
             if g ** (n_val // prime) == ident:

@@ -5,6 +5,17 @@ e_1, ..., e_n, e_{-1}, ..., e_{-n} in that order, matrices act on column
 vectors from the left, and the symplectic Gram matrix is
 J = [[0, -I_n], [I_n, 0]].
 
+The public constructor Mat(F, rows) coerces every entry and rejects a
+FieldElem from another field (MixedFields) and ragged rows (ShapeMismatch).
+Results of arithmetic are built by the trusted Mat._make(F, data), which
+takes a tuple of row tuples of packed values in [0, q) as they are.
+
+Over a prime field the product works on packed rows: each row of the right
+factor becomes one integer of byte-aligned slots (poly._pack) wide enough
+for m (p - 1)^2, every left row accumulates a * packed_row over its entries
+in big-int arithmetic, and its slots are unpacked and reduced mod p once.
+Extension fields multiply entrywise through the field's log tables.
+
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation is kept alongside as an independent cross-check
 for small dimensions.  similarity_invariants computes the Smith normal form
@@ -13,9 +24,18 @@ of tI - M over F_q[t] with the lowest-degree pivot rule (ties by position).
 
 from __future__ import annotations
 
+import functools
+import operator
+
 from .errors import MixedFields, NotSquare, ShapeMismatch, SingularMatrix
 from .gf import FieldCtx, FieldElem
-from .poly import Poly
+from .poly import Poly, _pack, _slot_width, _unpack
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_data(n: int):
+    """Rows of the n x n identity; packed 0 and 1 are the same in every field."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 class Mat:
@@ -45,13 +65,24 @@ class Mat:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _make(cls, field: FieldCtx, data: tuple, cols: int = 0) -> "Mat":
+        """Trusted constructor: a tuple of equal-length row tuples of packed
+        values in [0, q), taken as they are; cols counts only without rows."""
+        m = object.__new__(cls)
+        m.field = field
+        m.data = data
+        m.rows = len(data)
+        m.cols = len(data[0]) if data else cols
+        return m
+
+    @classmethod
     def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._make(field, _identity_data(n))
 
     @classmethod
     def zeros(cls, field, rows, cols=None):
         cols = rows if cols is None else cols
-        return cls(field, [[0] * cols for _ in range(rows)])
+        return cls._make(field, ((0,) * cols,) * rows, cols)
 
     @classmethod
     def from_function(cls, field, rows, cols, fn):
@@ -91,16 +122,16 @@ class Mat:
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
-                and self.data == other.data)
+                and self.data == other.data and self.cols == other.cols)
 
     def __hash__(self):
-        return hash((id(self.field), self.data))
+        return hash((self.field, self.data))
 
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols} over {self.field.spec_string})"
 
     def is_identity(self) -> bool:
-        return self == Mat.identity(self.field, self.rows) if self.rows == self.cols else False
+        return self.rows == self.cols and self.data == _identity_data(self.rows)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -123,20 +154,21 @@ class Mat:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeMismatch("addition shape mismatch")
         add = self.field.add
-        return Mat(self.field, [[add(a, b) for a, b in zip(ra, rb)]
-                                for ra, rb in zip(self.data, other.data)])
+        return Mat._make(self.field, tuple(tuple(map(add, ra, rb))
+                                           for ra, rb in zip(self.data, other.data)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         neg = self.field.neg
-        return Mat(self.field, [[neg(v) for v in row] for row in self.data])
+        return Mat._make(self.field, tuple(tuple(map(neg, row)) for row in self.data))
 
     def scale(self, c):
         mul = self.field.mul
         cv = self.field.scalar(c)
-        return Mat(self.field, [[mul(cv, v) for v in row] for row in self.data])
+        return Mat._make(self.field, tuple(tuple(mul(cv, v) for v in row)
+                                           for row in self.data))
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElem)):
@@ -145,12 +177,14 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
         F = self.field
-        bt = list(zip(*other.data))  # columns of other
         if F.is_prime_field:
-            p = F.p
-            out = [tuple(sum(a * b for a, b in zip(row, col)) % p for col in bt)
-                   for row in self.data]
-            return Mat(F, out)
+            p, cols = F.p, other.cols
+            w = _slot_width(self.cols * (p - 1) ** 2)
+            packed = [_pack(row, w) for row in other.data]
+            mul = operator.mul
+            return Mat._make(F, tuple(tuple(_unpack(sum(map(mul, row, packed)), cols, w, p))
+                                      for row in self.data), cols)
+        bt = list(zip(*other.data))  # columns of other
         mul, add = F.mul, F.add
         out = []
         for row in self.data:
@@ -162,7 +196,7 @@ class Mat:
                         acc = add(acc, mul(a, b))
                 orow.append(acc)
             out.append(tuple(orow))
-        return Mat(F, out)
+        return Mat._make(F, tuple(out), other.cols)
 
     __rmul__ = scale
 
@@ -197,7 +231,8 @@ class Mat:
         return result
 
     def transpose(self):
-        return Mat(self.field, list(zip(*self.data)))
+        data = tuple(zip(*self.data)) if self.data else ((),) * self.cols
+        return Mat._make(self.field, data, self.rows)
 
     def trace(self) -> FieldElem:
         if not self.is_square():
@@ -264,7 +299,7 @@ class Mat:
         _, pivots, _, aug = self._echelon(Mat.identity(self.field, self.rows))
         if len(pivots) < self.rows:
             raise SingularMatrix("matrix is singular")
-        return Mat(self.field, aug)
+        return Mat._make(self.field, tuple(map(tuple, aug)))
 
     def kernel(self):
         """Basis of the right null space, reduced-echelon convention."""
@@ -348,7 +383,7 @@ def char_poly(m: Mat) -> Poly:
                 for jj, cv in enumerate(polys[i - 1]):
                     cur[jj] = sub(cur[jj], mul(coef, cv))
         polys.append(cur)
-    return Poly(F, polys[n])
+    return Poly._make(F, polys[n])
 
 
 def char_poly_berkowitz(m: Mat) -> Poly:
@@ -430,7 +465,7 @@ def similarity_invariants(m: Mat):
     F = m.field
     n = m.rows
     t = Poly.t(F)
-    a = [[(t if i == j else Poly.zero(F)) - Poly(F, [m.data[i][j]])
+    a = [[(t if i == j else Poly.zero(F)) - Poly._make(F, (m.data[i][j],))
           for j in range(n)] for i in range(n)]
 
     def min_entry(k):

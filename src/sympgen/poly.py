@@ -1,7 +1,22 @@
 """Univariate polynomials over a FieldCtx.
 
 Coefficients are packed field values, constant term first, no trailing
-zeros.  Factorization is squarefree decomposition, then distinct-degree,
+zeros.  The public constructor Poly(F, coeffs) coerces every coefficient
+and rejects a FieldElem from another field (MixedFields); results of the
+ring operations are built by the trusted Poly._make(F, vals), which takes
+packed values already in [0, q) and only strips trailing zeros.
+
+Over a prime field, products run on packed slots (Kronecker substitution):
+a coefficient list c_0..c_{k-1} becomes the one integer sum c_i 2^(8wi),
+with slots of w bytes wide enough for every coefficient of the product, so
+one big-int multiplication convolves two lists and each slot is reduced mod
+p once after it.  powmod keeps its residues packed between steps: the top
+d - 1 coefficients of each product fold back through the packed residues
+of t^d .. t^(2d-2) modulo the degree-d modulus.  _pack and _unpack are the
+one slot layout, shared with the packed-row product in matrix.py.
+Extension fields keep schoolbook arithmetic through FieldCtx.
+
+Factorization is squarefree decomposition, then distinct-degree,
 then equal-degree splitting (Cantor-Zassenhaus, with the additive trace-map
 variant in characteristic 2); the splitting randomness is a PRNG seeded
 from the polynomial's bytes so output order is reproducible.
@@ -9,13 +24,60 @@ from the polynomial's bytes so output order is reproducible.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 
 import sympy
 
 from .errors import BadParam, MixedFields, ZeroPolynomial
 from .gf import FieldCtx, FieldElem
+
+# array typecode of each item size; 1-byte slots go through bytes, wider
+# ones without a typecode through int.to_bytes
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIH"}
+_SWAP = sys.byteorder == "big"  # slots are laid out little-endian
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot that hold any value up to bound: 1, 2, 4, 8 or more."""
+    nbytes = max(1, (bound.bit_length() + 7) // 8)
+    return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
+
+
+def _pack(vals, w: int) -> int:
+    """sum(v_i * 2^(8*w*i)) for non-negative v_i below 2^(8*w)."""
+    if w == 1:
+        return int.from_bytes(bytes(vals), "little")
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in vals), "little")
+    arr = array(code, vals)
+    if _SWAP:
+        arr.byteswap()
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_residues(p: int) -> bytes:
+    return bytes(i % p for i in range(256))
+
+
+def _unpack(n: int, k: int, w: int, p: int):
+    """The k slots of w bytes of n >= 0, each reduced mod p (a sequence of ints)."""
+    raw = n.to_bytes(k * w, "little")
+    if w == 1:
+        return raw.translate(_byte_residues(p))
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, k * w, w)]
+    arr = array(code, raw)
+    if _SWAP:
+        arr.byteswap()
+    return [v % p for v in arr]
 
 
 class Poly:
@@ -40,16 +102,28 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _make(cls, field: FieldCtx, vals) -> "Poly":
+        """Trusted constructor: packed values in [0, q), taken unchecked;
+        trailing zeros are stripped."""
+        n = len(vals)
+        while n and not vals[n - 1]:
+            n -= 1
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.coeffs = tuple(vals[:n])
+        return poly
+
+    @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._make(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (1,))
+        return cls._make(field, (1,))
 
     @classmethod
     def t(cls, field):
-        return cls(field, (0, 1))
+        return cls._make(field, (0, 1))
 
     @classmethod
     def parse(cls, field, text: str) -> "Poly":
@@ -78,7 +152,7 @@ class Poly:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((self.field, self.coeffs))
 
     def __repr__(self):
         if self.is_zero():
@@ -111,12 +185,12 @@ class Poly:
         F = self.field
         n = max(len(self.coeffs), len(other.coeffs))
         a, b = self.coeffs, other.coeffs
-        return Poly(F, [F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
-                        for i in range(n)])
+        return Poly._make(F, [F.add(a[i] if i < len(a) else 0, b[i] if i < len(b) else 0)
+                              for i in range(n)])
 
     def __neg__(self):
         F = self.field
-        return Poly(F, [F.neg(c) for c in self.coeffs])
+        return Poly._make(F, [F.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -126,22 +200,27 @@ class Poly:
             return self.scale(other)
         self._check(other)
         F = self.field
-        if self.is_zero() or other.is_zero():
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return Poly.zero(F)
-        res = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        if F.is_prime_field:
+            p = F.p
+            w = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
+            return Poly._make(F, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w, p))
+        res = [0] * (len(a) + len(b) - 1)
         mul, add = F.mul, F.add
-        for i, ai in enumerate(self.coeffs):
+        for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(other.coeffs):
+                for j, bj in enumerate(b):
                     res[i + j] = add(res[i + j], mul(ai, bj))
-        return Poly(F, res)
+        return Poly._make(F, res)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
         F = self.field
         cv = F.scalar(c)
-        return Poly(F, [F.mul(cv, x) for x in self.coeffs])
+        return Poly._make(F, [F.mul(cv, x) for x in self.coeffs])
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -168,7 +247,7 @@ class Poly:
             for i, oc in enumerate(other.coeffs):
                 rem[shift + i] = F.sub(rem[shift + i], F.mul(coef, oc))
             rem.pop()
-        return Poly(F, quo), Poly(F, rem)
+        return Poly._make(F, quo), Poly._make(F, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -189,8 +268,10 @@ class Poly:
         return result
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
-        result = Poly.one(self.field)
         base = self % mod
+        if self.field.is_prime_field and mod.degree >= 1:
+            return _powmod_fp(base, e, mod)
+        result = Poly.one(self.field)
         while e:
             if e & 1:
                 result = (result * base) % mod
@@ -206,7 +287,7 @@ class Poly:
 
     def derivative(self) -> "Poly":
         F = self.field
-        return Poly(F, [F.mul((i % F.p), c) for i, c in enumerate(self.coeffs)][1:])
+        return Poly._make(F, [F.mul((i % F.p), c) for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, b) -> FieldElem:
         """Horner evaluation at b (a FieldElem or coercible int)."""
@@ -218,10 +299,42 @@ class Poly:
         return FieldElem(F, acc)
 
     def reciprocal(self) -> "Poly":
-        return Poly(self.field, tuple(reversed(self.coeffs)))
+        return Poly._make(self.field, self.coeffs[::-1])
 
     def map_coeffs(self, fn, new_field) -> "Poly":
         return Poly(new_field, [fn(FieldElem(self.field, c)) for c in self.coeffs])
+
+
+def _powmod_fp(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e modulo mod over F_p on packed slots; base reduced, deg mod >= 1."""
+    F = mod.field
+    p, d = F.p, mod.degree
+    # a product's slots sum <= d terms; the fold adds d - 1 more to a low slot
+    w = _slot_width((2 * d - 1) * (p - 1) ** 2)
+    shift = 8 * w * d
+    low = (1 << shift) - 1
+    lead_inv = F.inv(mod.lead())
+    r = [(-lead_inv * c) % p for c in mod.coeffs[:d]]  # t^d mod f
+    folds = [r]
+    for _ in range(d - 2):  # t^(j+1) = t * t^j, reduced through t^d
+        top = folds[-1][-1]
+        folds.append([(x + top * y) % p for x, y in zip([0] + folds[-1][:-1], r)])
+    folds = [_pack(fold, w) for fold in folds]
+    mul = operator.mul
+
+    def mulmod(x, y):
+        prod = x * y
+        acc = (prod & low) + sum(map(mul, _unpack(prod >> shift, d - 1, w, p), folds))
+        return _pack(_unpack(acc, d, w, p), w)
+
+    result, b = 1, _pack(base.coeffs, w)
+    while e:
+        if e & 1:
+            result = mulmod(result, b)
+        e >>= 1
+        if e:
+            b = mulmod(b, b)
+    return Poly._make(F, _unpack(result, d, w, p))
 
 
 @dataclass(frozen=True)

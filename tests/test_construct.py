@@ -88,7 +88,7 @@ def test_general_rejects_bad_parameters():
     ("n8alt", 8, 5, 1)])
 def test_random_word_char_polys_self_reciprocal(recipe, n, q, a):
     pair = build(recipe, n, q, a)
-    rng = random.Random(hash((recipe, n, q)) & 0xFFFF)
+    rng = random.Random(f"{recipe},{n},{q}")
     for _ in range(20):
         g = Mat.identity(pair.field, 2 * n)
         for _ in range(rng.randrange(1, 8)):

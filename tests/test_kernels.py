@@ -1,0 +1,165 @@
+"""Packed-slot kernels and the value contracts of Mat, Poly and FieldElem.
+
+Mat products and Poly powmod are compared with plain reference loops over
+the field's own add/mul; the trusted internal constructors must give the
+same values as the public ones.
+"""
+
+import random
+
+import pytest
+
+from sympgen import gf
+from sympgen.errors import MixedFields, ShapeMismatch
+from sympgen.gf import FieldCtx, FieldElem
+from sympgen.matrix import Mat
+from sympgen.poly import Poly
+
+# 2**61 - 1 needs slots wider than 8 bytes
+PRIMES = [2, 3, 7, 65521, 2**61 - 1]
+EXTENSIONS = [4, 9]
+SHAPES = [(5, 7, 3), (1, 28, 1), (28, 1, 28), (1, 9, 13), (13, 9, 1),
+          (0, 4, 6), (28, 28, 28), (22, 22, 22), (17, 3, 25)]
+
+
+def field(q):
+    return gf.standard_field(q) if q < 2**16 else FieldCtx(q, 1, None)
+
+
+def ref_matmul(F, a, b):
+    """Triple loop over the field's add and mul."""
+    inner, cols = len(b), len(b[0]) if b else 0
+    out = []
+    for row in a:
+        orow = []
+        for j in range(cols):
+            acc = 0
+            for k in range(inner):
+                acc = F.add(acc, F.mul(row[k], b[k][j]))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def ref_mulmod(F, a, b, f):
+    """Schoolbook product of coefficient lists, then long division by f."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = F.add(prod[i + j], F.mul(x, y))
+    d, lead_inv = len(f) - 1, F.inv(f[-1])
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = F.mul(prod[top], lead_inv)
+        for i, fc in enumerate(f):
+            prod[top - d + i] = F.sub(prod[top - d + i], F.mul(c, fc))
+    prod = prod[:d]
+    while prod and prod[-1] == 0:
+        prod.pop()
+    return tuple(prod)
+
+
+def rand_rows(rng, q, rows, cols, top=False):
+    return [[q - 1 if top else rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+def test_matmul_matches_triple_loop(q):
+    F = field(q)
+    rng = random.Random(q)
+    for rows, inner, cols in SHAPES:
+        for top in (False, True):  # all entries q - 1 fill every slot to its bound
+            a = Mat(F, rand_rows(rng, q, rows, inner, top)) if rows else Mat.zeros(F, 0, inner)
+            b = Mat(F, rand_rows(rng, q, inner, cols, top))
+            c = a * b
+            assert (c.rows, c.cols) == (rows, cols)
+            assert c.data == ref_matmul(F, a.data, b.data)
+            assert c.transpose().data == ref_matmul(F, b.transpose().data, a.transpose().data)
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+def test_powmod_matches_repeated_mulmod(q):
+    F = field(q)
+    rng = random.Random(q)
+    for d in range(1, 23):
+        f = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
+        mod = Poly(F, f)
+        for base in (Poly.t(F), Poly(F, [q - 1] * d),
+                     Poly(F, [rng.randrange(q) for _ in range(d + 3)])):
+            expected, b = (1,), ref_mulmod(F, base.coeffs, (1,), f)
+            for e in range(8):
+                assert base.powmod(e, mod).coeffs == expected, (d, e)
+                expected = ref_mulmod(F, expected, b, f)
+            if q < 100:  # one long exponent: x^(2e+1) = x * (x^e)^2
+                e = rng.getrandbits(40)
+                half = base.powmod(e, mod).coeffs
+                assert base.powmod(2 * e + 1, mod).coeffs == ref_mulmod(
+                    F, b, ref_mulmod(F, half, half, f), f)
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+def test_poly_mul_matches_schoolbook(q):
+    F = field(q)
+    rng = random.Random(q)
+    huge = Poly.t(F) ** 60  # a modulus no product reaches
+    for la, lb in [(1, 1), (1, 22), (22, 1), (9, 14), (23, 23)]:
+        for top in (False, True):
+            a, b = (Poly(F, [q - 1 if top else rng.randrange(q) for _ in range(n)])
+                    for n in (la, lb))
+            assert (a * b).coeffs == ref_mulmod(F, a.coeffs, b.coeffs, huge.coeffs)
+
+
+def _results(q):
+    F = field(q)
+    rng = random.Random(q)
+    while True:
+        a = Mat(F, rand_rows(rng, q, 6, 6))
+        if a.det() != 0:
+            break
+    b = Mat(F, rand_rows(rng, q, 6, 6))
+    mats = [a * b, a ** 5, a ** -2, a + b, a - b, -a, a.transpose(), a.inverse(),
+            Mat(F, rand_rows(rng, q, 3, 6)) * b, a * 3, Mat.identity(F, 4), Mat.zeros(F, 2, 3)]
+    f = Poly(F, [rng.randrange(q) for _ in range(7)] + [1])
+    g = Poly(F, [rng.randrange(q) for _ in range(12)])
+    polys = [g * f, g % f, g.powmod(1000, f), Poly.t(F).powmod(q**7, f), g * Poly.zero(F),
+             f - f, divmod(g, f)[0], g.derivative(), g.reciprocal(), g.monic()]
+    return F, mats, polys
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+def test_trusted_constructors_match_public_ones(q):
+    F, mats, polys = _results(q)
+    for r in mats:
+        rebuilt = Mat(F, r.data)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+        assert (r.rows, r.cols) == (rebuilt.rows, rebuilt.cols)
+        assert all(type(v) is int and 0 <= v < F.q for row in r.data for v in row)
+    for r in polys:
+        rebuilt = Poly(F, r.coeffs)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+        assert all(type(c) is int and 0 <= c < F.q for c in r.coeffs)
+        assert not r.coeffs or r.coeffs[-1] != 0
+
+
+def test_public_constructors_keep_their_checks():
+    F3, F5 = gf.standard_field(3), gf.standard_field(5)
+    with pytest.raises(MixedFields):
+        Mat(F3, [[FieldElem(F5, 1)]])
+    with pytest.raises(ShapeMismatch):
+        Mat(F3, [[1, 2], [1]])
+    with pytest.raises(MixedFields):
+        Poly(F3, [FieldElem(F5, 1)])
+    with pytest.raises(MixedFields):
+        Mat.identity(F3, 2) * Mat.identity(F5, 2)
+    with pytest.raises(ShapeMismatch):
+        Mat.identity(F3, 2) * Mat.identity(F3, 3)
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_equal_values_over_equal_fields_hash_equal(q):
+    # two distinct but equal contexts of F_q
+    a = gf.standard_field(q)
+    b = FieldCtx(a.p, a.f, a.modulus)
+    assert a is not b and a == b
+    assert len({Mat.identity(a, 3), Mat.identity(b, 3)}) == 1
+    assert len({Poly.t(a), Poly.t(b)}) == 1
+    assert len({FieldElem(a, 3), FieldElem(b, 3)}) == 1
