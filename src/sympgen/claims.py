@@ -2,7 +2,9 @@
 
 Every claim is a named, parameterized computation with an expected outcome;
 :func:`run_claim` executes one, :func:`run_all` executes a glob-filtered set
-serially and emits a JSON-serializable report.  The module also houses the
+serially and emits a JSON-serializable report.  Claims that differ only in
+their data (an (n, q) with its witness words, a list of instances) are
+registered from tables, one body per family.  The module also houses the
 admissible-parameter search (:func:`search_parameter`) and the quadratic-form
 obstruction solver for even characteristic.
 """
@@ -12,8 +14,8 @@ from __future__ import annotations
 import fnmatch
 import json
 import time
-from dataclasses import dataclass, field as _dcfield
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from .anchors import ANCHORS
 from .errors import (BadParam, OddCharacteristic, UnknownClaim, UnknownLemma)
@@ -21,13 +23,13 @@ from .gf import (FieldCtx, FieldElem, embed, mult_order, standard_field,
                  subfield_degree)
 from .matrix import (Mat, char_poly, eigenspace, paper_commutator, same_span,
                      similarity_invariants)
-from .poly import Poly
+from .poly import Poly, roots
 from .grouporder import (Certificate, PrimeSet, element_order,
                          lps_certificate, varpi, varpi_group)
 from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
                         phat_base_change, restriction_matrix, small_r,
                         tau_of, theta_matrix, expected_a_matrices,
-                        block_decomposition, _iv)
+                        block_decomposition, _esum, _iv, _vector)
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +121,11 @@ def _resolve_a(field: FieldCtx, aspec):
     if aspec == "primitive":
         return field.mult_generator()
     if isinstance(aspec, tuple) and aspec and aspec[0] == "minpoly":
-        return root_of(field, aspec[1])
+        root = next(roots(_poly_int(field, aspec[1])), None)
+        if root is None:
+            raise BadParam(f"no root of {aspec[1]} in {field!r}")
+        return root
     raise BadParam(f"bad a-spec {aspec!r}")
-
-
-def root_of(field: FieldCtx, coeffs):
-    """Least root in the field of the integer-coefficient polynomial."""
-    for b in field.elements():
-        if _ipoly(field, b, coeffs) == 0:
-            return b
-    raise BadParam(f"no root of {coeffs} in {field!r}")
 
 
 @lru_cache(maxsize=None)
@@ -138,23 +135,42 @@ def _pair(n, q, recipe="general", aspec=None, tag=None) -> GeneratorPair:
     return build(recipe, n, q, a, field)
 
 
-def _ipoly(field: FieldCtx, b, coeffs):
-    """Evaluate an integer-coefficient polynomial at a field element."""
-    bv = b.val if isinstance(b, FieldElem) else field.scalar(b)
-    acc, powv = 0, 1
-    for c in coeffs:
-        acc = field.add(acc, field.mul(_iv(field, c), powv))
-        powv = field.mul(powv, bv)
-    return acc
-
-
 def _poly_int(field: FieldCtx, coeffs) -> Poly:
+    """The integer-coefficient polynomial (ascending coefficients) over field."""
     return Poly(field, [_iv(field, c) for c in coeffs])
 
 
 def _expo(deg, exps):
     """Ascending 0/1 coefficient tuple from an exponent set (char-2 use)."""
     return tuple(1 if i in exps else 0 for i in range(deg + 1))
+
+
+def _unipotent_quadratic(F: FieldCtx, m: int, lam, k: int = 1) -> Poly:
+    """(t - 1)^m (t^2 + lam t + 1)^k for a packed lam."""
+    return _poly_int(F, (-1, 1)) ** m * Poly(F, [1, lam, 1]) ** k
+
+
+def _cj(g: Mat, u: Mat) -> Mat:
+    """g conjugated by u: u^-1 g u."""
+    return u.inverse() * g * u
+
+
+def _eig_pair(h: Mat, lam: int, v, vb):
+    """[h v = lam v, h^T vb = lam vb] for a packed lam."""
+    mul = h.field.mul
+    return [list(h.apply(v)) == [mul(lam, t) for t in v],
+            list(h.transpose().apply(vb)) == [mul(lam, t) for t in vb]]
+
+
+def _transvection_images(g: Mat, space, b, coefs) -> bool:
+    """g e_j = e_j + coefs[j] b for j = 1..n (coefficient 0 where unlisted)."""
+    F = space.field
+    for j in range(1, space.n + 1):
+        e = space.basis_vector(j)
+        c = coefs.get(j, 0)
+        if list(g.apply(e)) != [F.add(t, F.mul(c, s)) for t, s in zip(e, b)]:
+            return False
+    return True
 
 
 def s_restrict(g: Mat, space, ell: int) -> Mat:
@@ -200,7 +216,7 @@ def _vcombo(field, vectors_coeffs):
     size = len(vectors_coeffs[0][1])
     out = [0] * size
     for c, w in vectors_coeffs:
-        cv = c.val if isinstance(c, FieldElem) else field.scalar(c)
+        cv = field.scalar(c)
         for i in range(size):
             out[i] = field.add(out[i], field.mul(cv, w[i]))
     return tuple(out)
@@ -376,16 +392,11 @@ CONDITIONS = {
 
 
 def _sigma_of(field: FieldCtx, a: FieldElem):
-    """Root of t^2 + a t + 1 of order q+1 in F_{q^2}, or None."""
-    q = field.q
-    big = standard_field(q * q)
-    em = embed(field, big)
-    av = em(a).val
-    for v in range(big.q):
-        if big.add(big.add(big.mul(v, v), big.mul(av, v)), 1) == 0:
-            if mult_order(FieldElem(big, v)).value() == q + 1:
-                return FieldElem(big, v)
-            return None
+    """Least root of t^2 + a t + 1 in F_{q^2} if its order is q+1, else None."""
+    big = standard_field(field.q * field.q)
+    sigma = next(roots(Poly(big, [1, embed(field, big)(a), 1])), None)
+    if sigma is not None and mult_order(sigma).value() == field.q + 1:
+        return sigma
     return None
 
 
@@ -396,12 +407,10 @@ def _branch_conditions(lemma_id: str, p: int):
     if "odd" in cond:  # parity-split lemma
         branch = cond["odd"] if p > 2 else cond["even"]
         base = CONDITIONS[branch["extra"]]
-        merged = dict(base)
-        merged = {"char": base.get("char", "any"),
-                  "exclude_q": base.get("exclude_q", ()),
-                  "nz": list(base.get("nz", [])) + list(branch["nz"]),
-                  "sub": base.get("sub")}
-        return merged
+        return {"char": base.get("char", "any"),
+                "exclude_q": base.get("exclude_q", ()),
+                "nz": list(base.get("nz", [])) + list(branch["nz"]),
+                "sub": base.get("sub")}
     return {"char": cond.get("char", "any"),
             "exclude_q": cond.get("exclude_q", ()),
             "nz": cond.get("nz", []),
@@ -409,18 +418,20 @@ def _branch_conditions(lemma_id: str, p: int):
             "special": cond.get("special")}
 
 
-def _admissible(field: FieldCtx, a: FieldElem, cond) -> bool:
+def _generates(b: FieldElem) -> bool:
+    """b is nonzero and generates its whole field over F_p."""
+    return b.val != 0 and subfield_degree(b) == b.ctx.f
+
+
+def _admissible(field: FieldCtx, cond):
+    """The predicate a -> (a meets cond), with each polynomial built once."""
     if cond.get("special") == "sigma":
-        return _sigma_of(field, a) is not None
-    for coeffs in cond["nz"]:
-        if _ipoly(field, a, coeffs) == 0:
-            return False
+        return lambda a: _sigma_of(field, a) is not None
+    nz = [_poly_int(field, coeffs) for coeffs in cond["nz"]]
     sub = cond.get("sub")
-    if sub is not None:
-        expr = FieldElem(field, _ipoly(field, a, sub[0]))
-        if expr.val == 0 or subfield_degree(expr) != field.f:
-            return False
-    return True
+    expr = None if sub is None else _poly_int(field, sub[0])
+    return lambda a: (all(f.eval(a) for f in nz)
+                      and (expr is None or _generates(expr.eval(a))))
 
 
 def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
@@ -435,11 +446,12 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
         return []
     if q in cond.get("exclude_q", ()):
         return []
+    admissible = _admissible(field, cond)
     g = field.mult_generator()
     out = []
     cur = g
     for _ in range(q - 1):
-        if _admissible(field, cur, cond):
+        if admissible(cur):
             out.append(cur)
         cur = cur * g
     return out
@@ -541,16 +553,11 @@ def subfield_failure_count(lemma_id: str, q: int) -> int | None:
     """Number of a in F_q^* failing the lemma's minimal-field condition,
     or None when the lemma has no such condition."""
     field = standard_field(q)
-    cond = _branch_conditions(lemma_id, field.p)
-    sub = cond.get("sub")
+    sub = _branch_conditions(lemma_id, field.p).get("sub")
     if sub is None:
         return None
-    count = 0
-    for b in field.units():
-        expr = FieldElem(field, _ipoly(field, b, sub[0]))
-        if expr.val == 0 or subfield_degree(expr) != field.f:
-            count += 1
-    return count
+    expr = _poly_int(field, sub[0])
+    return sum(not _generates(expr.eval(b)) for b in field.units())
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +569,6 @@ class Claim:
     id: str
     anchor: str
     fn: object
-    params: dict = _dcfield(default_factory=dict)
 
     @property
     def paper_ref(self):
@@ -592,14 +598,14 @@ class ClaimResult:
 _REGISTRY: dict[str, Claim] = {}
 
 
-def claim(cid: str, anchor: str, **params):
+def claim(cid: str, anchor: str):
     if anchor not in ANCHORS:
         raise BadParam(f"unknown anchor {anchor!r}")
 
     def deco(fn):
         if cid in _REGISTRY:
             raise BadParam(f"duplicate claim id {cid!r}")
-        _REGISTRY[cid] = Claim(cid, anchor, fn, params)
+        _REGISTRY[cid] = Claim(cid, anchor, fn)
         return fn
     return deco
 
@@ -660,71 +666,90 @@ def report_json(results, stable=True) -> str:
 
 
 # ---------------------------------------------------------------------------
-# generation-witness table (shared with the CLI `certify` subcommand)
+# claims: prime-set unions over the full symplectic groups
 # ---------------------------------------------------------------------------
 
-# (n, q) -> (recipe, aspec, tag, L, word builder)
+# (n, q) -> (claim id, anchor, recipe, aspec, tag, L, word builder); the
+# generation witnesses are word(k) for k in L.  The table is shared with the
+# CLI `certify` subcommand.
 DEFAULT_WORDS = {
-    (6, 2): ("general", 1, None, [1, 3, 4, 7, 11], word_comm_k_xy),
-    (7, 2): ("general", 1, None, [1, 2, 3, 7, 8, 13, 14], word_commxy_k_xy),
-    (8, 2): ("general", 1, None, [1, 14, 15, 18, 23, 25, 28], word_xy_k_y),
-    (9, 2): ("general", 1, None, [6, 7, 8, 11, 13, 16, 19, 20, 31], word_xy_k_y),
-    (11, 2): ("general", 1, None, [1, 3, 4, 5, 8, 9, 13, 15, 16, 22, 29, 33],
-              word_xy_k_y),
-    (6, 4): ("general", "gen", None, [2, 3, 5, 6, 15, 37], word_xy_k_y),
-    (4, 3): ("general", 1, None, None, None),
-    (5, 4): ("n5", "gen", "main5", [4, 7, 10, 12, 21], word_xy_k_y),
-    (5, 25): ("n5", "gen", "main5", [1, 6, 11, 12, 13, 14], word_xy_k_y),
-    (6, 3): ("n6alt", 1, None, [3, 4, 11, 13, 19], word_xy_k_y),
-    (6, 9): ("n6alt", "gen", "main6", [1, 3, 7, 9, 11, 12, 26], word_xy_k_y),
-    (7, 3): ("general", 1, None, [1, 3, 7, 9, 10, 19, 39], word_xy_k_y),
-    (7, 4): ("general", "gen", "main7", [1, 7, 10, 13, 16, 20, 43], word_xy_k_y),
-    (7, 7): ("general", 1, None, [1, 4, 5, 8, 12, 13, 27, 47], word_xy_k_y),
-    (7, 8): ("general", "gen", "main7", [1, 3, 5, 10, 14, 15, 18], word_xy_k_y),
-    (7, 16): ("general", "gen", "main7", [3, 4, 11, 13, 19, 24, 27], word_xy_k_y),
-    (8, 3): ("n8alt", 1, None, [3, 4, 7, 9, 10, 11, 24, 27], word_xy_k_y),
-    (8, 5): ("n8alt", 1, None, [3, 9, 10, 13, 14, 15, 34], word_xy_k_y),
-    (8, 9): ("n8alt", "gen", "main8", [4, 6, 7, 8, 11, 15, 20, 54], word_xy_k_y),
-    (9, 3): ("general", 1, None, [3, 4, 6, 7, 11, 14, 23, 37, 38],
-             word_commxy_k_yx),
-    (9, 4): ("general", "gen", "main9", [1, 3, 4, 5, 7, 9, 14, 24, 53, 89],
+    (6, 2): ("prop-q2-n6", "q=2-L67", "general", 1, None, [1, 3, 4, 7, 11],
+             word_comm_k_xy),
+    (7, 2): ("prop-q2-n7", "q=2-L67", "general", 1, None,
+             [1, 2, 3, 7, 8, 13, 14], word_commxy_k_xy),
+    (8, 2): ("prop-q2-n8", "q=2-L8", "general", 1, None,
+             [1, 14, 15, 18, 23, 25, 28], word_xy_k_y),
+    (9, 2): ("prop-q2-n9", "q=2-L9", "general", 1, None,
+             [6, 7, 8, 11, 13, 16, 19, 20, 31], word_xy_k_y),
+    (11, 2): ("prop-q2-n11", "q=2-L11", "general", 1, None,
+              [1, 3, 4, 5, 8, 9, 13, 15, 16, 22, 29, 33], word_xy_k_y),
+    (6, 4): ("lemma-q4", "q4-L", "general", "gen", None, [2, 3, 5, 6, 15, 37],
              word_xy_k_y),
-    (9, 5): ("general", 1, None, [5, 6, 7, 8, 9, 10, 11, 18, 126], word_xy_k_y),
-    (9, 7): ("general", 1, None, [3, 6, 7, 8, 16, 17, 20, 41, 126], word_xy_k_y),
-    (9, 8): ("general", "gen", "main9", [3, 10, 13, 15, 18, 19, 25, 31, 53],
+    (5, 4): ("main5-q4", "main5", "n5", "gen", "main5", [4, 7, 10, 12, 21],
              word_xy_k_y),
-    (10, 7): ("general", 1, None, [1, 3, 5, 6, 9, 12, 22, 31, 65], word_xy_k_y),
-    (11, 3): ("general", 1, None, [1, 4, 6, 8, 10, 11, 12, 16, 20, 28, 35],
-              word_xy_k_y),
-    (11, 4): ("general", "gen", "main11",
+    (5, 25): ("main5-q25", "main5", "n5", "gen", "main5",
+              [1, 6, 11, 12, 13, 14], word_xy_k_y),
+    (6, 3): ("main6-q3", "main6", "n6alt", 1, None, [3, 4, 11, 13, 19],
+             word_xy_k_y),
+    (6, 9): ("main6-q9", "main6", "n6alt", "gen", "main6",
+             [1, 3, 7, 9, 11, 12, 26], word_xy_k_y),
+    (7, 3): ("main7-q3", "main7", "general", 1, None,
+             [1, 3, 7, 9, 10, 19, 39], word_xy_k_y),
+    (7, 4): ("main7-q4", "main7", "general", "gen", "main7",
+             [1, 7, 10, 13, 16, 20, 43], word_xy_k_y),
+    (7, 7): ("main7-q7", "main7", "general", 1, None,
+             [1, 4, 5, 8, 12, 13, 27, 47], word_xy_k_y),
+    (7, 8): ("main7-q8", "main7", "general", "gen", "main7",
+             [1, 3, 5, 10, 14, 15, 18], word_xy_k_y),
+    (7, 16): ("main7-q16", "main7", "general", "gen", "main7",
+              [3, 4, 11, 13, 19, 24, 27], word_xy_k_y),
+    (8, 3): ("main8-q3", "main8", "n8alt", 1, None,
+             [3, 4, 7, 9, 10, 11, 24, 27], word_xy_k_y),
+    (8, 5): ("main8-q5", "main8", "n8alt", 1, None,
+             [3, 9, 10, 13, 14, 15, 34], word_xy_k_y),
+    (8, 9): ("main8-q9", "main8", "n8alt", "gen", "main8",
+             [4, 6, 7, 8, 11, 15, 20, 54], word_xy_k_y),
+    (9, 3): ("main9-q3", "main9", "general", 1, None,
+             [3, 4, 6, 7, 11, 14, 23, 37, 38], word_commxy_k_yx),
+    (9, 4): ("main9-q4", "main9", "general", "gen", "main9",
+             [1, 3, 4, 5, 7, 9, 14, 24, 53, 89], word_xy_k_y),
+    (9, 5): ("main9-q5", "main9", "general", 1, None,
+             [5, 6, 7, 8, 9, 10, 11, 18, 126], word_xy_k_y),
+    (9, 7): ("main9-q7", "main9", "general", 1, None,
+             [3, 6, 7, 8, 16, 17, 20, 41, 126], word_xy_k_y),
+    (9, 8): ("main9-q8", "main9", "general", "gen", "main9",
+             [3, 10, 13, 15, 18, 19, 25, 31, 53], word_xy_k_y),
+    (10, 7): ("main10-q7", "main10-q7", "general", 1, None,
+              [1, 3, 5, 6, 9, 12, 22, 31, 65], word_xy_k_y),
+    (11, 3): ("main11-q3", "main11", "general", 1, None,
+              [1, 4, 6, 8, 10, 11, 12, 16, 20, 28, 35], word_xy_k_y),
+    (11, 4): ("main11-q4", "main11", "general", "gen", "main11",
               [3, 5, 7, 8, 9, 12, 13, 15, 16, 18, 64], word_xy_k_y),
-    (11, 5): ("general", 1, None, [1, 3, 9, 14, 15, 16, 18, 20, 31, 46, 88],
-              word_xy_k_y),
-    (12, 3): ("general", 1, None,
+    (11, 5): ("main11-q5", "main11", "general", 1, None,
+              [1, 3, 9, 14, 15, 16, 18, 20, 31, 46, 88], word_xy_k_y),
+    (12, 3): ("main12-q3", "main12", "general", 1, None,
               [4, 5, 13, 16, 17, 24, 28, 35, 37, 87, 89], word_xy_k_y),
-    (12, 5): ("general", 1, None,
+    (12, 5): ("main12-q5", "main12", "general", 1, None,
               [3, 5, 6, 8, 12, 13, 14, 15, 18, 25, 34, 47], word_xy_k_y),
-    (14, 7): ("general", 1, None,
+    (14, 7): ("main14-q7", "main14-q7", "general", 1, None,
               [3, 5, 6, 7, 8, 10, 14, 17, 19, 20, 29, 32, 56], word_xy_k_y),
 }
 
 
-def _lset_outcome(n, q, recipe, aspec, tag, L, word_fn):
-    pair = _pair(n, q, recipe, aspec, tag)
+def _witnesses(n: int, q: int, aspec=None):
+    """The pair of DEFAULT_WORDS[(n, q)], with a from aspec when given, and
+    its witness matrices."""
+    if (n, q) not in DEFAULT_WORDS:
+        raise UnknownLemma(f"no default witness words for n={n}, q={q}")
+    _, _, recipe, default_a, tag, L, word_fn = DEFAULT_WORDS[(n, q)]
+    pair = _pair(n, q, recipe, default_a if aspec is None else aspec, tag)
     env = {"x": pair.x, "y": pair.y}
-    got = _union_varpi(eval_word(word_fn(k), env) for k in L)
-    return {"expected": varpi_group("sp", n, q), "computed": got}
+    return pair, [eval_word(word_fn(k), env) for k in L]
 
 
 def certify_pair(n: int, q: int, aspec=None) -> Certificate:
     """Run the default generation certificate for (n, q)."""
-    key = (n, q)
-    if key not in DEFAULT_WORDS or DEFAULT_WORDS[key][3] is None:
-        raise UnknownLemma(f"no default witness words for n={n}, q={q}")
-    recipe, default_a, tag, L, word_fn = DEFAULT_WORDS[key]
-    pair = _pair(n, q, recipe, aspec if aspec is not None else default_a, tag)
-    env = {"x": pair.x, "y": pair.y}
-    witnesses = [eval_word(word_fn(k), env) for k in L]
+    pair, witnesses = _witnesses(n, q, aspec)
     obstruction = None
     if q % 2 == 0 and n % 2 == 0:
         obstruction = quadratic_form_obstruction(pair).kind == "Inconsistent"
@@ -732,64 +757,19 @@ def certify_pair(n: int, q: int, aspec=None) -> Certificate:
                            obstruction_inconsistent=obstruction)
 
 
-# ---------------------------------------------------------------------------
-# claims: prime-set unions over the full symplectic groups
-# ---------------------------------------------------------------------------
-
-def _register_lset(cid, anchor, n, q):
-    recipe, aspec, tag, L, word_fn = DEFAULT_WORDS[(n, q)]
-
-    @claim(cid, anchor, n=n, q=q)
-    def _c(n=n, q=q, recipe=recipe, aspec=aspec, tag=tag, L=L, word_fn=word_fn):
-        return _lset_outcome(n, q, recipe, aspec, tag, L, word_fn)
-
-
-@claim("prop-q2-n6", "q=2-L67", n=6, q=2)
-def _prop_q2_n6():
-    out = _lset_outcome(6, 2, *DEFAULT_WORDS[(6, 2)])
-    obstruction = quadratic_form_obstruction(_pair(6, 2, "general", 1))
-    out["expected"] = [out["expected"], "Inconsistent"]
-    out["computed"] = [out["computed"], obstruction.kind]
-    return out
+def _prime_set_claim(n: int, q: int):
+    """The witnesses' prime sets cover varpi(Sp_2n(q)); for q = 2 and n even,
+    no quadratic form with polar form J is invariant either."""
+    pair, witnesses = _witnesses(n, q)
+    expected, computed = varpi_group("sp", n, q), _union_varpi(witnesses)
+    if q == 2 and n % 2 == 0:
+        return {"expected": [expected, "Inconsistent"],
+                "computed": [computed, quadratic_form_obstruction(pair).kind]}
+    return {"expected": expected, "computed": computed}
 
 
-@claim("prop-q2-n8", "q=2-L8", n=8, q=2)
-def _prop_q2_n8():
-    out = _lset_outcome(8, 2, *DEFAULT_WORDS[(8, 2)])
-    obstruction = quadratic_form_obstruction(_pair(8, 2, "general", 1))
-    out["expected"] = [out["expected"], "Inconsistent"]
-    out["computed"] = [out["computed"], obstruction.kind]
-    return out
-
-
-_register_lset("prop-q2-n7", "q=2-L67", 7, 2)
-_register_lset("prop-q2-n9", "q=2-L9", 9, 2)
-_register_lset("prop-q2-n11", "q=2-L11", 11, 2)
-_register_lset("lemma-q4", "q4-L", 6, 4)
-_register_lset("main5-q4", "main5", 5, 4)
-_register_lset("main5-q25", "main5", 5, 25)
-_register_lset("main6-q3", "main6", 6, 3)
-_register_lset("main6-q9", "main6", 6, 9)
-_register_lset("main7-q3", "main7", 7, 3)
-_register_lset("main7-q4", "main7", 7, 4)
-_register_lset("main7-q7", "main7", 7, 7)
-_register_lset("main7-q8", "main7", 7, 8)
-_register_lset("main7-q16", "main7", 7, 16)
-_register_lset("main8-q3", "main8", 8, 3)
-_register_lset("main8-q5", "main8", 8, 5)
-_register_lset("main8-q9", "main8", 8, 9)
-_register_lset("main9-q3", "main9", 9, 3)
-_register_lset("main9-q4", "main9", 9, 4)
-_register_lset("main9-q5", "main9", 9, 5)
-_register_lset("main9-q7", "main9", 9, 7)
-_register_lset("main9-q8", "main9", 9, 8)
-_register_lset("main10-q7", "main10-q7", 10, 7)
-_register_lset("main11-q3", "main11", 11, 3)
-_register_lset("main11-q4", "main11", 11, 4)
-_register_lset("main11-q5", "main11", 11, 5)
-_register_lset("main12-q3", "main12", 12, 3)
-_register_lset("main12-q5", "main12", 12, 5)
-_register_lset("main14-q7", "main14-q7", 14, 7)
+for (_n, _q), _row in DEFAULT_WORDS.items():
+    claim(_row[0], _row[1])(partial(_prime_set_claim, _n, _q))
 
 
 @claim("prop-q2-sl9", "q=2-sl9")
@@ -810,11 +790,9 @@ def _g7_q8():
     pair = _pair(10, 8, "general", "gen", "G7")
     tau = tau_of(pair)
     x, y = pair.x, pair.y
-
-    def q(u):
-        return s_restrict(u.inverse() * tau * u, pair.space, 7)
-    g1, g2, g3, g4 = (s_restrict(tau, pair.space, 7), q(y), q(y * x),
-                      q(y * y * x))
+    g1, g2, g3, g4 = (s_restrict(g, pair.space, 7)
+                      for g in (tau, _cj(tau, y), _cj(tau, y * x),
+                                _cj(tau, y * y * x)))
     base = g4 * g1 * g3
     got = _union_varpi((base ** k) * g2 for k in [6, 19, 26, 37])
     return {"expected": varpi_group("sl", 7, 8), "computed": got}
@@ -825,49 +803,39 @@ def _remark_q7():
     pair = _pair(13, 7, "general", 1)
     tau = tau_of(pair)
     x, y = pair.x, pair.y
-
-    def cjm(u):
-        return u.inverse() * tau * u
-    base = (tau * cjm(y) ** 2 * cjm(y * x * y) * cjm(y * x * y * y)
-            * cjm(y * x))
-    tail = (cjm(y * y) * cjm((y * x) ** 2) * cjm((y * x) ** 2 * y)
-            * cjm((y * x) ** 2 * y * y))
+    yx2 = (y * x) ** 2
+    base = (tau * _cj(tau, y) ** 2 * _cj(tau, y * x * y)
+            * _cj(tau, y * x * y * y) * _cj(tau, y * x))
+    tail = (_cj(tau, y * y) * _cj(tau, yx2) * _cj(tau, yx2 * y)
+            * _cj(tau, yx2 * y * y))
     got = _union_varpi(s_restrict((base ** k) * tail, pair.space, 9)
                        for k in [1, 7, 11, 15, 22])
     return {"expected": varpi_group("sl", 9, 7), "computed": got}
 
 
-def _wsl6_instance(q, aspec, I):
+def _wsl6_claim(q, aspec, I):
     pair = _pair(13, q, "general", aspec)
     F, x, y = pair.field, pair.x, pair.y
     a = pair.a
     r1 = hat_embed_bottom(F, 13, small_r(F, a, 1, 1))
     r2 = hat_embed_bottom(F, 13, small_r(F, a, 2, 1))
-    r3 = x.inverse() * r1 * x
-    r4 = (y * x).inverse() * r1 * (y * x)
+    r3, r4 = _cj(r1, x), _cj(r1, y * x)
     displayed_ok = (s_restrict(r3, pair.space, 6) == small_r(F, a, 3, 1)
                     and s_restrict(r4, pair.space, 6) == small_r(F, a, 4, 1))
     y2 = y * y
-    g = r1 * r2 * r4 * (y2.inverse() * r2 * y2) * (y2.inverse() * r4 * y2)
-    tail = (y.inverse() * r4 * y) * (y.inverse() * r3 * y) * r2
+    g = r1 * r2 * r4 * _cj(r2, y2) * _cj(r4, y2)
+    tail = _cj(r4, y) * _cj(r3, y) * r2
     got = _union_varpi(s_restrict((g ** k) * tail, pair.space, 6) for k in I)
     return {"expected": [varpi_group("sl", 6, q), True],
             "computed": [got, displayed_ok]}
 
 
-@claim("WSL6-q3", "WSL6")
-def _wsl6_q3():
-    return _wsl6_instance(3, -1, [1, 3, 34])
+# claim id -> (q, aspec, exponents k of the words g^k tail)
+_WSL6 = {"WSL6-q3": (3, -1, (1, 3, 34)), "WSL6-q5": (5, -1, (1, 2, 7, 15)),
+         "WSL6-q7": (7, 1, (1, 7, 32))}
 
-
-@claim("WSL6-q5", "WSL6")
-def _wsl6_q5():
-    return _wsl6_instance(5, -1, [1, 2, 7, 15])
-
-
-@claim("WSL6-q7", "WSL6")
-def _wsl6_q7():
-    return _wsl6_instance(7, 1, [1, 7, 32])
+for _cid, _row in _WSL6.items():
+    claim(_cid, "WSL6")(partial(_wsl6_claim, *_row))
 
 
 @claim("phat-centralizes", "Phat")
@@ -889,14 +857,16 @@ def _phat_centralizes():
 # claims: characteristic polynomials, traces, eigenvectors
 # ---------------------------------------------------------------------------
 
-def _n4_instances():
-    return [(3, 1, None), (5, 2, None), (9, "gen", "M=H")]
+# (q, aspec, tag) instances shared by the n = 4, 5 and 6 claims
+_N4 = ((3, 1, None), (5, 2, None), (9, "gen", "M=H"))
+_N5 = ((7, 1, None), (23, 2, None), (9, "gen", "table1"))
+_N6 = ((5, 1, None), (9, "gen", "main6"), (8, "gen", "table1"))
 
 
 @claim("charpoly-n4", "charpoly-n4")
 def _charpoly_n4():
     exp, got = [], []
-    for q, aspec, tag in _n4_instances():
+    for q, aspec, tag in _N4:
         pair = _pair(4, q, "general", aspec, tag)
         F = pair.field
         exp.append(_poly_int(F, (1, 2, 1, 2, 4, 2, 1, 2, 1)))
@@ -907,7 +877,7 @@ def _charpoly_n4():
 @claim("main4-chi-xy", "chi-xy-n4")
 def _main4_chi_xy():
     exp, got = [], []
-    for q, aspec, tag in _n4_instances():
+    for q, aspec, tag in _N4:
         pair = _pair(4, q, "general", aspec, tag)
         F, a = pair.field, pair.a.val
         a2p1 = F.add(F.mul(a, a), 1)
@@ -919,7 +889,7 @@ def _main4_chi_xy():
 @claim("main4-w-eigenvectors", "w-n4")
 def _main4_w():
     results = []
-    for q, aspec, tag in _n4_instances():
+    for q, aspec, tag in _N4:
         pair = _pair(4, q, "general", aspec, tag)
         F, sp = pair.field, pair.space
         c = pair.commutator()
@@ -937,7 +907,7 @@ def _main4_w():
 @claim("main4-cube-dim6", "cube-n4")
 def _main4_cube():
     results = []
-    for q, aspec, tag in _n4_instances():
+    for q, aspec, tag in _N4:
         pair = _pair(4, q, "general", aspec, tag)
         F, p = pair.field, pair.field.p
         c = pair.commutator()
@@ -958,36 +928,31 @@ def _main4_cube():
     return {"expected": [[6, True, True]] * len(results), "computed": results}
 
 
-@claim("main4-c-order-q3", "c-order-n4")
-def _main4_c_order_q3():
+def _c_order_claim(q, instances, order):
+    """|C^k y| = order for C = [x, y], over (aspec, k) instances at n = 4."""
     got = []
-    for aspec in (1, -1):
-        pair = _pair(4, 3, "general", aspec)
-        c = pair.commutator()
-        got.append(element_order((c ** 2) * pair.y).value())
-    return {"expected": [78, 78], "computed": got, "resolved": True,
+    for aspec, k in instances:
+        pair = _pair(4, q, "general", aspec)
+        got.append(element_order((pair.commutator() ** k) * pair.y).value())
+    return {"expected": [order] * len(instances), "computed": got,
+            "resolved": True,
             "detail": "C read as the commutator of the generator pair"}
 
 
-@claim("main4-c-order-q5", "main4-q")
-def _main4_c_order_q5():
-    got = []
-    for aspec, k in [(1, 2), (-1, 2), (2, 3), (-2, 3)]:
-        pair = _pair(4, 5, "general", aspec)
-        c = pair.commutator()
-        got.append(element_order((c ** k) * pair.y).value())
-    return {"expected": [186] * 4, "computed": got, "resolved": True,
-            "detail": "C read as the commutator of the generator pair"}
+# claim id -> (anchor, q, (aspec, k) instances, order)
+_C_ORDER = {
+    "main4-c-order-q3": ("c-order-n4", 3, ((1, 2), (-1, 2)), 78),
+    "main4-c-order-q5": ("main4-q", 5, ((1, 2), (-1, 2), (2, 3), (-2, 3)), 186),
+}
 
-
-def _n5_instances():
-    return [(7, 1, None), (23, 2, None), (9, "gen", "table1")]
+for _cid, (_anchor, *_row) in _C_ORDER.items():
+    claim(_cid, _anchor)(partial(_c_order_claim, *_row))
 
 
 @claim("main5-chi-eta", "chi-eta-n5")
 def _main5_chi_eta():
     exp, got = [], []
-    for q, aspec, tag in _n5_instances():
+    for q, aspec, tag in _N5:
         pair = _pair(5, q, "n5", aspec, tag)
         F = pair.field
         a2 = F.mul(pair.a.val, pair.a.val)
@@ -1002,7 +967,7 @@ def _main5_chi_eta():
 @claim("main5-tau-dim8", "tau-n5")
 def _main5_tau():
     results = []
-    for q, aspec, tag in _n5_instances():
+    for q, aspec, tag in _N5:
         pair = _pair(5, q, "n5", aspec, tag)
         F = pair.field
         tau = tau_of(pair)
@@ -1011,28 +976,24 @@ def _main5_tau():
     return {"expected": [[True, True]] * len(results), "computed": results}
 
 
+def _n5_traces(pair):
+    """[tr((xy)^5) = -5a^2 - 1, tr((xy)^8) = -8a^2 - 5] at n = 5."""
+    F, xy = pair.field, pair.x * pair.y
+    return [(xy ** 5).trace() == _poly_int(F, (-1, 0, -5)).eval(pair.a),
+            (xy ** 8).trace() == _poly_int(F, (-5, 0, -8)).eval(pair.a)]
+
+
 @claim("main5-trace", "subfield5")
 def _main5_trace():
-    results = []
-    for q, aspec, tag in _n5_instances():
-        pair = _pair(5, q, "n5", aspec, tag)
-        F = pair.field
-        a2 = F.mul(pair.a.val, pair.a.val)
-        xy = pair.x * pair.y
-        results.append([
-            (xy ** 5).trace().val == _ipoly(F, pair.a, (-1, 0, -5)),
-            (xy ** 8).trace().val == _ipoly(F, pair.a, (-5, 0, -8))])
+    results = [_n5_traces(_pair(5, q, "n5", aspec, tag))
+               for q, aspec, tag in _N5]
     return {"expected": [[True, True]] * len(results), "computed": results}
-
-
-def _n6_instances():
-    return [(5, 1, None), (9, "gen", "main6"), (8, "gen", "table1")]
 
 
 @claim("main6-chi-comm", "chi-comm-n6")
 def _main6_chi_comm():
     exp, got = [], []
-    for q, aspec, tag in _n6_instances():
+    for q, aspec, tag in _N6:
         pair = _pair(6, q, "n6alt", aspec, tag)
         F = pair.field
         exp.append((_poly_int(F, (1, 1)) ** 4)
@@ -1044,7 +1005,7 @@ def _main6_chi_comm():
 @claim("trace6", "trace6")
 def _trace6():
     results = []
-    for q, aspec, tag in _n6_instances():
+    for q, aspec, tag in _N6:
         pair = _pair(6, q, "n6alt", aspec, tag)
         F, a = pair.field, pair.a.val
         c = pair.commutator()
@@ -1059,7 +1020,7 @@ def _trace6():
 @claim("main6-tau-dim10", "tau-n6")
 def _main6_tau():
     results = []
-    for q, aspec, tag in _n6_instances():
+    for q, aspec, tag in _N6:
         pair = _pair(6, q, "n6alt", aspec, tag)
         F = pair.field
         tau = pair.commutator() ** 5
@@ -1068,97 +1029,95 @@ def _main6_tau():
     return {"expected": [[True, True]] * len(results), "computed": results}
 
 
-def _omega_roots(field):
-    """Primitive cube roots of unity in the field or its quadratic extension,
-    together with the embedding used (None when they lie in the field)."""
-    if field.q % 3 == 1:
-        roots = [b for b in field.units()
-                 if b.val != 1 and (b * b * b).val == 1]
-        return roots, None
-    big = standard_field(field.q ** 2)
-    em = embed(field, big)
-    roots = [b for b in big.units() if b.val != 1 and (b * b * b).val == 1]
-    return roots, em
-
-
-def _vanishing_equiv(n, q, recipe, eta_word, quotient, cond_odd, cond_even):
-    """Over every a in F_q^*: chi_eta is divided by `quotient`, and the
-    cofactor vanishes at a primitive cube root of unity exactly when the
-    stated polynomial in a vanishes."""
+def _vanishing_equiv(n, q, eta_word, quotient, cond_odd, cond_even):
+    """Over every a in F_q^*: chi_eta is divided by the product of the
+    quotient polynomials, and the cofactor vanishes at a primitive cube root
+    of unity exactly when the stated polynomial in a vanishes."""
     field = standard_field(q)
-    roots, em = _omega_roots(field)
+    # the cube roots lie in F_q, or else in F_{q^2}; p != 3, so the
+    # primitive ones are the roots of t^2 + t + 1
+    em = None if q % 3 == 1 else embed(field, standard_field(q * q))
+    omegas = list(roots(_poly_int(field if em is None else em.big, (1, 1, 1))))
+    quot = _poly_int(field, quotient[0])
+    for extra in quotient[1:]:
+        quot = quot * _poly_int(field, extra)
+    stated = _poly_int(field, cond_even if field.p == 2 else cond_odd)
     ok = True
     for a in field.units():
         try:
-            pair = build(recipe, n, q, a, field)
+            pair = build("general", n, q, a, field)
         except BadParam:
             continue
-        env = {"x": pair.x, "y": pair.y}
-        chi = char_poly(eval_word(eta_word, env))
-        quot = _poly_int(field, quotient[0])
-        for extra in quotient[1:]:
-            quot = quot * _poly_int(field, extra)
-        rem = chi % quot
+        chi = char_poly(eval_word(eta_word, {"x": pair.x, "y": pair.y}))
+        f, rem = divmod(chi, quot)
         if not rem.is_zero():
             ok = False
             continue
-        f = chi // quot
-        cond = cond_even if field.p == 2 else cond_odd
-        stated_zero = _ipoly(field, a, cond) == 0
-        if em is None:
-            vals = [f.eval(w.val) for w in roots]
-        else:
-            fb = f.map_coeffs(lambda c: em(c).val, em.big)
-            vals = [fb.eval(w.val) for w in roots]
-        computed_zero = any(v.val == 0 for v in vals)
-        if computed_zero != stated_zero:
+        if em is not None:
+            f = f.map_coeffs(lambda c: em(c).val, em.big)
+        if any(not f.eval(w) for w in omegas) != (not stated.eval(a)):
             ok = False
     return ok
 
 
-@claim("main7-chi-eta", "chi-eta-n7")
-def _main7_chi_eta():
-    eta = mul(Y, pw(XY, 3))
-    results = []
-    for q in (7, 13, 8):
-        results.append(_vanishing_equiv(
-            7, q, "general", eta, [(1, 1, 1)],
-            cond_odd=(0, 1, 0, 1, 0, 1),     # a(a^2-a+1)(a^2+a+1)
-            cond_even=(0, 1, 0, 0, 1, 1)))   # a(a^4+a^3+1)
-    # eigenvector check where omega lies in F_q
+def _chi_eta_claim(n, eta, qs, quotient, cond_odd, cond_even, eig_instances, k):
+    """_vanishing_equiv over F_q for q in qs; and where a primitive cube root
+    of unity w lies in F_q, e_4 - w^k e_-4 is a w-eigenvector of eta and
+    e_4 + w^k e_-4 one of eta^T."""
+    results = [_vanishing_equiv(n, q, eta, quotient, cond_odd, cond_even)
+               for q in qs]
     eig = []
-    for q, aspec, tag in [(7, 1, None), (16, "gen", "main7")]:
-        pair = _pair(7, q, "general", aspec, tag)
+    for q, aspec, tag in eig_instances:
+        pair = _pair(n, q, "general", aspec, tag)
         F, sp = pair.field, pair.space
         h = eval_word(eta, {"x": pair.x, "y": pair.y})
-        roots, _ = _omega_roots(F)
-        for w in roots:
-            s = sp.vector([(1, 4), (F.neg(w.val), -4)])
-            sb = sp.vector([(1, 4), (w.val, -4)])
-            eig.append(list(h.apply(s)) == [F.mul(w.val, t) for t in s])
-            eig.append(list(h.transpose().apply(sb))
-                       == [F.mul(w.val, t) for t in sb])
-    return {"expected": [[True] * 3, [True] * len(eig)],
+        for w in roots(_poly_int(F, (1, 1, 1))):
+            c = (w ** k).val
+            eig += _eig_pair(h, w.val, sp.vector([(1, 4), (F.neg(c), -4)]),
+                             sp.vector([(1, 4), (c, -4)]))
+    return {"expected": [[True] * len(qs), [True] * len(eig)],
             "computed": [results, eig]}
+
+
+@claim("main7-chi-eta", "chi-eta-n7")
+def _main7_chi_eta():
+    return _chi_eta_claim(
+        7, mul(Y, pw(XY, 3)), (7, 13, 8), [(1, 1, 1)],
+        (0, 1, 0, 1, 0, 1),       # a(a^2-a+1)(a^2+a+1)
+        (0, 1, 0, 0, 1, 1),       # a(a^4+a^3+1)
+        [(7, 1, None), (16, "gen", "main7")], 1)
+
+
+@claim("main11-chi-eta", "chi-eta-n11")
+def _main11_chi_eta():
+    return _chi_eta_claim(
+        11, mul(pw(COMM, 2), Y), (5, 7, 8), [(1, 0, 1), (1, 0, 1), (1, 1, 1)],
+        (2, 1, 1, 2),             # (a+1)(2a^2-a+2)
+        (1, 0, 0, 1, 1, 1),       # (a+1)(a^3+a^2+1)
+        [(7, 2, None), (4, "gen", "main11")], -1)
+
+
+def _tau_charpoly_claim(n, instances, lam):
+    """chi_tau is (t-1)^(2n) for q odd and (t-1)^(2n-4) (t^2 + lam t + 1)^2,
+    lam = lam(F, a), for q even."""
+    exp, got = [], []
+    for q, aspec, tag in instances:
+        pair = _pair(n, q, "general", aspec, tag)
+        F = pair.field
+        if F.p == 2:
+            exp.append(_unipotent_quadratic(F, 2 * n - 4, lam(F, pair.a.val), 2))
+        else:
+            exp.append(_poly_int(F, (-1, 1)) ** (2 * n))
+        got.append(char_poly(tau_of(pair)))
+    return {"expected": exp, "computed": got}
 
 
 @claim("main7-tau-charpoly", "tau-n7")
 def _main7_tau():
-    exp, got = [], []
-    for q, aspec, tag in [(4, "gen", "main7"), (8, "gen", "main7"),
-                          (16, "gen", "main7"), (7, 1, None), (5, 1, None),
-                          (9, "gen", "7ex")]:
-        pair = _pair(7, q, "general", aspec, tag)
-        F = pair.field
-        tau = tau_of(pair)
-        if F.p == 2:
-            a8 = F.pow(pair.a.val, 8)
-            exp.append((_poly_int(F, (1, 1)) ** 10)
-                       * (Poly(F, [1, a8, 1]) ** 2))
-        else:
-            exp.append(_poly_int(F, (-1, 1)) ** 14)
-        got.append(char_poly(tau))
-    return {"expected": exp, "computed": got}
+    return _tau_charpoly_claim(
+        7, [(4, "gen", "main7"), (8, "gen", "main7"), (16, "gen", "main7"),
+            (7, 1, None), (5, 1, None), (9, "gen", "7ex")],
+        lambda F, a: F.pow(a, 8))
 
 
 @claim("main8-chi-eta", "chi-eta-n8")
@@ -1178,11 +1137,8 @@ def _main8_chi_eta():
         exp.append(expect)
         got.append(char_poly(eta))
         sp = pair.space
-        s = sp.vector([(1, 2), (1, 5), (-1, 7)])
-        sb = sp.vector([(1, -2), (1, -5), (-1, -7)])
-        m1 = _iv(F, -1)
-        eig.append(list(eta.apply(s)) == [F.mul(m1, t) for t in s])
-        eig.append(list(eta.transpose().apply(sb)) == [F.mul(m1, t) for t in sb])
+        eig += _eig_pair(eta, _iv(F, -1), sp.vector([(1, 2), (1, 5), (-1, 7)]),
+                         sp.vector([(1, -2), (1, -5), (-1, -7)]))
     return {"expected": [exp, [True] * len(eig)], "computed": [got, eig]}
 
 
@@ -1219,12 +1175,9 @@ def _main8_phat():
         Phat = Mat.block_diag([P, P.inverse().transpose()])
         tau = tau_of(pair)
         x, y = pair.x, pair.y
-
-        def cjt(u):
-            g = u.inverse() * tau * u
-            return Phat.inverse() * g * Phat
-        gens = [cjt(y * x * y * y), cjt(y * x * y * y * x),
-                cjt((y * x) ** 3), cjt((y * x) ** 2 * y)]
+        gens = [_cj(_cj(tau, u), Phat)
+                for u in (y * x * y * y, y * x * y * y * x, (y * x) ** 3,
+                          (y * x) ** 2 * y)]
         blocks = [s_restrict(g, pair.space, 5) for g in gens]
         match = [blocks[i] == taus[i] for i in range(4)]
         results.append([det_ok] + match)
@@ -1241,8 +1194,7 @@ def _main8_tau_relations():
         t1, t4 = taus[0], taus[3]
         a, a4 = pair.a.val, F.pow(pair.a.val, 4)
         even.append([
-            char_poly(t1 * t4) == (_poly_int(F, (1, 1)) ** 3)
-            * Poly(F, [1, a4, 1]),
+            char_poly(t1 * t4) == _unipotent_quadratic(F, 3, a4),
             (t1 * t4).trace().val == F.add(a4, 1),
             paper_commutator(t1, t4).trace().val == F.pow(F.add(a, 1), 8)])
     odd = []
@@ -1251,26 +1203,17 @@ def _main8_tau_relations():
         F = pair.field
         tau = tau_of(pair)
         x, y = pair.x, pair.y
-
-        def cjm(u):
-            return u.inverse() * tau * u
-        gens = [cjm(y * x), cjm(y * x * y), cjm(y * x * y * y),
-                cjm((y * x) ** 2), cjm((y * x) ** 2 * y), cjm((y * x) ** 3),
-                cjm(y * y * x * y * y)]
+        gens = [_cj(tau, u)
+                for u in (y * x, y * x * y, y * x * y * y, (y * x) ** 2,
+                          (y * x) ** 2 * y, (y * x) ** 3, y * y * x * y * y)]
         four_a2 = F.mul(_iv(F, 4), F.mul(pair.a.val, pair.a.val))
         I5 = Mat.identity(F, 5)
-
-        def E(i, j, c):
-            rows = [[0] * 5 for _ in range(5)]
-            rows[i - 1][j - 1] = c
-            return Mat(F, rows)
-        expected = [I5 + E(4, 5, four_a2) + E(4, 2, F.neg(four_a2)),
-                    I5 + E(3, 4, F.neg(four_a2)),
-                    I5 + E(2, 3, F.neg(four_a2)),
-                    I5 + E(3, 5, F.neg(four_a2)),
-                    I5 + E(2, 1, four_a2),
-                    I5 + E(1, 2, four_a2),
-                    I5 + E(5, 1, four_a2) + E(5, 4, F.neg(four_a2))]
+        # I_5 + 4a^2 (sum of E_ij over plus - sum over minus)
+        expected = [I5 + _esum(F, 5, plus, minus, (), 0).scale(four_a2)
+                    for plus, minus in [([(4, 5)], [(4, 2)]), ([], [(3, 4)]),
+                                        ([], [(2, 3)]), ([], [(3, 5)]),
+                                        ([(2, 1)], []), ([(1, 2)], []),
+                                        ([(5, 1)], [(5, 4)])]]
         blocks = []
         for g in gens:
             gv = restriction_matrix(g, pair.space, range(1, 9))
@@ -1284,8 +1227,7 @@ def _main8_tau_relations():
                  for i in range(7)]
         t5, t6 = expected[4], expected[5]
         lam = F.mul(_iv(F, 2), F.add(F.mul(_iv(F, 8), F.pow(pair.a.val, 4)), 1))
-        cp_ok = char_poly(t5 * t6) == ((_poly_int(F, (-1, 1)) ** 3)
-                                       * Poly(F, [1, F.neg(lam), 1]))
+        cp_ok = char_poly(t5 * t6) == _unipotent_quadratic(F, 3, F.neg(lam))
         odd.append(match + [cp_ok])
     return {"expected": [[[True] * 3] * 2, [[True] * 8] * 2],
             "computed": [even, odd]}
@@ -1293,20 +1235,10 @@ def _main8_tau_relations():
 
 @claim("main9-tau-charpoly", "tau-n9")
 def _main9_tau():
-    exp, got = [], []
-    for q, aspec, tag in [(4, "gen", "main9"), (8, "gen", "main9"),
-                          (16, "gen", "table2"), (7, 1, None), (5, 1, None),
-                          (11, 4, None)]:
-        pair = _pair(9, q, "general", aspec, tag)
-        F = pair.field
-        tau = tau_of(pair)
-        if F.p == 2:
-            b = F.add(F.pow(pair.a.val, 12), F.pow(pair.a.val, 4))
-            exp.append((_poly_int(F, (1, 1)) ** 14) * (Poly(F, [1, b, 1]) ** 2))
-        else:
-            exp.append(_poly_int(F, (-1, 1)) ** 18)
-        got.append(char_poly(tau))
-    return {"expected": exp, "computed": got}
+    return _tau_charpoly_claim(
+        9, [(4, "gen", "main9"), (8, "gen", "main9"), (16, "gen", "table2"),
+            (7, 1, None), (5, 1, None), (11, 4, None)],
+        lambda F, a: F.add(F.pow(a, 12), F.pow(a, 4)))
 
 
 @claim("main9-ytau-even", "ytau-n9")
@@ -1321,14 +1253,9 @@ def _main9_ytau_even():
         m = y9 * t9
         chi = char_poly(m)
         div = _poly_int(F, (1, 1)) * _poly_int(F, (1, 1, 1))
-        ai = pair.a.inv().val
-        s1 = [0] * 9
-        for i in (0, 1, 2):
-            s1[i] = 1
-        for i in range(3, 9):
-            s1[i] = ai
-        sb1 = tuple([1, 1, 1] + [0] * 6)
-        trace_val = F.pow(_ipoly(F, pair.a, (1, 1, 0, 1)), 4)
+        s1 = [1, 1, 1] + [pair.a.inv().val] * 6
+        sb1 = [1, 1, 1] + [0] * 6
+        trace_val = _poly_int(F, (1, 1, 0, 1)).eval(pair.a) ** 4
         inv = similarity_invariants(t9)
         inv_ok = (len(inv) == 7
                   and all(p == _poly_int(F, (1, 1)) for p in inv[:6])
@@ -1336,16 +1263,13 @@ def _main9_ytau_even():
         # irreducibility witness: eigenvectors of eta = y^2 [x,y]^3 y^2 x
         c = pair.commutator()
         eta = pair.y * pair.y * (c ** 3) * pair.y * pair.y * pair.x
-        s_eta = sp.vector([(1, 3), (1, -2), (1, -5)])
-        sb_eta = sp.vector([(1, 2), (1, 5), (1, -3)])
         results.append([
             (chi % div).is_zero(),
-            list(m.apply(tuple(s1))) == list(s1),
-            list(m.transpose().apply(sb1)) == list(sb1),
-            t9.trace().val == trace_val,
+            *_eig_pair(m, 1, s1, sb1),
+            t9.trace() == trace_val,
             inv_ok,
-            list(eta.apply(s_eta)) == list(s_eta),
-            list(eta.transpose().apply(sb_eta)) == list(sb_eta)])
+            *_eig_pair(eta, 1, sp.vector([(1, 3), (1, -2), (1, -5)]),
+                       sp.vector([(1, 2), (1, 5), (1, -3)]))])
     return {"expected": [[True] * 7] * 2, "computed": results}
 
 
@@ -1357,64 +1281,24 @@ def _des_tau_n9():
         F, sp, n = pair.field, pair.space, 13
         a = pair.a.val
         tau = tau_of(pair)
-        x, y = pair.x, pair.y
+        yx = pair.y * pair.x
         four_a = F.mul(_iv(F, 4), a)
+        m4a, m4a2 = F.neg(four_a), F.neg(F.mul(four_a, a))
         a2, a3 = F.mul(a, a), F.pow(a, 3)
-
-        def check(g, b, plus, minus):
-            for j in range(1, n + 1):
-                img = list(g.apply(sp.basis_vector(j)))
-                base = list(sp.basis_vector(j))
-                coef = plus.get(j, minus.get(j))
-                if coef is not None:
-                    base = [F.add(base[i], F.mul(coef, b[i]))
-                            for i in range(2 * n)]
-                if img != base:
-                    return False
-            return True
-
         b1 = sp.vector([(a, n - 4), (-2, n - 1), (a, n)])
-        ok1 = check(tau, b1, {n - 7: four_a},
-                    {n - 3: F.neg(four_a), n - 2: F.neg(four_a)})
-        tyx = (y * x).inverse() * tau * (y * x)
         b2 = sp.vector([(a, n - 6), (-2, n - 3), (F.neg(a), n - 1), (a2, n)])
-        ok2 = check(tyx, b2, {n - 9: four_a, n - 4: four_a},
-                    {n - 1: F.neg(F.mul(four_a, a)), n: F.neg(four_a)})
-        tyx2 = ((y * x) ** 2).inverse() * tau * ((y * x) ** 2)
         b3 = sp.vector([(a, n - 7), (2, n - 4), (F.neg(a), n - 3),
                         (F.neg(a2), n - 1), (a3, n)])
-        ok3 = check(tyx2, b3,
-                    {n - 10: four_a, n - 6: four_a, n - 1: four_a},
-                    {n - 3: F.neg(F.mul(four_a, a))})
-        results.append([ok1, ok2, ok3])
+        results.append([
+            _transvection_images(tau, sp, b1,
+                                 {n - 7: four_a, n - 3: m4a, n - 2: m4a}),
+            _transvection_images(_cj(tau, yx), sp, b2,
+                                 {n - 9: four_a, n - 4: four_a, n - 1: m4a2,
+                                  n: m4a}),
+            _transvection_images(_cj(tau, yx ** 2), sp, b3,
+                                 {n - 10: four_a, n - 6: four_a,
+                                  n - 1: four_a, n - 3: m4a2})])
     return {"expected": [[True] * 3] * 3, "computed": results}
-
-
-@claim("main11-chi-eta", "chi-eta-n11")
-def _main11_chi_eta():
-    eta = mul(pw(COMM, 2), Y)
-    results = []
-    for q in (5, 7, 8):
-        results.append(_vanishing_equiv(
-            11, q, "general", eta, [(1, 0, 1), (1, 0, 1), (1, 1, 1)],
-            cond_odd=(2, 1, 1, 2),      # (a+1)(2a^2-a+2)
-            cond_even=(1, 0, 0, 1, 1, 1)))  # (a+1)(a^3+a^2+1)
-    # eigenvector checks where omega is rational
-    eig = []
-    for q, aspec, tag in [(7, 2, None), (4, "gen", "main11")]:
-        pair = _pair(11, q, "general", aspec, tag)
-        F, sp = pair.field, pair.space
-        h = eval_word(eta, {"x": pair.x, "y": pair.y})
-        roots, _ = _omega_roots(F)
-        for w in roots:
-            wi = w.inv().val
-            s = sp.vector([(1, 4), (F.neg(wi), -4)])
-            sb = sp.vector([(1, 4), (wi, -4)])
-            eig.append(list(h.apply(s)) == [F.mul(w.val, t) for t in s])
-            eig.append(list(h.transpose().apply(sb))
-                       == [F.mul(w.val, t) for t in sb])
-    return {"expected": [[True] * 3, [True] * len(eig)],
-            "computed": [results, eig]}
 
 
 @claim("main11-tau-bireflection", "tau-n11")
@@ -1425,26 +1309,13 @@ def _main11_tau():
         F, sp, n = pair.field, pair.space, 11
         a = pair.a.val
         tau = tau_of(pair)
-        u = sp.vector([(1, 7), (-1, 11)])
         four_a2 = F.mul(_iv(F, 4), F.mul(a, a))
-        eight_a = F.mul(_iv(F, 8), a)
-        ok = True
-        for j in range(1, n + 1):
-            img = list(tau.apply(sp.basis_vector(j)))
-            base = list(sp.basis_vector(j))
-            if j == 10:
-                coef = eight_a
-            elif j in (1, 2, 5, 9):
-                coef = four_a2
-            elif j in (3, 4, 6, 8):
-                coef = F.neg(four_a2)
-            else:
-                coef = None
-            if coef is not None:
-                base = [F.add(base[i], F.mul(coef, u[i])) for i in range(2 * n)]
-            if img != base:
-                ok = False
-        odd.append([ok, len(eigenspace(tau, 1)) == 2 * n - 2])
+        coefs = {10: F.mul(_iv(F, 8), a),
+                 **dict.fromkeys((1, 2, 5, 9), four_a2),
+                 **dict.fromkeys((3, 4, 6, 8), F.neg(four_a2))}
+        odd.append([
+            _transvection_images(tau, sp, sp.vector([(1, 7), (-1, 11)]), coefs),
+            len(eigenspace(tau, 1)) == 2 * n - 2])
     even = []
     for q, aspec, tag in [(4, "gen", "main11"), (8, "gen", "table1")]:
         pair = _pair(11, q, "general", aspec, tag)
@@ -1454,7 +1325,7 @@ def _main11_tau():
         xv = restriction_matrix(pair.x, pair.space, range(1, 12))
         a8 = F.pow(pair.a.val, 8)
         even.append([
-            char_poly(tv) == (_poly_int(F, (1, 1)) ** 9) * Poly(F, [1, a8, 1]),
+            char_poly(tv) == _unipotent_quadratic(F, 9, a8),
             tv.trace().val == F.add(a8, 1),
             paper_commutator(xv, tv).trace().val
             == F.pow(F.add(pair.a.val, 1), 16)])
@@ -1466,10 +1337,18 @@ def _main11_tau():
 # claims: small-group actions (eq. G3 family), sigma eigenvectors, theta
 # ---------------------------------------------------------------------------
 
-def _tau_triple(pair, tau):
+def _tau_conjugates(pair):
     """(tau, tau^y, tau^{y^2})."""
-    y = pair.y
-    return [tau, y.inverse() * tau * y, (y * y).inverse() * tau * (y * y)]
+    tau, y = tau_of(pair), pair.y
+    return [tau, _cj(tau, y), _cj(tau, y * y)]
+
+
+def _g3_orbit(pair, u_terms):
+    """Setup of an odd-q G3 block: tau's conjugates and the y-orbit
+    (u, yu, y^2 u) of the vector u given by signed-index terms."""
+    u = pair.space.vector(u_terms)
+    yu = pair.y.apply(u)
+    return _tau_conjugates(pair), u, yu, pair.y.apply(yu)
 
 
 def _g3_check(pair, trip, basis_cols, eq):
@@ -1493,19 +1372,15 @@ def _g3_action():
     # eq G3: n=13, p>2
     for q, aspec in [(5, -1), (3, -1)]:
         pair = _pair(13, q, "general", aspec)
-        F, sp, n = pair.field, pair.space, 13
+        F, sp, n, y = pair.field, pair.space, 13, pair.y
         a = pair.a.val
-        tau = tau_of(pair)
-        y = pair.y
-        ai = pair.a.inv().val
-        u = sp.vector([(1, n - 5), (F.neg(F.mul(_iv(F, 2), ai)), n - 2),
-                       (1, n - 1)])
-        yu = tuple(y.apply(u))
-        y2u = tuple(y.apply(yu))
+        trip, u, yu, y2u = _g3_orbit(
+            pair, [(1, n - 5), (F.neg(F.mul(_iv(F, 2), F.inv(a))), n - 2),
+                   (1, n - 1)])
         a3 = F.pow(a, 3)
         w1 = _vcombo(F, [(F.mul(_iv(F, 8), a), yu)])
         w3 = _vcombo(F, [(a3, u), (a, yu), (F.mul(a, a), y2u)])
-        ok = _g3_check(pair, _tau_triple(pair, tau), [w1, u, w3], "G3")
+        ok = _g3_check(pair, trip, [w1, u, w3], "G3")
         # transpose side, on the 9x9 restrictions to the last-9 subspace
         s9_idx = [sp.idx(i) for i in range(n - 8, n + 1)]
 
@@ -1520,120 +1395,82 @@ def _g3_action():
         ub, yub, y2ub = to_s9(ub26), to_s9(yub26), to_s9(y2ub26)
         v1 = _vcombo(F, [(F.mul(_iv(F, 8), a), y2ub)])
         v3 = _vcombo(F, [(a3, ub), (F.mul(a, a), yub), (a, y2ub)])
-        trip = [s_restrict(g, sp, 9).transpose()
-                for g in _tau_triple(pair, tau)]
-        okT = _g3_check(pair, trip, [v1, ub, v3], "G3")
+        okT = _g3_check(pair, [s_restrict(g, sp, 9).transpose() for g in trip],
+                        [v1, ub, v3], "G3")
         # charpoly of (tau tau^y)|S9
-        g = tau * (y.inverse() * tau * y)
-        s9 = s_restrict(g, sp, 9)
         lam = F.sub(F.mul(_iv(F, 64), a3), _iv(F, 2))
-        cp_ok = char_poly(s9) == ((_poly_int(F, (-1, 1)) ** 7)
-                                  * Poly(F, [1, lam, 1]))
+        cp_ok = (char_poly(s_restrict(trip[0] * trip[1], sp, 9))
+                 == _unipotent_quadratic(F, 7, lam))
         results[f"G3-q{q}"] = [ok, okT, cp_ok]
     # eq G39: n=7, p>2 (K9)
     for q, aspec, tag in [(5, 1, None), (9, "gen", "7ex")]:
         pair = _pair(7, q, "general", aspec, tag)
         F, sp, n = pair.field, pair.space, 7
         a = pair.a.val
-        tau = tau_of(pair)
-        y = pair.y
-        u = sp.vector([(1, 3), (-1, 7)])
-        yu = tuple(y.apply(u))
-        y2u = tuple(y.apply(yu))
+        trip, u, yu, y2u = _g3_orbit(pair, [(1, 3), (-1, 7)])
         a2 = F.mul(a, a)
         w1 = _vcombo(F, [(F.mul(_iv(F, 4), a2), u)])
         w2 = tuple(F.neg(t) for t in yu)
         w3 = _vcombo(F, [(a2, u), (1, yu), (F.neg(a), y2u)])
-        ok = _g3_check(pair, _tau_triple(pair, tau), [w1, w2, w3], "G39")
+        ok = _g3_check(pair, trip, [w1, w2, w3], "G39")
         # transpose side on V-restrictions
-        wb1 = [0] * n
-        wb1[3] = a
-        wb1[4] = F.neg(a)
-        wb1[5] = _iv(F, -2)
-        wb2 = [0] * n
-        wb2[0] = a
-        wb2[2] = F.neg(a)
-        wb2[6] = a
-        wb2[4] = _iv(F, 2)
-        wb3 = [0] * n
-        wb3[0] = a
-        wb3[1] = a
-        wb3[5] = a
-        wb3[3] = F.neg(a2)
-        wb3[4] = a2
-        wb3[6] = _iv(F, -2)
-        v1 = _vcombo(F, [(F.mul(_iv(F, 4), a2), tuple(wb1))])
-        v2 = tuple(wb2)
-        v3 = tuple(F.neg(F.add(wb2[i], F.mul(a, wb3[i]))) for i in range(n))
-        trip = [restriction_matrix(g, sp, range(1, n + 1)).transpose()
-                for g in _tau_triple(pair, tau)]
-        okT = _g3_check(pair, trip, [v1, v2, v3], "G39")
-        g = tau * ((y * y).inverse() * tau * (y * y))
-        gv = restriction_matrix(g, sp, range(1, n + 1))
+        wb1 = (0, 0, 0, a, F.neg(a), _iv(F, -2), 0)
+        wb2 = (a, 0, F.neg(a), 0, _iv(F, 2), 0, a)
+        wb3 = (a, a, 0, F.neg(a2), a2, a, _iv(F, -2))
+        v1 = _vcombo(F, [(F.mul(_iv(F, 4), a2), wb1)])
+        v3 = _vcombo(F, [(F.neg(1), wb2), (F.neg(a), wb3)])
+        okT = _g3_check(pair, [restriction_matrix(g, sp, range(1, n + 1)).transpose()
+                               for g in trip], [v1, wb2, v3], "G39")
+        gv = restriction_matrix(trip[0] * trip[2], sp, range(1, n + 1))
         lam = F.add(F.mul(_iv(F, 16), F.pow(a, 3)), _iv(F, 2))
-        cp_ok = char_poly(gv) == ((_poly_int(F, (-1, 1)) ** 5)
-                                  * Poly(F, [1, F.neg(lam), 1]))
+        cp_ok = char_poly(gv) == _unipotent_quadratic(F, 5, F.neg(lam))
         results[f"G39-q{q}"] = [ok, okT, cp_ok]
     # eq 39: n=9, p>2 (K9odd)
     for q, aspec, tag in [(11, 4, None), (9, "gen", "9ex")]:
         pair = _pair(9, q, "general", aspec, tag)
         F, sp = pair.field, pair.space
         a = pair.a.val
-        tau = tau_of(pair)
-        y = pair.y
-        ai = pair.a.inv().val
-        u = sp.vector([(1, 5), (F.neg(F.mul(_iv(F, 2), ai)), 8), (1, 9)])
-        yu = tuple(y.apply(u))
-        y2u = tuple(y.apply(yu))
+        trip, u, yu, y2u = _g3_orbit(
+            pair, [(1, 5), (F.neg(F.mul(_iv(F, 2), F.inv(a))), 8), (1, 9)])
         a2 = F.mul(a, a)
         ap2 = F.add(a, _iv(F, 2))
         w1 = _vcombo(F, [(F.neg(F.mul(_iv(F, 2), a2)), u)])
         c1 = F.mul(F.mul(ap2, ap2), F.inv(F.mul(_iv(F, 4), a2)))
         c2 = F.mul(ap2, F.inv(F.mul(_iv(F, 2), a)))
         w3 = _vcombo(F, [(1, u), (c1, yu), (c2, y2u)])
-        ok = _g3_check(pair, _tau_triple(pair, tau), [w1, yu, w3], "39")
-        g = tau * ((y * y).inverse() * tau * (y * y))
-        gv = restriction_matrix(g, sp, range(1, 10))
+        ok = _g3_check(pair, trip, [w1, yu, w3], "39")
+        gv = restriction_matrix(trip[0] * trip[2], sp, range(1, 10))
         co = F.add(F.sub(F.mul(_iv(F, 2), F.pow(a, 4)), _iv(F, 2)),
                    F.mul(_iv(F, 4), F.pow(a, 3)))
-        cp_ok = char_poly(gv) == ((_poly_int(F, (-1, 1)) ** 7)
-                                  * Poly(F, [1, co, 1]))
+        cp_ok = char_poly(gv) == _unipotent_quadratic(F, 7, co)
         results[f"39-q{q}"] = [ok, cp_ok]
     # eq G311: n=11, p>2 (Gn11)
     for q, aspec, tag in [(11, 1, None), (9, "gen", "11ex")]:
         pair = _pair(11, q, "general", aspec, tag)
         F, sp = pair.field, pair.space
         a = pair.a.val
-        tau = tau_of(pair)
-        y = pair.y
-        u = sp.vector([(1, 7), (-1, 11)])
-        yu = tuple(y.apply(u))
-        y2u = tuple(y.apply(yu))
+        trip, u, yu, y2u = _g3_orbit(pair, [(1, 7), (-1, 11)])
         ap2 = F.add(a, _iv(F, 2))
         w2 = _vcombo(F, [(F.neg(F.mul(F.mul(_iv(F, 4), a), ap2)), yu)])
         c1 = F.mul(F.mul(ap2, ap2), F.inv(F.mul(_iv(F, 4), a)))
         c2 = F.mul(ap2, F.inv(_iv(F, 2)))
         w3 = _vcombo(F, [(a, u), (c1, yu), (F.neg(c2), y2u)])
-        ok = _g3_check(pair, _tau_triple(pair, tau), [u, w2, w3], "G311")
-        g = tau * ((y * y).inverse() * tau * (y * y))
-        gv = restriction_matrix(g, sp, range(1, 12))
+        ok = _g3_check(pair, trip, [u, w2, w3], "G311")
+        gv = restriction_matrix(trip[0] * trip[2], sp, range(1, 12))
         lam = F.mul(_iv(F, 2),
                     F.add(F.add(F.mul(_iv(F, 16), F.pow(a, 4)),
                                 F.mul(_iv(F, 32), F.pow(a, 3))), 1))
-        cp_ok = char_poly(gv) == ((_poly_int(F, (-1, 1)) ** 9)
-                                  * Poly(F, [1, F.neg(lam), 1]))
+        cp_ok = char_poly(gv) == _unipotent_quadratic(F, 9, F.neg(lam))
         results[f"G311-q{q}"] = [ok, cp_ok]
     # eq SL3-5: n=5
     for q, aspec, tag in [(7, 1, None), (9, "gen", "table1")]:
         pair = _pair(5, q, "n5", aspec, tag)
         F, sp = pair.field, pair.space
-        tau = tau_of(pair)
         a2 = F.mul(pair.a.val, pair.a.val)
-        b1 = sp.vector([(F.neg(a2), 2)])
-        b2 = sp.vector([(1, 3)])
-        b3 = sp.vector([(1, 4)])
+        basis = [sp.vector([(F.neg(a2), 2)]), sp.vector([(1, 3)]),
+                 sp.vector([(1, 4)])]
         results[f"SL3-5-q{q}"] = [
-            _g3_check(pair, _tau_triple(pair, tau), [b1, b2, b3], "SL3-5")]
+            _g3_check(pair, _tau_conjugates(pair), basis, "SL3-5")]
     expected = {k: [True] * len(v) for k, v in results.items()}
     return {"expected": expected, "computed": results}
 
@@ -1643,39 +1480,25 @@ def _s_sigma():
     results = []
     for q, tag in [(8, "G7"), (4, None)]:
         field = standard_field(q, tag)
-        if tag:
-            a = field.gen()
-        else:
-            found = search_parameter("sigma-a", q, field)
-            a = found[0]
+        a = field.gen() if tag else search_parameter("sigma-a", q, field)[0]
         pair = build("general", 10, q, a, field)
         sigma = _sigma_of(field, a)
         big = sigma.ctx
-        em = embed(field, big)
-        cb = em.map_matrix(pair.commutator())
+        cb = embed(field, big).map_matrix(pair.commutator())
         sp, n = pair.space, 10
         ok = [mult_order(sigma).value() == q + 1]
         for s in (sigma, sigma.inv()):
             si = s.inv()
-            v = [0] * (2 * n)
-            for coef, i in [(1, n - 7), (1, n - 4), (1, n - 1),
-                            (s.val, n - 3), (s.val, n), (si.val, n - 2)]:
-                v[sp.idx(i)] = big.add(v[sp.idx(i)], coef)
-            ok.append(list(cb.apply(tuple(v)))
-                      == [big.mul(s.val, t) for t in v])
-            vb = [0] * (2 * n)
-            for coef, i in [(1, n - 4), (big.add(1, si.val), n - 1), (1, n)]:
-                vb[sp.idx(i)] = coef
-            ok.append(list(cb.transpose().apply(tuple(vb)))
-                      == [big.mul(s.val, t) for t in vb])
+            v = _vector(big, 2 * n, sp.idx,
+                        [(1, n - 7), (1, n - 4), (1, n - 1), (s, n - 3),
+                         (s, n), (si, n - 2)])
+            vb = _vector(big, 2 * n, sp.idx, [(1, n - 4), (si + 1, n - 1), (1, n)])
+            ok += _eig_pair(cb, s.val, v, vb)
         if q != 8:
-            tau = tau_of(pair)
-            t7 = s_restrict(tau, sp, 7)
+            t7 = s_restrict(tau_of(pair), sp, 7)
             b = field.add(field.pow(a.val, 24), field.pow(a.val, 8))
-            ok.append(char_poly(t7) == ((_poly_int(field, (1, 1)) ** 5)
-                                        * Poly(field, [1, b, 1])))
-            ok.append(t7.trace().val
-                      == field.pow(_ipoly(field, a, (1, 1, 0, 1)), 8))
+            ok.append(char_poly(t7) == _unipotent_quadratic(field, 5, b))
+            ok.append(t7.trace() == _poly_int(field, (1, 1, 0, 1)).eval(a) ** 8)
         results.append(ok)
     return {"expected": [[True] * len(r) for r in results],
             "computed": results}
@@ -1694,7 +1517,7 @@ def _theta_charpoly():
     return {"expected": exp, "computed": got}
 
 
-def _block_orders(n, instances):
+def _block_orders_claim(n, instances):
     results = []
     for q, aspec, tag in instances:
         pair = _pair(n, q, "general", aspec, tag)
@@ -1708,162 +1531,119 @@ def _block_orders(n, instances):
             ok.append(r == mat)
             ok.append(element_order(r).value() == order)
         tau = tau_of(pair)
-        ident_ok = True
-        for summand in decomp.a_summands + decomp.b_summands:
-            if not restriction_matrix(tau, sp, summand).is_identity():
-                ident_ok = False
-        ok.append(ident_ok)
+        ok.append(all(restriction_matrix(tau, sp, summand).is_identity()
+                      for summand in decomp.a_summands + decomp.b_summands))
         ok.append(restriction_matrix(c, sp, decomp.c_plus) == decomp.theta)
         results.append(ok)
     return {"expected": [[True] * len(r) for r in results],
             "computed": results}
 
 
-@claim("block-orders-n10", "blocks")
-def _block_orders_n10():
-    return _block_orders(10, [(3, 1, None), (4, "gen", None)])
+# claim id -> (n, (q, aspec, tag) instances)
+_BLOCK_ORDERS = {
+    "block-orders-n10": (10, ((3, 1, None), (4, "gen", None))),
+    "block-orders-n12": (12, ((2, 1, None), (3, 1, None))),
+    "block-orders-n13": (13, ((3, 1, None), (7, 1, None))),
+    "block-orders-n14": (14, ((3, 1, None), (5, 1, None))),
+    "block-orders-n15": (15, ((2, 1, None), (3, 1, None))),
+}
 
-
-@claim("block-orders-n12", "blocks")
-def _block_orders_n12():
-    return _block_orders(12, [(2, 1, None), (3, 1, None)])
-
-
-@claim("block-orders-n13", "blocks")
-def _block_orders_n13():
-    return _block_orders(13, [(3, 1, None), (7, 1, None)])
-
-
-@claim("block-orders-n14", "blocks")
-def _block_orders_n14():
-    return _block_orders(14, [(3, 1, None), (5, 1, None)])
-
-
-@claim("block-orders-n15", "blocks")
-def _block_orders_n15():
-    return _block_orders(15, [(2, 1, None), (3, 1, None)])
+for _cid, _row in _BLOCK_ORDERS.items():
+    claim(_cid, "blocks")(partial(_block_orders_claim, *_row))
 
 
 # ---------------------------------------------------------------------------
 # claims: condition-set sanity (admissible a exists; named a passes)
 # ---------------------------------------------------------------------------
 
+def _sanity_claim(lemma, nonempty_qs, empty_qs):
+    checks = {f"nonempty-q{q}": len(search_parameter(lemma, q)) > 0
+              for q in nonempty_qs}
+    for (lem, q) in NAMED_A:
+        if lem == lemma:
+            checks[f"named-q{q}"] = named_a_reproduced(lemma, q)
+    for q in empty_qs:
+        checks[f"empty-q{q}"] = search_parameter(lemma, q) == []
+    return {"expected": {k: True for k in checks}, "computed": checks}
+
+
+# lemma (also its claim id and anchor) -> (q with some admissible a,
+# q with none)
 _SANITY_SAMPLES = {
-    "G9": [3, 5], "G9-10": [3, 9], "G9-12": [7, 9], "G9-14": [3, 9],
-    "K9": [5, 9], "K9even": [16, 32], "K9odd": [11, 9],
-    "G11": [8, 16], "Gn11": [11, 9],
+    "G9": ((3, 5), (7,)), "G9-10": ((3, 9), ()), "G9-12": ((7, 9), ()),
+    "G9-14": ((3, 9), ()), "K9": ((5, 9), ()), "K9even": ((16, 32), ()),
+    "K9odd": ((11, 9), ()), "G11": ((8, 16), ()), "Gn11": ((11, 9), ()),
 }
 
-
-_SANITY_ANCHORS = {"G9": "G9", "G9-10": "G9-10", "G9-12": "G9-12",
-                   "G9-14": "G9-14", "K9": "K9", "K9even": "K9even",
-                   "K9odd": "K9odd", "G11": "G11", "Gn11": "Gn11"}
-
-
-def _register_sanity(lemma):
-    qs = _SANITY_SAMPLES[lemma]
-
-    @claim(lemma, _SANITY_ANCHORS[lemma])
-    def _c(lemma=lemma, qs=qs):
-        checks = {}
-        for q in qs:
-            checks[f"nonempty-q{q}"] = len(search_parameter(lemma, q)) > 0
-        for (lem, q) in NAMED_A:
-            if lem == lemma:
-                checks[f"named-q{q}"] = named_a_reproduced(lemma, q)
-        if lemma == "G9":
-            checks["empty-q7"] = search_parameter("G9", 7) == []
-        return {"expected": {k: True for k in checks}, "computed": checks}
-
-
-for _lemma in _SANITY_SAMPLES:
-    _register_sanity(_lemma)
+for _lemma, _row in _SANITY_SAMPLES.items():
+    claim(_lemma, _lemma)(partial(_sanity_claim, _lemma, *_row))
 
 
 # ---------------------------------------------------------------------------
 # claims: even-characteristic quadratic-form obstructions
 # ---------------------------------------------------------------------------
 
-def _register_quadform(cid, anchor, instances):
-    @claim(cid, anchor)
-    def _c(instances=instances):
-        got = []
-        for n, q, recipe, aspec, tag in instances:
-            got.append(quadratic_form_obstruction(
-                _pair(n, q, recipe, aspec, tag)).kind)
-        return {"expected": ["Inconsistent"] * len(instances), "computed": got}
+def _quadform_claim(*pair_args):
+    return {"expected": ["Inconsistent"],
+            "computed": [quadratic_form_obstruction(_pair(*pair_args)).kind]}
 
 
-_register_quadform("quadform-n4", "quadform-n4",
-                   [(4, 4, "general", "primitive", None)])
-_register_quadform("quadform-n5", "quadform-n5",
-                   [(5, 4, "n5", "gen", "main5")])
-_register_quadform("quadform-n6", "quadform-n6",
-                   [(6, 8, "n6alt", "gen", "table1")])
-_register_quadform("quadform-n7", "quadform-n7",
-                   [(7, 4, "general", "gen", "main7")])
-_register_quadform("quadform-n8", "quadform-n8",
-                   [(8, 4, "n8alt", "primitive", None)])
-_register_quadform("quadform-n9", "quadform-n9",
-                   [(9, 4, "general", "gen", "main9")])
-_register_quadform("quadform-n11", "quadform-n11",
-                   [(11, 4, "general", "gen", "main11")])
+# claim id (also its anchor) -> (n, q, recipe, aspec, tag)
+_QUADFORM = {
+    "quadform-n4": (4, 4, "general", "primitive", None),
+    "quadform-n5": (5, 4, "n5", "gen", "main5"),
+    "quadform-n6": (6, 8, "n6alt", "gen", "table1"),
+    "quadform-n7": (7, 4, "general", "gen", "main7"),
+    "quadform-n8": (8, 4, "n8alt", "primitive", None),
+    "quadform-n9": (9, 4, "general", "gen", "main9"),
+    "quadform-n11": (11, 4, "general", "gen", "main11"),
+}
+
+for _cid, _row in _QUADFORM.items():
+    claim(_cid, _cid)(partial(_quadform_claim, *_row))
 
 
 # ---------------------------------------------------------------------------
 # claims: subfield / trace identities
 # ---------------------------------------------------------------------------
 
-@claim("subfield", "subfield")
-def _subfield_n4():
+def _trace_xy_claim(n, recipe, instances, even_shift, invariants):
+    """tr(xy) = a, or a + even_shift in characteristic 2; with invariants,
+    t^2 + t + 1 is also a similarity invariant of y."""
     results = []
-    for q, aspec, tag in _n4_instances():
-        pair = _pair(4, q, "general", aspec, tag)
+    for q, aspec, tag in instances:
+        pair = _pair(n, q, recipe, aspec, tag)
         F = pair.field
-        results.append([
-            (pair.x * pair.y).trace().val == pair.a.val,
-            _poly_int(F, (1, 1, 1)) in similarity_invariants(pair.y)])
-    return {"expected": [[True, True]] * len(results), "computed": results}
+        ok = [(pair.x * pair.y).trace() == pair.a + (even_shift if F.p == 2 else 0)]
+        if invariants:
+            ok.append(_poly_int(F, (1, 1, 1)) in similarity_invariants(pair.y))
+        results.append(ok)
+    return {"expected": [[True] * len(r) for r in results], "computed": results}
+
+
+# claim id (also its anchor) -> (n, recipe, (q, aspec, tag) instances,
+# even_shift, invariants) of _trace_xy_claim
+_TRACE_XY = {
+    "subfield": (4, "general", _N4, 0, True),
+    "subfield6": (6, "n6alt", _N6, 0, True),
+    "subfield7": (7, "general", ((7, 1, None), (9, "gen", "7ex"),
+                                 (8, "gen", "main7")), 1, True),
+    "subfield11": (11, "general", ((5, 1, None), (9, "gen", "11ex"),
+                                   (8, "gen", "table1")), 1, False),
+}
+
+for _cid, _row in _TRACE_XY.items():
+    claim(_cid, _cid)(partial(_trace_xy_claim, *_row))
 
 
 @claim("subfield5", "subfield5")
 def _subfield5():
     results = []
-    for q, aspec, tag in _n5_instances():
+    for q, aspec, tag in _N5:
         pair = _pair(5, q, "n5", aspec, tag)
-        F = pair.field
-        xy = pair.x * pair.y
-        results.append([
-            (xy ** 5).trace().val == _ipoly(F, pair.a, (-1, 0, -5)),
-            (xy ** 8).trace().val == _ipoly(F, pair.a, (-5, 0, -8)),
-            _poly_int(F, (1, 1, 1)) in similarity_invariants(pair.y)])
+        results.append(_n5_traces(pair) + [
+            _poly_int(pair.field, (1, 1, 1)) in similarity_invariants(pair.y)])
     return {"expected": [[True] * 3] * len(results), "computed": results}
-
-
-@claim("subfield6", "subfield6")
-def _subfield6():
-    results = []
-    for q, aspec, tag in _n6_instances():
-        pair = _pair(6, q, "n6alt", aspec, tag)
-        F = pair.field
-        results.append([
-            (pair.x * pair.y).trace().val == pair.a.val,
-            _poly_int(F, (1, 1, 1)) in similarity_invariants(pair.y)])
-    return {"expected": [[True, True]] * len(results), "computed": results}
-
-
-@claim("subfield7", "subfield7")
-def _subfield7():
-    results = []
-    for q, aspec, tag in [(7, 1, None), (9, "gen", "7ex"),
-                          (8, "gen", "main7")]:
-        pair = _pair(7, q, "general", aspec, tag)
-        F = pair.field
-        expect = F.add(pair.a.val, 1) if F.p == 2 else pair.a.val
-        results.append([
-            (pair.x * pair.y).trace().val == expect,
-            _poly_int(F, (1, 1, 1)) in similarity_invariants(pair.y)])
-    return {"expected": [[True, True]] * len(results), "computed": results}
 
 
 @claim("subfield8", "subfield8")
@@ -1875,9 +1655,9 @@ def _subfield8():
         F = pair.field
         xy = pair.x * pair.y
         if F.p == 2:
-            ok = (xy ** 9).trace().val == F.mul(pair.a.val, pair.a.val)
+            ok = (xy ** 9).trace() == pair.a ** 2
         else:
-            ok = (xy ** 8).trace().val == _ipoly(F, pair.a, (-1, 0, 8))
+            ok = (xy ** 8).trace() == _poly_int(F, (-1, 0, 8)).eval(pair.a)
         results.append([ok,
                         _poly_int(F, (1, 1, 1))
                         in similarity_invariants(pair.y)])
@@ -1889,10 +1669,8 @@ def _subfield9_2():
     results = []
     for q, tag in [(4, "main9"), (8, "main9"), (16, "table2")]:
         pair = _pair(9, q, "general", "gen", tag)
-        F = pair.field
-        results.append(
-            [((pair.x * pair.y) ** 3).trace().val
-             == _ipoly(F, pair.a, (1, 1, 0, 1))])
+        results.append([((pair.x * pair.y) ** 3).trace()
+                        == _poly_int(pair.field, (1, 1, 0, 1)).eval(pair.a)])
     return {"expected": [[True]] * len(results), "computed": results}
 
 
@@ -1901,21 +1679,7 @@ def _subfield9_odd():
     results = []
     for q, aspec, tag in [(11, 4, None), (13, 4, None), (9, "gen", "9ex")]:
         pair = _pair(9, q, "general", aspec, tag)
-        F = pair.field
         tau = tau_of(pair)
-        ty = pair.y.inverse() * tau * pair.y
-        results.append([(tau * ty).trace().val
-                        == _ipoly(F, pair.a, (18, 0, 0, -8, -4))])
-    return {"expected": [[True]] * len(results), "computed": results}
-
-
-@claim("subfield11", "subfield11")
-def _subfield11():
-    results = []
-    for q, aspec, tag in [(5, 1, None), (9, "gen", "11ex"),
-                          (8, "gen", "table1")]:
-        pair = _pair(11, q, "general", aspec, tag)
-        F = pair.field
-        expect = F.add(pair.a.val, 1) if F.p == 2 else pair.a.val
-        results.append([(pair.x * pair.y).trace().val == expect])
+        results.append([(tau * _cj(tau, pair.y)).trace()
+                        == _poly_int(pair.field, (18, 0, 0, -8, -4)).eval(pair.a)])
     return {"expected": [[True]] * len(results), "computed": results}

@@ -20,7 +20,7 @@ import sys
 from . import claims as _claims
 from .construct import build, tau_of
 from .errors import SympgenError
-from .gf import bundled_moduli, standard_field
+from .gf import bundled_moduli, modulus_for, standard_field
 from .grouporder import Certificate
 
 
@@ -85,11 +85,8 @@ def cmd_certify(args) -> int:
 
 
 def cmd_fields(args) -> int:
-    entries = []
-    for (q, tag), mod in bundled_moduli().items():
-        p = standard_field(q).p
-        entries.append({"q": q, "tag": tag,
-                        "modulus": [c % p for c in mod]})
+    entries = [{"q": q, "tag": tag, "modulus": list(modulus_for(q, tag))}
+               for q, tag in bundled_moduli()]
     print(json.dumps(entries, sort_keys=True, separators=(",", ":")))
     return 0
 

@@ -46,32 +46,48 @@ class SympSpace:
 
     def vector(self, terms):
         """Column vector from (coefficient, signed index) terms."""
-        F = self.field
-        v = [0] * (2 * self.n)
-        for coeff, i in terms:
-            j = self.idx(i)
-            v[j] = F.add(v[j], F.scalar(coeff))
-        return tuple(v)
+        return _vector(self.field, 2 * self.n, self.idx, terms)
 
     def is_symplectic(self, g: Mat) -> bool:
         return g.transpose() * self.J * g == self.J
 
+    def builder(self) -> "_Builder":
+        return _Builder(self.field, 2 * self.n, self.idx)
+
+
+def _vector(field: FieldCtx, dim: int, idx, terms):
+    """Length-dim column vector from (coefficient, index) terms; idx maps an
+    index to its coordinate."""
+    v = [0] * dim
+    for coeff, i in terms:
+        j = idx(i)
+        v[j] = field.add(v[j], field.scalar(coeff))
+    return tuple(v)
+
 
 class _Builder:
-    """Accumulates images of signed basis vectors; one assignment each."""
+    """Accumulates images of basis vectors; one assignment each.
 
-    def __init__(self, space: SympSpace):
-        self.space = space
+    idx maps an index to its coordinate: the signed indices of a SympSpace
+    (SympSpace.builder), or 1..n on the n-space V of the x2/y2 actions.
+    """
+
+    def __init__(self, field: FieldCtx, dim: int, idx):
+        self.field, self.dim, self.idx = field, dim, idx
         self.cols: dict[int, tuple] = {}
 
     def set(self, i: int, terms):
-        j = self.space.idx(i)
+        j = self.idx(i)
         if j in self.cols:
             raise BadParam(f"basis vector e_{i} assigned twice")
-        self.cols[j] = self.space.vector(terms)
+        self.cols[j] = _vector(self.field, self.dim, self.idx, terms)
+
+    def send(self, i: int, j: int):
+        """e_i -> e_j."""
+        self.set(i, [(1, j)])
 
     def fix(self, i: int):
-        self.set(i, [(1, i)])
+        self.send(i, i)
 
     def fix_pm(self, i: int):
         self.fix(i)
@@ -79,29 +95,26 @@ class _Builder:
 
     def swap_pm(self, i: int, j: int):
         for s in (1, -1):
-            self.set(s * i, [(1, s * j)])
-            self.set(s * j, [(1, s * i)])
+            self.send(s * i, s * j)
+            self.send(s * j, s * i)
 
     def cycle_pm(self, i: int, j: int, k: int):
         for s in (1, -1):
-            self.set(s * i, [(1, s * j)])
-            self.set(s * j, [(1, s * k)])
-            self.set(s * k, [(1, s * i)])
+            self.send(s * i, s * j)
+            self.send(s * j, s * k)
+            self.send(s * k, s * i)
 
     def fill_identity(self):
-        for i in range(1, self.space.n + 1):
-            for s in (1, -1):
-                j = self.space.idx(s * i)
-                if j not in self.cols:
-                    self.cols[j] = self.space.basis_vector(s * i)
+        for j in range(self.dim):
+            if j not in self.cols:
+                self.cols[j] = tuple(int(i == j) for i in range(self.dim))
 
-    def build(self, total: bool = True) -> Mat:
-        n2 = 2 * self.space.n
-        if total and len(self.cols) != n2:
-            missing = sorted(set(range(n2)) - set(self.cols))
+    def build(self) -> Mat:
+        dim = self.dim
+        if len(self.cols) != dim:
+            missing = sorted(set(range(dim)) - set(self.cols))
             raise BadParam(f"unassigned basis columns {missing}")
-        return Mat(self.space.field,
-                   [[self.cols[j][i] for j in range(n2)] for i in range(n2)])
+        return Mat(self.field, [[self.cols[j][i] for j in range(dim)] for i in range(dim)])
 
 
 def _hatgl(space: SympSpace, a_mat: Mat) -> Mat:
@@ -148,7 +161,7 @@ _ETA3 = ((0, 1, 1), (1, 1, 0), (0, 0, 1))
 
 def _x1_matrix(space: SympSpace, r: int) -> Mat:
     F = space.field
-    b = _Builder(space)
+    b = space.builder()
     if r != 0:
         return Mat.identity(F, 2 * space.n)
     if F.p > 2:
@@ -169,121 +182,77 @@ def _x2_action(n: int, field: FieldCtx, a: int) -> Mat:
     """The action A of x_2 on V; x_2 = diag(A, A^{-T})."""
     p = field.p
     m, r = divmod(n, 3)
-    cols: dict[int, tuple] = {}
-
-    def e(i, coeff=1):
-        v = [0] * n
-        v[i - 1] = field.scalar(coeff)
-        return v
-
-    def vsum(*vs):
-        out = [0] * n
-        for v in vs:
-            out = [field.add(x, y) for x, y in zip(out, v)]
-        return out
-
-    def assign(i, vec):
-        if i - 1 in cols:
-            raise BadParam(f"x2: e_{i} assigned twice")
-        cols[i - 1] = tuple(vec)
-
+    b = _Builder(field, n, lambda i: i - 1)
     if r == 0:
-        assign(1, e(1))
-        assign(2, e(2))
+        b.fix(1)
+        b.fix(2)
     elif r == 1:
-        assign(1, e(2))
-        assign(2, e(1))
+        b.send(1, 2)
+        b.send(2, 1)
         if n >= 7:
-            assign(3, e(3))
+            b.fix(3)
     else:
-        assign(1, e(4))
-        assign(4, e(1))
-        assign(2, e(3))
-        assign(3, e(2))
+        b.send(1, 4)
+        b.send(4, 1)
+        b.send(2, 3)
+        b.send(3, 2)
     for j in range(0, m - 3):
-        assign(3 * j + 5 + r, e(3 * j + 5 + r))
+        b.fix(3 * j + 5 + r)
     if n >= 9:
-        assign(n - 4, e(n - 4, -1 if n != 11 else 1))
+        b.set(n - 4, [(-1 if n != 11 else 1, n - 4)])
     for j in range(0, m - 1):
         i1, i2 = 3 * j + 3 + r, 3 * j + 4 + r
-        assign(i1, e(i2))
-        assign(i2, e(i1))
+        b.send(i1, i2)
+        b.send(i2, i1)
     # gamma block on <e_{n-1}, e_n>
     transposed = n == 4 or (p == 2 and n in (7, 9, 11))
     if transposed:
         # gamma^T = [[-1, a], [0, 1]]
-        assign(n - 1, e(n - 1, -1))
-        assign(n, vsum(e(n - 1, a), e(n)))
+        b.set(n - 1, [(-1, n - 1)])
+        b.set(n, [(a, n - 1), (1, n)])
     else:
         # gamma = [[-1, 0], [a, 1]]
-        assign(n - 1, vsum(e(n - 1, -1), e(n, a)))
-        assign(n, e(n))
-    if len(cols) != n:
-        missing = sorted(i + 1 for i in set(range(n)) - set(cols))
-        raise BadParam(f"x2: unassigned columns {missing}")
-    return Mat(field, [[cols[j][i] for j in range(n)] for i in range(n)])
+        b.set(n - 1, [(-1, n - 1), (a, n)])
+        b.fix(n)
+    return b.build()
 
 
 def _y1_matrix(space: SympSpace, r: int) -> Mat:
     F = space.field
     if r == 0:
         return Mat.identity(F, 2 * space.n)
-    b = _Builder(space)
+    b = space.builder()
     b.set(1, [(1, -1)])
     b.set(-1, [(-1, 1), (-1, -1)])
     b.fill_identity()
     return b.build()
 
 
-def _mat_t(rows):
-    """Transpose of a small tuple-of-tuples literal."""
-    return tuple(zip(*rows))
-
-
 def _y2_action(n: int, field: FieldCtx, q: int) -> Mat:
     """The action B of y_2 on V; y_2 = diag(B, B^{-T})."""
     p = field.p
     m, r = divmod(n, 3)
-    cols: dict[int, tuple] = {}
-
-    def assign(i, j):
-        if i - 1 in cols:
-            raise BadParam(f"y2: e_{i} assigned twice")
-        v = [0] * n
-        v[j - 1] = 1
-        cols[i - 1] = tuple(v)
-
+    b = _Builder(field, n, lambda i: i - 1)
     for j in range(1, r + 1):
-        assign(j, j)
+        b.fix(j)
     for j in range(0, m - 1):
         i1, i2, i3 = 3 * j + 1 + r, 3 * j + 2 + r, 3 * j + 3 + r
-        assign(i1, i2)
-        assign(i2, i3)
-        assign(i3, i1)
+        b.send(i1, i2)
+        b.send(i2, i3)
+        b.send(i3, i1)
     if n in (4, 8):
         eta = _ETA1
     elif p == 2 and n in (7, 9, 11):
-        eta2 = Mat(field, _ETA2)
-        eta = tuple(tuple(v for v in row)
-                    for row in eta2.inverse().transpose().rows_raw())
+        eta = Mat(field, _ETA2).inverse().transpose().rows_raw()
     elif p > 2:
         eta = _ETA1
     elif q > 2:
         eta = _ETA2
     else:
         eta = _ETA3
-    base = n - 3
     for jj in range(3):
-        col = [0] * n
-        for ii in range(3):
-            col[base + ii] = field.scalar(eta[ii][jj])
-        if base + jj in cols:
-            raise BadParam(f"y2: e_{base + jj + 1} assigned twice")
-        cols[base + jj] = tuple(col)
-    if len(cols) != n:
-        missing = sorted(i + 1 for i in set(range(n)) - set(cols))
-        raise BadParam(f"y2: unassigned columns {missing}")
-    return Mat(field, [[cols[j][i] for j in range(n)] for i in range(n)])
+        b.set(n - 2 + jj, [(eta[ii][jj], n - 2 + ii) for ii in range(3)])
+    return b.build()
 
 
 def build_general(n: int, q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
@@ -323,7 +292,7 @@ def build_n5(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     if a_val == 0:
         raise BadParam("a must be nonzero")
     space = SympSpace.make(5, field)
-    bx = _Builder(space)
+    bx = space.builder()
     bx.swap_pm(1, 3)
     bx.fix_pm(2)
     # gamma^T on <e_4, e_5>, gamma on <e_-4, e_-5>
@@ -331,7 +300,7 @@ def build_n5(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     bx.set(5, [(a_val, 4), (1, 5)])
     bx.set(-4, [(-1, -4), (a_val, -5)])
     bx.set(-5, [(1, -5)])
-    by = _Builder(space)
+    by = space.builder()
     for i in (1, 5):
         by.set(i, [(1, -i)])
         by.set(-i, [(-1, i), (-1, -i)])
@@ -349,7 +318,7 @@ def build_n6_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     if a_val == 0:
         raise BadParam("a must be nonzero")
     space = SympSpace.make(6, field)
-    bx = _Builder(space)
+    bx = space.builder()
     bx.swap_pm(1, 2)
     bx.swap_pm(3, 4)
     # gamma on <e_5, e_6>, gamma^T on <e_-5, e_-6>
@@ -357,7 +326,7 @@ def build_n6_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     bx.set(6, [(1, 6)])
     bx.set(-5, [(-1, -5)])
     bx.set(-6, [(a_val, -5), (1, -6)])
-    by = _Builder(space)
+    by = space.builder()
     by.set(1, [(1, 3)])
     by.set(3, [(-1, 1), (-1, 3)])
     by.set(-1, [(-1, -1), (1, -3)])
@@ -378,7 +347,7 @@ def build_n8_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     if a_val == 0:
         raise BadParam("a must be nonzero")
     space = SympSpace.make(8, field)
-    bx = _Builder(space)
+    bx = space.builder()
     bx.swap_pm(1, 2)
     bx.swap_pm(4, 5)
     bx.fix_pm(3)
@@ -389,7 +358,7 @@ def build_n8_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     bx.set(-6, [(-1, -6), (a_val, -8)])
     bx.set(-7, [(-1, -7)])
     bx.set(-8, [(1, -8)])
-    by = _Builder(space)
+    by = space.builder()
     for i in (1, 8):
         by.set(i, [(1, -i)])
         by.set(-i, [(-1, i), (-1, -i)])

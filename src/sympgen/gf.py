@@ -77,23 +77,21 @@ class FieldCtx:
             raise BadParam("too many coefficients")
         return sum((c % p) * p**i for i, c in enumerate(coeffs))
 
-    def elem(self, v) -> "FieldElem":
+    def scalar(self, v) -> int:
+        """Packed value of an int or of a FieldElem over an equal field."""
         if isinstance(v, FieldElem):
-            if v.ctx is not self:
+            if v.ctx is not self and v.ctx != self:
                 raise MixedFields("element from a different field")
-            return v
+            return v.val
         if isinstance(v, int):
-            if self.is_prime_field:
-                return FieldElem(self, v % self.p)
             if 0 <= v < self.q:
-                return FieldElem(self, v)
+                return v
             # negative / large integers are taken mod p into the prime field
-            return FieldElem(self, v % self.p)
+            return v % self.p
         raise BadParam(f"cannot coerce {v!r}")
 
-    def scalar(self, v) -> int:
-        """Coerce an int or FieldElem to a packed value."""
-        return self.elem(v).val
+    def elem(self, v) -> "FieldElem":
+        return FieldElem(self, self.scalar(v))
 
     def gen(self) -> "FieldElem":
         """The residue of t (prime fields: 1)."""
@@ -266,11 +264,7 @@ class FieldElem:
         self.val = val
 
     def _coerce(self, other) -> int:
-        if isinstance(other, FieldElem):
-            if other.ctx != self.ctx:
-                raise MixedFields("operands from different fields")
-            return other.val
-        if isinstance(other, int):
+        if isinstance(other, (FieldElem, int)):
             return self.ctx.scalar(other)
         return NotImplemented
 
@@ -389,12 +383,7 @@ class Embedding:
         self._powers = [big.pow(root_val, i) for i in range(small.f)]
 
     def __call__(self, elem) -> FieldElem:
-        if isinstance(elem, FieldElem):
-            if elem.ctx != self.small:
-                raise MixedFields("element not from the embedding's source field")
-            val = elem.val
-        else:
-            val = self.small.scalar(elem)
+        val = self.small.scalar(elem)
         big = self.big
         acc = 0
         for c, img in zip(self.small.coeffs(val), self._powers):
@@ -411,14 +400,11 @@ def embed(small: FieldCtx, big: FieldCtx) -> Embedding:
     """Deterministic embedding: first root of small.modulus in big (ascending packed order)."""
     if small.p != big.p or big.f % small.f != 0:
         raise NoEmbedding(f"no embedding {small!r} -> {big!r}")
-    mod = small.modulus
-    for v in range(big.q):
-        acc = 0
-        for i, c in enumerate(mod):
-            acc = big.add(acc, big.mul(c % big.p, big.pow(v, i)))
-        if acc == 0:
-            return Embedding(small, big, v)
-    raise NoEmbedding("modulus has no root in the target field")
+    from .poly import Poly, roots  # poly imports this module
+    root = next(roots(Poly(big, small.modulus)), None)
+    if root is None:
+        raise NoEmbedding("modulus has no root in the target field")
+    return Embedding(small, big, root.val)
 
 
 # ---------------------------------------------------------------------------

@@ -44,21 +44,12 @@ class Mat:
     __slots__ = ("field", "rows", "cols", "data")
 
     def __init__(self, field: FieldCtx, rows):
-        data = []
-        for row in rows:
-            vals = []
-            for v in row:
-                if isinstance(v, FieldElem):
-                    if v.ctx != field:
-                        raise MixedFields("entry from a different field")
-                    vals.append(v.val)
-                else:
-                    vals.append(field.scalar(v))
-            data.append(tuple(vals))
+        scalar = field.scalar
+        data = tuple(tuple(map(scalar, row)) for row in rows)
         if data and any(len(r) != len(data[0]) for r in data):
             raise ShapeMismatch("ragged rows")
         self.field = field
-        self.data = tuple(data)
+        self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
 
@@ -86,7 +77,9 @@ class Mat:
 
     @classmethod
     def from_function(cls, field, rows, cols, fn):
-        return cls(field, [[fn(i, j) for j in range(cols)] for i in range(rows)])
+        scalar = field.scalar
+        return cls._make(field, tuple(tuple(scalar(fn(i, j)) for j in range(cols))
+                                      for i in range(rows)), cols)
 
     @classmethod
     def block_diag(cls, blocks):
@@ -103,10 +96,6 @@ class Mat:
             r += b.rows
             c += b.cols
         return cls(field, out)
-
-    @classmethod
-    def column(cls, field, vec):
-        return cls(field, [[v] for v in vec])
 
     # -- basics ------------------------------------------------------------
 
@@ -436,8 +425,7 @@ def eigenspace(m: Mat, lam, embedding=None):
         F = embedding.big
     else:
         F = m.field
-    lam_v = F.scalar(lam) if not isinstance(lam, FieldElem) else lam.val
-    shifted = m - Mat.identity(F, m.rows).scale(lam_v)
+    shifted = m - Mat.identity(F, m.rows).scale(F.scalar(lam))
     return shifted.kernel()
 
 

@@ -86,14 +86,7 @@ class Poly:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FieldCtx, coeffs):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElem):
-                if c.ctx != field:
-                    raise MixedFields("coefficient from a different field")
-                vals.append(c.val)
-            else:
-                vals.append(field.scalar(c))
+        vals = [field.scalar(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.field = field
@@ -303,6 +296,11 @@ class Poly:
 
     def map_coeffs(self, fn, new_field) -> "Poly":
         return Poly(new_field, [fn(FieldElem(self.field, c)) for c in self.coeffs])
+
+
+def roots(p: Poly):
+    """The roots of p in its field, lazily, in ascending packed order."""
+    return (b for b in p.field.elements() if not p.eval(b))
 
 
 def _powmod_fp(base: Poly, e: int, mod: Poly) -> Poly:

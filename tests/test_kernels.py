@@ -12,7 +12,7 @@ import pytest
 from sympgen import gf
 from sympgen.errors import MixedFields, ShapeMismatch
 from sympgen.gf import FieldCtx, FieldElem
-from sympgen.matrix import Mat
+from sympgen.matrix import Mat, eigenspace
 from sympgen.poly import Poly
 
 # 2**61 - 1 needs slots wider than 8 bytes
@@ -163,3 +163,20 @@ def test_equal_values_over_equal_fields_hash_equal(q):
     assert len({Mat.identity(a, 3), Mat.identity(b, 3)}) == 1
     assert len({Poly.t(a), Poly.t(b)}) == 1
     assert len({FieldElem(a, 3), FieldElem(b, 3)}) == 1
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_coercions_accept_an_element_of_an_equal_field(q):
+    # FieldCtx.scalar is the one coercion; equal contexts are the same field
+    a = gf.standard_field(q)
+    b = FieldCtx(a.p, a.f, a.modulus)
+    e = FieldElem(b, q - 1)
+    assert a.scalar(e) == q - 1 and a.elem(e) == e
+    assert Mat(a, [[e]]).data == ((q - 1,),)
+    assert Poly(a, [0, e]).coeffs == (0, q - 1)
+    assert (FieldElem(a, 1) + e).val == a.add(1, q - 1)
+    big = gf.standard_field(q * q)
+    assert gf.embed(a, big)(e) == gf.embed(b, big)(FieldElem(a, q - 1))
+    assert eigenspace(Mat.identity(a, 2), e) == []
+    with pytest.raises(MixedFields):
+        a.scalar(FieldElem(gf.standard_field(5), 1))

@@ -71,6 +71,12 @@ def test_rank_kernel_dimension():
             assert all(x == 0 for x in m.apply(v))
 
 
+def test_from_function_keeps_the_column_count_without_rows():
+    m = Mat.from_function(F5, 0, 4, lambda i, j: 1)
+    assert (m.rows, m.cols) == (0, 4) and m == Mat.zeros(F5, 0, 4)
+    assert m.transpose() == Mat.zeros(F5, 4, 0)
+
+
 def test_char_poly_identity():
     assert char_poly(Mat.identity(F3, 3)) == Poly(F3, [-1, 1]) ** 3
 

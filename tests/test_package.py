@@ -17,6 +17,42 @@ def test_no_assert_statements():
     assert SOURCES and found == []
 
 
+def _named(tree):
+    """Every identifier a module refers to, by name, attribute or import."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+    return names
+
+
+def _is_claim_body(node):
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "claim"
+               for d in node.decorator_list)
+
+
+def test_no_dead_definitions():
+    # a function, class or method of the package that nothing in the
+    # package, the tests or the demos names is dead code; the registry calls
+    # @claim bodies and Python calls dunders
+    root = Path(sympgen.__file__).parents[2]
+    named = set()
+    for path in [*SOURCES, *(root / "tests").glob("*.py"), *(root / "demos").glob("*.py")]:
+        named |= _named(ast.parse(path.read_text()))
+    dead = [f"{path.name}:{node.lineno} {node.name}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in named
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not _is_claim_body(node)]
+    assert SOURCES and dead == []
+
+
 def test_no_numpy_import():
     # the exact kernels run on Python ints; numpy stays optional
     found = [f"{path.name}:{node.lineno}"
