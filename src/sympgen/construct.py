@@ -114,10 +114,22 @@ class _Builder:
         if len(self.cols) != dim:
             missing = sorted(set(range(dim)) - set(self.cols))
             raise BadParam(f"unassigned basis columns {missing}")
-        return Mat(self.field, [[self.cols[j][i] for j in range(dim)] for i in range(dim)])
+        return Mat._make(self.field, tuple(zip(*(self.cols[j] for j in range(dim)))))
 
 
-def _hatgl(space: SympSpace, a_mat: Mat) -> Mat:
+def _setup(n: int, q: int, a, field: FieldCtx | None):
+    """The recipes' shared prologue: the field (F_q's standard field by
+    default), a as a nonzero element of it, and the symplectic space."""
+    field = field or standard_field(q)
+    if field.q != q:
+        raise BadParam("field size mismatch")
+    a = field.elem(a)
+    if not a:
+        raise BadParam("a must be nonzero")
+    return SympSpace.make(n, field), a
+
+
+def _hatgl(a_mat: Mat) -> Mat:
     """diag(A, A^{-T}) acting on V + JV."""
     return Mat.block_diag([a_mat, a_mat.inverse().transpose()])
 
@@ -157,6 +169,7 @@ class GeneratorPair:
 _ETA1 = ((0, 0, 1), (1, 0, 0), (0, 1, 0))
 _ETA2 = ((0, 0, 1), (0, 1, 1), (1, 0, 1))
 _ETA3 = ((0, 1, 1), (1, 1, 0), (0, 0, 1))
+_ETA2_INV_T = ((1, 1, 1), (0, 1, 0), (1, 0, 0))  # (_ETA2^-1)^T over F_2
 
 
 def _x1_matrix(space: SympSpace, r: int) -> Mat:
@@ -178,7 +191,7 @@ def _x1_matrix(space: SympSpace, r: int) -> Mat:
     return b.build()
 
 
-def _x2_action(n: int, field: FieldCtx, a: int) -> Mat:
+def _x2_action(n: int, field: FieldCtx, a: FieldElem) -> Mat:
     """The action A of x_2 on V; x_2 = diag(A, A^{-T})."""
     p = field.p
     m, r = divmod(n, 3)
@@ -243,7 +256,7 @@ def _y2_action(n: int, field: FieldCtx, q: int) -> Mat:
     if n in (4, 8):
         eta = _ETA1
     elif p == 2 and n in (7, 9, 11):
-        eta = Mat(field, _ETA2).inverse().transpose().rows_raw()
+        eta = _ETA2_INV_T
     elif p > 2:
         eta = _ETA1
     elif q > 2:
@@ -261,22 +274,17 @@ def build_general(n: int, q: int, a, field: FieldCtx | None = None) -> Generator
         raise BadParam("general recipe needs n = 4 or n >= 6")
     if (n, q) == (4, 2):
         raise BadParam("(n, q) = (4, 2) is excluded")
-    field = field or standard_field(q)
-    if field.q != q:
-        raise BadParam("field size mismatch")
-    a_val = field.scalar(a)
-    if a_val == 0:
-        raise BadParam("a must be nonzero")
-    space = SympSpace.make(n, field)
+    space, a = _setup(n, q, a, field)
+    field = space.field
     r = n % 3
     x1 = _x1_matrix(space, r)
-    x2 = _hatgl(space, _x2_action(n, field, a_val))
+    x2 = _hatgl(_x2_action(n, field, a))
     y1 = _y1_matrix(space, r)
-    y2 = _hatgl(space, _y2_action(n, field, q))
+    y2 = _hatgl(_y2_action(n, field, q))
     if x1 * x2 != x2 * x1 or y1 * y2 != y2 * y1:
         raise CheckFailed("the factors of x or of y do not commute")
-    pair = GeneratorPair(space=space, x=x1 * x2, y=y1 * y2, n=n, q=q,
-                         a=FieldElem(field, a_val), recipe="general")
+    pair = GeneratorPair(space=space, x=x1 * x2, y=y1 * y2, n=n, q=q, a=a,
+                         recipe="general")
     return pair.validate()
 
 
@@ -287,18 +295,14 @@ def build_general(n: int, q: int, a, field: FieldCtx | None = None) -> Generator
 def build_n5(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     if q <= 2:
         raise BadParam("n = 5 recipe needs q > 2")
-    field = field or standard_field(q)
-    a_val = field.scalar(a)
-    if a_val == 0:
-        raise BadParam("a must be nonzero")
-    space = SympSpace.make(5, field)
+    space, a = _setup(5, q, a, field)
     bx = space.builder()
     bx.swap_pm(1, 3)
     bx.fix_pm(2)
     # gamma^T on <e_4, e_5>, gamma on <e_-4, e_-5>
     bx.set(4, [(-1, 4)])
-    bx.set(5, [(a_val, 4), (1, 5)])
-    bx.set(-4, [(-1, -4), (a_val, -5)])
+    bx.set(5, [(a, 4), (1, 5)])
+    bx.set(-4, [(-1, -4), (a, -5)])
     bx.set(-5, [(1, -5)])
     by = space.builder()
     for i in (1, 5):
@@ -306,26 +310,22 @@ def build_n5(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
         by.set(-i, [(-1, i), (-1, -i)])
     by.cycle_pm(2, 3, 4)
     pair = GeneratorPair(space=space, x=bx.build(), y=by.build(), n=5, q=q,
-                         a=FieldElem(field, a_val), recipe="n5")
+                         a=a, recipe="n5")
     return pair.validate()
 
 
 def build_n6_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     if q <= 2 or q == 4:
         raise BadParam("alternative n = 6 recipe needs q > 2, q != 4")
-    field = field or standard_field(q)
-    a_val = field.scalar(a)
-    if a_val == 0:
-        raise BadParam("a must be nonzero")
-    space = SympSpace.make(6, field)
+    space, a = _setup(6, q, a, field)
     bx = space.builder()
     bx.swap_pm(1, 2)
     bx.swap_pm(3, 4)
     # gamma on <e_5, e_6>, gamma^T on <e_-5, e_-6>
-    bx.set(5, [(-1, 5), (a_val, 6)])
+    bx.set(5, [(-1, 5), (a, 6)])
     bx.set(6, [(1, 6)])
     bx.set(-5, [(-1, -5)])
-    bx.set(-6, [(a_val, -5), (1, -6)])
+    bx.set(-6, [(a, -5), (1, -6)])
     by = space.builder()
     by.set(1, [(1, 3)])
     by.set(3, [(-1, 1), (-1, 3)])
@@ -335,18 +335,14 @@ def build_n6_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     by.set(-2, [(-1, 2), (-1, -2)])
     by.cycle_pm(4, 5, 6)
     pair = GeneratorPair(space=space, x=bx.build(), y=by.build(), n=6, q=q,
-                         a=FieldElem(field, a_val), recipe="n6alt")
+                         a=a, recipe="n6alt")
     return pair.validate()
 
 
 def build_n8_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     if q <= 2:
         raise BadParam("alternative n = 8 recipe needs q > 2")
-    field = field or standard_field(q)
-    a_val = field.scalar(a)
-    if a_val == 0:
-        raise BadParam("a must be nonzero")
-    space = SympSpace.make(8, field)
+    space, a = _setup(8, q, a, field)
     bx = space.builder()
     bx.swap_pm(1, 2)
     bx.swap_pm(4, 5)
@@ -354,8 +350,8 @@ def build_n8_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     # zeta on <e_6, e_7, e_8>, zeta^T on the negatives
     bx.set(6, [(-1, 6)])
     bx.set(7, [(-1, 7)])
-    bx.set(8, [(a_val, 6), (1, 8)])
-    bx.set(-6, [(-1, -6), (a_val, -8)])
+    bx.set(8, [(a, 6), (1, 8)])
+    bx.set(-6, [(-1, -6), (a, -8)])
     bx.set(-7, [(-1, -7)])
     bx.set(-8, [(1, -8)])
     by = space.builder()
@@ -365,7 +361,7 @@ def build_n8_alt(q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
     by.cycle_pm(2, 3, 4)
     by.cycle_pm(5, 6, 7)
     pair = GeneratorPair(space=space, x=bx.build(), y=by.build(), n=8, q=q,
-                         a=FieldElem(field, a_val), recipe="n8alt")
+                         a=a, recipe="n8alt")
     return pair.validate()
 
 
@@ -451,13 +447,12 @@ def restriction_matrix(g: Mat, space: SympSpace, signed_basis) -> Mat:
             if v and j not in idx_set:
                 raise BadParam(f"span of {signed_basis} is not invariant")
         cols.append([img[j] for j in idxs])
-    return Mat(g.field, [[cols[j][i] for j in range(len(idxs))]
-                         for i in range(len(idxs))])
+    return Mat._make(g.field, tuple(zip(*cols)))
 
 
 def theta_matrix(field: FieldCtx, a, q: int) -> Mat:
     """The matrix of [x,y] on C^+ in the listed basis: theta_1/2/3 by (p, q)."""
-    av = field.scalar(a)
+    a = field.elem(a)
     p = field.p
     if p > 2:
         rows = [
@@ -465,18 +460,18 @@ def theta_matrix(field: FieldCtx, a, q: int) -> Mat:
             [0, 0, 0, 0, 0, -1],
             [0, 0, 0, -1, 0, 0],
             [1, 0, 0, 0, 0, 0],
-            [0, 0, 0, field.neg(av), -1, 0],
-            [0, 1, 0, field.mul(av, av), av, 0],
+            [0, 0, 0, -a, -1, 0],
+            [0, 1, 0, a * a, a, 0],
         ]
     elif q > 2:
-        a1 = field.add(av, 1)
+        a1 = a + 1
         rows = [
             [0, 0, 1, 0, 0, 0],
             [0, 0, 0, 0, 0, 1],
-            [0, 1, 0, 1, av, a1],
+            [0, 1, 0, 1, a, a1],
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 1, 1],
-            [0, a1, 0, 0, av, av],
+            [0, a1, 0, 0, a, a],
         ]
     else:
         rows = [
@@ -494,11 +489,11 @@ def _esum(field: FieldCtx, size: int, plus, minus, eps_entries, eps: int) -> Mat
     """Matrix from E_{i,j} index lists (1-based): plus - minus + eps*eps_entries."""
     rows = [[0] * size for _ in range(size)]
     for i, j in plus:
-        rows[i - 1][j - 1] = field.add(rows[i - 1][j - 1], 1)
+        rows[i - 1][j - 1] += 1
     for i, j in minus:
-        rows[i - 1][j - 1] = field.sub(rows[i - 1][j - 1], 1)
+        rows[i - 1][j - 1] -= 1
     for i, j in eps_entries:
-        rows[i - 1][j - 1] = field.add(rows[i - 1][j - 1], field.scalar(eps))
+        rows[i - 1][j - 1] += eps
     return Mat(field, rows)
 
 
@@ -606,18 +601,6 @@ def block_decomposition(pair: GeneratorPair) -> BlockDecomp:
 # auxiliary matrices (root subgroups, base change, displayed generator triples)
 # ---------------------------------------------------------------------------
 
-def _iv(field, k: int) -> int:
-    """Embed the rational integer k into the prime subfield (packed value)."""
-    return k % field.p
-
-
-def _fr(field, num, den):
-    d = _iv(field, den)
-    if not d:
-        raise BadParam(f"{den} vanishes in characteristic {field.p}")
-    return field.mul(_iv(field, num), field.inv(d))
-
-
 def hat_embed_bottom(field, n: int, small: Mat) -> Mat:
     """diag(I_{n-k}, small, I_{n-k}, small^{-T}) acting on the 2n-space."""
     k = small.rows
@@ -629,20 +612,17 @@ def hat_embed_bottom(field, n: int, small: Mat) -> Mat:
 
 def small_r(field, a, i: int, beta) -> Mat:
     """The root-subgroup parameter matrices r_1..r_4(beta)."""
-    av = field.scalar(a)
-    bv = field.scalar(beta)
     if field.p == 2:
         raise BadParam("this family needs odd q")
-    m = field.mul
-    t3 = m(bv, _fr(field, 3, 1))            # 3*beta
-    t3a = field.mul(t3, field.inv(av))      # 3*beta/a
-    t9a2 = field.mul(_iv(field, 9), field.mul(bv, field.inv(m(av, av))))
-    one = field.one
+    a, b = field.elem(a), field.elem(beta)
+    t3 = 3 * b                # 3*beta
+    t3a = t3 / a              # 3*beta/a
+    t9a2 = 9 * b / (a * a)    # 9*beta/a^2
     if i == 1:
         return Mat(field, [
             [1, 0, 0, 0],
-            [field.neg(t3a), field.add(one, t3a), t9a2, 0],
-            [bv, field.neg(bv), field.sub(one, t3a), 0],
+            [-t3a, 1 + t3a, t9a2, 0],
+            [b, -b, 1 - t3a, 0],
             [0, 0, 0, 1],
         ])
     if i == 2:
@@ -650,26 +630,26 @@ def small_r(field, a, i: int, beta) -> Mat:
             [1, 0, 0, 0],
             [0, 1, 0, 0],
             [0, 0, 1, 0],
-            [bv, field.neg(bv), field.neg(t3a), 1],
+            [b, -b, -t3a, 1],
         ])
-    ab = m(av, bv)
+    ab = a * b
     if i == 3:
         return Mat(field, [
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0],
-            [0, 0, field.add(one, t3a), field.neg(t3a), field.neg(t9a2), 0],
+            [0, 0, 1 + t3a, -t3a, -t9a2, 0],
             [0, 0, 0, 1, 0, 0],
-            [0, 0, bv, field.neg(bv), field.sub(one, t3a), 0],
-            [0, 0, field.neg(ab), ab, t3, 1],
+            [0, 0, b, -b, 1 - t3a, 0],
+            [0, 0, -ab, ab, t3, 1],
         ])
     if i == 4:
         return Mat(field, [
             [1, 0, 0, 0, 0, 0],
             [0, 1, 0, 0, 0, 0],
-            [0, field.neg(bv), field.sub(one, t3a), 0, field.neg(ab), field.neg(bv)],
+            [0, -b, 1 - t3a, 0, -ab, -b],
             [0, 0, 0, 1, 0, 0],
             [0, 0, 0, 0, 1, 0],
-            [0, t3a, t9a2, 0, t3, field.add(one, t3a)],
+            [0, t3a, t9a2, 0, t3, 1 + t3a],
         ])
     raise BadParam(f"no root matrix r_{i}")
 
@@ -680,114 +660,87 @@ def phat_base_change(field, a, n: int) -> Mat:
         raise BadParam("base change needs n >= 12")
     if field.p == 2:
         raise BadParam("this family needs odd q")
-    av = field.scalar(a)
-    a2 = field.mul(av, av)
-    a3 = field.mul(a2, av)
-    a5 = field.mul(a3, a2)
-    n1 = field.add(a3, _iv(field, 3))
-    n2 = field.add(a3, _iv(field, 6))
-    n3 = field.add(a3, _iv(field, 9))
-    n4 = field.add(n1, n2)
-    den = field.sub(field.mul(a3, a3), _iv(field, 27))
+    a = field.elem(a)
+    a2, a3, a5 = a**2, a**3, a**5
+    n1, n2, n3 = a3 + 3, a3 + 6, a3 + 9
+    n4 = n1 + n2
+    den = a3 * a3 - 27
     if not den:
         raise BadParam("a^6 = 27")
-    d = field.inv(den)
-    m = field.mul
-    a2n4, a2n3 = m(a2, n4), m(a2, n3)
-    t3n4, t3n3 = m(_iv(field, 3), n4), m(_iv(field, 3), n3)
-    t3an2, t3an1 = m(_iv(field, 3), m(av, n2)), m(_iv(field, 3), m(av, n1))
-    t3a3 = m(_iv(field, 3), a3)
-    t9a = m(_iv(field, 9), av)
+    d = 1 / den
+    a2n4, a2n3 = a2 * n4, a2 * n3
+    t3n4, t3n3 = 3 * n4, 3 * n3
+    t3an2, t3an1 = 3 * a * n2, 3 * a * n1
+    t3a3 = 3 * a3
+    t9a = 9 * a
     at_rows = [
         [a2n4, t3n4, t3an2, t3an1, a2n3, t3n3, t3a3, t9a, a5],
         [t3an2, a2n4, t3n4, t3n3, t3an1, a2n3, a5, t3a3, t9a],
         [t3n4, t3an2, a2n4, a2n3, t3n3, t3an1, t9a, a5, t3a3],
     ]
-    p_rows = [[0] * 12 for _ in range(12)]
-    for j in range(12):
-        p_rows[j][j] = 1
+    p_rows = [[int(i == j) for j in range(12)] for i in range(12)]
     for i in range(9):
         for j in range(3):
-            p_rows[3 + i][j] = m(d, at_rows[j][i])
+            p_rows[3 + i][j] = d * at_rows[j][i]
     return hat_embed_bottom(field, n, Mat(field, p_rows))
 
 
 def g3_displayed(field, a, eq: str) -> tuple:
     """The three displayed 3 x 3 generator matrices for each small-group check."""
-    av = field.scalar(a)
-    m = field.mul
-    a2 = m(av, av)
-    a3 = m(a2, av)
-    one = field.one
+    a = field.elem(a)
+    a2, a3 = a**2, a**3
 
     def M(rows):
         return Mat(field, rows)
 
     e12 = M([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
     if eq == "G3":
-        c = m(_iv(field, 64), a3)
-        g2 = M([[1, 0, 0], [field.neg(c), 1, 0], [0, 0, 1]])
-        a3m1 = field.sub(a3, one)
+        c = 64 * a3
+        g2 = M([[1, 0, 0], [-c, 1, 0], [0, 0, 1]])
         g3 = M([
-            [_iv(field, -7), 1, a3m1],
-            [field.neg(c), field.add(one, m(_iv(field, 8), a3)),
-             m(m(_iv(field, 8), a3), a3m1)],
-            [_iv(field, 64), _iv(field, -8),
-             field.sub(_iv(field, 9), m(_iv(field, 8), a3))],
+            [-7, 1, a3 - 1],
+            [-c, 1 + 8 * a3, 8 * a3 * (a3 - 1)],
+            [64, -8, 9 - 8 * a3],
         ])
         return (e12, g2, g3)
     if eq == "G39":
-        c = m(_iv(field, 16), a3)
-        a3p1 = field.add(a3, one)
+        c = 16 * a3
         g2 = M([
-            [field.sub(one, m(_iv(field, 4), a3)), 1, field.neg(a3p1)],
-            [c, _iv(field, -3), m(_iv(field, 4), a3p1)],
-            [c, _iv(field, -4), field.add(one, m(_iv(field, 4), a3p1))],
+            [1 - 4 * a3, 1, -(a3 + 1)],
+            [c, -3, 4 * (a3 + 1)],
+            [c, -4, 1 + 4 * (a3 + 1)],
         ])
         g3 = M([[1, 0, 0], [c, 1, 0], [0, 0, 1]])
         return (e12, g2, g3)
     if eq == "39":
-        ap2 = field.add(av, _iv(field, 2))
+        ap2 = a + 2
         if not ap2:
             raise BadParam("a = -2")
-        beta = m(field.sub(av, _iv(field, 2)),
-                 field.add(m(_iv(field, 7), a2),
-                           field.add(m(_iv(field, 8), av), _iv(field, 4))))
-        inv_ap2 = field.inv(ap2)
-        c = m(m(_iv(field, 2), a3), ap2)
+        beta = (a - 2) * (7 * a2 + 8 * a + 4)
+        c = 2 * a3 * ap2
         g2 = M([
-            [field.add(one, m(m(_iv(field, 4), a3), inv_ap2)), 1,
-             field.neg(m(beta, field.inv(m(m(_iv(field, 4), a2), ap2))))],
-            [field.neg(c), field.sub(one, m(m(ap2, ap2), _fr(field, 1, 2))),
-             m(m(ap2, beta), field.inv(m(_iv(field, 8), a2)))],
-            [m(m(_iv(field, 8), a5 := m(a3, a2)), inv_ap2), m(_iv(field, 2), a2),
-             field.sub(one, m(beta, field.inv(m(_iv(field, 2), ap2))))],
+            [1 + 4 * a3 / ap2, 1, -(beta / (4 * a2 * ap2))],
+            [-c, 1 - ap2 * ap2 / 2, ap2 * beta / (8 * a2)],
+            [8 * a**5 / ap2, 2 * a2, 1 - beta / (2 * ap2)],
         ])
-        g3 = M([[1, 0, 0], [field.neg(c), 1, 0], [0, 0, 1]])
+        g3 = M([[1, 0, 0], [-c, 1, 0], [0, 0, 1]])
         return (e12, g2, g3)
     if eq == "G311":
-        ap2 = field.add(av, _iv(field, 2))
+        ap2 = a + 2
         if not ap2:
             raise BadParam("a = -2")
-        beta = m(field.add(m(_iv(field, 3), av), _iv(field, 2)),
-                 field.add(m(_iv(field, 3), a2), _iv(field, 4)))
-        inv_ap2 = field.inv(ap2)
-        c = m(m(_iv(field, 32), a3), ap2)
+        beta = (3 * a + 2) * (3 * a2 + 4)
+        c = 32 * a3 * ap2
         g1 = M([[1, c, 0], [0, 1, 0], [0, 0, 1]])
         g2 = M([
-            [field.sub(one, m(m(_iv(field, 16), a3), inv_ap2)), c,
-             field.neg(m(m(_iv(field, 2), m(av, beta)), inv_ap2))],
-            [1, field.sub(one, m(_iv(field, 2), m(ap2, ap2))),
-             m(beta, field.inv(m(_iv(field, 8), a2)))],
-            [m(m(_iv(field, 16), a2), inv_ap2),
-             field.neg(m(m(_iv(field, 32), a2), ap2)),
-             field.add(one, m(m(_iv(field, 2), beta), inv_ap2))],
+            [1 - 16 * a3 / ap2, c, -(2 * a * beta / ap2)],
+            [1, 1 - 2 * ap2 * ap2, beta / (8 * a2)],
+            [16 * a2 / ap2, -(32 * a2 * ap2), 1 + 2 * beta / ap2],
         ])
         g3 = M([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
         return (g1, g2, g3)
     if eq == "SL3-5":
-        a4 = m(a2, a2)
-        g1 = M([[1, 0, 0], [0, 1, 0], [a4, 0, 1]])
-        g2 = M([[1, 0, 0], [0, 1, field.neg(a2)], [0, 0, 1]])
+        g1 = M([[1, 0, 0], [0, 1, 0], [a**4, 0, 1]])
+        g2 = M([[1, 0, 0], [0, 1, -a2], [0, 0, 1]])
         return (g1, g2, e12)
     raise BadParam(f"unknown generator triple {eq!r}")

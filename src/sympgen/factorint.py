@@ -107,7 +107,7 @@ def factor_q_pow_minus_one(q: int, d: int) -> FactoredInt:
     return FactoredInt(result)
 
 
-def multiplicative_order(base: int, modulus_order: FactoredInt, power) -> FactoredInt:
+def multiplicative_order(modulus_order: FactoredInt, power) -> FactoredInt:
     """Order of an abstract element given group order and a power oracle.
 
     ``power(n)`` must return the element raised to the n-th power, and the

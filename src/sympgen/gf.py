@@ -5,6 +5,11 @@ Elements are stored packed: the residue c0 + c1*w + ... + c_{f-1}*w^{f-1}
 A FieldCtx owns all arithmetic on packed values; FieldElem is a thin
 operator-overloading wrapper used at API boundaries.
 
+An int passed to the API is an integer: FieldCtx.scalar reads it mod p,
+whatever its size.  A packed value enters only through an explicit
+constructor: FieldElem(F, v), F.from_coeffs, or the trusted Mat._make and
+Poly._make.  A FieldElem never equals an int.
+
 Extension fields precompute discrete-log (and, in odd characteristic,
 addition) tables, which keeps the dense linear algebra downstream fast.
 """
@@ -59,8 +64,8 @@ class FieldCtx:
         self.q = p**f
         self.modulus = modulus
         self.is_prime_field = f == 1
-        self.zero = 0
-        self.one = 1
+        self.zero = FieldElem(self, 0)
+        self.one = FieldElem(self, 1)
         if not self.is_prime_field:
             self._build_tables()
 
@@ -78,15 +83,13 @@ class FieldCtx:
         return sum((c % p) * p**i for i, c in enumerate(coeffs))
 
     def scalar(self, v) -> int:
-        """Packed value of an int or of a FieldElem over an equal field."""
+        """Packed value of a FieldElem over an equal field, or of an int read
+        as an integer mod p (whatever its size)."""
         if isinstance(v, FieldElem):
             if v.ctx is not self and v.ctx != self:
                 raise MixedFields("element from a different field")
             return v.val
         if isinstance(v, int):
-            if 0 <= v < self.q:
-                return v
-            # negative / large integers are taken mod p into the prime field
             return v % self.p
         raise BadParam(f"cannot coerce {v!r}")
 
@@ -306,10 +309,10 @@ class FieldElem:
         return FieldElem(self.ctx, self.ctx.inv(self.val))
 
     def __eq__(self, other):
+        # never equal to an int: 3 and 10 are the same element of F_7 but
+        # different ints, so no hash could agree with both
         if isinstance(other, FieldElem):
             return self.ctx == other.ctx and self.val == other.val
-        if isinstance(other, int):
-            return self.val == self.ctx.scalar(other)
         return NotImplemented
 
     def __hash__(self):
@@ -362,7 +365,7 @@ def mult_order(b: FieldElem) -> FactoredInt:
         raise ZeroElement("zero has no multiplicative order")
     ctx = b.ctx
     group = factor_q_pow_minus_one(ctx.p, ctx.f)
-    return multiplicative_order(b.val, group, lambda n: ctx.pow(b.val, n))
+    return multiplicative_order(group, lambda n: ctx.pow(b.val, n))
 
 
 def campoN_bound(s: int, p: int, f: int) -> int:
@@ -383,17 +386,21 @@ class Embedding:
         self._powers = [big.pow(root_val, i) for i in range(small.f)]
 
     def __call__(self, elem) -> FieldElem:
-        val = self.small.scalar(elem)
+        return FieldElem(self.big, self._image(self.small.scalar(elem)))
+
+    def _image(self, val: int) -> int:
+        """Packed image of a packed value of the small field."""
         big = self.big
         acc = 0
         for c, img in zip(self.small.coeffs(val), self._powers):
-            acc = big.add(acc, big.mul(c % big.p, img))
-        return FieldElem(big, acc)
+            acc = big.add(acc, big.mul(c, img))
+        return acc
 
     def map_matrix(self, mat):
         from .matrix import Mat
-        rows = [[self(FieldElem(self.small, v)).val for v in row] for row in mat.rows_raw()]
-        return Mat(self.big, rows)
+        image = self._image
+        return Mat._make(self.big, tuple(tuple(map(image, row)) for row in mat.rows_raw()),
+                         mat.cols)
 
 
 def embed(small: FieldCtx, big: FieldCtx) -> Embedding:

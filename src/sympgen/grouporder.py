@@ -89,7 +89,7 @@ def _poly_t_order(f_poly: Poly) -> FactoredInt:
     def power(n):
         return t.powmod(n, f_poly) if n else one
 
-    return multiplicative_order(None, group, power)
+    return multiplicative_order(group, power)
 
 
 def element_order(g: Mat, verify: bool = True) -> FactoredInt:

@@ -5,10 +5,13 @@ e_1, ..., e_n, e_{-1}, ..., e_{-n} in that order, matrices act on column
 vectors from the left, and the symplectic Gram matrix is
 J = [[0, -I_n], [I_n, 0]].
 
-The public constructor Mat(F, rows) coerces every entry and rejects a
-FieldElem from another field (MixedFields) and ragged rows (ShapeMismatch).
-Results of arithmetic are built by the trusted Mat._make(F, data), which
-takes a tuple of row tuples of packed values in [0, q) as they are.
+The public constructor Mat(F, rows) takes FieldElems and ints (integers
+mod p) and rejects a FieldElem from another field (MixedFields) and ragged
+rows (ShapeMismatch).  Results of arithmetic are built by the trusted
+Mat._make(F, data), which takes a tuple of row tuples of packed values in
+[0, q) as they are.  Vectors are tuples of packed values: apply, kernel,
+solve, eigenspace and col_raw return them, and apply, solve, in_span and
+same_span take them as they are.
 
 Over a prime field the product works on packed rows: each row of the right
 factor becomes one integer of byte-aligned slots (poly._pack) wide enough
@@ -92,10 +95,10 @@ class Mat:
             if b.field != field:
                 raise MixedFields("blocks over different fields")
             for i in range(b.rows):
-                out[r + i][c:c + b.cols] = list(b.data[i])
+                out[r + i][c:c + b.cols] = b.data[i]
             r += b.rows
             c += b.cols
-        return cls(field, out)
+        return cls._make(field, tuple(map(tuple, out)), m)
 
     # -- basics ------------------------------------------------------------
 
@@ -190,16 +193,15 @@ class Mat:
     __rmul__ = scale
 
     def apply(self, vec):
-        """Image of a column vector given as a sequence; returns a tuple."""
+        """Image of a column vector of packed values; returns a tuple."""
         F = self.field
-        vals = [F.scalar(v) for v in vec]
-        if len(vals) != self.cols:
+        if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
         mul, add = F.mul, F.add
         out = []
         for row in self.data:
             acc = 0
-            for a, b in zip(row, vals):
+            for a, b in zip(row, vec):
                 if a and b:
                     acc = add(acc, mul(a, b))
             out.append(acc)
@@ -305,9 +307,8 @@ class Mat:
         return basis
 
     def solve(self, rhs):
-        """One solution of self * x = rhs (rhs a sequence), or None."""
-        F = self.field
-        aug = Mat(F, [[v] for v in rhs])
+        """One solution of self * x = rhs (rhs a vector of packed values), or None."""
+        aug = Mat._make(self.field, tuple((v,) for v in rhs), 1)
         m, pivots, _, am = self._echelon(aug)
         for i in range(len(pivots), self.rows):
             if am[i][0] != 0:
@@ -413,7 +414,7 @@ def char_poly_berkowitz(m: Mat) -> Poly:
                     if i + j < k + 2:
                         new[i + j] = add(new[i + j], mul(tv, vv))
         vect = new
-    return Poly(F, list(reversed(vect)))
+    return Poly._make(F, vect[::-1])
 
 
 def eigenspace(m: Mat, lam, embedding=None):
@@ -425,16 +426,15 @@ def eigenspace(m: Mat, lam, embedding=None):
         F = embedding.big
     else:
         F = m.field
-    shifted = m - Mat.identity(F, m.rows).scale(F.scalar(lam))
+    shifted = m - Mat.identity(F, m.rows).scale(lam)
     return shifted.kernel()
 
 
 def in_span(basis, vec, field) -> bool:
-    """Membership of vec in the span of the basis vectors (all sequences)."""
+    """Membership of vec in the span of the basis vectors (packed vectors)."""
     if not basis:
-        return all(field.scalar(v) == 0 for v in vec)
-    mat = Mat(field, [list(b) for b in zip(*basis)])
-    return mat.solve([field.scalar(v) for v in vec]) is not None
+        return not any(vec)
+    return Mat._make(field, tuple(zip(*basis))).solve(vec) is not None
 
 
 def same_span(basis_a, basis_b, field) -> bool:

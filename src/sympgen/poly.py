@@ -1,10 +1,10 @@
 """Univariate polynomials over a FieldCtx.
 
 Coefficients are packed field values, constant term first, no trailing
-zeros.  The public constructor Poly(F, coeffs) coerces every coefficient
-and rejects a FieldElem from another field (MixedFields); results of the
-ring operations are built by the trusted Poly._make(F, vals), which takes
-packed values already in [0, q) and only strips trailing zeros.
+zeros.  The public constructor Poly(F, coeffs) takes FieldElems and ints
+(integers mod p) and rejects a FieldElem from another field (MixedFields);
+results of the ring operations are built by the trusted Poly._make(F, vals),
+which takes packed values already in [0, q) and only strips trailing zeros.
 
 Over a prime field, products run on packed slots (Kronecker substitution):
 a coefficient list c_0..c_{k-1} becomes the one integer sum c_i 2^(8wi),
@@ -118,11 +118,6 @@ class Poly:
     def t(cls, field):
         return cls._make(field, (0, 1))
 
-    @classmethod
-    def parse(cls, field, text: str) -> "Poly":
-        """Parse the "c0,c1,...,cd" text form."""
-        return cls(field, [int(c) for c in text.split(",")])
-
     # -- basics ------------------------------------------------------------
 
     @property
@@ -211,14 +206,16 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c) -> "Poly":
+        return self._scale(self.field.scalar(c))
+
+    def _scale(self, cv: int) -> "Poly":
         F = self.field
-        cv = F.scalar(c)
         return Poly._make(F, [F.mul(cv, x) for x in self.coeffs])
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(self.field.inv(self.lead()))
+        return self._scale(self.field.inv(self.lead()))
 
     def __divmod__(self, other):
         self._check(other)
@@ -295,6 +292,8 @@ class Poly:
         return Poly._make(self.field, self.coeffs[::-1])
 
     def map_coeffs(self, fn, new_field) -> "Poly":
+        """The polynomial over new_field whose coefficients are fn(c), for fn
+        taking a FieldElem to a FieldElem of new_field (or an int)."""
         return Poly(new_field, [fn(FieldElem(self.field, c)) for c in self.coeffs])
 
 
@@ -391,7 +390,7 @@ def _squarefree_decomposition(p: Poly):
         d = f.derivative()
         if d.is_zero():
             # f = g(t^char); take the char-th root coefficientwise
-            root = Poly(F, [F.pow(c, F.q // char) for c in f.coeffs[::char]])
+            root = Poly._make(F, [F.pow(c, F.q // char) for c in f.coeffs[::char]])
             recurse(root, base_mult * char)
             return
         # Yun-style pass
@@ -442,7 +441,9 @@ def _equal_degree_split(p: Poly, d: int, rng: random.Random):
         return [p]
     q = F.q
     while True:
-        h = Poly(F, [rng.randrange(q) for _ in range(p.degree)])
+        # packed draws: h ranges over all of F_q, not only F_p, so that it
+        # can split Frobenius-conjugate roots
+        h = Poly._make(F, [rng.randrange(q) for _ in range(p.degree)])
         if h.degree < 1:
             continue
         g = p.gcd(h)

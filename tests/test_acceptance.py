@@ -155,7 +155,7 @@ def test_criterion_7_oracles():
         # unipotent per F_p-basis element of the field
         gens = []
         for i in range(field.f):
-            c = field.pow(field.gen().val, i)
+            c = field.gen() ** i
             gens.append(Mat(field, [[1, c], [0, 1]]))
             gens.append(Mat(field, [[1, 0], [c, 1]]))
         assert closure_bfs(gens) == q * (q * q - 1)

@@ -28,11 +28,13 @@ from sympgen.construct import (
     theta_matrix,
 )
 from sympgen.errors import BadParam, NoTauDefined, OutOfRange
+from sympgen.gf import FieldElem
 from sympgen.matrix import Mat, char_poly, paper_commutator
 from sympgen.poly import Poly, is_self_reciprocal
 
 GENERAL_COMBOS = [(n, q, 1) for n in (4, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
                   for q in (2, 3, 4, 5) if (n, q) != (4, 2)]
+# a is a packed value, passed as FieldElem(F, a) so that it reaches beyond F_p
 BESPOKE_COMBOS = [("n5", 5, 3, 1), ("n5", 5, 4, 2), ("n5", 5, 9, 3),
                   ("n6alt", 6, 3, 1), ("n6alt", 6, 9, 2),
                   ("n8alt", 8, 3, 1), ("n8alt", 8, 4, 2), ("n8alt", 8, 9, 2)]
@@ -64,7 +66,7 @@ def test_general_postconditions(n, q, a):
 
 @pytest.mark.parametrize("recipe,n,q,a", BESPOKE_COMBOS)
 def test_bespoke_postconditions(recipe, n, q, a):
-    pair = build(recipe, n, q, a)
+    pair = build(recipe, n, q, FieldElem(gf.standard_field(q), a))
     ident = Mat.identity(pair.field, 2 * n)
     assert pair.x * pair.x == ident
     assert pair.y * pair.y * pair.y == ident
@@ -83,11 +85,17 @@ def test_general_rejects_bad_parameters():
         build("nope", 4, 3, 1)
 
 
+@pytest.mark.parametrize("recipe,n", [("n5", 5), ("n6alt", 6), ("n8alt", 8)])
+def test_recipes_reject_a_field_of_another_size(recipe, n):
+    with pytest.raises(BadParam):
+        build(recipe, n, 9, 1, gf.standard_field(25))
+
+
 @pytest.mark.parametrize("recipe,n,q,a", [
     ("general", 7, 3, 1), ("general", 10, 4, 2), ("n5", 5, 5, 2),
     ("n8alt", 8, 5, 1)])
 def test_random_word_char_polys_self_reciprocal(recipe, n, q, a):
-    pair = build(recipe, n, q, a)
+    pair = build(recipe, n, q, FieldElem(gf.standard_field(q), a))
     rng = random.Random(f"{recipe},{n},{q}")
     for _ in range(20):
         g = Mat.identity(pair.field, 2 * n)
@@ -122,13 +130,14 @@ def test_commutator_char_poly_n4():
 
 def test_trace_identities_n6_alt():
     for q, a in [(3, 1), (5, 2), (7, 3), (9, 4)]:
+        F = gf.standard_field(q)
+        a = FieldElem(F, a)
         pair = build_n6_alt(q, a)
-        F = pair.field
         c = pair.commutator()
-        assert pair.y.trace() == F.scalar(-3)
-        assert (pair.x * pair.y).trace() == F.scalar(a)
-        assert c.trace() == F.scalar(-2)
-        assert (c * pair.x * pair.y).trace() == F.neg(F.scalar(a))
+        assert pair.y.trace() == F.elem(-3)
+        assert (pair.x * pair.y).trace() == a
+        assert c.trace() == F.elem(-2)
+        assert (c * pair.x * pair.y).trace() == -a
 
 
 # -- tau ------------------------------------------------------------------
@@ -214,6 +223,7 @@ def test_theta_char_poly_even_q():
     # over even q > 2 the 6x6 block has char poly (t^2+1)(t^2+t+1)(t^2+at+1)
     for q, a in [(4, 2), (8, 2)]:
         F = gf.standard_field(q)
+        a = FieldElem(F, a)
         th = theta_matrix(F, a, q)
         t = Poly.t(F)
         one = Poly.one(F)
@@ -239,11 +249,12 @@ def test_root_subgroup_parameterization(q, i):
 @pytest.mark.parametrize("q,a,n", [(5, 1, 13), (7, 2, 12), (25, 7, 15)])
 def test_phat_centralizes_r1_r2(q, a, n):
     F = gf.standard_field(q)
+    a = FieldElem(F, a)
     ph = phat_base_change(F, a, n)
     assert ph.det() == F.one
     rng = random.Random(0)
     for _ in range(20):
-        b = rng.randrange(q)
+        b = FieldElem(F, rng.randrange(q))
         for i in (1, 2):
             full = hat_embed_bottom(F, n, small_r(F, a, i, b))
             assert ph * full == full * ph
@@ -254,7 +265,7 @@ def test_phat_centralizes_r1_r2(q, a, n):
     ("G311", 5, 1), ("G311", 49, 3), ("SL3-5", 7, 2), ("SL3-5", 9, 4)])
 def test_displayed_triples_det_one(eq, q, a):
     F = gf.standard_field(q)
-    gens = g3_displayed(F, a, eq)
+    gens = g3_displayed(F, FieldElem(F, a), eq)
     assert len(gens) == 3
     for g in gens:
         assert g.det() == F.one

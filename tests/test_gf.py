@@ -13,6 +13,7 @@ from sympgen.errors import (
     NoEmbedding,
     ReducibleModulus,
 )
+from sympgen.gf import FieldElem
 from sympgen.poly import Poly
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
@@ -43,12 +44,20 @@ def test_defining_relation_f8():
     F8 = gf.make_ext_field(2, 3, (1, 1, 0, 1))
     a = F8.gen()
     assert a**3 == a + 1
-    assert a**7 == 1
+    assert a**7 == F8.one
 
 
 def test_prime_field_inverse():
     F3 = gf.standard_field(3)
-    assert F3.elem(2).inv() == 2
+    assert F3.elem(2).inv() == F3.elem(2)
+
+
+def test_an_element_never_equals_an_int():
+    # 3 and 10 are one element of F_7 but two ints: no hash fits both
+    F7 = gf.standard_field(7)
+    e = FieldElem(F7, 3)
+    assert e != 3 and e != 10 and 3 != e
+    assert e == F7.elem(10) and len({e, F7.elem(10)}) == 1
 
 
 def test_division_by_zero():
@@ -61,7 +70,7 @@ def test_division_by_zero():
 def test_unit_group_order(q):
     ctx = gf.standard_field(q)
     for b in ctx.units():
-        assert b ** (q - 1) == 1
+        assert b ** (q - 1) == ctx.one
         order = gf.mult_order(b).value()
         assert (q - 1) % order == 0
 
@@ -73,8 +82,8 @@ def test_frobenius_additive_multiplicative(q):
     ctx = gf.standard_field(q)
     rng = random.Random(q)
     for _ in range(200):
-        a = ctx.elem(rng.randrange(q))
-        b = ctx.elem(rng.randrange(q))
+        a = FieldElem(ctx, rng.randrange(q))
+        b = FieldElem(ctx, rng.randrange(q))
         assert (a + b) ** ctx.p == a**ctx.p + b**ctx.p
         assert (a * b) ** ctx.p == a**ctx.p * b**ctx.p
 
@@ -140,14 +149,14 @@ def test_campoN_exact_count_q9_cubes():
 def test_embed_f2_f4():
     F2, F4 = gf.standard_field(2), gf.standard_field(4)
     e = gf.embed(F2, F4)
-    assert e(F2.elem(0)) == 0 and e(F2.elem(1)) == 1
+    assert e(F2.elem(0)) == F4.zero and e(F2.elem(1)) == F4.one
 
 
 def test_embed_f4_f16_root():
     F4, F16 = gf.standard_field(4), gf.standard_field(16)
     e = gf.embed(F4, F16)
     img = e(F4.gen())
-    assert img**2 + img + 1 == 0
+    assert img**2 + img + 1 == F16.zero
 
 
 def test_embed_degree_mismatch():
@@ -199,13 +208,11 @@ def test_bundled_moduli_irreducible():
 @settings(max_examples=60, deadline=None)
 def test_field_axioms_random(q, data):
     ctx = gf.standard_field(q)
-    a = ctx.elem(data.draw(st.integers(0, q - 1)))
-    b = ctx.elem(data.draw(st.integers(0, q - 1)))
-    c = ctx.elem(data.draw(st.integers(0, q - 1)))
+    a, b, c = (FieldElem(ctx, data.draw(st.integers(0, q - 1))) for _ in range(3))
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
-    assert a + (-a) == 0
-    if b != 0:
+    assert a + (-a) == ctx.zero
+    if b:
         assert (a / b) * b == a
 
 
@@ -216,9 +223,9 @@ def test_untabled_field_arithmetic(q):
     fp = gf.standard_field(ctx.p)
     mod = Poly(fp, ctx.modulus)
     rng = random.Random(q)
-    a, b, c = (ctx.elem(rng.randrange(1, q)) for _ in range(3))
+    a, b, c = (FieldElem(ctx, rng.randrange(1, q)) for _ in range(3))
     for u in (a, b, c):
-        assert u * u.inv() == 1
+        assert u * u.inv() == ctx.one
     assert (a * b) * c == a * (b * c)
     prod = Poly(fp, a.coeffs) * Poly(fp, b.coeffs) % mod
     assert (a * b).val == ctx.from_coeffs(prod.coeffs)

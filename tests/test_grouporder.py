@@ -7,6 +7,7 @@ import pytest
 from sympgen import gf, grouporder
 from sympgen.errors import BadParam, CheckFailed
 from sympgen.factorint import FactoredInt
+from sympgen.gf import FieldElem
 from sympgen.grouporder import (
     OVERFLOW,
     Certificate,
@@ -78,8 +79,9 @@ def test_element_order_matches_naive(q):
     rng = random.Random(q)
     checked = 0
     for _ in range(60):
-        m = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(4)] for _ in range(4)])
-        if m.det() == 0:
+        m = Mat(ctx, [[FieldElem(ctx, rng.randrange(ctx.q)) for _ in range(4)]
+                      for _ in range(4)])
+        if not m.det():
             continue
         o = element_order(m).value_unchecked()
         if o <= 10**4:

@@ -2,15 +2,19 @@
 
 Mat products and Poly powmod are compared with plain reference loops over
 the field's own add/mul; the trusted internal constructors must give the
-same values as the public ones.
+same values as the public ones.  An int given to the public API is an
+integer mod p, whatever its size.
 """
 
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sympgen import gf
-from sympgen.errors import MixedFields, ShapeMismatch
+from sympgen.construct import SympSpace, build
+from sympgen.errors import BadParam, MixedFields, ShapeMismatch
 from sympgen.gf import FieldCtx, FieldElem
 from sympgen.matrix import Mat, eigenspace
 from sympgen.poly import Poly
@@ -58,8 +62,15 @@ def ref_mulmod(F, a, b, f):
     return tuple(prod)
 
 
-def rand_rows(rng, q, rows, cols, top=False):
-    return [[q - 1 if top else rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
+def elems(F, vals):
+    """Elements with the given packed values, so that draws cover all of F_q."""
+    return [FieldElem(F, v) for v in vals]
+
+
+def rand_rows(rng, F, rows, cols, top=False):
+    q = F.q
+    return [elems(F, [q - 1 if top else rng.randrange(q) for _ in range(cols)])
+            for _ in range(rows)]
 
 
 @pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
@@ -68,8 +79,8 @@ def test_matmul_matches_triple_loop(q):
     rng = random.Random(q)
     for rows, inner, cols in SHAPES:
         for top in (False, True):  # all entries q - 1 fill every slot to its bound
-            a = Mat(F, rand_rows(rng, q, rows, inner, top)) if rows else Mat.zeros(F, 0, inner)
-            b = Mat(F, rand_rows(rng, q, inner, cols, top))
+            a = Mat(F, rand_rows(rng, F, rows, inner, top)) if rows else Mat.zeros(F, 0, inner)
+            b = Mat(F, rand_rows(rng, F, inner, cols, top))
             c = a * b
             assert (c.rows, c.cols) == (rows, cols)
             assert c.data == ref_matmul(F, a.data, b.data)
@@ -82,9 +93,9 @@ def test_powmod_matches_repeated_mulmod(q):
     rng = random.Random(q)
     for d in range(1, 23):
         f = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
-        mod = Poly(F, f)
-        for base in (Poly.t(F), Poly(F, [q - 1] * d),
-                     Poly(F, [rng.randrange(q) for _ in range(d + 3)])):
+        mod = Poly(F, elems(F, f))
+        for base in (Poly.t(F), Poly(F, elems(F, [q - 1] * d)),
+                     Poly(F, elems(F, [rng.randrange(q) for _ in range(d + 3)]))):
             expected, b = (1,), ref_mulmod(F, base.coeffs, (1,), f)
             for e in range(8):
                 assert base.powmod(e, mod).coeffs == expected, (d, e)
@@ -103,7 +114,7 @@ def test_poly_mul_matches_schoolbook(q):
     huge = Poly.t(F) ** 60  # a modulus no product reaches
     for la, lb in [(1, 1), (1, 22), (22, 1), (9, 14), (23, 23)]:
         for top in (False, True):
-            a, b = (Poly(F, [q - 1 if top else rng.randrange(q) for _ in range(n)])
+            a, b = (Poly(F, elems(F, [q - 1 if top else rng.randrange(q) for _ in range(n)]))
                     for n in (la, lb))
             assert (a * b).coeffs == ref_mulmod(F, a.coeffs, b.coeffs, huge.coeffs)
 
@@ -112,14 +123,14 @@ def _results(q):
     F = field(q)
     rng = random.Random(q)
     while True:
-        a = Mat(F, rand_rows(rng, q, 6, 6))
-        if a.det() != 0:
+        a = Mat(F, rand_rows(rng, F, 6, 6))
+        if a.det():
             break
-    b = Mat(F, rand_rows(rng, q, 6, 6))
+    b = Mat(F, rand_rows(rng, F, 6, 6))
     mats = [a * b, a ** 5, a ** -2, a + b, a - b, -a, a.transpose(), a.inverse(),
-            Mat(F, rand_rows(rng, q, 3, 6)) * b, a * 3, Mat.identity(F, 4), Mat.zeros(F, 2, 3)]
-    f = Poly(F, [rng.randrange(q) for _ in range(7)] + [1])
-    g = Poly(F, [rng.randrange(q) for _ in range(12)])
+            Mat(F, rand_rows(rng, F, 3, 6)) * b, a * 3, Mat.identity(F, 4), Mat.zeros(F, 2, 3)]
+    f = Poly(F, elems(F, [rng.randrange(q) for _ in range(7)] + [1]))
+    g = Poly(F, elems(F, [rng.randrange(q) for _ in range(12)]))
     polys = [g * f, g % f, g.powmod(1000, f), Poly.t(F).powmod(q**7, f), g * Poly.zero(F),
              f - f, divmod(g, f)[0], g.derivative(), g.reciprocal(), g.monic()]
     return F, mats, polys
@@ -129,15 +140,39 @@ def _results(q):
 def test_trusted_constructors_match_public_ones(q):
     F, mats, polys = _results(q)
     for r in mats:
-        rebuilt = Mat(F, r.data)
+        rebuilt = Mat(F, [elems(F, row) for row in r.data])
         assert r == rebuilt and hash(r) == hash(rebuilt)
         assert (r.rows, r.cols) == (rebuilt.rows, rebuilt.cols)
         assert all(type(v) is int and 0 <= v < F.q for row in r.data for v in row)
     for r in polys:
-        rebuilt = Poly(F, r.coeffs)
+        rebuilt = Poly(F, elems(F, r.coeffs))
         assert r == rebuilt and hash(r) == hash(rebuilt)
         assert all(type(c) is int and 0 <= c < F.q for c in r.coeffs)
         assert not r.coeffs or r.coeffs[-1] != 0
+
+
+@given(st.sampled_from([7, 4, 9, 25, 27]).flatmap(
+    lambda q: st.tuples(st.just(q), st.integers(-3 * q, 3 * q))))
+@example((4, 2))
+@example((9, 3))
+@settings(max_examples=60, deadline=None)
+def test_an_int_is_an_integer_mod_p(qk):
+    q, k = qk
+    F = gf.standard_field(q)
+    w = F.gen()
+    m = Mat(F, [[w, 1], [0, w + 1]])
+    f = Poly(F, [w, 1, w])
+    space = SympSpace.make(2, F)
+
+    def built(c):
+        try:
+            return build("general", 4, q, c)
+        except BadParam:
+            return BadParam
+
+    for call in (F.elem, lambda c: Mat(F, [[c]]), lambda c: Poly(F, [c]), m.scale, f.eval,
+                 lambda c: w + c, lambda c: space.vector([(c, 1)]), built):
+        assert call(k) == call(k % F.p)
 
 
 def test_public_constructors_keep_their_checks():
