@@ -51,7 +51,7 @@ from .construct import (
     tau_of,
     tau_exponent,
     block_decomposition,
-    restriction_matrix,
+    restrict,
 )
 from .grouporder import (
     PrimeSet,
@@ -116,7 +116,7 @@ __all__ = [
     "tau_of",
     "tau_exponent",
     "block_decomposition",
-    "restriction_matrix",
+    "restrict",
     "PrimeSet",
     "Certificate",
     "order_sp",

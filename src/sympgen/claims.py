@@ -27,9 +27,9 @@ from .poly import Poly, roots
 from .grouporder import (Certificate, PrimeSet, element_order,
                          lps_certificate, varpi, varpi_group)
 from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
-                        phat_base_change, restriction_matrix, small_r,
+                        phat_base_change, restrict, small_r,
                         tau_of, theta_matrix, expected_a_matrices,
-                        block_decomposition, _esum, _vector)
+                        block_decomposition, _esum, _hatgl, _vector)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +157,7 @@ def _eig_pair(h: Mat, lam, v, vb):
 
 def _transvection_images(g: Mat, space, b, coefs) -> bool:
     """g e_j = e_j + coefs[j] b for j = 1..n (coefficient 0 where unlisted)."""
-    for j in range(1, space.n + 1):
-        e = space.basis_vector(j)
+    for j, e in enumerate(space.basis(range(1, space.n + 1)), 1):
         if g.apply(e) != _vcombo(space.field, [(1, e), (coefs.get(j, 0), b)]):
             return False
     return True
@@ -172,30 +171,15 @@ def s_restrict(g: Mat, space, ell: int) -> Mat:
     is the induced action on the quotient of V by them.
     """
     n = space.n
+    lead = space.basis(range(1, n - ell + 1))
+    last = space.basis(range(n - ell + 1, n + 1))
     try:
-        return restriction_matrix(g, space, list(range(n - ell + 1, n + 1)))
+        return restrict(g, last)
     except BadParam:
         pass
-    gv = restriction_matrix(g, space, list(range(1, n + 1)))
-    k = n - ell
-    for j in range(k):
-        col = gv.col_raw(j)
-        if any(col[i] != (1 if i == j else 0) for i in range(n)):
-            raise BadParam("leading basis vectors not fixed pointwise")
-    return Mat._make(g.field, tuple(row[k:] for row in gv.rows_raw()[k:]))
-
-
-def restrict_to_span(g: Mat, basis_cols) -> Mat:
-    """Matrix of g on an arbitrary (independent) spanning set; BadParam if
-    the span is not invariant."""
-    B = Mat._make(g.field, tuple(zip(*basis_cols)))
-    cols = []
-    for w in basis_cols:
-        sol = B.solve(g.apply(w))
-        if sol is None:
-            raise BadParam("span is not invariant")
-        cols.append(sol)
-    return Mat._make(g.field, tuple(zip(*cols)))
+    if not restrict(g, lead).is_identity():
+        raise BadParam("leading basis vectors not fixed pointwise")
+    return restrict(g, last, quotient=lead)
 
 
 def _vec(field, coords):
@@ -1130,7 +1114,7 @@ def _main8_phat():
     for q in (4, 8):
         pair, P, taus = _n8_even_data(q)
         det_ok = P.det() == pair.a ** 4
-        Phat = Mat.block_diag([P, P.inverse().transpose()])
+        Phat = _hatgl(P)
         tau = tau_of(pair)
         x, y = pair.x, pair.y
         gens = [_cj(_cj(tau, u), Phat)
@@ -1171,17 +1155,11 @@ def _main8_tau_relations():
                                         ([], [(2, 3)]), ([], [(3, 5)]),
                                         ([(2, 1)], []), ([(1, 2)], []),
                                         ([(5, 1)], [(5, 4)])]]
-        blocks = []
-        for g in gens:
-            gv = restriction_matrix(g, pair.space, range(1, 9))
-            # identity on the quotient V / E_5
-            rows = gv.rows_raw()
-            quot_ok = all(rows[i][j] == (1 if i == j else 0)
-                          for i in range(5, 8) for j in range(5, 8))
-            blocks.append((restriction_matrix(g, pair.space, range(1, 6)),
-                           quot_ok))
-        match = [blocks[i][0] == expected[i] and blocks[i][1]
-                 for i in range(7)]
+        e5, rest = pair.space.basis(range(1, 6)), pair.space.basis(range(6, 9))
+        # the block on E_5, and the identity on the quotient V / E_5
+        match = [restrict(g, e5) == want
+                 and restrict(g, rest, quotient=e5).is_identity()
+                 for g, want in zip(gens, expected)]
         t5, t6 = expected[4], expected[5]
         lam = 2 * (8 * pair.a ** 4 + 1)
         cp_ok = char_poly(t5 * t6) == _unipotent_quadratic(F, 3, -lam)
@@ -1205,8 +1183,7 @@ def _main9_ytau_even():
         pair = _pair(9, q, "general", aspec, tag)
         F, sp = pair.field, pair.space
         tau = tau_of(pair)
-        y9 = restriction_matrix(pair.y, sp, range(1, 10))
-        t9 = restriction_matrix(tau, sp, range(1, 10))
+        y9, t9 = (restrict(g, sp.basis(range(1, 10))) for g in (pair.y, tau))
         m = y9 * t9
         chi = char_poly(m)
         div = Poly(F, (1, 1)) * Poly(F, (1, 1, 1))
@@ -1274,8 +1251,7 @@ def _main11_tau():
     for q, aspec, tag in [(4, "gen", "main11"), (8, "gen", "table1")]:
         pair = _pair(11, q, "general", aspec, tag)
         tau = tau_of(pair)
-        tv = restriction_matrix(tau, pair.space, range(1, 12))
-        xv = restriction_matrix(pair.x, pair.space, range(1, 12))
+        tv, xv = (restrict(g, pair.space.basis(range(1, 12))) for g in (tau, pair.x))
         a8 = pair.a ** 8
         even.append([
             char_poly(tv) == _unipotent_quadratic(pair.field, 9, a8),
@@ -1289,27 +1265,24 @@ def _main11_tau():
 # claims: small-group actions (eq. G3 family), sigma eigenvectors, theta
 # ---------------------------------------------------------------------------
 
-def _tau_conjugates(pair):
-    """(tau, tau^y, tau^{y^2})."""
-    tau, y = tau_of(pair), pair.y
-    return [tau, _cj(tau, y), _cj(tau, y * y)]
-
-
 def _g3_orbit(pair, u_terms):
-    """Setup of an odd-q G3 block: tau's conjugates and the y-orbit
-    (u, yu, y^2 u) of the vector u given by signed-index terms."""
+    """Setup of a G3 block: tau's conjugates (tau, tau^y, tau^{y^2}) and the
+    y-orbit (u, yu, y^2 u) of the vector u given by signed-index terms."""
+    tau, y = tau_of(pair), pair.y
     u = pair.space.vector(u_terms)
-    yu = pair.y.apply(u)
-    return _tau_conjugates(pair), u, yu, pair.y.apply(yu)
+    yu = y.apply(u)
+    return [tau, _cj(tau, y), _cj(tau, y * y)], [u, yu, y.apply(yu)]
 
 
-def _g3_check(pair, trip, basis_cols, eq):
-    """The three matrices of trip act on the span of basis_cols as the
-    displayed generator triple (as a multiset)."""
+def _g3_check(pair, trip, vectors, combos, eq):
+    """The three matrices of trip act as the displayed generator triple (as a
+    multiset) on the span of the combos [(coeff, i), ...] of vectors."""
+    basis = [_vcombo(pair.field, [(c, vectors[i]) for c, i in combo])
+             for combo in combos]
     disp = list(g3_displayed(pair.field, pair.a, eq))
     for g in trip:
         try:
-            m = restrict_to_span(g, basis_cols)
+            m = restrict(g, basis)
         except BadParam:
             return False
         if m not in disp:
@@ -1318,94 +1291,63 @@ def _g3_check(pair, trip, basis_cols, eq):
     return True
 
 
+# eq -> (n, recipe, (q, aspec, tag) instances, ell, block(a)).  block(a) gives
+# u as signed-index terms; the basis as combos of the y-orbit (u, yu, y^2 u);
+# the charpoly (j, m, lam): tau tau^{y^j} acts on the section S_ell of
+# s_restrict with charpoly (t - 1)^m (t^2 + lam t + 1); and the transpose
+# side: three vectors of S_ell, as terms in e_{n-ell+1}..e_n, and the combos
+# of them on which the transposed sections act as the triple.
+_G3_BLOCKS = {
+    "G3": (13, "general", ((5, -1, None), (3, -1, None)), 9, lambda a: (
+        [(1, 8), (-2 / a, 11), (1, 12)],
+        [[(8 * a, 1)], [(1, 0)], [(a**3, 0), (a, 1), (a * a, 2)]],
+        (1, 7, 64 * a**3 - 2),
+        # ub, y^T ub, y^2T ub
+        ([[(1, 7), (-1, 8), (-1, 12)], [(1, 6), (-1, 10), (-1, 11)],
+          [(1, 5), (-1, 9), (-1, 13)]],
+         [[(8 * a, 2)], [(1, 0)], [(a**3, 0), (a * a, 1), (a, 2)]]))),
+    "G39": (7, "general", ((5, 1, None), (9, "gen", "7ex")), 7, lambda a: (
+        [(1, 3), (-1, 7)],
+        [[(4 * a * a, 0)], [(-1, 1)], [(a * a, 0), (1, 1), (-a, 2)]],
+        (2, 5, -(16 * a**3 + 2)),
+        ([[(a, 4), (-a, 5), (-2, 6)], [(a, 1), (-a, 3), (2, 5), (a, 7)],
+          [(a, 1), (a, 2), (-a * a, 4), (a * a, 5), (a, 6), (-2, 7)]],
+         [[(4 * a * a, 0)], [(1, 1)], [(-1, 1), (-a, 2)]]))),
+    "39": (9, "general", ((11, 4, None), (9, "gen", "9ex")), 9, lambda a: (
+        [(1, 5), (-2 / a, 8), (1, 9)],
+        [[(-2 * a * a, 0)], [(1, 1)],
+         [(1, 0), ((a + 2)**2 / (4 * a * a), 1), ((a + 2) / (2 * a), 2)]],
+        (2, 7, 2 * a**4 - 2 + 4 * a**3), None)),
+    "G311": (11, "general", ((11, 1, None), (9, "gen", "11ex")), 11, lambda a: (
+        [(1, 7), (-1, 11)],
+        [[(1, 0)], [(-4 * a * (a + 2), 1)],
+         [(a, 0), ((a + 2)**2 / (4 * a), 1), (-(a + 2) / 2, 2)]],
+        (2, 9, -2 * (16 * a**4 + 32 * a**3 + 1)), None)),
+    "SL3-5": (5, "n5", ((7, 1, None), (9, "gen", "table1")), 5, lambda a: (
+        [(1, 2)], [[(-a * a, 0)], [(1, 1)], [(1, 2)]], None, None)),
+}
+
+
 @claim("G3-action", "G3")
 def _g3_action():
     results = {}
-    # eq G3: n=13, p>2
-    for q, aspec in [(5, -1), (3, -1)]:
-        pair = _pair(13, q, "general", aspec)
-        F, sp, n, y, a = pair.field, pair.space, 13, pair.y, pair.a
-        trip, u, yu, y2u = _g3_orbit(pair, [(1, n - 5), (-2 / a, n - 2), (1, n - 1)])
-        a3 = a**3
-        w1 = _vcombo(F, [(8 * a, yu)])
-        w3 = _vcombo(F, [(a3, u), (a, yu), (a * a, y2u)])
-        ok = _g3_check(pair, trip, [w1, u, w3], "G3")
-        # transpose side, on the 9x9 restrictions to the last-9 subspace
-        s9_idx = [sp.idx(i) for i in range(n - 8, n + 1)]
-
-        def to_s9(v26):
-            if any(c for j, c in enumerate(v26) if j not in s9_idx):
-                return None
-            return tuple(v26[j] for j in s9_idx)
-        ub26 = sp.vector([(1, n - 6), (-1, n - 5), (-1, n - 1)])
-        yT26 = y.transpose()
-        yub26 = yT26.apply(ub26)
-        y2ub26 = yT26.apply(yub26)
-        ub, yub, y2ub = to_s9(ub26), to_s9(yub26), to_s9(y2ub26)
-        v1 = _vcombo(F, [(8 * a, y2ub)])
-        v3 = _vcombo(F, [(a3, ub), (a * a, yub), (a, y2ub)])
-        okT = _g3_check(pair, [s_restrict(g, sp, 9).transpose() for g in trip],
-                        [v1, ub, v3], "G3")
-        # charpoly of (tau tau^y)|S9
-        lam = 64 * a3 - 2
-        cp_ok = (char_poly(s_restrict(trip[0] * trip[1], sp, 9))
-                 == _unipotent_quadratic(F, 7, lam))
-        results[f"G3-q{q}"] = [ok, okT, cp_ok]
-    # eq G39: n=7, p>2 (K9)
-    for q, aspec, tag in [(5, 1, None), (9, "gen", "7ex")]:
-        pair = _pair(7, q, "general", aspec, tag)
-        F, sp, n, a = pair.field, pair.space, 7, pair.a
-        trip, u, yu, y2u = _g3_orbit(pair, [(1, 3), (-1, 7)])
-        a2 = a * a
-        w1 = _vcombo(F, [(4 * a2, u)])
-        w2 = _vcombo(F, [(-1, yu)])
-        w3 = _vcombo(F, [(a2, u), (1, yu), (-a, y2u)])
-        ok = _g3_check(pair, trip, [w1, w2, w3], "G39")
-        # transpose side on V-restrictions
-        wb1 = _vec(F, (0, 0, 0, a, -a, -2, 0))
-        wb2 = _vec(F, (a, 0, -a, 0, 2, 0, a))
-        wb3 = _vec(F, (a, a, 0, -a2, a2, a, -2))
-        v1 = _vcombo(F, [(4 * a2, wb1)])
-        v3 = _vcombo(F, [(-1, wb2), (-a, wb3)])
-        okT = _g3_check(pair, [restriction_matrix(g, sp, range(1, n + 1)).transpose()
-                               for g in trip], [v1, wb2, v3], "G39")
-        gv = restriction_matrix(trip[0] * trip[2], sp, range(1, n + 1))
-        cp_ok = char_poly(gv) == _unipotent_quadratic(F, 5, -(16 * a**3 + 2))
-        results[f"G39-q{q}"] = [ok, okT, cp_ok]
-    # eq 39: n=9, p>2 (K9odd)
-    for q, aspec, tag in [(11, 4, None), (9, "gen", "9ex")]:
-        pair = _pair(9, q, "general", aspec, tag)
-        F, sp, a = pair.field, pair.space, pair.a
-        trip, u, yu, y2u = _g3_orbit(pair, [(1, 5), (-2 / a, 8), (1, 9)])
-        a2 = a * a
-        ap2 = a + 2
-        w1 = _vcombo(F, [(-(2 * a2), u)])
-        w3 = _vcombo(F, [(1, u), (ap2 * ap2 / (4 * a2), yu), (ap2 / (2 * a), y2u)])
-        ok = _g3_check(pair, trip, [w1, yu, w3], "39")
-        gv = restriction_matrix(trip[0] * trip[2], sp, range(1, 10))
-        cp_ok = char_poly(gv) == _unipotent_quadratic(F, 7, 2 * a**4 - 2 + 4 * a**3)
-        results[f"39-q{q}"] = [ok, cp_ok]
-    # eq G311: n=11, p>2 (Gn11)
-    for q, aspec, tag in [(11, 1, None), (9, "gen", "11ex")]:
-        pair = _pair(11, q, "general", aspec, tag)
-        F, sp, a = pair.field, pair.space, pair.a
-        trip, u, yu, y2u = _g3_orbit(pair, [(1, 7), (-1, 11)])
-        ap2 = a + 2
-        w2 = _vcombo(F, [(-(4 * a * ap2), yu)])
-        w3 = _vcombo(F, [(a, u), (ap2 * ap2 / (4 * a), yu), (-(ap2 / 2), y2u)])
-        ok = _g3_check(pair, trip, [u, w2, w3], "G311")
-        gv = restriction_matrix(trip[0] * trip[2], sp, range(1, 12))
-        lam = 2 * (16 * a**4 + 32 * a**3 + 1)
-        cp_ok = char_poly(gv) == _unipotent_quadratic(F, 9, -lam)
-        results[f"G311-q{q}"] = [ok, cp_ok]
-    # eq SL3-5: n=5
-    for q, aspec, tag in [(7, 1, None), (9, "gen", "table1")]:
-        pair = _pair(5, q, "n5", aspec, tag)
-        sp = pair.space
-        basis = [sp.vector([(-pair.a ** 2, 2)]), sp.vector([(1, 3)]),
-                 sp.vector([(1, 4)])]
-        results[f"SL3-5-q{q}"] = [
-            _g3_check(pair, _tau_conjugates(pair), basis, "SL3-5")]
+    for eq, (n, recipe, instances, ell, block) in _G3_BLOCKS.items():
+        for q, aspec, tag in instances:
+            pair = _pair(n, q, recipe, aspec, tag)
+            F, sp = pair.field, pair.space
+            u_terms, combos, cp, transpose = block(pair.a)
+            trip, orbit = _g3_orbit(pair, u_terms)
+            ok = [_g3_check(pair, trip, orbit, combos, eq)]
+            if transpose:
+                vecs = [_vector(F, ell, lambda i: i - n + ell - 1, terms)
+                        for terms in transpose[0]]
+                ok.append(_g3_check(pair, [s_restrict(g, sp, ell).transpose()
+                                           for g in trip], vecs, transpose[1], eq))
+            if cp:
+                j, m, lam = cp
+                ok.append(char_poly(s_restrict(trip[0] * trip[j], sp, ell))
+                          == _unipotent_quadratic(F, m, lam))
+            results[f"{eq}-q{q}"] = ok
     expected = {k: [True] * len(v) for k, v in results.items()}
     return {"expected": expected, "computed": results}
 
@@ -1461,13 +1403,13 @@ def _block_orders_claim(n, instances):
         eps, displayed = expected_a_matrices(F, n)
         ok = []
         for summand, (mat, order) in zip(decomp.a_summands, displayed):
-            r = restriction_matrix(c, sp, summand)
+            r = restrict(c, sp.basis(summand))
             ok.append(r == mat)
             ok.append(element_order(r).value() == order)
         tau = tau_of(pair)
-        ok.append(all(restriction_matrix(tau, sp, summand).is_identity()
+        ok.append(all(restrict(tau, sp.basis(summand)).is_identity()
                       for summand in decomp.a_summands + decomp.b_summands))
-        ok.append(restriction_matrix(c, sp, decomp.c_plus) == decomp.theta)
+        ok.append(restrict(c, sp.basis(decomp.c_plus)) == decomp.theta)
         results.append(ok)
     return {"expected": [[True] * len(r) for r in results],
             "computed": results}

@@ -5,6 +5,12 @@ signed indices +-i address basis vectors, and builders assign one image per
 basis vector with a collision guard, so an index covered by two case rules
 fails loudly instead of silently overwriting.
 
+Sections: restrict(g, basis, quotient) is the matrix of g on
+span(quotient + basis) / span(quotient), written in basis; with no quotient
+it is the restriction to span(basis).  SympSpace.basis gives the unit
+vectors of signed indices, so restrict(g, space.basis([1, 2])) is the block
+of g on <e_1, e_2>.
+
 Recipes: "general" (n = 4 or n >= 6), "n5", "n6alt", "n8alt".
 """
 
@@ -39,10 +45,9 @@ class SympSpace:
             raise OutOfRange(f"basis index {i} out of range for n={self.n}")
         return i - 1 if i > 0 else self.n - i - 1
 
-    def basis_vector(self, i: int):
-        v = [0] * (2 * self.n)
-        v[self.idx(i)] = 1
-        return tuple(v)
+    def basis(self, indices):
+        """The unit vectors e_i of the signed indices, in order."""
+        return [self.vector([(1, i)]) for i in indices]
 
     def vector(self, terms):
         """Column vector from (coefficient, signed index) terms."""
@@ -132,6 +137,26 @@ def _setup(n: int, q: int, a, field: FieldCtx | None):
 def _hatgl(a_mat: Mat) -> Mat:
     """diag(A, A^{-T}) acting on V + JV."""
     return Mat.block_diag([a_mat, a_mat.inverse().transpose()])
+
+
+def restrict(g: Mat, basis, quotient=()) -> Mat:
+    """Matrix of g on span(quotient + basis) / span(quotient), in basis.
+
+    basis and quotient are sequences of packed vectors.  One elimination of
+    [W | gW], W the columns quotient + basis, writes each g w in W; BadParam
+    if W is dependent, span(W) is not g-invariant, or span(quotient) is not.
+    """
+    vecs = (*quotient, *basis)
+    k, m = len(quotient), len(vecs)
+    w = Mat._make(g.field, tuple(zip(*vecs)) or ((),) * g.rows, m)
+    _, pivots, _, coords = w._echelon(g * w)
+    if len(pivots) < m:
+        raise BadParam("the basis vectors are dependent")
+    if any(map(any, coords[m:])):
+        raise BadParam("the span is not invariant")
+    if any(any(row[:k]) for row in coords[k:m]):
+        raise BadParam("the quotient span is not invariant")
+    return Mat._make(g.field, tuple(tuple(row[k:]) for row in coords[k:m]), m - k)
 
 
 @dataclass(frozen=True)
@@ -432,24 +457,6 @@ class BlockDecomp:
         return self.a_summands + self.b_summands + (self.c_plus, self.c_minus)
 
 
-def restriction_matrix(g: Mat, space: SympSpace, signed_basis) -> Mat:
-    """Matrix of g restricted to the span of the listed basis vectors.
-
-    Raises BadParam if the span is not g-invariant (nonzero residual outside
-    the listed coordinates).
-    """
-    idxs = [space.idx(i) for i in signed_basis]
-    idx_set = set(idxs)
-    cols = []
-    for i in signed_basis:
-        img = g.col_raw(space.idx(i))
-        for j, v in enumerate(img):
-            if v and j not in idx_set:
-                raise BadParam(f"span of {signed_basis} is not invariant")
-        cols.append([img[j] for j in idxs])
-    return Mat._make(g.field, tuple(zip(*cols)))
-
-
 def theta_matrix(field: FieldCtx, a, q: int) -> Mat:
     """The matrix of [x,y] on C^+ in the listed basis: theta_1/2/3 by (p, q)."""
     a = field.elem(a)
@@ -606,8 +613,7 @@ def hat_embed_bottom(field, n: int, small: Mat) -> Mat:
     k = small.rows
     if k > n:
         raise BadParam("block larger than n")
-    top = Mat.block_diag([Mat.identity(field, n - k), small])
-    return Mat.block_diag([top, top.inverse().transpose()])
+    return _hatgl(Mat.block_diag([Mat.identity(field, n - k), small]))
 
 
 def small_r(field, a, i: int, beta) -> Mat:

@@ -69,9 +69,6 @@ class FactoredInt:
             merged[prime] = max(merged.get(prime, 0), exp)
         return FactoredInt(merged)
 
-    def divides(self, other: "FactoredInt") -> bool:
-        return all(other.factors.get(p, 0) >= e for p, e in self.factors.items())
-
     def __eq__(self, other):
         return isinstance(other, FactoredInt) and self.factors == other.factors
 

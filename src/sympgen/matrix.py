@@ -272,10 +272,6 @@ class Mat:
                 break
         return m, pivots, det, aug
 
-    def rank(self) -> int:
-        _, pivots, _, _ = self._echelon()
-        return len(pivots)
-
     def det(self) -> FieldElem:
         if not self.is_square():
             raise NotSquare("determinant needs a square matrix")
@@ -308,6 +304,8 @@ class Mat:
 
     def solve(self, rhs):
         """One solution of self * x = rhs (rhs a vector of packed values), or None."""
+        if len(rhs) != self.rows:
+            raise ShapeMismatch("right-hand side length mismatch")
         aug = Mat._make(self.field, tuple((v,) for v in rhs), 1)
         m, pivots, _, am = self._echelon(aug)
         for i in range(len(pivots), self.rows):

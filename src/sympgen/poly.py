@@ -127,9 +127,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def lead(self) -> int:
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")

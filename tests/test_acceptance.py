@@ -8,7 +8,7 @@ import pytest
 from sympgen import claims
 from sympgen.claims import _pair
 from sympgen.construct import (build, block_decomposition, expected_a_matrices,
-                               g3_displayed, restriction_matrix, tau_of)
+                               g3_displayed, restrict, tau_of)
 from sympgen.errors import BadParam, SympgenError
 from sympgen.gf import campoN_bound, standard_field
 from sympgen.grouporder import closure_bfs, element_order, naive_element_order
@@ -72,19 +72,19 @@ def test_criterion_3_block_decomposition():
             c = pair.commutator()
             _, displayed = expected_a_matrices(pair.field, n)
             for summand, (mat, order) in zip(decomp.a_summands, displayed):
-                r = restriction_matrix(c, pair.space, summand)
+                r = restrict(c, pair.space.basis(summand))
                 got = element_order(r).value()
                 assert got == order
                 if order != 16:
                     assert (r ** 24).is_identity()
             if n == 14 and q in (3, 5):
-                r = restriction_matrix(c, pair.space, decomp.a_summands[0])
+                r = restrict(c, pair.space.basis(decomp.a_summands[0]))
                 assert element_order(r).value() == 16
             for summand in decomp.b_summands:
-                r = restriction_matrix(c, pair.space, summand)
+                r = restrict(c, pair.space.basis(summand))
                 assert (r ** 6).is_identity()
             for summand in (decomp.c_plus, decomp.c_minus):
-                restriction_matrix(c, pair.space, summand)  # invariance
+                restrict(c, pair.space.basis(summand))  # invariance
 
 
 # criterion 4 -- every exceptional-q prime-set equality, within ten minutes

@@ -222,3 +222,13 @@ def test_certify_default_words():
     assert claims.certify_pair(6, 2) == Certificate.Certified
     with pytest.raises(UnknownLemma):
         claims.certify_pair(4, 3)
+
+
+def test_g3_transpose_vectors_are_the_y_transpose_orbit_of_ub():
+    # the G3 row writes (ub, y^T ub, y^2T ub) out as terms in e_5..e_13
+    n, recipe, instances, _, block = claims._G3_BLOCKS["G3"]
+    for q, aspec, tag in instances:
+        pair = claims._pair(n, q, recipe, aspec, tag)
+        ub, yub, y2ub = (pair.space.vector(t) for t in block(pair.a)[3][0])
+        yT = pair.y.transpose()
+        assert yT.apply(ub) == yub and yT.apply(yub) == y2ub

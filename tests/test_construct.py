@@ -21,7 +21,7 @@ from sympgen.construct import (
     g3_displayed,
     hat_embed_bottom,
     phat_base_change,
-    restriction_matrix,
+    restrict,
     small_r,
     tau_exponent,
     tau_of,
@@ -183,31 +183,60 @@ def test_block_decomposition(n, q):
 
     # the listed coordinate subspaces are invariant and partition the space
     for basis in dec.all_subspaces():
-        restriction_matrix(c, sp, basis)
+        restrict(c, sp.basis(basis))
 
     eps, mats = expected_a_matrices(pair.field, n)
     assert eps == dec.epsilon
     for basis, (mexp, order) in zip(dec.a_summands, mats):
-        mres = restriction_matrix(c, sp, basis)
+        mres = restrict(c, sp.basis(basis))
         assert mres == mexp
         assert _order(mres) == order
         if not (n == 14 and pair.field.p > 2):
             assert (mres ** 24).is_identity()
 
     for triple in dec.b_summands:
-        rt = restriction_matrix(c, sp, triple)
+        rt = restrict(c, sp.basis(triple))
         assert (rt ** 6).is_identity()
 
-    assert restriction_matrix(c, sp, dec.c_plus) == dec.theta
-    assert restriction_matrix(c, sp, dec.c_minus) == \
-        dec.theta.inverse().transpose()
+    assert restrict(c, sp.basis(dec.c_plus)) == dec.theta
+    assert restrict(c, sp.basis(dec.c_minus)) == dec.theta.inverse().transpose()
+
+
+def test_restrict_rejects_what_is_not_a_section():
+    F7 = gf.standard_field(7)
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    g = Mat(F7, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])  # e2 -> e1 + e2
+    assert restrict(g, [e1]) == Mat(F7, [[1]])
+    with pytest.raises(BadParam):  # span(e2) is not invariant
+        restrict(g, [e2])
+    with pytest.raises(BadParam):  # dependent basis
+        restrict(Mat(F7, [[2, 0], [0, 3]]), [(1, 0), (1, 0)])
+    with pytest.raises(BadParam):  # span(e2) is not invariant as a quotient
+        restrict(g, [e1], quotient=[e2])
+    with pytest.raises(BadParam):
+        restrict(g, [e3], quotient=[e2])
+
+
+def test_restrict_on_a_quotient_is_the_lower_right_block():
+    F5 = gf.standard_field(5)
+    rng = random.Random(4)
+    # block upper-triangular: <e_1, e_2> is invariant
+    rows = [[rng.randrange(5) if i < 2 or j >= 2 else 0 for j in range(5)]
+            for i in range(5)]
+    g = Mat(F5, rows)
+    unit = [tuple(int(i == j) for i in range(5)) for j in range(5)]
+    low = Mat(F5, [row[2:] for row in rows[2:]])
+    assert restrict(g, unit[2:], quotient=unit[:2]) == low
+    assert restrict(g, unit[:2]) == Mat(F5, [row[:2] for row in rows[:2]])
+    # another basis of the quotient span gives the same action
+    assert restrict(g, unit[2:], quotient=[unit[0], (1, 1, 0, 0, 0)]) == low
 
 
 @pytest.mark.parametrize("q", [3, 5])
 def test_restriction_order_16_n14(q):
     pair = build_general(14, q, 1)
     dec = block_decomposition(pair)
-    mres = restriction_matrix(pair.commutator(), pair.space, dec.a_summands[0])
+    mres = restrict(pair.commutator(), pair.space.basis(dec.a_summands[0]))
     assert dec.epsilon == -1
     assert _order(mres) == 16
 

@@ -43,7 +43,7 @@ def test_prime_set_sp_12_2():
 
 def test_order_sl_divides_order_sp():
     for n, q in [(4, 2), (5, 3), (6, 4), (9, 2)]:
-        assert order_sl(n, q).divides(order_sp(n, q))
+        assert order_sl(n, q).lcm(order_sp(n, q)) == order_sp(n, q)
 
 
 def test_order_sl_small_value():

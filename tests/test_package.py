@@ -56,6 +56,11 @@ def test_no_dead_definitions():
     assert SOURCES and dead == []
 
 
+def test_every_exported_name_resolves():
+    missing = [name for name in sympgen.__all__ if not hasattr(sympgen, name)]
+    assert sympgen.__all__ and missing == []
+
+
 def test_no_numpy_import():
     # the exact kernels run on Python ints; numpy stays optional
     found = [f"{path.name}:{node.lineno}"

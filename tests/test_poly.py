@@ -91,7 +91,7 @@ def test_factor_remultiplies_random(q):
         assert fac.product() == p
         for irr, _ in fac.factors:
             assert is_irreducible(irr)
-            assert irr.is_monic()
+            assert irr.lead() == 1
 
 
 def test_is_irreducible_table_entries():
