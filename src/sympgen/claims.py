@@ -4,7 +4,10 @@ Every claim is a named, parameterized computation with an expected outcome;
 :func:`run_claim` executes one, :func:`run_all` executes a glob-filtered set
 serially and emits a JSON-serializable report.  Claims that differ only in
 their data (an (n, q) with its witness words, a list of instances) are
-registered from tables, one body per family.  The module also houses the
+registered from tables, one body per family.  The two largest families run
+over (q, aspec, tag) instances: ``_VALUES`` compares a value of each pair with
+its expected value, and ``_CHECKS`` requires every boolean of a per-pair check
+to hold.  The module also houses the
 admissible-parameter search (:func:`search_parameter`) and the quadratic-form
 obstruction solver for even characteristic.
 """
@@ -25,7 +28,7 @@ from .matrix import (Mat, char_poly, eigenspace, paper_commutator, same_span,
                      similarity_invariants)
 from .poly import Poly, roots
 from .grouporder import (Certificate, PrimeSet, element_order,
-                         lps_certificate, varpi, varpi_group)
+                         lps_certificate, union_varpi, varpi_group)
 from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
                         phat_base_change, restrict, small_r,
                         tau_of, theta_matrix, expected_a_matrices,
@@ -197,13 +200,6 @@ def _vcombo(field, vectors_coeffs):
         for i in range(size):
             out[i] = field.add(out[i], field.mul(cv, w[i]))
     return tuple(out)
-
-
-def _union_varpi(mats) -> PrimeSet:
-    ps = PrimeSet()
-    for m in mats:
-        ps = ps.union(varpi(m))
-    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +485,11 @@ def named_a_value(lemma_id: str, q: int) -> FieldElem:
     """The a named by the source for (lemma, q), as an element of the
     default standard field for q."""
     spec = NAMED_A[(lemma_id, q)]
-    field = standard_field(q)
-    if isinstance(spec, int):
-        return field.elem(spec)
-    if spec == "primitive":
-        return field.mult_generator()
-    # the tagged field's generator has the tagged modulus as its minimal
-    # polynomial; the named a is that polynomial's least root in F_q
-    tag, _ = spec
-    return next(roots(Poly(field, modulus_for(q, tag))))
+    if isinstance(spec, tuple) and spec[1] == "gen":
+        # the tagged field's generator has the tagged modulus as its minimal
+        # polynomial; the named a is that polynomial's least root in F_q
+        spec = ("minpoly", modulus_for(q, spec[0]))
+    return _resolve_a(standard_field(q), spec)
 
 
 def named_a_reproduced(lemma_id: str, q: int) -> bool:
@@ -717,7 +709,7 @@ def _prime_set_claim(n: int, q: int):
     """The witnesses' prime sets cover varpi(Sp_2n(q)); for q = 2 and n even,
     no quadratic form with polar form J is invariant either."""
     pair, witnesses = _witnesses(n, q)
-    expected, computed = varpi_group("sp", n, q), _union_varpi(witnesses)
+    expected, computed = varpi_group("sp", n, q), union_varpi(witnesses)
     if q == 2 and n % 2 == 0:
         return {"expected": [expected, "Inconsistent"],
                 "computed": [computed, quadratic_form_obstruction(pair).kind]}
@@ -736,8 +728,8 @@ def _prop_q2_sl9():
     g = eval_word(mul(TAU, cj(TAU, mul(Y, Y, X)), cj(TAU, Y)), env)
     ty = eval_word(cj(TAU, Y), env)
     tyyx = eval_word(cj(TAU, mul(Y, Y, X)), env)
-    got = _union_varpi(s_restrict((g ** k) * ty * tyyx, pair.space, 9)
-                       for k in [2, 4, 8, 11, 12])
+    got = union_varpi(s_restrict((g ** k) * ty * tyyx, pair.space, 9)
+                      for k in [2, 4, 8, 11, 12])
     return {"expected": varpi_group("sl", 9, 2), "computed": got}
 
 
@@ -750,7 +742,7 @@ def _g7_q8():
                       for g in (tau, _cj(tau, y), _cj(tau, y * x),
                                 _cj(tau, y * y * x)))
     base = g4 * g1 * g3
-    got = _union_varpi((base ** k) * g2 for k in [6, 19, 26, 37])
+    got = union_varpi((base ** k) * g2 for k in [6, 19, 26, 37])
     return {"expected": varpi_group("sl", 7, 8), "computed": got}
 
 
@@ -764,8 +756,8 @@ def _remark_q7():
             * _cj(tau, y * x * y * y) * _cj(tau, y * x))
     tail = (_cj(tau, y * y) * _cj(tau, yx2) * _cj(tau, yx2 * y)
             * _cj(tau, yx2 * y * y))
-    got = _union_varpi(s_restrict((base ** k) * tail, pair.space, 9)
-                       for k in [1, 7, 11, 15, 22])
+    got = union_varpi(s_restrict((base ** k) * tail, pair.space, 9)
+                      for k in [1, 7, 11, 15, 22])
     return {"expected": varpi_group("sl", 9, 7), "computed": got}
 
 
@@ -781,7 +773,7 @@ def _wsl6_claim(q, aspec, I):
     y2 = y * y
     g = r1 * r2 * r4 * _cj(r2, y2) * _cj(r4, y2)
     tail = _cj(r4, y) * _cj(r3, y) * r2
-    got = _union_varpi(s_restrict((g ** k) * tail, pair.space, 6) for k in I)
+    got = union_varpi(s_restrict((g ** k) * tail, pair.space, 6) for k in I)
     return {"expected": [varpi_group("sl", 6, q), True],
             "computed": [got, displayed_ok]}
 
@@ -813,57 +805,47 @@ def _phat_centralizes():
 # claims: characteristic polynomials, traces, eigenvectors
 # ---------------------------------------------------------------------------
 
-# (q, aspec, tag) instances shared by the n = 4, 5 and 6 claims
+# (q, aspec, tag) instances shared by the n = 4, 5, 6 and 9 claims
 _N4 = ((3, 1, None), (5, 2, None), (9, "gen", "M=H"))
 _N5 = ((7, 1, None), (23, 2, None), (9, "gen", "table1"))
 _N6 = ((5, 1, None), (9, "gen", "main6"), (8, "gen", "table1"))
+_N9_EVEN = ((4, "gen", "main9"), (8, "gen", "main9"), (16, "gen", "table2"))
 
 
-@claim("charpoly-n4", "charpoly-n4")
-def _charpoly_n4():
-    exp, got = [], []
-    for q, aspec, tag in _N4:
-        pair = _pair(4, q, "general", aspec, tag)
-        F = pair.field
-        exp.append(Poly(F, (1, 2, 1, 2, 4, 2, 1, 2, 1)))
-        got.append(char_poly(pair.commutator()))
-    return {"expected": exp, "computed": got}
+def _pairs(n, recipe, instances):
+    """The generator pairs of (q, aspec, tag) instances."""
+    return [_pair(n, q, recipe, aspec, tag) for q, aspec, tag in instances]
 
 
-@claim("main4-chi-xy", "chi-xy-n4")
-def _main4_chi_xy():
-    exp, got = [], []
-    for q, aspec, tag in _N4:
-        pair = _pair(4, q, "general", aspec, tag)
-        F, a = pair.field, pair.a
-        exp.append(Poly(F, [1, -a, 0, a, -(a * a + 1), a, 0, -a, 1]))
-        got.append(char_poly(pair.x * pair.y))
-    return {"expected": exp, "computed": got}
+def _values_claim(n, recipe, instances, of, expected):
+    """of(pair) equals expected(F, a) on every instance."""
+    pairs = _pairs(n, recipe, instances)
+    return {"expected": [expected(p.field, p.a) for p in pairs],
+            "computed": [of(p) for p in pairs]}
 
 
-@claim("main4-w-eigenvectors", "w-n4")
-def _main4_w():
-    results = []
-    for q, aspec, tag in _N4:
-        pair = _pair(4, q, "general", aspec, tag)
-        F, sp = pair.field, pair.space
-        c = pair.commutator()
-        ai = 1 / pair.a
-        w1 = sp.vector([(1, 1), (-ai, 3), (-ai, -3)])
-        w2 = pair.x.apply(w1)
-        wb1 = sp.vector([(1, 3), (pair.a, -1), (-1, -3)])
-        wb2 = pair.x.transpose().apply(wb1)
-        results.append([
-            same_span(eigenspace(c, -1), [w1, w2], F),
-            same_span(eigenspace(c.transpose(), -1), [wb1, wb2], F)])
-    return {"expected": [[True, True]] * len(results), "computed": results}
+def _checks_claim(n, recipe, instances, check):
+    """Every boolean of check(pair) holds on every instance."""
+    results = [check(p) for p in _pairs(n, recipe, instances)]
+    return {"expected": [[True] * len(r) for r in results], "computed": results}
+
+
+def _w_eigenvectors(pair):
+    """The -1-eigenspaces of C and C^T are <w1, x w1> and <wb1, x^T wb1>."""
+    F, sp, x, a = pair.field, pair.space, pair.x, pair.a
+    c = pair.commutator()
+    ai = 1 / a
+    w1 = sp.vector([(1, 1), (-ai, 3), (-ai, -3)])
+    wb1 = sp.vector([(1, 3), (a, -1), (-1, -3)])
+    return [same_span(eigenspace(c, -1), [w1, x.apply(w1)], F),
+            same_span(eigenspace(c.transpose(), -1),
+                      [wb1, x.transpose().apply(wb1)], F)]
 
 
 @claim("main4-cube-dim6", "cube-n4")
 def _main4_cube():
     results = []
-    for q, aspec, tag in _N4:
-        pair = _pair(4, q, "general", aspec, tag)
+    for pair in _pairs(4, "general", _N4):
         F, p = pair.field, pair.field.p
         c = pair.commutator()
         es = eigenspace(c ** 3, -1)
@@ -898,30 +880,10 @@ for _cid, (_anchor, *_row) in _C_ORDER.items():
     claim(_cid, _anchor)(partial(_c_order_claim, *_row))
 
 
-@claim("main5-chi-eta", "chi-eta-n5")
-def _main5_chi_eta():
-    exp, got = [], []
-    for q, aspec, tag in _N5:
-        pair = _pair(5, q, "n5", aspec, tag)
-        F = pair.field
-        a2 = pair.a ** 2
-        expect = (Poly(F, (1, 1, 1)) ** 2 * Poly(F, [-1, -a2, 0, 1])
-                  * Poly(F, [-1, 0, a2, 1]))
-        exp.append(expect)
-        got.append(char_poly(pair.y * tau_of(pair)))
-    return {"expected": exp, "computed": got}
-
-
-@claim("main5-tau-dim8", "tau-n5")
-def _main5_tau():
-    results = []
-    for q, aspec, tag in _N5:
-        pair = _pair(5, q, "n5", aspec, tag)
-        F = pair.field
-        tau = tau_of(pair)
-        results.append([char_poly(tau) == Poly(F, [-1, 1]) ** 10,
-                        len(eigenspace(tau, 1)) == 8])
-    return {"expected": [[True, True]] * len(results), "computed": results}
+def _scalar_unipotent(g, lam, dim):
+    """[chi_g = (t - lam)^rows, the lam-eigenspace of g has dimension dim]."""
+    return [char_poly(g) == Poly(g.field, (-lam, 1)) ** g.rows,
+            len(eigenspace(g, lam)) == dim]
 
 
 def _n5_traces(pair):
@@ -931,49 +893,23 @@ def _n5_traces(pair):
             (xy ** 8).trace() == Poly(F, (-5, 0, -8)).eval(pair.a)]
 
 
-@claim("main5-trace", "subfield5")
-def _main5_trace():
-    results = [_n5_traces(_pair(5, q, "n5", aspec, tag))
-               for q, aspec, tag in _N5]
-    return {"expected": [[True, True]] * len(results), "computed": results}
+def _y_invariant(pair):
+    """t^2 + t + 1 is a similarity invariant of y."""
+    return Poly(pair.field, (1, 1, 1)) in similarity_invariants(pair.y)
 
 
-@claim("main6-chi-comm", "chi-comm-n6")
-def _main6_chi_comm():
-    exp, got = [], []
-    for q, aspec, tag in _N6:
-        pair = _pair(6, q, "n6alt", aspec, tag)
-        F = pair.field
-        exp.append(Poly(F, (1, 1)) ** 4 * Poly(F, (1, -1, 1, -1, 1)) ** 2)
-        got.append(char_poly(pair.commutator()))
-    return {"expected": exp, "computed": got}
+def _trace_xy(pair, even_shift=0):
+    """tr(xy) = a, or a + even_shift in characteristic 2."""
+    shift = even_shift if pair.field.p == 2 else 0
+    return (pair.x * pair.y).trace() == pair.a + shift
 
 
-@claim("trace6", "trace6")
-def _trace6():
-    results = []
-    for q, aspec, tag in _N6:
-        pair = _pair(6, q, "n6alt", aspec, tag)
-        F, a = pair.field, pair.a
-        c = pair.commutator()
-        results.append([
-            pair.y.trace() == F.elem(-3),
-            (pair.x * pair.y).trace() == a,
-            c.trace() == F.elem(-2),
-            (c * pair.x * pair.y).trace() == -a])
-    return {"expected": [[True] * 4] * len(results), "computed": results}
-
-
-@claim("main6-tau-dim10", "tau-n6")
-def _main6_tau():
-    results = []
-    for q, aspec, tag in _N6:
-        pair = _pair(6, q, "n6alt", aspec, tag)
-        F = pair.field
-        tau = pair.commutator() ** 5
-        results.append([char_poly(tau) == Poly(F, (1, 1)) ** 12,
-                        len(eigenspace(tau, -1)) == 10])
-    return {"expected": [[True, True]] * len(results), "computed": results}
+def _n6_traces(pair):
+    """[tr y = -3, tr xy = a, tr C = -2, tr Cxy = -a] at n = 6."""
+    F, a, xy = pair.field, pair.a, pair.x * pair.y
+    c = pair.commutator()
+    return [pair.y.trace() == F.elem(-3), xy.trace() == a,
+            c.trace() == F.elem(-2), (c * xy).trace() == -a]
 
 
 def _vanishing_equiv(n, q, eta_word, quotient, cond_odd, cond_even):
@@ -1014,8 +950,7 @@ def _chi_eta_claim(n, eta, qs, quotient, cond_odd, cond_even, eig_instances, k):
     results = [_vanishing_equiv(n, q, eta, quotient, cond_odd, cond_even)
                for q in qs]
     eig = []
-    for q, aspec, tag in eig_instances:
-        pair = _pair(n, q, "general", aspec, tag)
+    for pair in _pairs(n, "general", eig_instances):
         F, sp = pair.field, pair.space
         h = eval_word(eta, {"x": pair.x, "y": pair.y})
         for w in roots(Poly(F, (1, 1, 1))):
@@ -1044,43 +979,18 @@ def _main11_chi_eta():
         [(7, 2, None), (4, "gen", "main11")], -1)
 
 
-def _tau_charpoly_claim(n, instances, lam):
-    """chi_tau is (t-1)^(2n) for q odd and (t-1)^(2n-4) (t^2 + lam t + 1)^2,
-    lam = lam(a), for q even."""
-    exp, got = [], []
-    for q, aspec, tag in instances:
-        pair = _pair(n, q, "general", aspec, tag)
-        F = pair.field
-        if F.p == 2:
-            exp.append(_unipotent_quadratic(F, 2 * n - 4, lam(pair.a), 2))
-        else:
-            exp.append(Poly(F, (-1, 1)) ** (2 * n))
-        got.append(char_poly(tau_of(pair)))
-    return {"expected": exp, "computed": got}
-
-
-@claim("main7-tau-charpoly", "tau-n7")
-def _main7_tau():
-    return _tau_charpoly_claim(
-        7, [(4, "gen", "main7"), (8, "gen", "main7"), (16, "gen", "main7"),
-            (7, 1, None), (5, 1, None), (9, "gen", "7ex")],
-        lambda a: a**8)
-
-
 @claim("main8-chi-eta", "chi-eta-n8")
 def _main8_chi_eta():
     exp, got, eig = [], [], []
-    for q, aspec, tag in [(5, 1, None), (7, 2, None), (9, "gen", "main8"),
-                          (4, "primitive", None)]:
-        pair = _pair(8, q, "n8alt", aspec, tag)
+    for pair in _pairs(8, "n8alt", [(5, 1, None), (7, 2, None),
+                                    (9, "gen", "main8"), (4, "primitive", None)]):
         F = pair.field
         c = pair.commutator()
         eta = pair.y * pair.y * (c ** 3) * pair.y * pair.y
         a2p1_2 = 2 * (pair.a ** 2 + 1)
         sext = Poly(F, [1, 1, a2p1_2, 1, a2p1_2, 1, 1])
-        expect = (Poly(F, (-1, 1)) ** 2 * Poly(F, (1, 1)) ** 2
-                  * Poly(F, (1, -1, 1)) ** 2 * Poly(F, (1, 1, 1)) * sext)
-        exp.append(expect)
+        exp.append(Poly(F, (-1, 1)) ** 2 * Poly(F, (1, 1)) ** 2
+                   * Poly(F, (1, -1, 1)) ** 2 * Poly(F, (1, 1, 1)) * sext)
         got.append(char_poly(eta))
         sp = pair.space
         eig += _eig_pair(eta, -1, sp.vector([(1, 2), (1, 5), (-1, 7)]),
@@ -1120,9 +1030,8 @@ def _main8_phat():
         gens = [_cj(_cj(tau, u), Phat)
                 for u in (y * x * y * y, y * x * y * y * x, (y * x) ** 3,
                           (y * x) ** 2 * y)]
-        blocks = [s_restrict(g, pair.space, 5) for g in gens]
-        match = [blocks[i] == taus[i] for i in range(4)]
-        results.append([det_ok] + match)
+        results.append([det_ok] + [s_restrict(g, pair.space, 5) == t
+                                   for g, t in zip(gens, taus)])
     return {"expected": [[True] * 5] * 2, "computed": results,
             "detail": "computed determinant would be reported here on mismatch"}
 
@@ -1139,8 +1048,7 @@ def _main8_tau_relations():
             (t1 * t4).trace() == a4 + 1,
             paper_commutator(t1, t4).trace() == (a + 1) ** 8])
     odd = []
-    for q, aspec, tag in [(7, 2, None), (25, "gen", "main8")]:
-        pair = _pair(8, q, "n8alt", aspec, tag)
+    for pair in _pairs(8, "n8alt", [(7, 2, None), (25, "gen", "main8")]):
         F = pair.field
         tau = tau_of(pair)
         x, y = pair.x, pair.y
@@ -1168,76 +1076,54 @@ def _main8_tau_relations():
             "computed": [even, odd]}
 
 
-@claim("main9-tau-charpoly", "tau-n9")
-def _main9_tau():
-    return _tau_charpoly_claim(
-        9, [(4, "gen", "main9"), (8, "gen", "main9"), (16, "gen", "table2"),
-            (7, 1, None), (5, 1, None), (11, 4, None)],
-        lambda a: a**12 + a**4)
-
-
-@claim("main9-ytau-even", "ytau-n9")
-def _main9_ytau_even():
-    results = []
-    for q, aspec, tag in [(4, "gen", "main9"), (8, "gen", "main9")]:
-        pair = _pair(9, q, "general", aspec, tag)
-        F, sp = pair.field, pair.space
-        tau = tau_of(pair)
-        y9, t9 = (restrict(g, sp.basis(range(1, 10))) for g in (pair.y, tau))
-        m = y9 * t9
-        chi = char_poly(m)
-        div = Poly(F, (1, 1)) * Poly(F, (1, 1, 1))
-        s1 = _vec(F, [1, 1, 1] + [1 / pair.a] * 6)
-        sb1 = _vec(F, [1, 1, 1] + [0] * 6)
-        trace_val = Poly(F, (1, 1, 0, 1)).eval(pair.a) ** 4
-        inv = similarity_invariants(t9)
-        inv_ok = (len(inv) == 7
-                  and all(p == Poly(F, (1, 1)) for p in inv[:6])
-                  and inv[6] == Poly(F, [1, trace_val, trace_val, 1]))
-        # irreducibility witness: eigenvectors of eta = y^2 [x,y]^3 y^2 x
-        c = pair.commutator()
-        eta = pair.y * pair.y * (c ** 3) * pair.y * pair.y * pair.x
-        results.append([
-            (chi % div).is_zero(),
-            *_eig_pair(m, 1, s1, sb1),
-            t9.trace() == trace_val,
-            inv_ok,
+def _ytau_even(pair):
+    """y tau on <e_1..e_9> at n = 9, q even: (t+1)(t^2+t+1) divides its
+    charpoly, with eigenvectors s1, sb1; tau's trace and similarity
+    invariants there; and eigenvectors of eta = y^2 [x,y]^3 y^2 x."""
+    F, sp = pair.field, pair.space
+    y9, t9 = (restrict(g, sp.basis(range(1, 10))) for g in (pair.y, tau_of(pair)))
+    m = y9 * t9
+    div = Poly(F, (1, 1)) * Poly(F, (1, 1, 1))
+    s1 = _vec(F, [1, 1, 1] + [1 / pair.a] * 6)
+    sb1 = _vec(F, [1, 1, 1] + [0] * 6)
+    trace_val = Poly(F, (1, 1, 0, 1)).eval(pair.a) ** 4
+    inv = similarity_invariants(t9)
+    inv_ok = (len(inv) == 7
+              and all(p == Poly(F, (1, 1)) for p in inv[:6])
+              and inv[6] == Poly(F, [1, trace_val, trace_val, 1]))
+    c = pair.commutator()
+    eta = pair.y * pair.y * (c ** 3) * pair.y * pair.y * pair.x
+    return [(char_poly(m) % div).is_zero(), *_eig_pair(m, 1, s1, sb1),
+            t9.trace() == trace_val, inv_ok,
             *_eig_pair(eta, 1, sp.vector([(1, 3), (1, -2), (1, -5)]),
-                       sp.vector([(1, 2), (1, 5), (1, -3)]))])
-    return {"expected": [[True] * 7] * 2, "computed": results}
+                       sp.vector([(1, 2), (1, 5), (1, -3)]))]
 
 
-@claim("des-tau-n9", "des-tau")
-def _des_tau_n9():
-    results = []
-    for q, aspec in [(5, -1), (7, 1), (3, -1)]:
-        pair = _pair(13, q, "general", aspec)
-        sp, n, a = pair.space, 13, pair.a
-        tau = tau_of(pair)
-        yx = pair.y * pair.x
-        four_a = 4 * a
-        m4a, m4a2 = -four_a, -four_a * a
-        b1 = sp.vector([(a, n - 4), (-2, n - 1), (a, n)])
-        b2 = sp.vector([(a, n - 6), (-2, n - 3), (-a, n - 1), (a**2, n)])
-        b3 = sp.vector([(a, n - 7), (2, n - 4), (-a, n - 3),
-                        (-a**2, n - 1), (a**3, n)])
-        results.append([
-            _transvection_images(tau, sp, b1,
-                                 {n - 7: four_a, n - 3: m4a, n - 2: m4a}),
-            _transvection_images(_cj(tau, yx), sp, b2,
-                                 {n - 9: four_a, n - 4: four_a, n - 1: m4a2,
-                                  n: m4a}),
-            _transvection_images(_cj(tau, yx ** 2), sp, b3,
-                                 {n - 10: four_a, n - 6: four_a,
-                                  n - 1: four_a, n - 3: m4a2})])
-    return {"expected": [[True] * 3] * 3, "computed": results}
+def _des_tau(pair):
+    """tau, tau^{yx} and tau^{(yx)^2} at n = 13 are the displayed
+    transvection-type maps e_j -> e_j + c_j b."""
+    sp, n, a = pair.space, pair.n, pair.a
+    tau = tau_of(pair)
+    yx = pair.y * pair.x
+    four_a = 4 * a
+    m4a, m4a2 = -four_a, -four_a * a
+    b1 = sp.vector([(a, n - 4), (-2, n - 1), (a, n)])
+    b2 = sp.vector([(a, n - 6), (-2, n - 3), (-a, n - 1), (a**2, n)])
+    b3 = sp.vector([(a, n - 7), (2, n - 4), (-a, n - 3), (-a**2, n - 1), (a**3, n)])
+    return [
+        _transvection_images(tau, sp, b1, {n - 7: four_a, n - 3: m4a, n - 2: m4a}),
+        _transvection_images(_cj(tau, yx), sp, b2,
+                             {n - 9: four_a, n - 4: four_a, n - 1: m4a2, n: m4a}),
+        _transvection_images(_cj(tau, yx ** 2), sp, b3,
+                             {n - 10: four_a, n - 6: four_a, n - 1: four_a,
+                              n - 3: m4a2})]
 
 
 @claim("main11-tau-bireflection", "tau-n11")
 def _main11_tau():
     odd = []
-    for q, aspec, tag in [(5, 1, None), (7, 2, None), (9, "gen", "11ex")]:
-        pair = _pair(11, q, "general", aspec, tag)
+    for pair in _pairs(11, "general", [(5, 1, None), (7, 2, None),
+                                       (9, "gen", "11ex")]):
         sp, n, a = pair.space, 11, pair.a
         tau = tau_of(pair)
         four_a2 = 4 * a**2
@@ -1248,8 +1134,7 @@ def _main11_tau():
             _transvection_images(tau, sp, sp.vector([(1, 7), (-1, 11)]), coefs),
             len(eigenspace(tau, 1)) == 2 * n - 2])
     even = []
-    for q, aspec, tag in [(4, "gen", "main11"), (8, "gen", "table1")]:
-        pair = _pair(11, q, "general", aspec, tag)
+    for pair in _pairs(11, "general", [(4, "gen", "main11"), (8, "gen", "table1")]):
         tau = tau_of(pair)
         tv, xv = (restrict(g, pair.space.basis(range(1, 12))) for g in (tau, pair.x))
         a8 = pair.a ** 8
@@ -1259,6 +1144,21 @@ def _main11_tau():
             paper_commutator(xv, tv).trace() == (pair.a + 1) ** 16])
     return {"expected": [[[True, True]] * 3, [[True] * 3] * 2],
             "computed": [odd, even]}
+
+
+def _n8_trace(pair):
+    """tr((xy)^9) = a^2 for q even, tr((xy)^8) = 8a^2 - 1 for q odd."""
+    F, xy = pair.field, pair.x * pair.y
+    if F.p == 2:
+        return (xy ** 9).trace() == pair.a ** 2
+    return (xy ** 8).trace() == Poly(F, (-1, 0, 8)).eval(pair.a)
+
+
+def _tau_tau_y_trace(pair):
+    """[tr(tau tau^y) = -4a^4 - 8a^3 + 18], with tau computed once."""
+    tau = tau_of(pair)
+    return [(tau * _cj(tau, pair.y)).trace()
+            == Poly(pair.field, (18, 0, 0, -8, -4)).eval(pair.a)]
 
 
 # ---------------------------------------------------------------------------
@@ -1332,8 +1232,7 @@ _G3_BLOCKS = {
 def _g3_action():
     results = {}
     for eq, (n, recipe, instances, ell, block) in _G3_BLOCKS.items():
-        for q, aspec, tag in instances:
-            pair = _pair(n, q, recipe, aspec, tag)
+        for pair in _pairs(n, recipe, instances):
             F, sp = pair.field, pair.space
             u_terms, combos, cp, transpose = block(pair.a)
             trip, orbit = _g3_orbit(pair, u_terms)
@@ -1347,7 +1246,7 @@ def _g3_action():
                 j, m, lam = cp
                 ok.append(char_poly(s_restrict(trip[0] * trip[j], sp, ell))
                           == _unipotent_quadratic(F, m, lam))
-            results[f"{eq}-q{q}"] = ok
+            results[f"{eq}-q{pair.q}"] = ok
     expected = {k: [True] * len(v) for k, v in results.items()}
     return {"expected": expected, "computed": results}
 
@@ -1393,39 +1292,110 @@ def _theta_charpoly():
     return {"expected": exp, "computed": got}
 
 
-def _block_orders_claim(n, instances):
-    results = []
-    for q, aspec, tag in instances:
-        pair = _pair(n, q, "general", aspec, tag)
-        F, sp = pair.field, pair.space
-        c = pair.commutator()
-        decomp = block_decomposition(pair)
-        eps, displayed = expected_a_matrices(F, n)
-        ok = []
-        for summand, (mat, order) in zip(decomp.a_summands, displayed):
-            r = restrict(c, sp.basis(summand))
-            ok.append(r == mat)
-            ok.append(element_order(r).value() == order)
-        tau = tau_of(pair)
-        ok.append(all(restrict(tau, sp.basis(summand)).is_identity()
-                      for summand in decomp.a_summands + decomp.b_summands))
-        ok.append(restrict(c, sp.basis(decomp.c_plus)) == decomp.theta)
-        results.append(ok)
-    return {"expected": [[True] * len(r) for r in results],
-            "computed": results}
+def _block_orders(pair):
+    """[x,y] on each A_r summand is the displayed matrix of the displayed
+    order; tau is the identity on the A and B summands; [x,y] on C^+ is
+    theta."""
+    sp, c, tau = pair.space, pair.commutator(), tau_of(pair)
+    decomp = block_decomposition(pair)
+    _, displayed = expected_a_matrices(pair.field, pair.n)
+    ok = []
+    for summand, (mat, order) in zip(decomp.a_summands, displayed):
+        r = restrict(c, sp.basis(summand))
+        ok += [r == mat, element_order(r).value() == order]
+    ok.append(all(restrict(tau, sp.basis(summand)).is_identity()
+                  for summand in decomp.a_summands + decomp.b_summands))
+    ok.append(restrict(c, sp.basis(decomp.c_plus)) == decomp.theta)
+    return ok
 
 
-# claim id -> (n, (q, aspec, tag) instances)
-_BLOCK_ORDERS = {
-    "block-orders-n10": (10, ((3, 1, None), (4, "gen", None))),
-    "block-orders-n12": (12, ((2, 1, None), (3, 1, None))),
-    "block-orders-n13": (13, ((3, 1, None), (7, 1, None))),
-    "block-orders-n14": (14, ((3, 1, None), (5, 1, None))),
-    "block-orders-n15": (15, ((2, 1, None), (3, 1, None))),
+# ---------------------------------------------------------------------------
+# claims as tables: values and checks over (q, aspec, tag) instances
+# ---------------------------------------------------------------------------
+
+# claim id -> (anchor, n, recipe, instances, of(pair), expected(F, a))
+_VALUES = {
+    "charpoly-n4": ("charpoly-n4", 4, "general", _N4,
+                    lambda p: char_poly(p.commutator()),
+                    lambda F, a: Poly(F, (1, 2, 1, 2, 4, 2, 1, 2, 1))),
+    "main4-chi-xy": ("chi-xy-n4", 4, "general", _N4,
+                     lambda p: char_poly(p.x * p.y),
+                     lambda F, a: Poly(F, [1, -a, 0, a, -a**2 - 1, a, 0, -a, 1])),
+    "main5-chi-eta": ("chi-eta-n5", 5, "n5", _N5,
+                      lambda p: char_poly(p.y * tau_of(p)),
+                      lambda F, a: (Poly(F, (1, 1, 1)) ** 2 * Poly(F, [-1, -a**2, 0, 1])
+                                    * Poly(F, [-1, 0, a**2, 1]))),
+    "main6-chi-comm": ("chi-comm-n6", 6, "n6alt", _N6,
+                       lambda p: char_poly(p.commutator()),
+                       lambda F, a: (Poly(F, (1, 1)) ** 4
+                                     * Poly(F, (1, -1, 1, -1, 1)) ** 2)),
+    # chi_tau = (t-1)^(2n) for q odd, (t-1)^(2n-4) (t^2 + lam(a) t + 1)^2 for q even
+    "main7-tau-charpoly": (
+        "tau-n7", 7, "general",
+        ((4, "gen", "main7"), (8, "gen", "main7"), (16, "gen", "main7"),
+         (7, 1, None), (5, 1, None), (9, "gen", "7ex")),
+        lambda p: char_poly(tau_of(p)),
+        lambda F, a: (_unipotent_quadratic(F, 10, a**8, 2) if F.p == 2
+                      else Poly(F, (-1, 1)) ** 14)),
+    "main9-tau-charpoly": (
+        "tau-n9", 9, "general",
+        _N9_EVEN + ((7, 1, None), (5, 1, None), (11, 4, None)),
+        lambda p: char_poly(tau_of(p)),
+        lambda F, a: (_unipotent_quadratic(F, 14, a**12 + a**4, 2) if F.p == 2
+                      else Poly(F, (-1, 1)) ** 18)),
 }
 
-for _cid, _row in _BLOCK_ORDERS.items():
-    claim(_cid, "blocks")(partial(_block_orders_claim, *_row))
+# claim id -> (anchor, n, recipe, instances, check(pair) -> [bool, ...])
+_CHECKS = {
+    "main4-w-eigenvectors": ("w-n4", 4, "general", _N4, _w_eigenvectors),
+    "subfield": ("subfield", 4, "general", _N4,
+                 lambda p: [_trace_xy(p), _y_invariant(p)]),
+    "main5-tau-dim8": ("tau-n5", 5, "n5", _N5,
+                       lambda p: _scalar_unipotent(tau_of(p), 1, 8)),
+    "main5-trace": ("subfield5", 5, "n5", _N5, _n5_traces),
+    "subfield5": ("subfield5", 5, "n5", _N5,
+                  lambda p: _n5_traces(p) + [_y_invariant(p)]),
+    "trace6": ("trace6", 6, "n6alt", _N6, _n6_traces),
+    "main6-tau-dim10": ("tau-n6", 6, "n6alt", _N6,
+                        lambda p: _scalar_unipotent(p.commutator() ** 5, -1, 10)),
+    "subfield6": ("subfield6", 6, "n6alt", _N6,
+                  lambda p: [_trace_xy(p), _y_invariant(p)]),
+    "subfield7": ("subfield7", 7, "general",
+                  ((7, 1, None), (9, "gen", "7ex"), (8, "gen", "main7")),
+                  lambda p: [_trace_xy(p, 1), _y_invariant(p)]),
+    "subfield8": ("subfield8", 8, "n8alt",
+                  ((7, 2, None), (25, "gen", "main8"), (4, "primitive", None),
+                   (8, "primitive", None)),
+                  lambda p: [_n8_trace(p), _y_invariant(p)]),
+    "main9-ytau-even": ("ytau-n9", 9, "general", _N9_EVEN[:2], _ytau_even),
+    "subfield9-2": ("subfield9-2", 9, "general", _N9_EVEN,
+                    lambda p: [((p.x * p.y) ** 3).trace()
+                               == Poly(p.field, (1, 1, 0, 1)).eval(p.a)]),
+    "subfield9-odd": ("subfield9-odd", 9, "general",
+                      ((11, 4, None), (13, 4, None), (9, "gen", "9ex")),
+                      _tau_tau_y_trace),
+    "subfield11": ("subfield11", 11, "general",
+                   ((5, 1, None), (9, "gen", "11ex"), (8, "gen", "table1")),
+                   lambda p: [_trace_xy(p, 1)]),
+    "des-tau-n9": ("des-tau", 13, "general",
+                   ((5, -1, None), (7, 1, None), (3, -1, None)), _des_tau),
+    "block-orders-n10": ("blocks", 10, "general",
+                         ((3, 1, None), (4, "gen", None)), _block_orders),
+    "block-orders-n12": ("blocks", 12, "general",
+                         ((2, 1, None), (3, 1, None)), _block_orders),
+    "block-orders-n13": ("blocks", 13, "general",
+                         ((3, 1, None), (7, 1, None)), _block_orders),
+    "block-orders-n14": ("blocks", 14, "general",
+                         ((3, 1, None), (5, 1, None)), _block_orders),
+    "block-orders-n15": ("blocks", 15, "general",
+                         ((2, 1, None), (3, 1, None)), _block_orders),
+}
+
+for _cid, (_anchor, *_row) in _VALUES.items():
+    claim(_cid, _anchor)(partial(_values_claim, *_row))
+
+for _cid, (_anchor, *_row) in _CHECKS.items():
+    claim(_cid, _anchor)(partial(_checks_claim, *_row))
 
 
 # ---------------------------------------------------------------------------
@@ -1477,83 +1447,3 @@ _QUADFORM = {
 
 for _cid, _row in _QUADFORM.items():
     claim(_cid, _cid)(partial(_quadform_claim, *_row))
-
-
-# ---------------------------------------------------------------------------
-# claims: subfield / trace identities
-# ---------------------------------------------------------------------------
-
-def _trace_xy_claim(n, recipe, instances, even_shift, invariants):
-    """tr(xy) = a, or a + even_shift in characteristic 2; with invariants,
-    t^2 + t + 1 is also a similarity invariant of y."""
-    results = []
-    for q, aspec, tag in instances:
-        pair = _pair(n, q, recipe, aspec, tag)
-        F = pair.field
-        ok = [(pair.x * pair.y).trace() == pair.a + (even_shift if F.p == 2 else 0)]
-        if invariants:
-            ok.append(Poly(F, (1, 1, 1)) in similarity_invariants(pair.y))
-        results.append(ok)
-    return {"expected": [[True] * len(r) for r in results], "computed": results}
-
-
-# claim id (also its anchor) -> (n, recipe, (q, aspec, tag) instances,
-# even_shift, invariants) of _trace_xy_claim
-_TRACE_XY = {
-    "subfield": (4, "general", _N4, 0, True),
-    "subfield6": (6, "n6alt", _N6, 0, True),
-    "subfield7": (7, "general", ((7, 1, None), (9, "gen", "7ex"),
-                                 (8, "gen", "main7")), 1, True),
-    "subfield11": (11, "general", ((5, 1, None), (9, "gen", "11ex"),
-                                   (8, "gen", "table1")), 1, False),
-}
-
-for _cid, _row in _TRACE_XY.items():
-    claim(_cid, _cid)(partial(_trace_xy_claim, *_row))
-
-
-@claim("subfield5", "subfield5")
-def _subfield5():
-    results = []
-    for q, aspec, tag in _N5:
-        pair = _pair(5, q, "n5", aspec, tag)
-        results.append(_n5_traces(pair) + [
-            Poly(pair.field, (1, 1, 1)) in similarity_invariants(pair.y)])
-    return {"expected": [[True] * 3] * len(results), "computed": results}
-
-
-@claim("subfield8", "subfield8")
-def _subfield8():
-    results = []
-    for q, aspec, tag in [(7, 2, None), (25, "gen", "main8"),
-                          (4, "primitive", None), (8, "primitive", None)]:
-        pair = _pair(8, q, "n8alt", aspec, tag)
-        F = pair.field
-        xy = pair.x * pair.y
-        if F.p == 2:
-            ok = (xy ** 9).trace() == pair.a ** 2
-        else:
-            ok = (xy ** 8).trace() == Poly(F, (-1, 0, 8)).eval(pair.a)
-        results.append([ok, Poly(F, (1, 1, 1)) in similarity_invariants(pair.y)])
-    return {"expected": [[True, True]] * len(results), "computed": results}
-
-
-@claim("subfield9-2", "subfield9-2")
-def _subfield9_2():
-    results = []
-    for q, tag in [(4, "main9"), (8, "main9"), (16, "table2")]:
-        pair = _pair(9, q, "general", "gen", tag)
-        results.append([((pair.x * pair.y) ** 3).trace()
-                        == Poly(pair.field, (1, 1, 0, 1)).eval(pair.a)])
-    return {"expected": [[True]] * len(results), "computed": results}
-
-
-@claim("subfield9-odd", "subfield9-odd")
-def _subfield9_odd():
-    results = []
-    for q, aspec, tag in [(11, 4, None), (13, 4, None), (9, "gen", "9ex")]:
-        pair = _pair(9, q, "general", aspec, tag)
-        tau = tau_of(pair)
-        results.append([(tau * _cj(tau, pair.y)).trace()
-                        == Poly(pair.field, (18, 0, 0, -8, -4)).eval(pair.a)])
-    return {"expected": [[True]] * len(results), "computed": results}

@@ -18,17 +18,20 @@ import json
 import sys
 
 from . import claims as _claims
-from .construct import build, tau_of
-from .errors import SympgenError
+from .construct import RECIPES, build, tau_of
+from .errors import BadParam, SympgenError
 from .gf import bundled_moduli, modulus_for, standard_field
 from .grouporder import Certificate
 
 
 def _parse_a(spec: str):
-    if spec.startswith("minpoly:"):
-        coeffs = tuple(int(c) for c in spec[len("minpoly:"):].split(","))
-        return ("minpoly", coeffs)
-    return int(spec)
+    try:
+        if spec.startswith("minpoly:"):
+            coeffs = tuple(int(c) for c in spec[len("minpoly:"):].split(","))
+            return ("minpoly", coeffs)
+        return int(spec)
+    except ValueError:
+        raise BadParam(f"bad --a {spec!r}: want an int or minpoly:c0,c1,...") from None
 
 
 def _field_for(q: int, aspec, tag=None):
@@ -101,8 +104,7 @@ def make_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, required=True)
     b.add_argument("--q", type=int, required=True)
     b.add_argument("--a", required=True)
-    b.add_argument("--recipe", default="general",
-                   choices=("general", "n5", "n6alt", "n8alt"))
+    b.add_argument("--recipe", default="general", choices=RECIPES)
     b.add_argument("--dump-tau", action="store_true")
     b.set_defaults(fn=cmd_build)
 

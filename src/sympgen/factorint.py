@@ -12,6 +12,8 @@ import functools
 
 import sympy
 
+from .errors import OutOfRange
+
 _FLAT_LIMIT = 1 << 64
 
 
@@ -48,7 +50,7 @@ class FactoredInt:
         for prime, exp in self.factors.items():
             result *= prime**exp
             if result >= _FLAT_LIMIT:
-                raise OverflowError("value does not fit the 64-bit budget")
+                raise OutOfRange("value does not fit the 64-bit budget")
         return result
 
     def value_unchecked(self) -> int:

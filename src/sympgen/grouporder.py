@@ -144,6 +144,14 @@ def varpi(g: Mat) -> PrimeSet:
     return PrimeSet.of(element_order(g))
 
 
+def union_varpi(mats) -> PrimeSet:
+    """Prime divisors of the orders of the matrices, together."""
+    ps = PrimeSet()
+    for m in mats:
+        ps = ps.union(varpi(m))
+    return ps
+
+
 def varpi_group(kind: str, n: int, q: int) -> PrimeSet:
     if kind == "sp":
         return PrimeSet.of(order_sp(n, q))
@@ -176,9 +184,7 @@ def lps_certificate(witnesses, target, obstruction_inconsistent=None) -> Certifi
     else:
         raise BadParam(f"unknown group kind {kind}")
     goal = varpi_group(kind, n, q)
-    got = PrimeSet()
-    for w in witnesses:
-        got = got.union(varpi(w))
+    got = union_varpi(witnesses)
     if not got.issubset(goal):
         raise ShapeMismatch("witness order has primes outside the target group")
     if set(got) != set(goal):

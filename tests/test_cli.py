@@ -45,6 +45,18 @@ def test_build_rejects_bad_parameters(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("build", "--n", "6", "--q", "5", "--a", "foo"),
+    ("build", "--n", "6", "--q", "5", "--a", "minpoly:1,x"),
+    ("certify", "--n", "6", "--q", "2", "--a", "foo"),
+])
+def test_malformed_a_is_a_parameter_error(capsys, argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_verify_filter_and_exit_code(capsys):
     rc, out = run_cli(capsys, "verify", "prop-q2-*")
     assert rc == 0

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sympgen import gf, grouporder
-from sympgen.errors import BadParam, CheckFailed
+from sympgen.errors import BadParam, CheckFailed, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
 from sympgen.grouporder import (
@@ -134,3 +134,9 @@ def test_prime_set_semantics():
     assert list(a.union(b)) == [2, 3, 5]
     assert a.issubset(a.union(b))
     assert a.to_json() == [2, 3]
+
+
+def test_factored_value_past_the_flat_budget_is_a_sympgen_error():
+    assert FactoredInt({2: 63}).value() == 2**63
+    with pytest.raises(SympgenError):
+        FactoredInt({2: 64}).value()

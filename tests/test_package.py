@@ -18,10 +18,11 @@ def test_no_assert_statements():
 
 
 def _named(tree):
-    """Every identifier a module refers to, by name, attribute or import."""
+    """Every identifier a module refers to, by name, attribute or import;
+    binding a name does not refer to it."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -35,24 +36,38 @@ def _is_claim_body(node):
                for d in node.decorator_list)
 
 
+def _definitions(tree):
+    """(line, name) of every function, class and method of a module, and of
+    every name a module-level assignment binds (a table, a constant)."""
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not _is_claim_body(node)):
+            yield node.lineno, node.name
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield node.lineno, name.id
+
+
 def test_no_dead_definitions():
-    # a function, class or method of the package that nothing in the
-    # package, the tests or the demos names is dead code; the registry calls
-    # @claim bodies and Python calls dunders.  This file is skipped: the
-    # names it uses (ast.parse, ...) say nothing about the package
+    # a function, class, method or module-level name of the package that
+    # nothing in the package, the tests or the demos names is dead code; the
+    # registry calls @claim bodies and Python uses dunders.  This file is
+    # skipped: the names it uses (ast.parse, ...) say nothing about the package
     root = Path(sympgen.__file__).parents[2]
     tests = [path for path in (root / "tests").glob("*.py")
              if path.resolve() != Path(__file__).resolve()]
     named = set()
     for path in [*SOURCES, *tests, *(root / "demos").glob("*.py")]:
         named |= _named(ast.parse(path.read_text()))
-    dead = [f"{path.name}:{node.lineno} {node.name}"
+    dead = [f"{path.name}:{line} {name}"
             for path in SOURCES
-            for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in named
-            and not (node.name.startswith("__") and node.name.endswith("__"))
-            and not _is_claim_body(node)]
+            for line, name in _definitions(ast.parse(path.read_text()))
+            if name not in named
+            and not (name.startswith("__") and name.endswith("__"))]
     assert SOURCES and dead == []
 
 
