@@ -10,8 +10,11 @@ whatever its size.  A packed value enters only through an explicit
 constructor: FieldElem(F, v), F.from_coeffs, or the trusted Mat._make and
 Poly._make.  A FieldElem never equals an int.
 
-Extension fields precompute discrete-log (and, in odd characteristic,
-addition) tables, which keeps the dense linear algebra downstream fast.
+Extension fields up to _TABLE_LIMIT elements precompute exp/log tables on a
+multiplicative generator g, and in odd characteristic also Zech logarithms
+zech[i] = log(1 + g^i), so a sum is a lookup too:
+g^a + g^b = g^(a + zech[b - a]) (Huber 1990; Lidl & Niederreiter, Finite
+Fields, 10.1).  Every table holds O(q) entries: about 4q in all.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class FieldCtx:
         self.q = p**f
         self.modulus = modulus
         self.is_prime_field = f == 1
+        self._degree_divisors = tuple(sympy.divisors(f))  # ascending
+        self._unit_primes = None  # primes dividing q - 1, factored on first use
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
         if not self.is_prime_field:
@@ -120,12 +125,11 @@ class FieldCtx:
 
     def _build_tables(self):
         q = self.q
+        self._exp = self._log = self._zech = None
         if q > _TABLE_LIMIT:
-            self._exp = self._log = self._add_table = None
             return
         # discrete-log tables on the lexicographically least generator,
         # searched with table-free arithmetic
-        self._exp = None
         gen = self.mult_generator().val
         exp = [1] * (2 * (q - 1))
         log = [0] * q
@@ -138,18 +142,37 @@ class FieldCtx:
             exp[i] = exp[i - (q - 1)]
         self._exp, self._log = exp, log
         self._mult_gen = gen
-        if self.p == 2:
-            self._add_table = None
-        else:
-            add_table = [0] * (q * q)
-            for a in range(q):
-                ca = self.coeffs(a)
-                for b in range(a, q):
-                    s = self.from_coeffs([(x + y) % self.p
-                                          for x, y in zip(ca, self.coeffs(b))])
-                    add_table[a * q + b] = s
-                    add_table[b * q + a] = s
-            self._add_table = add_table
+        if self.p != 2:
+            self._bind_zech_arithmetic()
+
+    def _bind_zech_arithmetic(self):
+        """Replace add and neg by closures over Zech logarithms.
+
+        zech[i] = log(1 + g^i); adding 1 to a packed value changes only its
+        constant coefficient.  1 + g^((q-1)/2) = 0 has no logarithm (None),
+        and -1 = g^((q-1)/2).  The closures read the tables from local
+        variables, as these two run in every inner loop of the linear algebra.
+        """
+        p, half = self.p, (self.q - 1) // 2
+        exp, log = self._exp, self._log
+        zech = [log[v - v % p + (v % p + 1) % p] for v in exp[:2 * half]]
+        zech[half] = None
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            # g^la + g^lb = g^la * (1 + g^(lb - la)); a negative difference
+            # indexes zech from the end, i.e. mod q - 1
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        def neg(a):
+            return exp[log[a] + half] if a else 0
+
+        self._zech, self.add, self.neg = zech, add, neg
 
     def _raw_pow(self, a, e):
         result, base = 1, a
@@ -163,12 +186,12 @@ class FieldCtx:
     # -- arithmetic on packed values --------------------------------------
 
     def add(self, a, b):
+        """Packed a + b.  Tabled fields of odd characteristic replace add and
+        neg on the instance (_bind_zech_arithmetic)."""
         if self.is_prime_field:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a * self.q + b]
         return self._raw_add(a, b)
 
     def neg(self, a):
@@ -220,7 +243,9 @@ class FieldCtx:
         return FieldElem(self, 1)  # F_2
 
     def _is_generator(self, v):
-        for prime in sympy.primefactors(self.q - 1):
+        if self._unit_primes is None:
+            self._unit_primes = tuple(sympy.primefactors(self.q - 1))
+        for prime in self._unit_primes:
             if self.pow(v, (self.q - 1) // prime) == 1:
                 return False
         return True
@@ -353,7 +378,7 @@ def parse_field_spec(spec: str) -> FieldCtx:
 def subfield_degree(b: FieldElem) -> int:
     """Smallest d | f with b in F_{p^d}."""
     ctx = b.ctx
-    for d in sorted(sympy.divisors(ctx.f)):
+    for d in ctx._degree_divisors:
         if ctx.pow(b.val, ctx.p**d) == b.val:
             return d
     raise AssertionError("unreachable: b is always in F_{p^f}")

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,8 @@ from sympgen.errors import (
 from sympgen.gf import FieldElem
 from sympgen.poly import Poly
 
-FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49]
+FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 3**7]
+ODD_EXTENSIONS = [q for q in FIELDS if q % 2 and not sympy.isprime(q)]
 
 
 def test_make_ext_field_f8():
@@ -107,8 +109,6 @@ def test_subfield_degree_cube_in_f8():
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27])
 def test_subfield_degree_frobenius_characterisation(q):
-    import sympy
-
     ctx = gf.standard_field(q)
     for b in ctx.elements():
         d = gf.subfield_degree(b)
@@ -229,3 +229,43 @@ def test_untabled_field_arithmetic(q):
     assert (a * b) * c == a * (b * c)
     prod = Poly(fp, a.coeffs) * Poly(fp, b.coeffs) % mod
     assert (a * b).val == ctx.from_coeffs(prod.coeffs)
+
+
+def _raw_neg(ctx, a):
+    return ctx.from_coeffs([-c for c in ctx.coeffs(a)])
+
+
+@pytest.mark.parametrize("q", ODD_EXTENSIONS)
+def test_zech_arithmetic_matches_raw(q):
+    ctx = gf.standard_field(q)
+    assert ctx._zech is not None
+    rng = random.Random(f"zech,{q}")
+    units = rng.sample(range(1, q), min(q - 1, 64))
+    pairs = [(0, 0)]
+    pairs += [(a, 0) for a in units] + [(0, b) for b in units]
+    pairs += [(a, _raw_neg(ctx, a)) for a in units]  # the empty Zech slot
+    pairs += [(a, a) for a in units]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(3000)]
+    for a, b in pairs:
+        assert ctx.add(a, b) == ctx._raw_add(a, b)
+        assert ctx.neg(a) == _raw_neg(ctx, a)
+        assert ctx.sub(a, b) == ctx._raw_add(a, _raw_neg(ctx, b))
+
+
+def _table_entries(ctx):
+    return sum(len(v) for v in vars(ctx).values() if isinstance(v, list))
+
+
+def test_field_tables_are_linear_in_q():
+    ctx = gf.standard_field(3**7)
+    assert ctx._exp is not None
+    assert _table_entries(ctx) <= 4 * ctx.q
+
+
+def test_largest_tabled_odd_field_builds():
+    q = 3**10
+    assert q <= gf._TABLE_LIMIT
+    ctx = gf.FieldCtx(3, 10, gf.modulus_for(q))  # uncached: freed after the test
+    assert _table_entries(ctx) <= 4 * q
+    a, b = ctx.q - 1, ctx.from_coeffs((1, 2, 0, 1))
+    assert ctx.add(a, b) == ctx._raw_add(a, b)
