@@ -409,8 +409,9 @@ def _admissible(field: FieldCtx, cond):
 def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     """All admissible a in F_q^* for the lemma's conditions, enumerated as
     consecutive powers of the least multiplicative generator."""
-    if field is None:
-        field = standard_field(q)
+    field = field or standard_field(q)
+    if field.q != q:
+        raise BadParam("field size mismatch")
     cond = _branch_conditions(lemma_id, field.p)
     if cond["char"] == "odd" and field.p == 2:
         return []

@@ -81,7 +81,7 @@ def cmd_search(args) -> int:
 def cmd_certify(args) -> int:
     aspec = _parse_a(args.a) if args.a is not None else None
     cert = _claims.certify_pair(args.n, args.q, aspec)
-    out = {"n": args.n, "q": args.q, "words": args.words,
+    out = {"n": args.n, "q": args.q, "words": "default",
            "certificate": cert.value}
     print(json.dumps(out, sort_keys=True, separators=(",", ":")))
     return 0 if cert == Certificate.Certified else 1
@@ -123,7 +123,6 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--n", type=int, required=True)
     c.add_argument("--q", type=int, required=True)
     c.add_argument("--a", default=None)
-    c.add_argument("--words", default="default", choices=("default",))
     c.set_defaults(fn=cmd_certify)
 
     f = sub.add_parser("fields", help="list bundled field moduli")

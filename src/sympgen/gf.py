@@ -10,9 +10,16 @@ whatever its size.  A packed value enters only through an explicit
 constructor: FieldElem(F, v), F.from_coeffs, or the trusted Mat._make and
 Poly._make.  A FieldElem never equals an int.
 
-Extension fields up to _TABLE_LIMIT elements precompute exp/log tables on a
-multiplicative generator g, and in odd characteristic also Zech logarithms
-zech[i] = log(1 + g^i), so a sum is a lookup too:
+FieldCtx.__init__ decides the kind of field once (_bind_arithmetic) and binds
+add, neg, sub, mul, inv and pow on packed values as closures on the instance;
+no operation tests the kind again.  The kinds:
+  prime           integers mod p;
+  tabled, p = 2   XOR addition, exp/log multiplication;
+  tabled, odd p   Zech addition and negation, exp/log multiplication;
+  untabled        q > _TABLE_LIMIT: coefficient arithmetic (_raw_add,
+                  _raw_mul, _raw_pow), which also builds the tables.
+The tables are exp/log on the least multiplicative generator g and, for odd p,
+Zech logarithms zech[i] = log(1 + g^i), so a sum is a lookup too:
 g^a + g^b = g^(a + zech[b - a]) (Huber 1990; Lidl & Niederreiter, Finite
 Fields, 10.1).  Every table holds O(q) entries: about 4q in all.
 """
@@ -20,6 +27,7 @@ Fields, 10.1).  Every table holds O(q) entries: about 4q in all.
 from __future__ import annotations
 
 import functools
+import operator
 
 import sympy
 
@@ -71,8 +79,7 @@ class FieldCtx:
         self._unit_primes = None  # primes dividing q - 1, factored on first use
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
-        if not self.is_prime_field:
-            self._build_tables()
+        self._bind_arithmetic()
 
     # -- representation ----------------------------------------------------
 
@@ -111,7 +118,7 @@ class FieldCtx:
     def units(self):
         return (FieldElem(self, v) for v in range(1, self.q))
 
-    # -- tables ------------------------------------------------------------
+    # -- arithmetic on packed values --------------------------------------
 
     def _raw_mul(self, a, b):
         from .poly import Poly
@@ -123,40 +130,60 @@ class FieldCtx:
         p = self.p
         return self.from_coeffs([(x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b))])
 
-    def _build_tables(self):
-        q = self.q
+    def _raw_neg(self, a):
+        return self.from_coeffs([-c for c in self.coeffs(a)])
+
+    def _raw_pow(self, a, e):
+        result, base = 1, a
+        while e:
+            if e & 1:
+                result = self._raw_mul(result, base)
+            base = self._raw_mul(base, base)
+            e >>= 1
+        return result
+
+    def _bind_arithmetic(self):
+        """Decide the field kind, once, and bind its six operations.  A tabled
+        field binds the coefficient arithmetic first, finds its generator and
+        builds exp/log with it, then rebinds to closures over the tables."""
+        p, q = self.p, self.q
         self._exp = self._log = self._zech = None
+        if self.is_prime_field:
+            self._bind(lambda a, b: (a + b) % p, lambda a: -a % p,
+                       lambda a, b: a * b % p, lambda a, e: pow(a, e, p),
+                       sub=lambda a, b: (a - b) % p)
+            return
+        if p == 2:
+            add, neg, sub = operator.xor, lambda a: a, operator.xor
+        else:
+            add, neg, sub = self._raw_add, self._raw_neg, None
+        raw_mul = self._raw_mul
+        self._bind(add, neg, lambda a, b: raw_mul(a, b) if a and b else 0,
+                   self._raw_pow, sub=sub)
         if q > _TABLE_LIMIT:
             return
-        # discrete-log tables on the lexicographically least generator,
-        # searched with table-free arithmetic
+        # exp/log on the lexicographically least generator
         gen = self.mult_generator().val
-        exp = [1] * (2 * (q - 1))
-        log = [0] * q
-        cur = 1
+        exp, log, cur = [1] * (2 * (q - 1)), [0] * q, 1
         for i in range(q - 1):
-            exp[i] = cur
+            exp[i] = exp[i + q - 1] = cur
             log[cur] = i
-            cur = self._raw_mul(cur, gen)
-        for i in range(q - 1, 2 * (q - 1)):
-            exp[i] = exp[i - (q - 1)]
+            cur = raw_mul(cur, gen)
         self._exp, self._log = exp, log
-        self._mult_gen = gen
-        if self.p != 2:
-            self._bind_zech_arithmetic()
+        if p != 2:
+            add, neg = self._zech_arithmetic()
+        self._bind(add, neg, lambda a, b: exp[log[a] + log[b]] if a and b else 0,
+                   lambda a, e: exp[log[a] * e % (q - 1)], sub=sub)
 
-    def _bind_zech_arithmetic(self):
-        """Replace add and neg by closures over Zech logarithms.
-
-        zech[i] = log(1 + g^i); adding 1 to a packed value changes only its
-        constant coefficient.  1 + g^((q-1)/2) = 0 has no logarithm (None),
-        and -1 = g^((q-1)/2).  The closures read the tables from local
-        variables, as these two run in every inner loop of the linear algebra.
-        """
+    def _zech_arithmetic(self):
+        """add and neg over zech[i] = log(1 + g^i), read from local variables.
+        Adding 1 to a packed value changes only its constant coefficient;
+        1 + g^((q-1)/2) = 0 has no logarithm (None), and -1 = g^((q-1)/2)."""
         p, half = self.p, (self.q - 1) // 2
         exp, log = self._exp, self._log
         zech = [log[v - v % p + (v % p + 1) % p] for v in exp[:2 * half]]
         zech[half] = None
+        self._zech = zech
 
         def add(a, b):
             if not a:
@@ -172,71 +199,31 @@ class FieldCtx:
         def neg(a):
             return exp[log[a] + half] if a else 0
 
-        self._zech, self.add, self.neg = zech, add, neg
+        return add, neg
 
-    def _raw_pow(self, a, e):
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+    def _bind(self, add, neg, mul, unit_pow, sub=None):
+        """Set the six operations.  unit_pow(a, e) takes a != 0, 0 <= e < q - 1:
+        zero and negative exponents are handled here (0**0 = 1) for every kind."""
+        m = self.q - 1
 
-    # -- arithmetic on packed values --------------------------------------
+        def inv(a):
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return unit_pow(a, m - 1)
 
-    def add(self, a, b):
-        """Packed a + b.  Tabled fields of odd characteristic replace add and
-        neg on the instance (_bind_zech_arithmetic)."""
-        if self.is_prime_field:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._raw_add(a, b)
-
-    def neg(self, a):
-        if self.is_prime_field:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self.from_coeffs([(-c) % self.p for c in self.coeffs(a)])
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def mul(self, a, b):
-        if self.is_prime_field:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._raw_mul(a, b)
-
-    def inv(self, a):
-        if a == 0:
-            raise DivisionByZero("inverse of zero")
-        if self.is_prime_field:
-            return pow(a, self.p - 2, self.p)
-        if self._exp is not None:
-            return self._exp[(self.q - 1 - self._log[a]) % (self.q - 1)]
-        return self._raw_pow(a, self.q - 2)
-
-    def pow(self, a, e):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        if self.is_prime_field:
-            return pow(a, e, self.p)
-        if a == 0:
+        def power(a, e):
+            if a:
+                return unit_pow(a, e % m)
+            if e < 0:
+                raise DivisionByZero("inverse of zero")
             return 0 if e else 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.q - 1)]
-        return self._raw_pow(a, e % (self.q - 1))
+
+        sub = sub or (lambda a, b: add(a, neg(b)))
+        self.add, self.neg, self.sub, self.mul, self.inv, self.pow = (
+            add, neg, sub, mul, inv, power)
 
     def mult_generator(self) -> "FieldElem":
         """Lexicographically least multiplicative generator."""
-        if not self.is_prime_field and self._exp is not None:
-            return FieldElem(self, self._mult_gen)
         for v in range(2, self.q):
             if self._is_generator(v):
                 return FieldElem(self, v)

@@ -255,6 +255,8 @@ class Poly:
         return result
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
+        if e < 0:
+            raise BadParam("negative polynomial power")
         base = self % mod
         if self.field.is_prime_field and mod.degree >= 1:
             return _powmod_fp(base, e, mod)

@@ -7,7 +7,7 @@ import pytest
 from sympgen import claims
 from sympgen.anchors import ANCHORS
 from sympgen.construct import GeneratorPair, SympSpace, build
-from sympgen.errors import OddCharacteristic, UnknownClaim, UnknownLemma
+from sympgen.errors import BadParam, OddCharacteristic, UnknownClaim, UnknownLemma
 from sympgen.gf import standard_field
 from sympgen.matrix import Mat
 from sympgen.poly import Poly
@@ -121,6 +121,12 @@ def test_search_meh_contains_one_at_q7():
     field = standard_field(7)
     found = claims.search_parameter("M=H", 7, field)
     assert field.elem(1) in found
+
+
+@pytest.mark.parametrize("q,field_q", [(9, 3), (3, 9)])
+def test_search_rejects_a_field_of_another_size(q, field_q):
+    with pytest.raises(BadParam, match="field size mismatch"):
+        claims.search_parameter("M=H", q, standard_field(field_q))
 
 
 def test_search_g9_10_contains_tagged_root_at_q9():

@@ -120,6 +120,13 @@ def test_certify_default_words(capsys):
     assert json.loads(out)["certificate"] == "Certified"
 
 
+def test_certify_has_no_words_option(capsys):
+    _, out = run_cli(capsys, "certify", "--n", "6", "--q", "2", "--a", "1")
+    assert json.loads(out)["words"] == "default"
+    with pytest.raises(SystemExit):
+        make_parser().parse_args(["certify", "--n", "6", "--q", "2", "--words", "default"])
+
+
 def test_certify_unknown_pair_is_an_error(capsys):
     rc, _ = run_cli(capsys, "certify", "--n", "4", "--q", "3", "--a", "1")
     assert rc == 2

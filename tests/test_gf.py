@@ -19,6 +19,8 @@ from sympgen.poly import Poly
 
 FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 243, 3**7]
 ODD_EXTENSIONS = [q for q in FIELDS if q % 2 and not sympy.isprime(q)]
+# one field or more of each kind: prime, tabled p = 2, tabled odd, untabled
+KINDS = [2, 7, 16, 27, 2**17, 3**11]
 
 
 def test_make_ext_field_f8():
@@ -235,10 +237,12 @@ def _raw_neg(ctx, a):
     return ctx.from_coeffs([-c for c in ctx.coeffs(a)])
 
 
-@pytest.mark.parametrize("q", ODD_EXTENSIONS)
+@pytest.mark.parametrize("q", sorted(set(ODD_EXTENSIONS + KINDS)))
 def test_zech_arithmetic_matches_raw(q):
+    # add, neg and sub of every kind; Zech logarithms in tabled odd extensions
     ctx = gf.standard_field(q)
-    assert ctx._zech is not None
+    tabled_odd = ctx.p != 2 and not ctx.is_prime_field and q <= gf._TABLE_LIMIT
+    assert (ctx._zech is not None) == tabled_odd
     rng = random.Random(f"zech,{q}")
     units = rng.sample(range(1, q), min(q - 1, 64))
     pairs = [(0, 0)]
@@ -269,3 +273,45 @@ def test_largest_tabled_odd_field_builds():
     assert _table_entries(ctx) <= 4 * q
     a, b = ctx.q - 1, ctx.from_coeffs((1, 2, 0, 1))
     assert ctx.add(a, b) == ctx._raw_add(a, b)
+
+
+def _ref_mul(ctx, a, b):
+    return a * b % ctx.p if ctx.is_prime_field else ctx._raw_mul(a, b)
+
+
+def _ref_pow(ctx, a, e):
+    return pow(a, e, ctx.p) if ctx.is_prime_field else ctx._raw_pow(a, e)
+
+
+@pytest.mark.parametrize("q", KINDS)
+def test_bound_arithmetic_matches_the_coefficient_reference(q):
+    ctx = gf.standard_field(q)
+    ops = {"add", "neg", "sub", "mul", "inv", "pow"}
+    assert not ops & set(vars(gf.FieldCtx)) and ops <= set(vars(ctx))
+    rng = random.Random(f"kinds,{q}")
+    for a in [1, q - 1] + [rng.randrange(1, q) for _ in range(30)]:
+        b = rng.randrange(q)
+        assert ctx.mul(a, b) == _ref_mul(ctx, a, b)
+        assert ctx.mul(a, 0) == ctx.mul(0, a) == 0
+        a_inv = ctx.inv(a)
+        assert ctx.mul(a_inv, a) == 1
+        for e in (-3, -1, 0, 1, q - 1, q, 2 * q + 1):
+            want = _ref_pow(ctx, a_inv, -e) if e < 0 else _ref_pow(ctx, a, e)
+            assert ctx.pow(a, e) == want
+    assert ctx.pow(0, 0) == 1 and ctx.pow(0, 5) == 0
+    with pytest.raises(DivisionByZero):
+        ctx.inv(0)
+    with pytest.raises(DivisionByZero):
+        ctx.pow(0, -1)
+
+
+@pytest.mark.parametrize("q", [q for q in KINDS if q <= 27])
+def test_mult_generator_is_the_least_generator(q):
+    ctx = gf.standard_field(q)
+
+    def order(v):
+        return next(k for k in range(1, q) if _ref_pow(ctx, v, k) == 1)
+
+    g = ctx.mult_generator().val
+    assert order(g) == q - 1
+    assert all(order(v) < q - 1 for v in range(2, g))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympgen import gf
+from sympgen.errors import BadParam
 from sympgen.gf import FieldElem
 from sympgen.poly import Poly, factor, is_irreducible, is_self_reciprocal
 
@@ -30,6 +31,13 @@ def test_eval_hand_arithmetic():
     # t^3 - t + 1 at 2 over F_3: 8 - 2 + 1 = 7 = 1
     p = Poly(F3, [1, -1, 0, 1])
     assert p.eval(2) == F3.one
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_powmod_rejects_a_negative_exponent(q):
+    F = gf.standard_field(q)
+    with pytest.raises(BadParam, match="negative polynomial power"):
+        Poly.t(F).powmod(-1, Poly(F, [3, 1, 1]))
 
 
 def test_divmod_roundtrip():
