@@ -3,19 +3,26 @@
 |Sp_2n(q)| and |SL_n(q)| are kept factored; every q^d - 1 term is factored
 through its cyclotomic decomposition so nothing large ever reaches the
 integer-factoring backend.  Element orders come from the characteristic
-polynomial: the semisimple part is the lcm of ord(t mod f) over the
+polynomial chi: the semisimple part is the lcm of ord(t mod f) over the
 irreducible factors f, the unipotent part is the p-power covering the
-largest multiplicity; the result is verified by explicit powering.
+largest multiplicity.  The result is checked without raising g to N: once
+chi(g) = 0 is checked by evaluation, g^k = r_k(g) with r_k = t^k mod chi
+(Cayley-Hamilton), evaluated by Paterson-Stockmeyer.  The order N must
+give r_N(g) = I, and for each prime l of N, g^(N/l) != I is shown on a
+witness vector: r_(N/l)(g) e_1, a combination of the Krylov vectors
+g^i e_1, differs from e_1; only if it does not is r_(N/l)(g) evaluated in
+full.  The certificate thus rests neither on factor nor on the t-orders.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 from .errors import BadParam, CheckFailed, ShapeMismatch, SingularMatrix
 from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
 from .gf import _split_prime_power
-from .matrix import Mat, char_poly
+from .matrix import Mat, _linear_combiner, char_poly
 from .poly import Poly, factor
 
 
@@ -92,8 +99,65 @@ def _poly_t_order(f_poly: Poly) -> FactoredInt:
     return multiplicative_order(group, power)
 
 
-def element_order(g: Mat, verify: bool = True) -> FactoredInt:
-    """Exact order of an invertible matrix via its characteristic polynomial."""
+class _Powers:
+    """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod chi, where
+    chi = char_poly(g); exact because construction checks chi(g) = 0.
+
+    r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
+    m = ceil(sqrt(d)) for d = dim g, and the giant step g^m take m - 1
+    products; r(g) is Horner in g^m over the blocks sum c_j g^j (each formed
+    by _linear_combiner), about d/m products more.  fixes_e1 tests r(g) e_1 =
+    e_1 on the Krylov vectors g^i e_1 (i < d), built once from the first
+    columns of the baby powers and about d/m products by (g^m)^T, and
+    combined with r's coefficients.
+    """
+
+    __slots__ = ("cp", "t", "baby", "giant", "combine", "krylov")
+
+    def __init__(self, g: Mat, cp: Poly):
+        F, d = g.field, g.rows
+        self.cp, self.t = cp, Poly.t(F)
+        m = math.isqrt(max(d - 1, 0)) + 1
+        powers = [Mat.identity(F, d), g]
+        while len(powers) <= m:
+            powers.append(powers[-1] * g)
+        self.baby, self.giant = powers[:m], powers[m]
+        self.combine = _linear_combiner(self.baby)
+        self.krylov = None
+        if any(map(any, self.at(cp).data)):
+            raise CheckFailed("g is not a root of its characteristic polynomial")
+
+    def residue(self, k: int) -> Poly:
+        return self.t.powmod(k, self.cp)
+
+    def at(self, r: Poly) -> Mat:
+        m, c = len(self.baby), r.coeffs
+        blocks = [c[s:s + m] for s in range(0, len(c), m)] or [()]
+        acc = self.combine(blocks.pop())
+        for block in reversed(blocks):
+            acc = acc * self.giant + self.combine(block)
+        return acc
+
+    def power(self, k: int) -> Mat:
+        return self.at(self.residue(k))
+
+    def fixes_e1(self, r: Poly) -> bool:
+        d = self.giant.rows
+        if self.krylov is None:
+            F = self.giant.field
+            block = Mat._make(F, tuple(tuple(row[0] for row in b.data) for b in self.baby))
+            giant_t = self.giant.transpose()
+            vecs = list(block.data)  # row i is g^i e_1
+            while len(vecs) < d:
+                block = block * giant_t
+                vecs.extend(block.data)
+            self.krylov = _linear_combiner([Mat._make(F, (v,)) for v in vecs[:d]])
+        return self.krylov(r.coeffs).data[0] == (1,) + (0,) * (d - 1)
+
+
+def element_order(g: Mat) -> FactoredInt:
+    """Exact order of an invertible matrix via its characteristic polynomial,
+    checked by evaluating t^k mod chi at g (see _Powers)."""
     F = g.field
     cp = char_poly(g)
     if cp.coeffs[0] == 0:
@@ -106,25 +170,25 @@ def element_order(g: Mat, verify: bool = True) -> FactoredInt:
         if irr == t_minus_one:
             continue
         order = order.lcm(_poly_t_order(irr))
+    powers = _Powers(g, cp)
     # unipotent part: least p-power k with g^(N0 * p^k) = I; the bound from
     # charpoly multiplicities caps the search (minpoly may need less)
     semis = order.value_unchecked()
     if max_mult > 1:
-        base = g ** semis
+        base = powers.power(semis)
         k = 0
         while not base.is_identity():
             base = base ** F.p
             k += 1
         if k:
             order = order * FactoredInt({F.p: k})
-    if verify:
-        n_val = order.value_unchecked()
-        ident = Mat.identity(F, g.rows)
-        if g ** n_val != ident:
-            raise CheckFailed(f"g^{n_val} is not the identity")
-        for prime in order.primes():
-            if g ** (n_val // prime) == ident:
-                raise CheckFailed(f"g^({n_val}/{prime}) is the identity")
+    n_val = order.value_unchecked()
+    if not powers.power(n_val).is_identity():
+        raise CheckFailed(f"g^{n_val} is not the identity")
+    for prime in order.primes():
+        r = powers.residue(n_val // prime)
+        if powers.fixes_e1(r) and powers.at(r).is_identity():
+            raise CheckFailed(f"g^({n_val}/{prime}) is the identity")
     return order
 
 

@@ -18,6 +18,7 @@ factor becomes one integer of byte-aligned slots (poly._pack) wide enough
 for m (p - 1)^2, every left row accumulates a * packed_row over its entries
 in big-int arithmetic, and its slots are unpacked and reduced mod p once.
 Extension fields multiply entrywise through the field's log tables.
+_linear_combiner forms sums c_0 M_0 + c_1 M_1 + ... on the same packed rows.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation is kept alongside as an independent cross-check
@@ -28,6 +29,7 @@ of tI - M over F_q[t] with the lowest-degree pivot rule (ties by position).
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from .errors import MixedFields, NotSquare, ShapeMismatch, SingularMatrix
@@ -320,6 +322,37 @@ class Mat:
 # ---------------------------------------------------------------------------
 # derived operations
 # ---------------------------------------------------------------------------
+
+def _linear_combiner(mats):
+    """combine(coeffs) = sum of c_i * mats[i], for packed coefficients (at
+    most one per matrix) and matrices of one shape over one field.  Each
+    entry is formed in one pass: over F_p every row of every matrix is
+    packed once, in the slots of the product, and a row of a combination
+    is one big-int sum, unpacked and reduced mod p once; over an extension
+    field each row runs through chained maps of mul and add."""
+    F, rows, cols = mats[0].field, mats[0].rows, mats[0].cols
+    if F.is_prime_field:
+        p, mul = F.p, operator.mul
+        w = _slot_width(len(mats) * (p - 1) ** 2)
+        packed = list(zip(*([_pack(row, w) for row in m.data] for m in mats)))
+
+        def combine(coeffs):
+            return Mat._make(F, tuple(tuple(_unpack(sum(map(mul, coeffs, prow)), cols, w, p))
+                                      for prow in packed), cols)
+        return combine
+    mul, add = F.mul, F.add
+
+    def combine(coeffs):
+        terms = [(c, m.data) for c, m in zip(coeffs, mats) if c]
+        out = []
+        for i in range(rows):
+            acc = (0,) * cols
+            for c, data in terms:
+                acc = map(add, acc, map(mul, itertools.repeat(c), data[i]))
+            out.append(tuple(acc))
+        return Mat._make(F, tuple(out), cols)
+    return combine
+
 
 def paper_commutator(x: Mat, y: Mat) -> Mat:
     """The commutator convention [x, y] = x y^{-1} x y."""

@@ -282,9 +282,10 @@ class Poly:
         """Horner evaluation at b (a FieldElem or coercible int)."""
         F = self.field
         bv = F.scalar(b)
+        mul, add = F.mul, F.add
         acc = 0
         for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, bv), c)
+            acc = add(mul(acc, bv), c)
         return FieldElem(F, acc)
 
     def reciprocal(self) -> "Poly":

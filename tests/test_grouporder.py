@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from sympgen import gf, grouporder
+from sympgen import claims, gf, grouporder
 from sympgen.errors import BadParam, CheckFailed, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
@@ -22,6 +22,7 @@ from sympgen.grouporder import (
     varpi_group,
 )
 from sympgen.matrix import Mat
+from sympgen.poly import Poly
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -70,7 +71,17 @@ def test_element_order_verification_raises_on_a_wrong_order(monkeypatch):
                         lambda irr: FactoredInt({2: 2}))
     m = Mat(F3, [[2, 0], [0, 1]])
     with pytest.raises(CheckFailed):
-        element_order(m, verify=True)
+        element_order(m)
+
+
+def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
+    # diag(2, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1); with
+    # (t - 2)^2 in its place the order still comes out 2 and every power
+    # check passes, but (g - 2)^2 = diag(0, 1) is not zero
+    monkeypatch.setattr(grouporder, "char_poly",
+                        lambda g: Poly(F3, [-2, 1]) ** 2)
+    with pytest.raises(CheckFailed):
+        element_order(Mat(F3, [[2, 0], [0, 1]]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -88,6 +99,92 @@ def test_element_order_matches_naive(q):
             assert naive_element_order(m) == o
             checked += 1
     assert checked > 10
+
+
+def _random_invertible(ctx, n, rng):
+    while True:
+        m = Mat(ctx, [[FieldElem(ctx, rng.randrange(ctx.q)) for _ in range(n)]
+                      for _ in range(n)])
+        if m.det():
+            return m
+
+
+def _jordan(ctx, lam, k):
+    return Mat.from_function(ctx, k, k, lambda i, j: lam if i == j else int(j == i + 1))
+
+
+def _companion(ctx, c0, c1):
+    # t^2 - c1 t - c0, with c0 != 0
+    return Mat(ctx, [[0, c0], [1, c1]])
+
+
+def _small_order_blocks(ctx, dim, rng, repeated):
+    """Jordan blocks (eigenvalues in F_q^*, sizes up to 3) and 2x2 companion
+    blocks of total size dim, conjugated by a random invertible matrix; with
+    repeated, every eigenvalue comes from a short list so factors repeat."""
+    lams = [FieldElem(ctx, v) for v in range(1, ctx.q)]
+    if repeated:
+        lams = lams[:2]
+    blocks, size = [], 0
+    while size < dim:
+        k = min(rng.randrange(1, 4), dim - size)
+        if k == 2 and not repeated and rng.randrange(2):
+            blocks.append(_companion(ctx, rng.choice(lams), FieldElem(ctx, rng.randrange(ctx.q))))
+        else:
+            blocks.append(_jordan(ctx, rng.choice(lams), k))
+        size += k
+    p = _random_invertible(ctx, dim, rng)
+    return p.inverse() * Mat.block_diag(blocks) * p
+
+
+def _matches_naive(mats, cap=10**4):
+    checked = 0
+    for m in mats:
+        o = element_order(m).value_unchecked()
+        if o <= cap:
+            assert naive_element_order(m, cap) == o
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_matches_naive_with_e1_fixed(q):
+    # g = diag(1, A) fixes e_1, so no Krylov witness can show g^(N/l) != I
+    # and every prime check takes the full evaluation
+    ctx = gf.standard_field(q)
+    rng = random.Random(100 + q)
+    one = Mat.identity(ctx, 1)
+    mats = [Mat.block_diag([one, _small_order_blocks(ctx, dim - 1, rng, repeated=False)])
+            for dim in range(2, 9) for _ in range(3)]
+    assert _matches_naive(mats) >= 15
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_matches_naive_with_repeated_factors(q):
+    # Jordan blocks of one or two eigenvalues: the unipotent branch
+    ctx = gf.standard_field(q)
+    rng = random.Random(200 + q)
+    mats = [_small_order_blocks(ctx, dim, rng, repeated=True)
+            for dim in range(2, 9) for _ in range(3)]
+    assert _matches_naive(mats) >= 15
+
+
+def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
+    # the exact checks evaluate t^k mod chi at g (Paterson-Stockmeyer);
+    # powering each dim-28 witness to its order took 176-407 products
+    _, witnesses = claims._witnesses(14, 7)
+    product = Mat.__mul__
+    counts = []
+
+    def counting(self, other):
+        counts[-1] += 1
+        return product(self, other)
+
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    for w in witnesses:
+        counts.append(0)
+        element_order(w)
+    assert max(counts) <= 40, counts
 
 
 def test_varpi_identity_empty():
