@@ -24,7 +24,7 @@ from .anchors import ANCHORS
 from .errors import (BadParam, OddCharacteristic, UnknownClaim, UnknownLemma)
 from .gf import (FieldCtx, FieldElem, embed, modulus_for, mult_order,
                  standard_field, subfield_degree)
-from .matrix import (Mat, char_poly, eigenspace, paper_commutator, same_span,
+from .matrix import (Mat, _combiner, char_poly, eigenspace, paper_commutator, same_span,
                      similarity_invariants)
 from .poly import Poly, roots
 from .grouporder import (Certificate, PrimeSet, element_order,
@@ -193,13 +193,8 @@ def _vec(field, coords):
 def _vcombo(field, vectors_coeffs):
     """Linear combination of vectors, [(coeff, vec), ...]; coefficients are
     FieldElems or ints."""
-    size = len(vectors_coeffs[0][1])
-    out = [0] * size
-    for c, w in vectors_coeffs:
-        cv = field.scalar(c)
-        for i in range(size):
-            out[i] = field.add(out[i], field.mul(cv, w[i]))
-    return tuple(out)
+    coeffs, vecs = zip(*vectors_coeffs)
+    return _combiner(field, vecs, len(vecs[0]))(map(field.scalar, coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from enum import Enum
 from .errors import BadParam, CheckFailed, ShapeMismatch, SingularMatrix
 from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
 from .gf import _split_prime_power
-from .matrix import Mat, _linear_combiner, char_poly
+from .matrix import Mat, _combiner, char_poly
 from .poly import Poly, factor
 
 
@@ -105,14 +105,15 @@ class _Powers:
 
     r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
     m = ceil(sqrt(d)) for d = dim g, and the giant step g^m take m - 1
-    products; r(g) is Horner in g^m over the blocks sum c_j g^j (each formed
-    by _linear_combiner), about d/m products more.  fixes_e1 tests r(g) e_1 =
-    e_1 on the Krylov vectors g^i e_1 (i < d), built once from the first
-    columns of the baby powers and about d/m products by (g^m)^T, and
-    combined with r's coefficients.
+    products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
+    products more.  A block's row i is a combination of the baby powers'
+    rows i, formed by one matrix._combiner per row index.  fixes_e1 tests
+    r(g) e_1 = e_1 on the Krylov vectors g^i e_1 (i < d), built once from
+    the first columns of the baby powers and about d/m products by (g^m)^T,
+    and combined with r's coefficients by one more _combiner.
     """
 
-    __slots__ = ("cp", "t", "baby", "giant", "combine", "krylov")
+    __slots__ = ("cp", "t", "baby", "giant", "combiners", "krylov")
 
     def __init__(self, g: Mat, cp: Poly):
         F, d = g.field, g.rows
@@ -122,13 +123,17 @@ class _Powers:
         while len(powers) <= m:
             powers.append(powers[-1] * g)
         self.baby, self.giant = powers[:m], powers[m]
-        self.combine = _linear_combiner(self.baby)
+        self.combiners = [_combiner(F, rows, d) for rows in zip(*(b.data for b in self.baby))]
         self.krylov = None
         if any(map(any, self.at(cp).data)):
             raise CheckFailed("g is not a root of its characteristic polynomial")
 
     def residue(self, k: int) -> Poly:
         return self.t.powmod(k, self.cp)
+
+    def combine(self, coeffs) -> Mat:
+        return Mat._make(self.giant.field, tuple(row(coeffs) for row in self.combiners),
+                         self.giant.cols)
 
     def at(self, r: Poly) -> Mat:
         m, c = len(self.baby), r.coeffs
@@ -151,8 +156,8 @@ class _Powers:
             while len(vecs) < d:
                 block = block * giant_t
                 vecs.extend(block.data)
-            self.krylov = _linear_combiner([Mat._make(F, (v,)) for v in vecs[:d]])
-        return self.krylov(r.coeffs).data[0] == (1,) + (0,) * (d - 1)
+            self.krylov = _combiner(F, vecs[:d], d)
+        return self.krylov(r.coeffs) == (1,) + (0,) * (d - 1)
 
 
 def element_order(g: Mat) -> FactoredInt:
@@ -171,20 +176,17 @@ def element_order(g: Mat) -> FactoredInt:
             continue
         order = order.lcm(_poly_t_order(irr))
     powers = _Powers(g, cp)
-    # unipotent part: least p-power k with g^(N0 * p^k) = I; the bound from
-    # charpoly multiplicities caps the search (minpoly may need less)
-    semis = order.value_unchecked()
-    if max_mult > 1:
-        base = powers.power(semis)
-        k = 0
-        while not base.is_identity():
-            base = base ** F.p
-            k += 1
-        if k:
-            order = order * FactoredInt({F.p: k})
+    # unipotent part: the least p^k with g^(N0 p^k) = I for the semisimple
+    # order N0; no Jordan block is longer than the largest multiplicity, so
+    # once p^k reaches it without giving I, N0 is wrong
     n_val = order.value_unchecked()
-    if not powers.power(n_val).is_identity():
-        raise CheckFailed(f"g^{n_val} is not the identity")
+    base, k = powers.power(n_val), 0
+    while not base.is_identity():
+        if F.p ** k >= max_mult:
+            raise CheckFailed(f"g^{n_val} is not the identity")
+        base, n_val, k = base ** F.p, n_val * F.p, k + 1
+    if k:
+        order = order * FactoredInt({F.p: k})
     for prime in order.primes():
         r = powers.residue(n_val // prime)
         if powers.fixes_e1(r) and powers.at(r).is_identity():

@@ -13,12 +13,14 @@ Mat._make(F, data), which takes a tuple of row tuples of packed values in
 solve, eigenspace and col_raw return them, and apply, solve, in_span and
 same_span take them as they are.
 
-Over a prime field the product works on packed rows: each row of the right
-factor becomes one integer of byte-aligned slots (poly._pack) wide enough
-for m (p - 1)^2, every left row accumulates a * packed_row over its entries
-in big-int arithmetic, and its slots are unpacked and reduced mod p once.
-Extension fields multiply entrywise through the field's log tables.
-_linear_combiner forms sums c_0 M_0 + c_1 M_1 + ... on the same packed rows.
+Every linear combination sum c_i row_i is formed in one place, _combiner:
+the rows of a product (combinations of the right factor's rows), the image
+of a vector (a combination of the columns) and the sums of matrices and
+vectors behind the order checks.  Over a prime field each row becomes one
+integer of byte-aligned slots (poly._pack) wide enough for m (p - 1)^2, a
+combination is one big-int sum of c_i * packed_row_i, and its slots are
+unpacked and reduced mod p once (delayed reduction).  Over an extension
+field it chains maps of the field's add and mul over the nonzero c_i.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation is kept alongside as an independent cross-check
@@ -29,8 +31,8 @@ of tI - M over F_q[t] with the lowest-degree pivot rule (ties by position).
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
+from itertools import repeat
 
 from .errors import MixedFields, NotSquare, ShapeMismatch, SingularMatrix
 from .gf import FieldCtx, FieldElem
@@ -170,44 +172,16 @@ class Mat:
         self._check_same(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        F = self.field
-        if F.is_prime_field:
-            p, cols = F.p, other.cols
-            w = _slot_width(self.cols * (p - 1) ** 2)
-            packed = [_pack(row, w) for row in other.data]
-            mul = operator.mul
-            return Mat._make(F, tuple(tuple(_unpack(sum(map(mul, row, packed)), cols, w, p))
-                                      for row in self.data), cols)
-        bt = list(zip(*other.data))  # columns of other
-        mul, add = F.mul, F.add
-        out = []
-        for row in self.data:
-            orow = []
-            for col in bt:
-                acc = 0
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = add(acc, mul(a, b))
-                orow.append(acc)
-            out.append(tuple(orow))
-        return Mat._make(F, tuple(out), other.cols)
+        combine = _combiner(self.field, other.data, other.cols)
+        return Mat._make(self.field, tuple(map(combine, self.data)), other.cols)
 
     __rmul__ = scale
 
     def apply(self, vec):
         """Image of a column vector of packed values; returns a tuple."""
-        F = self.field
         if len(vec) != self.cols:
             raise ShapeMismatch("vector length mismatch")
-        mul, add = F.mul, F.add
-        out = []
-        for row in self.data:
-            acc = 0
-            for a, b in zip(row, vec):
-                if a and b:
-                    acc = add(acc, mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return _combiner(self.field, tuple(zip(*self.data)), self.rows)(vec)
 
     def __pow__(self, e: int):
         if not self.is_square():
@@ -323,34 +297,39 @@ class Mat:
 # derived operations
 # ---------------------------------------------------------------------------
 
-def _linear_combiner(mats):
-    """combine(coeffs) = sum of c_i * mats[i], for packed coefficients (at
-    most one per matrix) and matrices of one shape over one field.  Each
-    entry is formed in one pass: over F_p every row of every matrix is
-    packed once, in the slots of the product, and a row of a combination
-    is one big-int sum, unpacked and reduced mod p once; over an extension
-    field each row runs through chained maps of mul and add."""
-    F, rows, cols = mats[0].field, mats[0].rows, mats[0].cols
+# A chain of maps nests one C call per term; past this many terms it is
+# collapsed into a tuple, so that no combination can overflow the C stack.
+_CHAIN = 1000
+
+
+def _combiner(F: FieldCtx, rows, cols: int):
+    """combine(coeffs) = the tuple sum c_i * rows[i] of length cols, for rows
+    of packed values over F and packed coefficients, at most one per row (a
+    row without one counts as 0).  The one prime/extension fork of matrix
+    arithmetic: over F_p each row is packed once, in slots wide enough for
+    len(rows) (p - 1)^2, and a combination is one big-int sum, unpacked and
+    reduced mod p once; over an extension field the nonzero terms chain
+    maps of the field's add and mul."""
     if F.is_prime_field:
         p, mul = F.p, operator.mul
-        w = _slot_width(len(mats) * (p - 1) ** 2)
-        packed = list(zip(*([_pack(row, w) for row in m.data] for m in mats)))
+        w = _slot_width(len(rows) * (p - 1) ** 2)
+        packed = [_pack(row, w) for row in rows]
 
         def combine(coeffs):
-            return Mat._make(F, tuple(tuple(_unpack(sum(map(mul, coeffs, prow)), cols, w, p))
-                                      for prow in packed), cols)
+            return tuple(_unpack(sum(map(mul, coeffs, packed)), cols, w, p))
         return combine
-    mul, add = F.mul, F.add
+    mul, add, zero, chain = F.mul, F.add, (0,) * cols, _CHAIN
 
     def combine(coeffs):
-        terms = [(c, m.data) for c, m in zip(coeffs, mats) if c]
-        out = []
-        for i in range(rows):
-            acc = (0,) * cols
-            for c, data in terms:
-                acc = map(add, acc, map(mul, itertools.repeat(c), data[i]))
-            out.append(tuple(acc))
-        return Mat._make(F, tuple(out), cols)
+        acc, depth = zero, 0  # depth: terms in the chain
+        for c, row in zip(coeffs, rows):
+            if c:
+                term = map(mul, repeat(c), row)
+                acc = map(add, acc, term) if depth else term
+                depth += 1
+                if depth == chain:
+                    acc, depth = tuple(acc), 1
+        return tuple(acc)
     return combine
 
 

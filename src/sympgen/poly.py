@@ -13,7 +13,7 @@ one big-int multiplication convolves two lists and each slot is reduced mod
 p once after it.  powmod keeps its residues packed between steps: the top
 d - 1 coefficients of each product fold back through the packed residues
 of t^d .. t^(2d-2) modulo the degree-d modulus.  _pack and _unpack are the
-one slot layout, shared with the packed-row product in matrix.py.
+one slot layout, shared with the packed rows of matrix._combiner.
 Extension fields keep schoolbook arithmetic through FieldCtx.
 
 Factorization is squarefree decomposition, then distinct-degree,
@@ -30,6 +30,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 
 import sympy
 
@@ -219,22 +220,15 @@ class Poly:
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
         F = self.field
-        rem = list(self.coeffs)
-        d = other.degree
-        lead_inv = F.inv(other.lead())
+        mul, sub = F.mul, F.sub
+        rem, d = list(self.coeffs), other.degree
+        low, lead_inv = other.coeffs[:d], F.inv(other.lead())
         quo = [0] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            coef = F.mul(rem[-1], lead_inv)
-            shift = len(rem) - 1 - d
-            quo[shift] = coef
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = F.sub(rem[shift + i], F.mul(coef, oc))
-            rem.pop()
-        return Poly._make(F, quo), Poly._make(F, rem)
+        for top in range(len(rem) - 1, d - 1, -1):  # rem[top] is cancelled, not stored
+            if rem[top]:
+                coef = quo[top - d] = mul(rem[top], lead_inv)
+                rem[top - d:top] = map(sub, rem[top - d:top], map(mul, repeat(coef), low))
+        return Poly._make(F, quo), Poly._make(F, rem[:d])
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]

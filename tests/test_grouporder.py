@@ -74,6 +74,17 @@ def test_element_order_verification_raises_on_a_wrong_order(monkeypatch):
         element_order(m)
 
 
+def test_element_order_raises_on_a_wrong_order_with_a_unipotent_part(monkeypatch):
+    # diag(J_2(3), 1) over F_7 has order 42; claim 2 for the factor t - 3.
+    # No g^(2 * 7^k) is the identity, and since no Jordan block is longer
+    # than the multiplicity 2, the search must stop at 7^1
+    monkeypatch.setattr(grouporder, "_poly_t_order",
+                        lambda irr: FactoredInt({2: 1}))
+    m = Mat(gf.standard_field(7), [[3, 1, 0], [0, 3, 0], [0, 0, 1]])
+    with pytest.raises(CheckFailed):
+        element_order(m)
+
+
 def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
     # diag(2, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1); with
     # (t - 2)^2 in its place the order still comes out 2 and every power

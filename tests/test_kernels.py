@@ -1,7 +1,7 @@
 """Packed-slot kernels and the value contracts of Mat, Poly and FieldElem.
 
-Mat products and Poly powmod are compared with plain reference loops over
-the field's own add/mul; the trusted internal constructors must give the
+Mat products and images, matrix._combiner, Poly products, divmod and powmod
+are compared with plain reference loops over the field's own add/mul; the trusted internal constructors must give the
 same values as the public ones.  An int given to the public API is an
 integer mod p, whatever its size.
 """
@@ -16,23 +16,23 @@ from sympgen import gf
 from sympgen.construct import SympSpace, build
 from sympgen.errors import BadParam, MixedFields, ShapeMismatch
 from sympgen.gf import FieldCtx, FieldElem
-from sympgen.matrix import Mat, eigenspace
+from sympgen.matrix import Mat, _combiner, eigenspace
 from sympgen.poly import Poly
 
 # 2**61 - 1 needs slots wider than 8 bytes
 PRIMES = [2, 3, 7, 65521, 2**61 - 1]
-EXTENSIONS = [4, 9]
+EXTENSIONS = [4, 8, 9, 25]  # 9 and 25 add by Zech logarithms
 SHAPES = [(5, 7, 3), (1, 28, 1), (28, 1, 28), (1, 9, 13), (13, 9, 1),
-          (0, 4, 6), (28, 28, 28), (22, 22, 22), (17, 3, 25)]
+          (0, 4, 6), (4, 0, 3), (3, 4, 0), (28, 28, 28), (22, 22, 22), (17, 3, 25)]
 
 
 def field(q):
     return gf.standard_field(q) if q < 2**16 else FieldCtx(q, 1, None)
 
 
-def ref_matmul(F, a, b):
-    """Triple loop over the field's add and mul."""
-    inner, cols = len(b), len(b[0]) if b else 0
+def ref_matmul(F, a, b, cols):
+    """Triple loop over the field's add and mul; b has cols columns."""
+    inner = len(b)
     out = []
     for row in a:
         orow = []
@@ -45,21 +45,31 @@ def ref_matmul(F, a, b):
     return tuple(out)
 
 
+def trim(vals):
+    vals = list(vals)
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return tuple(vals)
+
+
+def ref_divmod(F, a, f):
+    """Long division of coefficient lists, f's top coefficient nonzero."""
+    rem, d, lead_inv = list(a), len(f) - 1, F.inv(f[-1])
+    quo = [0] * max(len(rem) - d, 0)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = quo[top - d] = F.mul(rem[top], lead_inv)
+        for i, fc in enumerate(f):
+            rem[top - d + i] = F.sub(rem[top - d + i], F.mul(c, fc))
+    return trim(quo), trim(rem[:d])
+
+
 def ref_mulmod(F, a, b, f):
     """Schoolbook product of coefficient lists, then long division by f."""
     prod = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] = F.add(prod[i + j], F.mul(x, y))
-    d, lead_inv = len(f) - 1, F.inv(f[-1])
-    for top in range(len(prod) - 1, d - 1, -1):
-        c = F.mul(prod[top], lead_inv)
-        for i, fc in enumerate(f):
-            prod[top - d + i] = F.sub(prod[top - d + i], F.mul(c, fc))
-    prod = prod[:d]
-    while prod and prod[-1] == 0:
-        prod.pop()
-    return tuple(prod)
+    return ref_divmod(F, prod, f)[1]
 
 
 def elems(F, vals):
@@ -80,11 +90,41 @@ def test_matmul_matches_triple_loop(q):
     for rows, inner, cols in SHAPES:
         for top in (False, True):  # all entries q - 1 fill every slot to its bound
             a = Mat(F, rand_rows(rng, F, rows, inner, top)) if rows else Mat.zeros(F, 0, inner)
-            b = Mat(F, rand_rows(rng, F, inner, cols, top))
+            b = Mat(F, rand_rows(rng, F, inner, cols, top)) if inner else Mat.zeros(F, 0, cols)
             c = a * b
+            ref = ref_matmul(F, a.data, b.data, cols)
             assert (c.rows, c.cols) == (rows, cols)
-            assert c.data == ref_matmul(F, a.data, b.data)
-            assert c.transpose().data == ref_matmul(F, b.transpose().data, a.transpose().data)
+            assert c.data == ref
+            assert c.transpose().data == ref_matmul(F, b.transpose().data,
+                                                    a.transpose().data, rows)
+            for j in range(cols):
+                assert a.apply(b.col_raw(j)) == tuple(row[j] for row in ref)
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+def test_combiner_matches_a_loop_of_field_ops(q):
+    F = field(q)
+    rng = random.Random(q)
+
+    def ref(coeffs, rows, cols):
+        out = [0] * cols
+        for c, row in zip(coeffs, rows):
+            out = [F.add(o, F.mul(c, v)) for o, v in zip(out, row)]
+        return tuple(out)
+
+    # 2500 rows: longer than one chain of maps over an extension field
+    for n, cols in [(0, 5), (1, 1), (6, 4), (3, 0), (28, 28), (2500, 2)]:
+        for top in (False, True):  # all entries q - 1 fill every slot to its bound
+            draw = (lambda: q - 1) if top else (lambda: rng.randrange(q))
+            rows = [tuple(draw() for _ in range(cols)) for _ in range(n)]
+            combine = _combiner(F, rows, cols)
+            for coeffs in ([draw() for _ in range(n)],
+                           [0] * n,
+                           [draw() if i % 2 else 0 for i in range(n)],
+                           [draw() for _ in range(n // 2)]):  # fewer than rows
+                got = combine(coeffs)
+                assert type(got) is tuple and got == ref(coeffs, rows, cols)
+                assert all(type(v) is int and 0 <= v < q for v in got)
 
 
 @pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
@@ -117,6 +157,27 @@ def test_poly_mul_matches_schoolbook(q):
             a, b = (Poly(F, elems(F, [q - 1 if top else rng.randrange(q) for _ in range(n)]))
                     for n in (la, lb))
             assert (a * b).coeffs == ref_mulmod(F, a.coeffs, b.coeffs, huge.coeffs)
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+def test_divmod_matches_long_division(q):
+    F = field(q)
+    rng = random.Random(q)
+
+    def draw(n, top):
+        """n coefficients, the last one nonzero and, for q > 2, not 1."""
+        lead = [q - 1 if top or q == 2 else rng.randrange(2, q)] if n else []
+        return [q - 1 if top else rng.randrange(q) for _ in range(n - 1)] + lead
+
+    # (dividend, divisor) lengths: a constant divisor, a zero dividend, a
+    # dividend shorter than the divisor, and long divisions
+    for la, lf in [(5, 1), (0, 1), (0, 4), (1, 1), (3, 5), (5, 5), (9, 4), (23, 7), (23, 22)]:
+        for top in (False, True):
+            a, f = draw(la, top), draw(lf, top)
+            num, den = Poly(F, elems(F, a)), Poly(F, elems(F, f))
+            quo, rem = divmod(num, den)
+            assert (quo.coeffs, rem.coeffs) == ref_divmod(F, a, f), (la, lf)
+            assert quo * den + rem == num
 
 
 def _results(q):

@@ -85,3 +85,17 @@ def test_no_numpy_import():
                                                      for a in node.names)
              or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
     assert SOURCES and found == []
+
+
+def test_one_prime_field_fork_in_matrix():
+    # matrix._combiner is the one place where matrix arithmetic tells prime
+    # fields from extension fields; count the module's functions and methods
+    # that read is_prime_field
+    tree = ast.parse((Path(sympgen.__file__).parent / "matrix.py").read_text())
+    defs = [node for top in tree.body
+            for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+            if isinstance(node, ast.FunctionDef)]
+    forks = [node.name for node in defs
+             if any(isinstance(n, ast.Attribute) and n.attr == "is_prime_field"
+                    for n in ast.walk(node))]
+    assert forks == ["_combiner"]
