@@ -159,11 +159,11 @@ def _eig_pair(h: Mat, lam, v, vb):
 
 
 def _transvection_images(g: Mat, space, b, coefs) -> bool:
-    """g e_j = e_j + coefs[j] b for j = 1..n (coefficient 0 where unlisted)."""
-    for j, e in enumerate(space.basis(range(1, space.n + 1)), 1):
-        if g.apply(e) != _vcombo(space.field, [(1, e), (coefs.get(j, 0), b)]):
-            return False
-    return True
+    """g e_j = e_j + coefs[j] b for j = 1..n (coefficient 0 where unlisted);
+    g e_j is column j - 1 of g."""
+    cols = g.transpose().rows_raw()
+    return all(cols[j - 1] == _vcombo(space.field, [(1, e), (coefs.get(j, 0), b)])
+               for j, e in enumerate(space.basis(range(1, space.n + 1)), 1))
 
 
 def s_restrict(g: Mat, space, ell: int) -> Mat:

@@ -6,15 +6,23 @@ zeros.  The public constructor Poly(F, coeffs) takes FieldElems and ints
 results of the ring operations are built by the trusted Poly._make(F, vals),
 which takes packed values already in [0, q) and only strips trailing zeros.
 
-Over a prime field, products run on packed slots (Kronecker substitution):
-a coefficient list c_0..c_{k-1} becomes the one integer sum c_i 2^(8wi),
-with slots of w bytes wide enough for every coefficient of the product, so
-one big-int multiplication convolves two lists and each slot is reduced mod
-p once after it.  powmod keeps its residues packed between steps: the top
-d - 1 coefficients of each product fold back through the packed residues
-of t^d .. t^(2d-2) modulo the degree-d modulus.  _pack and _unpack are the
-one slot layout, shared with the packed rows of matrix._combiner.
-Extension fields keep schoolbook arithmetic through FieldCtx.
+Products and powmod run on packed digit slots over every F_q, q = p^f
+(Kronecker substitution in t and in w at once).  A coefficient
+c_i = d_0 + d_1 p + ... + d_{f-1} p^(f-1) of F_{p^f} puts its base-p digits
+d_j, the coefficients of w^j, in slots i(2f - 1) + j of one integer of
+byte-aligned slots (_digits, _pack); the f - 1 slots above them stay 0, so
+one big-int multiplication convolves in t and in w and no two terms
+overlap.  _digit_fold carries the slots w^f .. w^(2f-2) of every
+coefficient back through the digits of w^j mod m(w), with no table, and
+each slot is reduced mod p once after it (_unpack, _values).  The slots are
+wide enough for _fold_bound: for lists whose shorter one has n
+coefficients, a slot of the product sums at most n f (p - 1)^2 and the fold
+adds at most n f (f - 1) / 2 (p - 1)^3.  powmod keeps its residues packed
+between steps and also folds the top d - 1 coefficients of each product
+back through the packed w^j t^k modulo the degree-d modulus; its slots hold
+the sum of both folds (see _powmod).  Over F_p (f = 1) a value is its one
+digit and there is nothing to fold.  _pack and _unpack are shared with the
+packed rows of matrix._combiner.
 
 Factorization is squarefree decomposition, then distinct-degree,
 then equal-degree splitting (Cantor-Zassenhaus, with the additive trace-map
@@ -43,10 +51,14 @@ _ARRAY_CODES = {array(code).itemsize: code for code in "QLIH"}
 _SWAP = sys.byteorder == "big"  # slots are laid out little-endian
 
 
+# slot width in bytes for a bound of 0 .. 8 bytes; wider bounds keep their size
+_WIDTHS = (1, 1, 2, 4, 4, 8, 8, 8, 8)
+
+
 def _slot_width(bound: int) -> int:
     """Bytes per slot that hold any value up to bound: 1, 2, 4, 8 or more."""
-    nbytes = max(1, (bound.bit_length() + 7) // 8)
-    return next((w for w in (1, 2, 4, 8) if nbytes <= w), nbytes)
+    nbytes = (bound.bit_length() + 7) // 8
+    return _WIDTHS[nbytes] if nbytes <= 8 else nbytes
 
 
 def _pack(vals, w: int) -> int:
@@ -79,6 +91,63 @@ def _unpack(n: int, k: int, w: int, p: int):
     if _SWAP:
         arr.byteswap()
     return [v % p for v in arr]
+
+
+def _digits(vals, p: int, f: int):
+    """The digit-slot layout of packed values of F_{p^f}: value i puts its f
+    base-p digits in slots i(2f - 1) .. i(2f - 1) + f - 1 and 0 in the f - 1
+    slots above them.  Over F_p a value is its one digit: vals as they are."""
+    if f == 1:
+        return vals
+    s = 2 * f - 1
+    out = [0] * (len(vals) * s)
+    for j in range(f - 1):
+        out[j::s] = [v % p for v in vals]
+        vals = [v // p for v in vals]
+    out[f - 1::s] = vals
+    return out
+
+
+def _values(digits, p: int, f: int):
+    """Packed values from digit slots reduced mod p: the inverse of _digits."""
+    if f == 1:
+        return digits
+    s = 2 * f - 1
+    vals = digits[f - 1::s]
+    for j in range(f - 2, -1, -1):
+        vals = [v * p + dj for v, dj in zip(vals, digits[j::s])]
+    return vals
+
+
+def _fold_bound(n: int, p: int, f: int) -> int:
+    """The largest slot w^k (k < f) of a product of two lists of n digit-slot
+    coefficients, after the digit fold.  Slot w^j sums n min(j + 1, 2f - 1 - j)
+    terms of (p - 1)^2 (at most n f for j < f); the fold adds slot w^j times
+    a digit below p for each j = f .. 2f - 2, and those slots sum
+    n f (f - 1) / 2 terms."""
+    return n * (p - 1) ** 2 * (f + (p - 1) * f * (f - 1) // 2)
+
+
+def _digit_fold(F: FieldCtx, w: int, blocks: int):
+    """fold(x) for x in the digit-slot layout of w-byte slots with the given
+    number of coefficient blocks: each block's slots w^f .. w^(2f-2) carried
+    into its slots w^0 .. w^(f-1) through the digits of w^j mod m(w), in
+    f - 1 steps of mask, shift and small multiply (see _fold_bound).  Over
+    F_p there is no such slot and fold(x) is x."""
+    p, f = F.p, F.f
+    if f == 1:  # no slot above w^0
+        return lambda x: x
+    s, bits = 2 * f - 1, 8 * w
+    first = int.from_bytes((b"\xff" * w + bytes(w * (s - 1))) * blocks, "little")
+    # slot w^j of each block moves to slot 0, then times (w^j mod m) - w^j
+    steps = [(bits * j, _pack(F.coeffs(F.pow(p, j)), w) - (1 << bits * j))
+             for j in range(f, s)]
+
+    def fold(x):
+        for shift, r in steps:
+            x += (x >> shift & first) * r
+        return x
+    return fold
 
 
 class Poly:
@@ -189,17 +258,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(F)
-        if F.is_prime_field:
-            p = F.p
-            w = _slot_width(min(len(a), len(b)) * (p - 1) ** 2)
-            return Poly._make(F, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w, p))
-        res = [0] * (len(a) + len(b) - 1)
-        mul, add = F.mul, F.add
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = add(res[i + j], mul(ai, bj))
-        return Poly._make(F, res)
+        p, f = F.p, F.f
+        n = len(a) + len(b) - 1
+        w = _slot_width(_fold_bound(min(len(a), len(b)), p, f))
+        prod = _pack(_digits(a, p, f), w) * _pack(_digits(b, p, f), w)
+        digits = _unpack(_digit_fold(F, w, n)(prod), n * (2 * f - 1), w, p)
+        return Poly._make(F, _values(digits, p, f))
 
     __rmul__ = __mul__
 
@@ -252,15 +316,9 @@ class Poly:
         if e < 0:
             raise BadParam("negative polynomial power")
         base = self % mod
-        if self.field.is_prime_field and mod.degree >= 1:
-            return _powmod_fp(base, e, mod)
-        result = Poly.one(self.field)
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
+        if mod.degree < 1:  # a residue mod a unit is 0; x^0 is 1 as everywhere
+            return base if e else Poly.one(self.field)
+        return _powmod(base, e, mod)
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
@@ -296,36 +354,55 @@ def roots(p: Poly):
     return (b for b in p.field.elements() if not p.eval(b))
 
 
-def _powmod_fp(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e modulo mod over F_p on packed slots; base reduced, deg mod >= 1."""
+def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
+    """base^e modulo mod on packed digit slots; base reduced, d = deg mod >= 1.
+
+    Residues stay packed, d blocks of 2f - 1 slots.  A product of two has
+    2d - 1 blocks, and after the digit fold a slot holds at most
+    _fold_bound(d, p, f).  The top d - 1 blocks are then unpacked mod p and
+    fold back through the packed w^j t^k mod mod (k = d .. 2d - 2, j < f),
+    which adds at most (d - 1) f (p - 1)^2 to a low slot.  So the slots are
+    wide enough for the sum of both; over F_p that is (2d - 1)(p - 1)^2."""
     F = mod.field
-    p, d = F.p, mod.degree
-    # a product's slots sum <= d terms; the fold adds d - 1 more to a low slot
-    w = _slot_width((2 * d - 1) * (p - 1) ** 2)
-    shift = 8 * w * d
+    p, f, d = F.p, F.f, mod.degree
+    s = 2 * f - 1
+    w = _slot_width(_fold_bound(d, p, f) + (d - 1) * f * (p - 1) ** 2)
+    bits, fold = 8 * w, _digit_fold(F, w, 2 * d - 1)
+    shift = bits * s * d
     low = (1 << shift) - 1
-    lead_inv = F.inv(mod.lead())
-    r = [(-lead_inv * c) % p for c in mod.coeffs[:d]]  # t^d mod f
-    folds = [r]
-    for _ in range(d - 2):  # t^(j+1) = t * t^j, reduced through t^d
-        top = folds[-1][-1]
-        folds.append([(x + top * y) % p for x, y in zip([0] + folds[-1][:-1], r)])
-    folds = [_pack(fold, w) for fold in folds]
     mul = operator.mul
 
-    def mulmod(x, y):
-        prod = x * y
-        acc = (prod & low) + sum(map(mul, _unpack(prod >> shift, d - 1, w, p), folds))
-        return _pack(_unpack(acc, d, w, p), w)
+    def reduce(x):
+        return _pack(_unpack(x, d * s, w, p), w)
 
-    result, b = 1, _pack(base.coeffs, w)
+    # row holds w^j t^k mod mod for j < f, from k = d: t^d from mod, each
+    # w^(j+1) by one slot shift and a digit fold, each t^(k+1) by one block
+    # shift and a fold of the top block through the row of t^d
+    scale = F.neg(F.inv(mod.lead()))
+    row = [_pack(_digits([F.mul(scale, c) for c in mod.coeffs[:d]], p, f), w)]
+    for _ in range(f - 1):
+        row.append(reduce(fold(row[-1] << bits)))
+    t_d, folds = row, []
+    for k in range(d, 2 * d - 1):
+        folds += row + [0] * (f - 1)
+        if k < 2 * d - 2:
+            row = [reduce((x << bits * s & low)
+                          + sum(map(mul, _unpack(x >> shift - bits * s, f, w, p), t_d)))
+                   for x in row]
+
+    def mulmod(x, y):
+        prod = fold(x * y)
+        acc = (prod & low) + sum(map(mul, _unpack(prod >> shift, (d - 1) * s, w, p), folds))
+        return reduce(acc)
+
+    result, b = 1, _pack(_digits(base.coeffs, p, f), w)
     while e:
         if e & 1:
             result = mulmod(result, b)
         e >>= 1
         if e:
             b = mulmod(b, b)
-    return Poly._make(F, _unpack(result, d, w, p))
+    return Poly._make(F, _values(_unpack(result, d * s, w, p), p, f))
 
 
 @dataclass(frozen=True)

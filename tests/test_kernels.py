@@ -21,13 +21,15 @@ from sympgen.poly import Poly
 
 # 2**61 - 1 needs slots wider than 8 bytes
 PRIMES = [2, 3, 7, 65521, 2**61 - 1]
-EXTENSIONS = [4, 8, 9, 25]  # 9 and 25 add by Zech logarithms
+EXTENSIONS = [4, 8, 9, 16, 25, 27, 49]  # odd q add by Zech logarithms
+# above gf._TABLE_LIMIT: coefficient arithmetic, eleven base-3 digits per value
+UNTABLED = [3**11]
 SHAPES = [(5, 7, 3), (1, 28, 1), (28, 1, 28), (1, 9, 13), (13, 9, 1),
           (0, 4, 6), (4, 0, 3), (3, 4, 0), (28, 28, 28), (22, 22, 22), (17, 3, 25)]
 
 
 def field(q):
-    return gf.standard_field(q) if q < 2**16 else FieldCtx(q, 1, None)
+    return gf.standard_field(q) if q < 2**20 else FieldCtx(q, 1, None)
 
 
 def ref_matmul(F, a, b, cols):
@@ -127,11 +129,12 @@ def test_combiner_matches_a_loop_of_field_ops(q):
                 assert all(type(v) is int and 0 <= v < q for v in got)
 
 
-@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS + UNTABLED)
 def test_powmod_matches_repeated_mulmod(q):
     F = field(q)
     rng = random.Random(q)
-    for d in range(1, 23):
+    # the reference loops run slowly on coefficient arithmetic
+    for d in (1, 2, 3, 7, 12) if q in UNTABLED else range(1, 23):
         f = [rng.randrange(q) for _ in range(d)] + [rng.randrange(1, q)]
         mod = Poly(F, elems(F, f))
         for base in (Poly.t(F), Poly(F, elems(F, [q - 1] * d)),
@@ -147,7 +150,46 @@ def test_powmod_matches_repeated_mulmod(q):
                     F, b, ref_mulmod(F, half, half, f), f)
 
 
-@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+@pytest.mark.parametrize("q", [4, 8])
+def test_packed_slots_hold_long_all_top_products(q):
+    # all-(q - 1) coefficients fill every digit slot of a product.  Modulo
+    # t^(d-1) (t + 1), every t^k reduces to t^(d-1), so the t-fold adds to
+    # the top block, the one that the product fills most.  Over F_4 a
+    # modulus of degree 52 and over F_8 one of degree 29 first need 2-byte
+    # slots.  A width taken from the larger of the digit-fold and t-fold
+    # bounds, not their sum, stays 1 byte up to degree 85 over F_4, and
+    # there the top block reaches 3d + d // 2 > 255 from degree 74
+    F = field(q)
+    for d in range(40 if q == 4 else 24, 89 if q == 4 else 49):
+        top = [q - 1] * d
+        for f in ([q - 1] * (d + 1), [0] * (d - 1) + [1, 1]):
+            mod = Poly(F, elems(F, f))
+            for base in (Poly(F, elems(F, top)), Poly(F, elems(F, [1] + top[1:]))):
+                square = ref_mulmod(F, base.coeffs, base.coeffs, f)
+                assert base.powmod(2, mod).coeffs == square, d
+                assert base.powmod(3, mod).coeffs == ref_mulmod(F, square, base.coeffs, f), d
+        a = Poly(F, elems(F, top))
+        assert (a * a).coeffs == ref_mulmod(F, top, top, [0] * (2 * d) + [1])
+
+
+def test_powmod_squarings_make_no_field_multiplications(monkeypatch):
+    # a fresh F_9, so that counting its mul closure counts nothing else
+    F = FieldCtx(3, 2, gf.modulus_for(9))
+    calls = []
+    mul = F.mul
+    monkeypatch.setattr(F, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    rng = random.Random(9)
+    mod = Poly(F, elems(F, [rng.randrange(9) for _ in range(16)] + [rng.randrange(1, 9)]))
+    base = Poly(F, elems(F, [rng.randrange(9) for _ in range(20)]))
+    counts = []
+    for e in (2**10 - 1, 2**60 - 1):
+        calls.clear()
+        base.powmod(e, mod)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS + UNTABLED)
 def test_poly_mul_matches_schoolbook(q):
     F = field(q)
     rng = random.Random(q)
@@ -159,7 +201,7 @@ def test_poly_mul_matches_schoolbook(q):
             assert (a * b).coeffs == ref_mulmod(F, a.coeffs, b.coeffs, huge.coeffs)
 
 
-@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS + UNTABLED)
 def test_divmod_matches_long_division(q):
     F = field(q)
     rng = random.Random(q)

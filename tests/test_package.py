@@ -87,15 +87,23 @@ def test_no_numpy_import():
     assert SOURCES and found == []
 
 
-def test_one_prime_field_fork_in_matrix():
-    # matrix._combiner is the one place where matrix arithmetic tells prime
-    # fields from extension fields; count the module's functions and methods
-    # that read is_prime_field
-    tree = ast.parse((Path(sympgen.__file__).parent / "matrix.py").read_text())
+def _prime_field_forks(module):
+    """The functions and methods of a module that read is_prime_field."""
+    tree = ast.parse((Path(sympgen.__file__).parent / module).read_text())
     defs = [node for top in tree.body
             for node in (top.body if isinstance(top, ast.ClassDef) else [top])
             if isinstance(node, ast.FunctionDef)]
-    forks = [node.name for node in defs
-             if any(isinstance(n, ast.Attribute) and n.attr == "is_prime_field"
-                    for n in ast.walk(node))]
-    assert forks == ["_combiner"]
+    return [node.name for node in defs
+            if any(isinstance(n, ast.Attribute) and n.attr == "is_prime_field"
+                   for n in ast.walk(node))]
+
+
+def test_one_prime_field_fork_in_matrix():
+    # matrix._combiner is the one place where matrix arithmetic tells prime
+    # fields from extension fields
+    assert _prime_field_forks("matrix.py") == ["_combiner"]
+
+
+def test_no_prime_field_fork_in_poly():
+    # every F_q runs the same packed digit-slot kernels: F_p is f = 1
+    assert _prime_field_forks("poly.py") == []
