@@ -838,21 +838,16 @@ def _w_eigenvectors(pair):
                       [wb1, x.transpose().apply(wb1)], F)]
 
 
-@claim("main4-cube-dim6", "cube-n4")
-def _main4_cube():
-    results = []
-    for pair in _pairs(4, "general", _N4):
-        F, p = pair.field, pair.field.p
-        c = pair.commutator()
-        es = eigenspace(c ** 3, -1)
-        # parametrized family: (x1,x2,x3,x4,x5,-x4-x5, a x5 + x3, x6)
-        unit = [[int(i == j) for j in range(6)] for i in range(6)]
-        basis = [_vec(F, [x1, x2, x3, x4, x5, -x4 - x5, pair.a * x5 + x3, x6])
-                 for x1, x2, x3, x4, x5, x6 in unit]
-        minus_i = Mat.identity(F, 8).scale(-1)
-        results.append([len(es), same_span(es, basis, F),
-                        (c ** (3 * p)) == minus_i])
-    return {"expected": [[6, True, True]] * len(results), "computed": results}
+def _cube_eigenspace(pair):
+    """The -1-eigenspace of C^3 has dimension 6 and is the family
+    (x1, x2, x3, x4, x5, -x4 - x5, a x5 + x3, x6); C^(3p) = -I."""
+    F, c = pair.field, pair.commutator()
+    es = eigenspace(c ** 3, -1)
+    unit = [[int(i == j) for j in range(6)] for i in range(6)]
+    basis = [_vec(F, [x1, x2, x3, x4, x5, -x4 - x5, pair.a * x5 + x3, x6])
+             for x1, x2, x3, x4, x5, x6 in unit]
+    return [len(es), same_span(es, basis, F),
+            c ** (3 * F.p) == Mat.identity(F, 8).scale(-1)]
 
 
 def _c_order_claim(q, instances, order):
@@ -1314,6 +1309,8 @@ _VALUES = {
     "charpoly-n4": ("charpoly-n4", 4, "general", _N4,
                     lambda p: char_poly(p.commutator()),
                     lambda F, a: Poly(F, (1, 2, 1, 2, 4, 2, 1, 2, 1))),
+    "main4-cube-dim6": ("cube-n4", 4, "general", _N4, _cube_eigenspace,
+                        lambda F, a: [6, True, True]),
     "main4-chi-xy": ("chi-xy-n4", 4, "general", _N4,
                      lambda p: char_poly(p.x * p.y),
                      lambda F, a: Poly(F, [1, -a, 0, a, -a**2 - 1, a, 0, -a, 1])),

@@ -45,6 +45,26 @@ from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
 _TABLE_LIMIT = 1 << 16
 
 
+def _power(x, e: int, mul, one):
+    """x^e for e >= 0 by right-to-left square-and-multiply: one for e = 0,
+    else bit_length(e) + popcount(e) - 2 calls of mul.  No product by one and
+    no squaring past the top bit.  The one exponent loop of the package:
+    field elements, polynomials, residues of powmod and matrices use it."""
+    if not e:
+        return one
+    while not e & 1:
+        x = mul(x, x)
+        e >>= 1
+    result = x
+    e >>= 1
+    while e:
+        x = mul(x, x)
+        if e & 1:
+            result = mul(result, x)
+        e >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # FieldCtx
 # ---------------------------------------------------------------------------
@@ -134,13 +154,7 @@ class FieldCtx:
         return self.from_coeffs([-c for c in self.coeffs(a)])
 
     def _raw_pow(self, a, e):
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+        return _power(a, e, self._raw_mul, 1)
 
     def _bind_arithmetic(self):
         """Decide the field kind, once, and bind its six operations.  A tabled

@@ -24,8 +24,9 @@ field it chains maps of the field's add and mul over the nonzero c_i.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation is kept alongside as an independent cross-check
-for small dimensions.  similarity_invariants computes the Smith normal form
-of tI - M over F_q[t] with the lowest-degree pivot rule (ties by position).
+for small dimensions.  similarity_invariants reads the invariant factors
+from the nullities of f(M)^k, f over the irreducible factors of char_poly:
+kernel is the one elimination, _echelon, as for det, inverse and solve.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ import operator
 from itertools import repeat
 
 from .errors import MixedFields, NotSquare, ShapeMismatch, SingularMatrix
-from .gf import FieldCtx, FieldElem
-from .poly import Poly, _pack, _slot_width, _unpack
+from .gf import FieldCtx, FieldElem, _power
+from .poly import Poly, _pack, _slot_width, _unpack, factor
 
 
 @functools.lru_cache(maxsize=None)
@@ -188,14 +189,7 @@ class Mat:
             raise NotSquare("powers need a square matrix")
         if e < 0:
             return self.inverse() ** (-e)
-        result = Mat.identity(self.field, self.rows)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul, Mat.identity(self.field, self.rows))
 
     def transpose(self):
         data = tuple(zip(*self.data)) if self.data else ((),) * self.cols
@@ -213,40 +207,36 @@ class Mat:
     # -- elimination-based operations --------------------------------------
 
     def _echelon(self, augment=None):
-        """Row echelon form; returns (rows, pivot cols, det, aug rows)."""
+        """Reduced row echelon form of [self | augment], pivots taken only in
+        self's columns; returns (self's rows, pivot cols, det, augment's rows)."""
         F = self.field
-        mul, add, inv, neg, sub = F.mul, F.add, F.inv, F.neg, F.sub
-        m = [list(r) for r in self.data]
-        aug = [list(r) for r in augment.data] if augment is not None else None
+        mul, inv, neg, sub = F.mul, F.inv, F.neg, F.sub
+        n = self.cols
+        m = ([[*r, *a] for r, a in zip(self.data, augment.data)] if augment is not None
+             else [list(r) for r in self.data])
         det = 1
         pivots = []
         r = 0
-        for c in range(self.cols):
+        for c in range(n):
             pr = next((i for i in range(r, self.rows) if m[i][c]), None)
             if pr is None:
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
-                if aug:
-                    aug[r], aug[pr] = aug[pr], aug[r]
                 det = neg(det)
             pv = m[r][c]
             det = mul(det, pv)
             pv_inv = inv(pv)
             m[r] = [mul(pv_inv, v) for v in m[r]]
-            if aug:
-                aug[r] = [mul(pv_inv, v) for v in aug[r]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
                     factor = m[i][c]
                     m[i] = [sub(v, mul(factor, w)) for v, w in zip(m[i], m[r])]
-                    if aug:
-                        aug[i] = [sub(v, mul(factor, w)) for v, w in zip(aug[i], aug[r])]
             pivots.append(c)
             r += 1
             if r == self.rows:
                 break
-        return m, pivots, det, aug
+        return [row[:n] for row in m], pivots, det, [row[n:] for row in m]
 
     def det(self) -> FieldElem:
         if not self.is_square():
@@ -452,71 +442,36 @@ def same_span(basis_a, basis_b, field) -> bool:
             and all(in_span(basis_a, v, field) for v in basis_b))
 
 
-# ---------------------------------------------------------------------------
-# Smith normal form over F_q[t]
-# ---------------------------------------------------------------------------
-
 def similarity_invariants(m: Mat):
-    """Nonconstant invariant factors of tI - M, in divisibility order."""
+    """Nonconstant invariant factors of tI - M, in divisibility order.
+
+    Read from kernel ranks (Dummit & Foote, Abstract Algebra, 3rd ed., 12.3):
+    for each irreducible f of degree d and multiplicity mult in char_poly(M),
+    the nullity n_k of f(M)^k rises to d mult, and (n_k - n_{k-1}) / d blocks
+    f^j of M have j >= k.  The i-th largest invariant factor is the product
+    of f^#{k : that count >= i} over the factors f."""
     if not m.is_square():
         raise NotSquare("similarity invariants need a square matrix")
     F = m.field
-    n = m.rows
-    t = Poly.t(F)
-    a = [[(t if i == j else Poly.zero(F)) - Poly._make(F, (m.data[i][j],))
-          for j in range(n)] for i in range(n)]
-
-    def min_entry(k):
-        best = None
-        for i in range(k, n):
-            for j in range(k, n):
-                e = a[i][j]
-                if not e.is_zero() and (best is None or e.degree < a[best[0]][best[1]].degree):
-                    best = (i, j)
-        return best
-
-    for k in range(n):
+    eye = Mat.identity(F, m.rows)
+    exponents = []  # (f, exponent of f in each invariant factor, largest first)
+    for f, mult in factor(char_poly(m)):
+        a = m + eye.scale(FieldElem(F, f.coeffs[-2]))  # f(M) by Horner; f monic
+        for c in f.coeffs[-3::-1]:
+            a = a * m + eye.scale(FieldElem(F, c))
+        counts, nullity, power = [], 0, a
         while True:
-            pos = min_entry(k)
-            if pos is None:
+            prev, nullity = nullity, len(power.kernel())
+            counts.append((nullity - prev) // f.degree)
+            if nullity == f.degree * mult:
                 break
-            i0, j0 = pos
-            if i0 != k:
-                a[k], a[i0] = a[i0], a[k]
-            if j0 != k:
-                for row in a:
-                    row[k], row[j0] = row[j0], row[k]
-            pivot = a[k][k]
-            dirty = False
-            for i in range(k + 1, n):
-                if not a[i][k].is_zero():
-                    q, _ = divmod(a[i][k], pivot)
-                    if not q.is_zero():
-                        a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-                    if not a[i][k].is_zero():
-                        dirty = True
-            for j in range(k + 1, n):
-                if not a[k][j].is_zero():
-                    q, _ = divmod(a[k][j], pivot)
-                    if not q.is_zero():
-                        for i2 in range(n):
-                            a[i2][j] = a[i2][j] - q * a[i2][k]
-                    if not a[k][j].is_zero():
-                        dirty = True
-            if dirty:
-                continue
-            # pivot must divide everything below-right; if not, fold that row in
-            fixed = True
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    if not (a[i][j] % pivot).is_zero():
-                        a[k] = [x + y for x, y in zip(a[k], a[i])]
-                        fixed = False
-                        break
-                if not fixed:
-                    break
-            if fixed:
-                break
-    diag = [a[i][i].monic() for i in range(n) if not a[i][i].is_zero()]
-    diag.sort(key=lambda p: (p.degree, p.coeffs))
-    return [p for p in diag if p.degree > 0]
+            power = power * a
+        exponents.append((f, [sum(c >= i for c in counts) for i in range(1, counts[0] + 1)]))
+    out = []
+    for i in range(max((len(e) for _, e in exponents), default=0) - 1, -1, -1):
+        inv = Poly.one(F)
+        for f, e in exponents:
+            if i < len(e):
+                inv = inv * f ** e[i]
+        out.append(inv)
+    return out

@@ -43,7 +43,7 @@ from itertools import repeat
 import sympy
 
 from .errors import BadParam, MixedFields, ZeroPolynomial
-from .gf import FieldCtx, FieldElem
+from .gf import FieldCtx, FieldElem, _power
 
 # array typecode of each item size; 1-byte slots go through bytes, wider
 # ones without a typecode through int.to_bytes
@@ -303,14 +303,7 @@ class Poly:
     def __pow__(self, e: int):
         if e < 0:
             raise BadParam("negative polynomial power")
-        result = Poly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, operator.mul, Poly.one(self.field))
 
     def powmod(self, e: int, mod: "Poly") -> "Poly":
         if e < 0:
@@ -395,13 +388,7 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
         acc = (prod & low) + sum(map(mul, _unpack(prod >> shift, (d - 1) * s, w, p), folds))
         return reduce(acc)
 
-    result, b = 1, _pack(_digits(base.coeffs, p, f), w)
-    while e:
-        if e & 1:
-            result = mulmod(result, b)
-        e >>= 1
-        if e:
-            b = mulmod(b, b)
+    result = _power(_pack(_digits(base.coeffs, p, f), w), e, mulmod, 1)
     return Poly._make(F, _values(_unpack(result, d * s, w, p), p, f))
 
 
@@ -526,7 +513,7 @@ def _equal_degree_split(p: Poly, d: int, rng: random.Random):
             acc = Poly.zero(F)
             cur = h % p
             for _ in range(m * d):
-                acc = (acc + cur) % p
+                acc = acc + cur
                 cur = (cur * cur) % p
             g = p.gcd(acc)
             if not (0 < g.degree < p.degree):

@@ -18,7 +18,7 @@ from sympgen.matrix import (
     paper_commutator,
     similarity_invariants,
 )
-from sympgen.poly import Poly, is_self_reciprocal
+from sympgen.poly import Poly, is_irreducible, is_self_reciprocal
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -156,6 +156,31 @@ def test_similarity_invariants_conjugation_invariant():
     assert similarity_invariants(m) == similarity_invariants(g * m * g.inverse())
 
 
+def _companion(f):
+    """The companion matrix of a monic polynomial: t f-cyclic on e_1."""
+    F, d = f.field, f.degree
+    return Mat._make(F, tuple(tuple(F.neg(f.coeffs[i]) if j == d - 1 else int(i == j + 1)
+                                    for j in range(d)) for i in range(d)))
+
+
+@pytest.mark.parametrize("q", [4, 5, 9])
+def test_similarity_invariants_recover_a_known_chain(q):
+    # C(f) + C(f g) + C(f^2 g), conjugated, has invariant factors f | f g | f^2 g
+    ctx = gf.standard_field(q)
+    f = next(p for p in (Poly._make(ctx, (c0, c1, 1)) for c0 in range(1, q) for c1 in range(q))
+             if is_irreducible(p))
+    g = Poly(ctx, (1, 1))
+    chain = [f, f * g, f * f * g]
+    m = Mat.block_diag([_companion(h) for h in chain])
+    rng = random.Random(f"chain,{q}")
+    while True:
+        c = rand_mat(ctx, m.rows, rng)
+        if c.det():
+            break
+    assert similarity_invariants(c * m * c.inverse()) == chain
+    assert similarity_invariants(Mat.identity(ctx, 0)) == []
+
+
 def test_paper_commutator_involution_case():
     # when x^2 = I the paper convention agrees with x^-1 y^-1 x y
     x = Mat(F5, [[0, 1], [1, 0]])
@@ -215,3 +240,21 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_length():
             i2.solve(rhs)
     with pytest.raises(ShapeMismatch):
         in_span([(1, 0)], (1, 0, 5), F7)
+
+
+def test_powers_make_one_product_per_squaring_and_set_bit(monkeypatch):
+    # g ** e: bit_length(e) - 1 squarings and popcount(e) - 1 products, no
+    # product by I and no squaring past the top bit
+    products = []
+    mul = Mat.__mul__
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    g = rand_mat(gf.standard_field(7), 4, random.Random(3))
+    want = Mat.identity(g.field, 4)
+    for e in range(70):
+        products.clear()
+        got = g ** e
+        assert len(products) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+        assert got == want
+        want = mul(want, g)
+    products.clear()
+    assert g ** 3 == mul(mul(g, g), g) and len(products) == 2

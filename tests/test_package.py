@@ -107,3 +107,15 @@ def test_one_prime_field_fork_in_matrix():
 def test_no_prime_field_fork_in_poly():
     # every F_q runs the same packed digit-slot kernels: F_p is f = 1
     assert _prime_field_forks("poly.py") == []
+
+
+def test_one_square_and_multiply():
+    # gf._power is the one exponent loop: field elements, polynomials,
+    # powmod residues and matrices all raise through it
+    found = [f"{path.stem}.{node.name}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)
+             and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
+                     for n in ast.walk(node))]
+    assert found == ["gf._power"]
