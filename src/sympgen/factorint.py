@@ -3,16 +3,27 @@
 Group orders such as |Sp_28(7)| never need to exist as flat integers; they are
 kept factored.  Cyclotomic decomposition q^d - 1 = prod_{e | d} Phi_e(q) keeps
 every integer handed to the factoring backend small (~10^12 at worst for the
-parameters exercised here).
+parameters exercised here).  Phi_e(q) itself is the integer
+prod_{d | e} (q^d - 1)^mu(e/d), with no symbolic polynomial.
+
+multiplicative_order works in any group given its power map: the powers
+x^(N / l^e) for all prime powers l^e of N come from one product tree
+(_cofactor_powers, a Huffman tree on their bit lengths), and each is then
+raised by l until it is the identity (Sutherland, Order computations in
+generic groups, PhD thesis, MIT 2007, ch. 7).  A group order that x^N does
+not reach raises CheckFailed.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import itertools
+import math
 
 import sympy
 
-from .errors import OutOfRange
+from .errors import CheckFailed, OutOfRange
 
 _FLAT_LIMIT = 1 << 64
 
@@ -87,11 +98,27 @@ class FactoredInt:
         return {str(p): e for p, e in sorted(self.factors.items())}
 
 
+def _mobius(n: int) -> int:
+    exps = sympy.factorint(n).values()
+    return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+
+def _phi(e: int, q: int) -> int:
+    """Phi_e(q) = prod_{d | e} (q^d - 1)^mu(e/d), in integers."""
+    num = den = 1
+    for d in sympy.divisors(e):
+        mu = _mobius(e // d)
+        if mu > 0:
+            num *= q**d - 1
+        elif mu < 0:
+            den *= q**d - 1
+    return num // den
+
+
 @functools.lru_cache(maxsize=None)
 def _phi_factors(e: int, q: int):
     """Factorization of Phi_e(q) as a tuple of (prime, exponent)."""
-    value = int(sympy.cyclotomic_poly(e, q))
-    return tuple(sorted(sympy.factorint(value).items()))
+    return tuple(sorted(sympy.factorint(_phi(e, q)).items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,24 +133,64 @@ def factor_q_pow_minus_one(q: int, d: int) -> FactoredInt:
     return FactoredInt(result)
 
 
-def multiplicative_order(modulus_order: FactoredInt, power) -> FactoredInt:
-    """Order of an abstract element given group order and a power oracle.
+def _cofactor_powers(x, parts, power):
+    """[x^(P / m) for m in parts], P the product of the parts, with power(y, n)
+    giving y^n, from one product tree (Sutherland, Order computations in
+    generic groups, 2007, ch. 7).  A node holding the parts S has
+    y = x^(P / prod S), and each child is reached by raising y by the
+    product of the other child's parts.  A part at depth k is thus raised
+    through k times, about sum bits(m) depth(m) squarings in all, which a
+    Huffman tree on the bit lengths of the parts makes least; separate
+    powers would take about bits(P) squarings per part."""
+    # a node is (bits, tie-break, indices of its parts, its two children)
+    heap = [(m.bit_length(), i, (i,), ()) for i, m in enumerate(parts)]
+    heapq.heapify(heap)
+    tick = itertools.count(len(parts))
+    while len(heap) > 1:
+        a, b = heapq.heappop(heap), heapq.heappop(heap)
+        heapq.heappush(heap, (a[0] + b[0], next(tick), a[2] + b[2], (a, b)))
+    out = [None] * len(parts)
 
-    ``power(n)`` must return the element raised to the n-th power, and the
-    identity must compare equal to ``power(0)``.
+    def walk(y, node):
+        _, _, leaves, children = node
+        if not children:
+            out[leaves[0]] = y
+            return
+        left, right = children
+        walk(power(y, math.prod(parts[i] for i in right[2])), left)
+        walk(power(y, math.prod(parts[i] for i in left[2])), right)
+
+    if heap:
+        walk(x, heap[0])
+    return out
+
+
+def multiplicative_order(modulus_order: FactoredInt, x, power, is_one) -> FactoredInt:
+    """Order of x in a group whose exponent divides N = modulus_order.
+
+    power(y, n) must return y^n and is_one(y) tell whether y is the
+    identity.  For each prime power l^e of N, y = x^(N / l^e) comes from one
+    product tree (_cofactor_powers) and is raised by l until it is the
+    identity; the count of steps is the exponent of l in the order.  Every
+    such y reaches x^N after e steps, so x^N = 1 is checked once, in the
+    leaf of the least l^e: there, reaching e steps without the identity
+    raises CheckFailed.  Every other leaf stops after e - 1 steps.
     """
-    identity = power(0)
-    order = dict(modulus_order.factors)
-    n = modulus_order.value_unchecked()
-    for prime in list(order):
-        while order[prime] > 0:
-            candidate = n // prime
-            if power(candidate) == identity:
-                n = candidate
-                order[prime] -= 1
-            else:
-                break
-        if order[prime] == 0:
-            del order[prime]
+    exps = modulus_order.factors
+    primes = sorted(exps)
+    parts = [prime**exps[prime] for prime in primes]
+    check = parts.index(min(parts)) if parts else None
+    if not parts and not is_one(x):
+        raise CheckFailed("x is not the identity in a group of order 1")
+    order = {}
+    for i, (prime, y) in enumerate(zip(primes, _cofactor_powers(x, parts, power))):
+        e, k = exps[prime], 0
+        while not is_one(y):
+            if k == e:
+                raise CheckFailed(f"x^{modulus_order.value_unchecked()} is not the identity")
+            k += 1
+            if k == e and i != check:
+                break  # y^(l^e) = x^N, the identity by the check leaf
+            y = power(y, prime)
+        order[prime] = k
     return FactoredInt(order)
-

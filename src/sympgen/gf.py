@@ -391,7 +391,7 @@ def mult_order(b: FieldElem) -> FactoredInt:
         raise ZeroElement("zero has no multiplicative order")
     ctx = b.ctx
     group = factor_q_pow_minus_one(ctx.p, ctx.f)
-    return multiplicative_order(group, lambda n: ctx.pow(b.val, n))
+    return multiplicative_order(group, b.val, ctx.pow, lambda v: v == 1)
 
 
 def campoN_bound(s: int, p: int, f: int) -> int:

@@ -4,14 +4,18 @@
 through its cyclotomic decomposition so nothing large ever reaches the
 integer-factoring backend.  Element orders come from the characteristic
 polynomial chi: the semisimple part is the lcm of ord(t mod f) over the
-irreducible factors f, the unipotent part is the p-power covering the
-largest multiplicity.  The result is checked without raising g to N: once
+irreducible factors f (factorint.multiplicative_order in the ring
+F_q[t]/(f)), the unipotent part is the p-power covering the largest
+multiplicity.  The result is checked without raising g to N: once
 chi(g) = 0 is checked by evaluation, g^k = r_k(g) with r_k = t^k mod chi
-(Cayley-Hamilton), evaluated by Paterson-Stockmeyer.  The order N must
-give r_N(g) = I, and for each prime l of N, g^(N/l) != I is shown on a
+(Cayley-Hamilton), evaluated by Paterson-Stockmeyer.  The residues
+r_(N/l), for every prime l of N, come from one product tree of powers in
+the ring F_q[t]/(chi), and r_N = r_(N/l)^l for the least l.  The order N
+must give r_N(g) = I, and for each prime l of N, g^(N/l) != I is shown on a
 witness vector: r_(N/l)(g) e_1, a combination of the Krylov vectors
-g^i e_1, differs from e_1; only if it does not is r_(N/l)(g) evaluated in
-full.  The certificate thus rests neither on factor nor on the t-orders.
+g^i e_1, differs from e_1, or else r_(N/l)(g) e_2 differs from e_2; only if
+neither does is r_(N/l)(g) evaluated in full.  The certificate thus rests
+neither on factor nor on the t-orders.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import math
 from enum import Enum
 
 from .errors import BadParam, CheckFailed, ShapeMismatch, SingularMatrix
-from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
+from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
+                        multiplicative_order)
 from .gf import _split_prime_power
 from .matrix import Mat, _combiner, char_poly
-from .poly import Poly, factor
+from .poly import Poly, _Ring, factor
 
 
 class PrimeSet:
@@ -88,48 +93,52 @@ def order_sl(n: int, q: int) -> FactoredInt:
 def _poly_t_order(f_poly: Poly) -> FactoredInt:
     """Multiplicative order of t modulo an irreducible polynomial != t."""
     F = f_poly.field
-    d = f_poly.degree
-    group = factor_q_pow_minus_one(F.p, F.f * d)
-    t = Poly.t(F)
-    one = Poly.one(F)
-
-    def power(n):
-        return t.powmod(n, f_poly) if n else one
-
-    return multiplicative_order(group, power)
+    group = factor_q_pow_minus_one(F.p, F.f * f_poly.degree)
+    ring = _Ring(f_poly)
+    # ring elements are reduced, so the residue 1 is the int 1
+    return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
 
 
 class _Powers:
     """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod chi, where
     chi = char_poly(g); exact because construction checks chi(g) = 0.
 
+    The residues r_k are powers of t in ring = poly._Ring(chi), so every
+    residue of one element_order call shares its fold set-up, and the r_(N/l)
+    for all primes l of N come from one product tree of powers.
+
     r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
     m = ceil(sqrt(d)) for d = dim g, and the giant step g^m take m - 1
     products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
     products more.  A block's row i is a combination of the baby powers'
-    rows i, formed by one matrix._combiner per row index.  fixes_e1 tests
-    r(g) e_1 = e_1 on the Krylov vectors g^i e_1 (i < d), built once from
-    the first columns of the baby powers and about d/m products by (g^m)^T,
+    rows i, formed by one matrix._combiner per row index.  fixes(r, i) tests
+    r(g) e_i = e_i on the Krylov vectors g^j e_i (j < d), built on first use
+    from column i of the baby powers and about d/m products by (g^m)^T,
     and combined with r's coefficients by one more _combiner.
     """
 
-    __slots__ = ("cp", "t", "baby", "giant", "combiners", "krylov")
+    __slots__ = ("ring", "t", "baby", "giant", "combiners", "krylov")
 
     def __init__(self, g: Mat, cp: Poly):
         F, d = g.field, g.rows
-        self.cp, self.t = cp, Poly.t(F)
+        self.ring = _Ring(cp)
+        self.t = self.ring.elem(Poly.t(F))
         m = math.isqrt(max(d - 1, 0)) + 1
         powers = [Mat.identity(F, d), g]
         while len(powers) <= m:
             powers.append(powers[-1] * g)
         self.baby, self.giant = powers[:m], powers[m]
         self.combiners = [_combiner(F, rows, d) for rows in zip(*(b.data for b in self.baby))]
-        self.krylov = None
+        self.krylov = {}
         if any(map(any, self.at(cp).data)):
             raise CheckFailed("g is not a root of its characteristic polynomial")
 
-    def residue(self, k: int) -> Poly:
-        return self.t.powmod(k, self.cp)
+    def residues(self, order: FactoredInt) -> list:
+        """The packed r_(N/l) for the primes l of N = order, in ascending
+        order, from one product tree rooted at t^(N / rad N)."""
+        primes = order.primes()
+        root = self.ring.pow(self.t, order.value_unchecked() // math.prod(primes))
+        return _cofactor_powers(root, primes, self.ring.pow)
 
     def combine(self, coeffs) -> Mat:
         return Mat._make(self.giant.field, tuple(row(coeffs) for row in self.combiners),
@@ -143,21 +152,24 @@ class _Powers:
             acc = acc * self.giant + self.combine(block)
         return acc
 
-    def power(self, k: int) -> Mat:
-        return self.at(self.residue(k))
-
-    def fixes_e1(self, r: Poly) -> bool:
+    def fixes(self, r: Poly, i: int) -> bool:
         d = self.giant.rows
-        if self.krylov is None:
+        if i not in self.krylov:
             F = self.giant.field
-            block = Mat._make(F, tuple(tuple(row[0] for row in b.data) for b in self.baby))
+            block = Mat._make(F, tuple(tuple(row[i] for row in b.data) for b in self.baby))
             giant_t = self.giant.transpose()
-            vecs = list(block.data)  # row i is g^i e_1
+            vecs = list(block.data)  # row j is g^j e_i
             while len(vecs) < d:
                 block = block * giant_t
                 vecs.extend(block.data)
-            self.krylov = _combiner(F, vecs[:d], d)
-        return self.krylov(r.coeffs) == (1,) + (0,) * (d - 1)
+            self.krylov[i] = _combiner(F, vecs[:d], d)
+        return self.krylov[i](r.coeffs) == tuple(int(j == i) for j in range(d))
+
+    def is_identity(self, r: Poly) -> bool:
+        """r(g) = I, shown false where possible on the witnesses e_1, then
+        e_2, before r(g) is evaluated in full."""
+        return (all(self.fixes(r, i) for i in range(min(2, self.giant.rows)))
+                and self.at(r).is_identity())
 
 
 def element_order(g: Mat) -> FactoredInt:
@@ -176,20 +188,27 @@ def element_order(g: Mat) -> FactoredInt:
             continue
         order = order.lcm(_poly_t_order(irr))
     powers = _Powers(g, cp)
-    # unipotent part: the least p^k with g^(N0 p^k) = I for the semisimple
-    # order N0; no Jordan block is longer than the largest multiplicity, so
-    # once p^k reaches it without giving I, N0 is wrong
-    n_val = order.value_unchecked()
-    base, k = powers.power(n_val), 0
+    ring = powers.ring
+    # r_N = r_(N/l)^l for the least prime l of N; unipotent part: the least
+    # p^k with g^(N0 p^k) = I for the semisimple order N0.  No Jordan block
+    # is longer than the largest multiplicity, so once p^k reaches it
+    # without giving I, N0 is wrong
+    primes = order.primes()
+    checks = list(zip(primes, powers.residues(order)))
+    r_n = ring.pow(checks[0][1], primes[0]) if primes else powers.t
+    n_val, base, k = order.value_unchecked(), powers.at(ring.poly(r_n)), 0
     while not base.is_identity():
         if F.p ** k >= max_mult:
             raise CheckFailed(f"g^{n_val} is not the identity")
         base, n_val, k = base ** F.p, n_val * F.p, k + 1
     if k:
+        # N = N0 p^k with p prime to N0: r_(N/l) = r_(N0/l)^(p^k) for l | N0,
+        # and r_(N/p) = r_N0^(p^(k-1))
         order = order * FactoredInt({F.p: k})
-    for prime in order.primes():
-        r = powers.residue(n_val // prime)
-        if powers.fixes_e1(r) and powers.at(r).is_identity():
+        checks = sorted([(prime, ring.pow(r, F.p ** k)) for prime, r in checks]
+                        + [(F.p, ring.pow(r_n, F.p ** (k - 1)))])
+    for prime, r in checks:
+        if powers.is_identity(ring.poly(r)):
             raise CheckFailed(f"g^({n_val}/{prime}) is the identity")
     return order
 

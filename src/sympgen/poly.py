@@ -6,23 +6,29 @@ zeros.  The public constructor Poly(F, coeffs) takes FieldElems and ints
 results of the ring operations are built by the trusted Poly._make(F, vals),
 which takes packed values already in [0, q) and only strips trailing zeros.
 
-Products and powmod run on packed digit slots over every F_q, q = p^f
-(Kronecker substitution in t and in w at once).  A coefficient
-c_i = d_0 + d_1 p + ... + d_{f-1} p^(f-1) of F_{p^f} puts its base-p digits
-d_j, the coefficients of w^j, in slots i(2f - 1) + j of one integer of
-byte-aligned slots (_digits, _pack); the f - 1 slots above them stay 0, so
-one big-int multiplication convolves in t and in w and no two terms
-overlap.  _digit_fold carries the slots w^f .. w^(2f-2) of every
+Products and the residue ring F_q[t]/(mod) run on packed digit slots over
+every F_q, q = p^f (Kronecker substitution in t and in w at once).  A
+coefficient c_i = d_0 + d_1 p + ... + d_{f-1} p^(f-1) of F_{p^f} puts its
+base-p digits d_j, the coefficients of w^j, in slots i(2f - 1) + j of one
+integer of byte-aligned slots (_digits, _pack); the f - 1 slots above them
+stay 0, so one big-int multiplication convolves in t and in w and no two
+terms overlap.  _digit_fold carries the slots w^f .. w^(2f-2) of every
 coefficient back through the digits of w^j mod m(w), with no table, and
 each slot is reduced mod p once after it (_unpack, _values).  The slots are
 wide enough for _fold_bound: for lists whose shorter one has n
 coefficients, a slot of the product sums at most n f (p - 1)^2 and the fold
-adds at most n f (f - 1) / 2 (p - 1)^3.  powmod keeps its residues packed
-between steps and also folds the top d - 1 coefficients of each product
-back through the packed w^j t^k modulo the degree-d modulus; its slots hold
-the sum of both folds (see _powmod).  Over F_p (f = 1) a value is its one
+adds at most n f (f - 1) / 2 (p - 1)^3.  Over F_p (f = 1) a value is its one
 digit and there is nothing to fold.  _pack and _unpack are shared with the
 packed rows of matrix._combiner.
+
+_Ring(mod) is F_q[t]/(mod) on that layout: its elements are packed
+residues, and a product also folds the top d - 1 coefficients back through
+the packed w^j t^k modulo the degree-d modulus.  The ring builds its digit
+fold and those rows once, so everything that works modulo one polynomial
+keeps one ring: Poly.powmod (one ring per call), is_irreducible (one per
+call), the distinct-degree split (one per part not yet split off), the
+equal-degree split (one per product split), and grouporder's t-orders and
+residues t^k mod chi.  Its slots hold the sum of both folds (see _Ring).
 
 Factorization is squarefree decomposition, then distinct-degree,
 then equal-degree splitting (Cantor-Zassenhaus, with the additive trace-map
@@ -308,10 +314,10 @@ class Poly:
     def powmod(self, e: int, mod: "Poly") -> "Poly":
         if e < 0:
             raise BadParam("negative polynomial power")
-        base = self % mod
         if mod.degree < 1:  # a residue mod a unit is 0; x^0 is 1 as everywhere
-            return base if e else Poly.one(self.field)
-        return _powmod(base, e, mod)
+            return self % mod if e else Poly.one(self.field)
+        ring = _Ring(mod)
+        return ring.poly(ring.pow(ring.elem(self), e))
 
     def gcd(self, other: "Poly") -> "Poly":
         a, b = self, other
@@ -347,49 +353,74 @@ def roots(p: Poly):
     return (b for b in p.field.elements() if not p.eval(b))
 
 
-def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e modulo mod on packed digit slots; base reduced, d = deg mod >= 1.
+class _Ring:
+    """F_q[t]/(mod) on packed digit slots, for a modulus of degree d >= 1.
 
-    Residues stay packed, d blocks of 2f - 1 slots.  A product of two has
-    2d - 1 blocks, and after the digit fold a slot holds at most
-    _fold_bound(d, p, f).  The top d - 1 blocks are then unpacked mod p and
-    fold back through the packed w^j t^k mod mod (k = d .. 2d - 2, j < f),
-    which adds at most (d - 1) f (p - 1)^2 to a low slot.  So the slots are
-    wide enough for the sum of both; over F_p that is (2d - 1)(p - 1)^2."""
-    F = mod.field
-    p, f, d = F.p, F.f, mod.degree
-    s = 2 * f - 1
-    w = _slot_width(_fold_bound(d, p, f) + (d - 1) * f * (p - 1) ** 2)
-    bits, fold = 8 * w, _digit_fold(F, w, 2 * d - 1)
-    shift = bits * s * d
-    low = (1 << shift) - 1
-    mul = operator.mul
+    An element is a residue packed as d blocks of 2f - 1 slots (see
+    _digits).  Every element is reduced, slot by slot, so equal residues are
+    equal ints and the residue 1 is the int 1.  The digit fold and the rows
+    of w^j t^k mod mod (k = d .. 2d - 2, j < f) are built here, once per
+    modulus: a ring kept for a modulus pays that set-up once for all its
+    products and powers.
 
-    def reduce(x):
-        return _pack(_unpack(x, d * s, w, p), w)
+    A product of two elements has 2d - 1 blocks, and after the digit fold a
+    slot holds at most _fold_bound(d, p, f).  The top d - 1 blocks are then
+    unpacked mod p and fold back through the packed w^j t^k rows, which adds
+    at most (d - 1) f (p - 1)^2 to a low slot.  So the slots are wide enough
+    for the sum of both; over F_p that is (2d - 1)(p - 1)^2.
+    """
 
-    # row holds w^j t^k mod mod for j < f, from k = d: t^d from mod, each
-    # w^(j+1) by one slot shift and a digit fold, each t^(k+1) by one block
-    # shift and a fold of the top block through the row of t^d
-    scale = F.neg(F.inv(mod.lead()))
-    row = [_pack(_digits([F.mul(scale, c) for c in mod.coeffs[:d]], p, f), w)]
-    for _ in range(f - 1):
-        row.append(reduce(fold(row[-1] << bits)))
-    t_d, folds = row, []
-    for k in range(d, 2 * d - 1):
-        folds += row + [0] * (f - 1)
-        if k < 2 * d - 2:
-            row = [reduce((x << bits * s & low)
-                          + sum(map(mul, _unpack(x >> shift - bits * s, f, w, p), t_d)))
-                   for x in row]
+    __slots__ = ("mod", "_p", "_f", "_w", "_slots", "_fold", "_shift", "_low", "_folds")
 
-    def mulmod(x, y):
-        prod = fold(x * y)
-        acc = (prod & low) + sum(map(mul, _unpack(prod >> shift, (d - 1) * s, w, p), folds))
-        return reduce(acc)
+    def __init__(self, mod: Poly):
+        F = mod.field
+        p, f, d = F.p, F.f, mod.degree
+        s = 2 * f - 1
+        w = _slot_width(_fold_bound(d, p, f) + (d - 1) * f * (p - 1) ** 2)
+        bits, fold = 8 * w, _digit_fold(F, w, 2 * d - 1)
+        shift = bits * s * d
+        low = (1 << shift) - 1
+        self.mod, self._p, self._f, self._w, self._slots = mod, p, f, w, d * s
+        self._fold, self._shift, self._low = fold, shift, low
 
-    result = _power(_pack(_digits(base.coeffs, p, f), w), e, mulmod, 1)
-    return Poly._make(F, _values(_unpack(result, d * s, w, p), p, f))
+        # row holds w^j t^k mod mod for j < f, from k = d: t^d from mod, each
+        # w^(j+1) by one slot shift and a digit fold, each t^(k+1) by one block
+        # shift and a fold of the top block through the row of t^d
+        scale = F.neg(F.inv(mod.lead()))
+        row = [_pack(_digits([F.mul(scale, c) for c in mod.coeffs[:d]], p, f), w)]
+        for _ in range(f - 1):
+            row.append(self._reduce(fold(row[-1] << bits)))
+        t_d, folds = row, []
+        for k in range(d, 2 * d - 1):
+            folds += row + [0] * (f - 1)
+            if k < 2 * d - 2:
+                row = [self._reduce((x << bits * s & low) + sum(
+                    map(operator.mul, _unpack(x >> shift - bits * s, f, w, p), t_d)))
+                       for x in row]
+        self._folds = folds
+
+    def _reduce(self, x: int) -> int:
+        """x with each of its d blocks' slots reduced mod p."""
+        return _pack(_unpack(x, self._slots, self._w, self._p), self._w)
+
+    def elem(self, poly: Poly) -> int:
+        """The packed residue of poly."""
+        return _pack(_digits((poly % self.mod).coeffs, self._p, self._f), self._w)
+
+    def mul(self, x: int, y: int) -> int:
+        folds = self._folds
+        prod = self._fold(x * y)
+        acc = (prod & self._low) + sum(
+            map(operator.mul, _unpack(prod >> self._shift, len(folds), self._w, self._p), folds))
+        return self._reduce(acc)
+
+    def pow(self, x: int, e: int) -> int:
+        return _power(x, e, self.mul, 1)
+
+    def poly(self, x: int) -> Poly:
+        """The residue x as a Poly of degree below d."""
+        p, f = self._p, self._f
+        return Poly._make(self.mod.field, _values(_unpack(x, self._slots, self._w, p), p, f))
 
 
 @dataclass(frozen=True)
@@ -418,22 +449,23 @@ def is_self_reciprocal(p: Poly) -> bool:
 
 
 def is_irreducible(p: Poly) -> bool:
-    """Rabin irreducibility test over F_q."""
+    """Rabin irreducibility test over F_q, in one ring: t^(q^r) for the
+    r = n / l in ascending order, each from the last, then t^(q^n)."""
     if p.degree < 1:
         return False
     if p.degree == 1:
         return True
     F = p.field
-    q = F.q
+    q, n = F.q, p.degree
     mod = p.monic()
+    ring = _Ring(mod)
     t = Poly.t(F)
-    n = p.degree
-    for r in {n // d for d in sympy.primefactors(n)}:
-        h = t.powmod(q**r, mod)
-        if mod.gcd(h - t).degree > 0:
+    x, done = ring.elem(t), 0
+    for r in sorted({n // d for d in sympy.primefactors(n)}):
+        x, done = ring.pow(x, q ** (r - done)), r
+        if mod.gcd(ring.poly(x) - t).degree > 0:
             return False
-    h = t.powmod(q**n, mod)
-    return (h - t) % mod == Poly.zero(F)
+    return ring.pow(x, q ** (n - done)) == ring.elem(t)
 
 
 def _squarefree_decomposition(p: Poly):
@@ -471,7 +503,9 @@ def _squarefree_decomposition(p: Poly):
 
 
 def _distinct_degree(p: Poly):
-    """Split a squarefree monic polynomial into (product, degree) pieces."""
+    """Split a squarefree monic polynomial into (product, degree) pieces.
+    h = t^(q^d) is raised by q in the ring of the part f not yet split off;
+    a new ring is built only when a piece leaves f."""
     F = p.field
     q = F.q
     out = []
@@ -480,24 +514,30 @@ def _distinct_degree(p: Poly):
     f = p
     d = 0
     while f.degree >= 2 * (d + 1):
-        d += 1
-        h = h.powmod(q, f)
-        g = f.gcd(h - t)
-        if g.degree > 0:
-            out.append((g, d))
-            f = f // g
-            h = h % f
+        ring = _Ring(f)
+        x = ring.elem(h)
+        while f.degree >= 2 * (d + 1):
+            d += 1
+            x = ring.pow(x, q)
+            h = ring.poly(x)
+            g = f.gcd(h - t)
+            if g.degree > 0:
+                out.append((g, d))
+                f = f // g
+                break
     if f.degree > 0:
         out.append((f, f.degree))
     return out
 
 
 def _equal_degree_split(p: Poly, d: int, rng: random.Random):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles."""
+    """Cantor-Zassenhaus split of a squarefree product of degree-d irreducibles,
+    with one ring for p over all its draws."""
     F = p.field
     if p.degree == d:
         return [p]
     q = F.q
+    ring = _Ring(p)
     while True:
         # packed draws: h ranges over all of F_q, not only F_p, so that it
         # can split Frobenius-conjugate roots
@@ -509,18 +549,16 @@ def _equal_degree_split(p: Poly, d: int, rng: random.Random):
             pass  # lucky gcd split
         elif F.p == 2:
             # additive trace map over F_{2^m}: T(h) = sum h^(2^i), i < m*d
-            m = F.f
             acc = Poly.zero(F)
-            cur = h % p
-            for _ in range(m * d):
-                acc = acc + cur
-                cur = (cur * cur) % p
+            cur = ring.elem(h)
+            for _ in range(F.f * d):
+                acc = acc + ring.poly(cur)
+                cur = ring.mul(cur, cur)
             g = p.gcd(acc)
             if not (0 < g.degree < p.degree):
                 continue
         else:
-            e = (q**d - 1) // 2
-            g = p.gcd(h.powmod(e, p) - Poly.one(F))
+            g = p.gcd(ring.poly(ring.pow(ring.elem(h), (q**d - 1) // 2)) - Poly.one(F))
             if not (0 < g.degree < p.degree):
                 continue
         left = _equal_degree_split(g, d, rng)

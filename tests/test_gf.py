@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from sympgen import gf
 from sympgen.errors import (
+    CheckFailed,
     CompositeCharacteristic,
     DivisionByZero,
     NoEmbedding,
     ReducibleModulus,
 )
+from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
 from sympgen.poly import Poly
 
@@ -126,6 +128,26 @@ def test_mult_order_one():
 def test_mult_order_primitive_f8():
     F8 = gf.standard_field(8)
     assert gf.mult_order(F8.mult_generator()).value() == 7
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_mult_order_matches_the_naive_order(q):
+    # the split tree of multiplicative_order against repeated products
+    ctx = gf.standard_field(q)
+    for b in ctx.units():
+        k, acc = 1, b.val
+        while acc != 1:
+            k, acc = k + 1, ctx.mul(acc, b.val)
+        assert gf.mult_order(b).value() == k
+
+
+def test_mult_order_with_a_wrong_group_order_fails_loudly(monkeypatch):
+    # a generator of F_9 has order 8; a group order of 4 leaves its
+    # 2-part unsettled after two squarings
+    gen = gf.standard_field(9).mult_generator()
+    monkeypatch.setattr(gf, "factor_q_pow_minus_one", lambda p, f: FactoredInt({2: 2}))
+    with pytest.raises(CheckFailed):
+        gf.mult_order(gen)
 
 
 def test_minimal_field_gamma_primitive():

@@ -22,7 +22,7 @@ from sympgen.grouporder import (
     varpi_group,
 )
 from sympgen.matrix import Mat
-from sympgen.poly import Poly
+from sympgen.poly import Poly, _Ring
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -170,6 +170,40 @@ def test_element_order_matches_naive_with_e1_fixed(q):
     assert _matches_naive(mats) >= 15
 
 
+def _full_evaluations(mats):
+    """The orders of mats, and how many prime checks evaluated r(g) in full:
+    calls of _Powers.at past the two that every order makes (chi(g) and
+    r_N(g))."""
+    at = grouporder._Powers.at
+    calls = []
+
+    def counting(self, r):
+        calls.append(1)
+        return at(self, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grouporder._Powers, "at", counting)
+        orders = [element_order(m) for m in mats]
+    return orders, len(calls) - 2 * len(mats)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_a_second_krylov_witness_saves_full_evaluations(q, monkeypatch):
+    # the matrices of the e_1-fixed test: each of their prime checks took the
+    # full evaluation on e_1 alone; e_2 shows g^(N/l) != I on most of them
+    ctx = gf.standard_field(q)
+    rng = random.Random(100 + q)
+    one = Mat.identity(ctx, 1)
+    mats = [Mat.block_diag([one, _small_order_blocks(ctx, dim - 1, rng, repeated=False)])
+            for dim in range(2, 9) for _ in range(3)]
+    orders, full = _full_evaluations(mats)
+    checks = sum(len(o.primes()) for o in orders)
+    fixes = grouporder._Powers.fixes
+    monkeypatch.setattr(grouporder._Powers, "fixes", lambda self, r, i: i == 1 or fixes(self, r, i))
+    assert _full_evaluations(mats) == (orders, checks)  # e_1 alone: every check
+    assert 2 * full < checks
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_element_order_matches_naive_with_repeated_factors(q):
     # Jordan blocks of one or two eigenvalues: the unipotent branch
@@ -196,6 +230,27 @@ def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
         counts.append(0)
         element_order(w)
     assert max(counts) <= 40, counts
+
+
+def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatch):
+    # t-orders by a product tree over the primes of q^d - 1, and the
+    # residues r_(N/l) by one tree on the ring of chi: 282-503 products
+    # mod chi or mod a factor of it per witness, 4747 in all, factor's
+    # included.  One power per t-order candidate and per residue, each
+    # from t, took 493-1683 per witness and 12379 in all
+    _, witnesses = claims._witnesses(14, 7)
+    product = _Ring.mul
+    counts = []
+
+    def counting(self, x, y):
+        counts[-1] += 1
+        return product(self, x, y)
+
+    monkeypatch.setattr(_Ring, "mul", counting)
+    for w in witnesses:
+        counts.append(0)
+        element_order(w)
+    assert max(counts) <= 550 and sum(counts) <= 5200, counts
 
 
 def test_varpi_identity_empty():
