@@ -2,9 +2,11 @@
 
 Group orders such as |Sp_28(7)| never need to exist as flat integers; they are
 kept factored.  Cyclotomic decomposition q^d - 1 = prod_{e | d} Phi_e(q) keeps
-every integer handed to the factoring backend small (~10^12 at worst for the
-parameters exercised here).  Phi_e(q) itself is the integer
-prod_{d | e} (q^d - 1)^mu(e/d), with no symbolic polynomial.
+every integer handed to the factoring backend below 2^64 (_FLAT_LIMIT, the
+budget of FactoredInt.value): a larger Phi_e(q) raises OutOfRange, since
+the backend can take seconds or more on one (Phi_59(5), Phi_41(25)).
+Phi_e(q) itself is the integer prod_{d | e} (q^d - 1)^mu(e/d), with no
+symbolic polynomial.
 
 multiplicative_order works in any group given its power map: the powers
 x^(N / l^e) for all prime powers l^e of N come from one product tree
@@ -117,8 +119,13 @@ def _phi(e: int, q: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _phi_factors(e: int, q: int):
-    """Factorization of Phi_e(q) as a tuple of (prime, exponent)."""
-    return tuple(sorted(sympy.factorint(_phi(e, q)).items()))
+    """Factorization of Phi_e(q) as a tuple of (prime, exponent); OutOfRange
+    from 2^64 on."""
+    value = _phi(e, q)
+    if value >= _FLAT_LIMIT:
+        raise OutOfRange(f"Phi_{e}({q}) has {value.bit_length()} bits, past the "
+                         "64-bit factoring budget")
+    return tuple(sorted(sympy.factorint(value).items()))
 
 
 @functools.lru_cache(maxsize=None)

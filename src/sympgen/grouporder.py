@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import chain
 
-from .errors import BadParam, CheckFailed, ShapeMismatch, SingularMatrix
+from .errors import BadParam, CheckFailed, MixedFields, ShapeMismatch, SingularMatrix
 from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
                         multiplicative_order)
 from .gf import _split_prime_power
@@ -110,14 +111,15 @@ class _Powers:
     r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
     m = ceil(sqrt(d)) for d = dim g, and the giant step g^m take m - 1
     products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
-    products more.  A block's row i is a combination of the baby powers'
-    rows i, formed by one matrix._combiner per row index.  fixes(r, i) tests
+    products more.  A block is one matrix._combiner over the m baby powers,
+    each flattened into one row of d^2 entries, and the combination is cut
+    back into d rows.  fixes(r, i) tests
     r(g) e_i = e_i on the Krylov vectors g^j e_i (j < d), built on first use
     from column i of the baby powers and about d/m products by (g^m)^T,
     and combined with r's coefficients by one more _combiner.
     """
 
-    __slots__ = ("ring", "t", "baby", "giant", "combiners", "krylov")
+    __slots__ = ("ring", "t", "baby", "giant", "flat", "krylov")
 
     def __init__(self, g: Mat, cp: Poly):
         F, d = g.field, g.rows
@@ -128,7 +130,7 @@ class _Powers:
         while len(powers) <= m:
             powers.append(powers[-1] * g)
         self.baby, self.giant = powers[:m], powers[m]
-        self.combiners = [_combiner(F, rows, d) for rows in zip(*(b.data for b in self.baby))]
+        self.flat = _combiner(F, [tuple(chain.from_iterable(b.data)) for b in self.baby], d * d)
         self.krylov = {}
         if any(map(any, self.at(cp).data)):
             raise CheckFailed("g is not a root of its characteristic polynomial")
@@ -141,8 +143,8 @@ class _Powers:
         return _cofactor_powers(root, primes, self.ring.pow)
 
     def combine(self, coeffs) -> Mat:
-        return Mat._make(self.giant.field, tuple(row(coeffs) for row in self.combiners),
-                         self.giant.cols)
+        d, flat = self.giant.rows, self.flat(coeffs)
+        return Mat._make(self.giant.field, tuple(flat[i * d:i * d + d] for i in range(d)), d)
 
     def at(self, r: Poly) -> Mat:
         m, c = len(self.baby), r.coeffs
@@ -285,24 +287,31 @@ OVERFLOW = "Overflow"
 
 
 def closure_bfs(gens, cap: int = 5 * 10**6):
-    """Exact size of the generated matrix group, or OVERFLOW past cap."""
+    """Exact size of the generated matrix group, or OVERFLOW past cap.
+
+    A plain breadth-first search over the elements as tuples of rows.  Each
+    generator g has one matrix._combiner over its rows, made before the
+    search, so a product m g is that combiner mapped over the rows of m.
+    Generators over different fields raise MixedFields."""
     if not gens:
         return 1
-    shape = (gens[0].rows, gens[0].cols)
+    F, shape = gens[0].field, (gens[0].rows, gens[0].cols)
     for g in gens:
+        if g.field != F:
+            raise MixedFields("generators over different fields")
         if (g.rows, g.cols) != shape or g.rows != g.cols:
             raise ShapeMismatch("generators must be square and same shape")
-    ident = Mat.identity(gens[0].field, gens[0].rows)
-    seen = {ident.data}
+    combiners = [_combiner(F, g.data, g.cols) for g in gens]
+    ident = Mat.identity(F, gens[0].rows).data
+    seen = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for m in frontier:
-            for g in gens:
-                prod = m * g
-                key = prod.data
-                if key not in seen:
-                    seen.add(key)
+            for combine in combiners:
+                prod = tuple(map(combine, m))
+                if prod not in seen:
+                    seen.add(prod)
                     if len(seen) > cap:
                         return OVERFLOW
                     new.append(prod)

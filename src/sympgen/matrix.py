@@ -20,7 +20,9 @@ vectors behind the order checks.  Over a prime field each row becomes one
 integer of byte-aligned slots (poly._pack) wide enough for m (p - 1)^2, a
 combination is one big-int sum of c_i * packed_row_i, and its slots are
 unpacked and reduced mod p once (delayed reduction).  Over an extension
-field it chains maps of the field's add and mul over the nonzero c_i.
+field each row keeps its multiples c * row_i, formed by the field's mul the
+first time c is used (the table of multiples of Albrecht's M4RIE, filled
+lazily), and a combination chains maps of the field's add over them.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation is kept alongside as an independent cross-check
@@ -298,8 +300,9 @@ def _combiner(F: FieldCtx, rows, cols: int):
     row without one counts as 0).  The one prime/extension fork of matrix
     arithmetic: over F_p each row is packed once, in slots wide enough for
     len(rows) (p - 1)^2, and a combination is one big-int sum, unpacked and
-    reduced mod p once; over an extension field the nonzero terms chain
-    maps of the field's add and mul."""
+    reduced mod p once; over an extension field each row keeps its
+    multiples c * row, formed by the field's mul the first time c is used,
+    and the nonzero terms chain maps of the field's add over them."""
     if F.is_prime_field:
         p, mul = F.p, operator.mul
         w = _slot_width(len(rows) * (p - 1) ** 2)
@@ -309,12 +312,15 @@ def _combiner(F: FieldCtx, rows, cols: int):
             return tuple(_unpack(sum(map(mul, coeffs, packed)), cols, w, p))
         return combine
     mul, add, zero, chain = F.mul, F.add, (0,) * cols, _CHAIN
+    multiples = [{1: row} for row in rows]  # c -> c * row
 
     def combine(coeffs):
         acc, depth = zero, 0  # depth: terms in the chain
-        for c, row in zip(coeffs, rows):
+        for c, seen in zip(coeffs, multiples):
             if c:
-                term = map(mul, repeat(c), row)
+                term = seen.get(c)
+                if term is None:
+                    term = seen[c] = tuple(map(mul, repeat(c), seen[1]))
                 acc = map(add, acc, term) if depth else term
                 depth += 1
                 if depth == chain:

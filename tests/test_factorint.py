@@ -1,11 +1,12 @@
 """Factored integers: cyclotomic factors of q^d - 1 and element orders."""
 
 import math
+import time
 
 import pytest
 import sympy
 
-from sympgen.errors import CheckFailed, SympgenError
+from sympgen.errors import CheckFailed, OutOfRange, SympgenError
 from sympgen.factorint import (
     FactoredInt,
     _phi,
@@ -47,6 +48,16 @@ def test_factor_q_pow_minus_one_multiplies_back(q):
     for d in range(1, 41):
         if q**d < 2**64:
             assert factor_q_pow_minus_one(q, d).value_unchecked() == q**d - 1, d
+
+
+def test_a_cyclotomic_factor_past_the_budget_is_refused_at_once():
+    # Phi_59(5) has 135 bits; sympy took over 3 s to factor it
+    start = time.perf_counter()
+    with pytest.raises(OutOfRange, match=r"Phi_59\(5\)"):
+        factor_q_pow_minus_one(5, 59)
+    assert time.perf_counter() - start < 0.5
+    # the largest Phi_e(q) that the suite factors stays inside it
+    assert _phi(51, 4).bit_length() == 64 and _phi_factors(51, 4)
 
 
 def test_multiplicative_order_matches_the_naive_order():

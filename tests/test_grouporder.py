@@ -5,7 +5,7 @@ import random
 import pytest
 
 from sympgen import claims, gf, grouporder
-from sympgen.errors import BadParam, CheckFailed, SympgenError
+from sympgen.errors import BadParam, CheckFailed, MixedFields, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
 from sympgen.grouporder import (
@@ -261,7 +261,9 @@ def test_closure_bfs_trivial():
     assert closure_bfs([Mat.identity(F3, 2)]) == 1
 
 
-@pytest.mark.parametrize("q,expected", [(3, 24), (4, 60), (5, 120), (7, 336)])
+# q = 8 and 9 run the extension-field combiner in both characteristics
+@pytest.mark.parametrize("q,expected", [(3, 24), (4, 60), (5, 120), (7, 336),
+                                        (8, 504), (9, 720)])
 def test_closure_bfs_sl2(q, expected):
     ctx = gf.standard_field(q)
     gens = [Mat(ctx, [[1, 1], [0, 1]]), Mat(ctx, [[1, 0], [1, 1]])]
@@ -269,7 +271,16 @@ def test_closure_bfs_sl2(q, expected):
         # transvections over the full field need a field generator too
         w = ctx.gen()
         gens += [Mat(ctx, [[1, w], [0, 1]]), Mat(ctx, [[1, 0], [w, 1]])]
-    assert closure_bfs(gens) == order_sl(2, q).value()
+    assert closure_bfs(gens) == order_sl(2, q).value() == expected
+
+
+def test_closure_bfs_rejects_generators_over_different_fields():
+    f5, f25 = gf.standard_field(5), gf.standard_field(25)
+    gens = [Mat(f5, [[1, 1], [0, 1]]), Mat(f25, [[1, 0], [1, 1]])]
+    with pytest.raises(MixedFields):
+        closure_bfs(gens)
+    with pytest.raises(MixedFields):
+        closure_bfs(gens[::-1])
 
 
 def test_closure_bfs_overflow():

@@ -103,7 +103,7 @@ def test_matmul_matches_triple_loop(q):
                 assert a.apply(b.col_raw(j)) == tuple(row[j] for row in ref)
 
 
-@pytest.mark.parametrize("q", PRIMES + EXTENSIONS)
+@pytest.mark.parametrize("q", PRIMES + EXTENSIONS + UNTABLED)
 def test_combiner_matches_a_loop_of_field_ops(q):
     F = field(q)
     rng = random.Random(q)
@@ -127,6 +127,24 @@ def test_combiner_matches_a_loop_of_field_ops(q):
                 got = combine(coeffs)
                 assert type(got) is tuple and got == ref(coeffs, rows, cols)
                 assert all(type(v) is int and 0 <= v < q for v in got)
+
+
+def test_combiner_forms_each_multiple_of_a_row_once(monkeypatch):
+    # a fresh F_9, so that counting its mul closure counts nothing else.
+    # Coefficients 0 and 1 need no product, and w and w + 1 one per entry
+    # of each row the first time: at most 6 rows * 2 * 5 columns in all
+    F = FieldCtx(3, 2, gf.modulus_for(9))
+    w = F.scalar(F.gen())
+    rng = random.Random(9)
+    rows = [tuple(rng.randrange(9) for _ in range(5)) for _ in range(6)]
+    draws = [[rng.choice((0, 1, w, F.add(w, 1))) for _ in rows] for _ in range(40)]
+    expected = [tuple(ref_matmul(F, [coeffs], rows, 5)[0]) for coeffs in draws]
+    calls = []
+    mul = F.mul
+    monkeypatch.setattr(F, "mul", lambda a, b: calls.append(1) or mul(a, b))
+    combine = _combiner(F, rows, 5)
+    assert [combine(coeffs) for coeffs in draws] == expected
+    assert len(calls) <= 6 * 2 * 5
 
 
 @pytest.mark.parametrize("q", PRIMES + EXTENSIONS + UNTABLED)
