@@ -113,10 +113,10 @@ class _Powers:
     products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
     products more.  A block is one matrix._combiner over the m baby powers,
     each flattened into one row of d^2 entries, and the combination is cut
-    back into d rows.  fixes(r, i) tests
-    r(g) e_i = e_i on the Krylov vectors g^j e_i (j < d), built on first use
-    from column i of the baby powers and about d/m products by (g^m)^T,
-    and combined with r's coefficients by one more _combiner.
+    back into d rows.  fixes(r, i) tests r(g) e_i = e_i on the Krylov
+    vectors g^j e_i (j < d), built on first use from column i of the baby
+    powers and about d/m products by (g^m)^T, and combined with r's
+    coefficients by one more _combiner.
     """
 
     __slots__ = ("ring", "t", "baby", "giant", "flat", "krylov")

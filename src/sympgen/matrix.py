@@ -316,11 +316,11 @@ def _combiner(F: FieldCtx, rows, cols: int):
 
     def combine(coeffs):
         acc, depth = zero, 0  # depth: terms in the chain
-        for c, seen in zip(coeffs, multiples):
+        for c, kept in zip(coeffs, multiples):
             if c:
-                term = seen.get(c)
+                term = kept.get(c)
                 if term is None:
-                    term = seen[c] = tuple(map(mul, repeat(c), seen[1]))
+                    term = kept[c] = tuple(map(mul, repeat(c), kept[1]))
                 acc = map(add, acc, term) if depth else term
                 depth += 1
                 if depth == chain:

@@ -138,7 +138,7 @@ def test_combiner_forms_each_multiple_of_a_row_once(monkeypatch):
     rng = random.Random(9)
     rows = [tuple(rng.randrange(9) for _ in range(5)) for _ in range(6)]
     draws = [[rng.choice((0, 1, w, F.add(w, 1))) for _ in rows] for _ in range(40)]
-    expected = [tuple(ref_matmul(F, [coeffs], rows, 5)[0]) for coeffs in draws]
+    expected = [ref_matmul(F, [coeffs], rows, 5)[0] for coeffs in draws]
     calls = []
     mul = F.mul
     monkeypatch.setattr(F, "mul", lambda a, b: calls.append(1) or mul(a, b))
