@@ -29,8 +29,6 @@ from __future__ import annotations
 import functools
 import operator
 
-import sympy
-
 from .errors import (
     BadParam,
     CompositeCharacteristic,
@@ -40,7 +38,8 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
+from .factorint import (FactoredInt, _integer_root, divisors, factor_q_pow_minus_one,
+                        is_prime, multiplicative_order)
 
 _TABLE_LIMIT = 1 << 16
 
@@ -73,7 +72,7 @@ class FieldCtx:
     """The field F_{p^f} presented by a monic irreducible modulus over F_p."""
 
     def __init__(self, p: int, f: int, modulus):
-        if p < 2 or not sympy.isprime(p):
+        if not is_prime(p):
             raise CompositeCharacteristic(f"characteristic {p} is not prime")
         if f < 1:
             raise BadParam("extension degree must be >= 1")
@@ -95,8 +94,8 @@ class FieldCtx:
         self.q = p**f
         self.modulus = modulus
         self.is_prime_field = f == 1
-        self._degree_divisors = tuple(sympy.divisors(f))  # ascending
-        self._unit_primes = None  # primes dividing q - 1, factored on first use
+        self._degree_divisors = tuple(divisors(f))  # ascending
+        self._unit_primes = None  # primes dividing q - 1, read on first use
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
         self._bind_arithmetic()
@@ -245,7 +244,7 @@ class FieldCtx:
 
     def _is_generator(self, v):
         if self._unit_primes is None:
-            self._unit_primes = tuple(sympy.primefactors(self.q - 1))
+            self._unit_primes = tuple(factor_q_pow_minus_one(self.p, self.f).primes())
         for prime in self._unit_primes:
             if self.pow(v, (self.q - 1) // prime) == 1:
                 return False
@@ -527,8 +526,10 @@ def standard_field(q: int, tag: str | None = None) -> FieldCtx:
 
 @functools.lru_cache(maxsize=None)
 def _split_prime_power(q: int) -> tuple[int, int]:
-    factors = sympy.factorint(q)
-    if len(factors) != 1:
-        raise BadParam(f"{q} is not a prime power")
-    ((p, f),) = factors.items()
-    return p, f
+    """(p, f) with q = p^f: the one exact f-th root of q, f <= log2 q, that
+    is prime.  Nothing is factored, so a large composite q fails at once."""
+    for f in range(1, q.bit_length()):
+        p = _integer_root(q, f)
+        if p**f == q and is_prime(p):
+            return p, f
+    raise BadParam(f"{q} is not a prime power")

@@ -74,7 +74,7 @@ def order_sp(n: int, q: int) -> FactoredInt:
     if n < 1 or q < 2:
         raise BadParam("need n >= 1 and a prime power q")
     p, f = _split_prime_power(q)
-    result = FactoredInt({p: f * n * n})
+    result = FactoredInt._make({p: f * n * n})
     for i in range(1, n + 1):
         result = result * factor_q_pow_minus_one(p, f * 2 * i)
     return result
@@ -85,7 +85,7 @@ def order_sl(n: int, q: int) -> FactoredInt:
     if n < 1 or q < 2:
         raise BadParam("need n >= 1 and a prime power q")
     p, f = _split_prime_power(q)
-    result = FactoredInt({p: f * n * (n - 1) // 2} if n > 1 else {})
+    result = FactoredInt._make({p: f * n * (n - 1) // 2})
     for i in range(2, n + 1):
         result = result * factor_q_pow_minus_one(p, f * i)
     return result
@@ -206,7 +206,7 @@ def element_order(g: Mat) -> FactoredInt:
     if k:
         # N = N0 p^k with p prime to N0: r_(N/l) = r_(N0/l)^(p^k) for l | N0,
         # and r_(N/p) = r_N0^(p^(k-1))
-        order = order * FactoredInt({F.p: k})
+        order = order * FactoredInt._make({F.p: k})
         checks = sorted([(prime, ring.pow(r, F.p ** k)) for prime, r in checks]
                         + [(F.p, ring.pow(r_n, F.p ** (k - 1)))])
     for prime, r in checks:

@@ -46,9 +46,8 @@ from array import array
 from dataclasses import dataclass
 from itertools import repeat
 
-import sympy
-
 from .errors import BadParam, MixedFields, ZeroPolynomial
+from .factorint import prime_factors
 from .gf import FieldCtx, FieldElem, _power
 
 # array typecode of each item size; 1-byte slots go through bytes, wider
@@ -461,7 +460,7 @@ def is_irreducible(p: Poly) -> bool:
     ring = _Ring(mod)
     t = Poly.t(F)
     x, done = ring.elem(t), 0
-    for r in sorted({n // d for d in sympy.primefactors(n)}):
+    for r in sorted({n // d for d in prime_factors(n)}):
         x, done = ring.pow(x, q ** (r - done)), r
         if mod.gcd(ring.poly(x) - t).degree > 0:
             return False

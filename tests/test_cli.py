@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import signal
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,27 @@ def test_build_with_minpoly_a_and_tau(capsys):
 def test_build_rejects_bad_parameters(capsys):
     rc, _ = run_cli(capsys, "build", "--n", "4", "--q", "2", "--a", "1")
     assert rc == 2
+
+
+def _too_slow(signum, frame):
+    raise TimeoutError("a composite q was not refused at once")
+
+
+def test_build_refuses_a_huge_composite_q_at_once(capsys):
+    # q is the product of the primes 2^100 + 277 and 2^101 + 81; telling
+    # that it is no prime power must not mean factoring it
+    q = (2**100 + 277) * (2**101 + 81)
+    previous = signal.signal(signal.SIGALRM, _too_slow)
+    signal.alarm(2)
+    try:
+        rc = main(["build", "--recipe", "general", "--n", "4", "--q", str(q),
+                   "--a", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "not a prime power" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

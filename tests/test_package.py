@@ -76,15 +76,25 @@ def test_every_exported_name_resolves():
     assert sympgen.__all__ and missing == []
 
 
+def _imports_of(package):
+    """file:line of every import of the package under src/sympgen."""
+    return [f"{path.name}:{node.lineno}"
+            for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == package
+                                                    for a in node.names)
+            or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == package]
+
+
 def test_no_numpy_import():
     # the exact kernels run on Python ints; numpy stays optional
-    found = [f"{path.name}:{node.lineno}"
-             for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "numpy"
-                                                     for a in node.names)
-             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"]
-    assert SOURCES and found == []
+    assert SOURCES and _imports_of("numpy") == []
+
+
+def test_no_sympy_import():
+    # primality and factoring live in factorint; sympy is only the tests'
+    # oracle, and loading it would triple the start-up time
+    assert SOURCES and _imports_of("sympy") == []
 
 
 def _prime_field_forks(module):
