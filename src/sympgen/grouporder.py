@@ -3,19 +3,24 @@
 |Sp_2n(q)| and |SL_n(q)| are kept factored; every q^d - 1 term is factored
 through its cyclotomic decomposition so nothing large ever reaches the
 integer-factoring backend.  Element orders come from the characteristic
-polynomial chi: the semisimple part is the lcm of ord(t mod f) over the
-irreducible factors f (factorint.multiplicative_order in the ring
-F_q[t]/(f)), the unipotent part is the p-power covering the largest
-multiplicity.  The result is checked without raising g to N: once
-chi(g) = 0 is checked by evaluation, g^k = r_k(g) with r_k = t^k mod chi
-(Cayley-Hamilton), evaluated by Paterson-Stockmeyer.  The residues
-r_(N/l), for every prime l of N, come from one product tree of powers in
-the ring F_q[t]/(chi), and r_N = r_(N/l)^l for the least l.  The order N
-must give r_N(g) = I, and for each prime l of N, g^(N/l) != I is shown on a
-witness vector: r_(N/l)(g) e_1, a combination of the Krylov vectors
-g^i e_1, differs from e_1, or else r_(N/l)(g) e_2 differs from e_2; only if
-neither does is r_(N/l)(g) evaluated in full.  The certificate thus rests
-neither on factor nor on the t-orders.
+polynomial chi, split no further than its squarefree parts and their
+distinct-degree pieces.  The order of t modulo an irreducible of degree d
+divides q^d - 1, and modulo a squarefree product it is the lcm of the
+orders modulo the factors (Lidl & Niederreiter, Finite Fields, 3.1).  So
+the semisimple part is the lcm of ord(t mod g_d) over the pieces g_d, the
+products of the degree-d irreducibles of each squarefree part
+(factorint.multiplicative_order in the ring F_q[t]/(g_d)), and the
+unipotent part is the p-power covering the largest multiplicity.  The
+result is checked without raising g to N: once chi(g) = 0 is checked by
+evaluation, g^k = r_k(g) with r_k = t^k mod chi (Cayley-Hamilton),
+evaluated by Paterson-Stockmeyer.  The residues r_(N/l), for every prime l
+of N, come from one product tree of powers in the ring F_q[t]/(chi), and
+r_N = r_(N/l)^l for the least l.  The order N must give r_N(g) = I, and for
+each prime l of N, g^(N/l) != I is shown on a witness vector:
+r_(N/l)(g) e_1, a combination of the Krylov vectors g^i e_1, differs from
+e_1, or else r_(N/l)(g) e_2 differs from e_2; only if neither does is
+r_(N/l)(g) evaluated in full.  The certificate thus rests neither on the
+split of chi nor on the t-orders.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
                         multiplicative_order)
 from .gf import _split_prime_power
 from .matrix import Mat, _combiner, char_poly
-from .poly import Poly, _Ring, factor
+from .poly import Poly, _distinct_degree, _Ring, _squarefree_decomposition
 
 
 class PrimeSet:
@@ -91,11 +96,14 @@ def order_sl(n: int, q: int) -> FactoredInt:
     return result
 
 
-def _poly_t_order(f_poly: Poly) -> FactoredInt:
-    """Multiplicative order of t modulo an irreducible polynomial != t."""
-    F = f_poly.field
-    group = factor_q_pow_minus_one(F.p, F.f * f_poly.degree)
-    ring = _Ring(f_poly)
+def _poly_t_order(piece: Poly, d: int) -> FactoredInt:
+    """Multiplicative order of t modulo piece, a squarefree product of
+    irreducibles of degree d, none of them t.  Modulo each factor the order
+    divides q^d - 1, so modulo their product it divides it too: one
+    multiplicative_order in the ring of piece, with group order q^d - 1."""
+    F = piece.field
+    group = factor_q_pow_minus_one(F.p, F.f * d)
+    ring = _Ring(piece)
     # ring elements are reduced, so the residue 1 is the int 1
     return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
 
@@ -113,13 +121,14 @@ class _Powers:
     products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
     products more.  A block is one matrix._combiner over the m baby powers,
     each flattened into one row of d^2 entries, and the combination is cut
-    back into d rows.  fixes(r, i) tests r(g) e_i = e_i on the Krylov
-    vectors g^j e_i (j < d), built on first use from column i of the baby
-    powers and about d/m products by (g^m)^T, and combined with r's
-    coefficients by one more _combiner.
+    back into d rows.  A Horner step maps one more combiner, made once over
+    the rows of g^m, over the rows of the sum so far.  fixes(r, i) tests
+    r(g) e_i = e_i on the Krylov vectors g^j e_i (j < d), built on first use
+    from column i of the baby powers and about d/m products by (g^m)^T, and
+    combined with r's coefficients by one more _combiner.
     """
 
-    __slots__ = ("ring", "t", "baby", "giant", "flat", "krylov")
+    __slots__ = ("ring", "t", "baby", "giant", "flat", "step", "krylov")
 
     def __init__(self, g: Mat, cp: Poly):
         F, d = g.field, g.rows
@@ -131,6 +140,7 @@ class _Powers:
             powers.append(powers[-1] * g)
         self.baby, self.giant = powers[:m], powers[m]
         self.flat = _combiner(F, [tuple(chain.from_iterable(b.data)) for b in self.baby], d * d)
+        self.step = _combiner(F, self.giant.data, d)  # row -> row g^m
         self.krylov = {}
         if any(map(any, self.at(cp).data)):
             raise CheckFailed("g is not a root of its characteristic polynomial")
@@ -150,8 +160,9 @@ class _Powers:
         m, c = len(self.baby), r.coeffs
         blocks = [c[s:s + m] for s in range(0, len(c), m)] or [()]
         acc = self.combine(blocks.pop())
+        F, d = self.giant.field, self.giant.rows
         for block in reversed(blocks):
-            acc = acc * self.giant + self.combine(block)
+            acc = Mat._make(F, tuple(map(self.step, acc.data)), d) + self.combine(block)
         return acc
 
     def fixes(self, r: Poly, i: int) -> bool:
@@ -183,12 +194,10 @@ def element_order(g: Mat) -> FactoredInt:
         raise SingularMatrix("zero determinant")
     order = FactoredInt.one()
     max_mult = 1
-    t_minus_one = Poly(F, [-1, 1])  # contributes only via multiplicity
-    for irr, mult in factor(cp):
+    for part, mult in _squarefree_decomposition(cp):
         max_mult = max(max_mult, mult)
-        if irr == t_minus_one:
-            continue
-        order = order.lcm(_poly_t_order(irr))
+        for piece, d in _distinct_degree(part):
+            order = order.lcm(_poly_t_order(piece, d))
     powers = _Powers(g, cp)
     ring = powers.ring
     # r_N = r_(N/l)^l for the least prime l of N; unipotent part: the least
@@ -286,13 +295,30 @@ def lps_certificate(witnesses, target, obstruction_inconsistent=None) -> Certifi
 OVERFLOW = "Overflow"
 
 
+class _RowImages(dict):
+    """row -> row g for one generator g, each image formed once, on first
+    lookup, by g's matrix._combiner; equal rows get the same image tuple."""
+
+    __slots__ = ("combine",)
+
+    def __init__(self, combine):
+        super().__init__()
+        self.combine = combine
+
+    def __missing__(self, row):
+        image = self[row] = self.combine(row)
+        return image
+
+
 def closure_bfs(gens, cap: int = 5 * 10**6):
     """Exact size of the generated matrix group, or OVERFLOW past cap.
 
     A plain breadth-first search over the elements as tuples of rows.  Each
-    generator g has one matrix._combiner over its rows, made before the
-    search, so a product m g is that combiner mapped over the rows of m.
-    Generators over different fields raise MixedFields."""
+    generator g keeps a _RowImages over one matrix._combiner of its rows, so
+    a product m g looks up the image of each row of m, and the combiner runs
+    once per distinct row, not once per row of every element.  The elements
+    in seen thus share their row tuples.  Generators over different fields
+    raise MixedFields."""
     if not gens:
         return 1
     F, shape = gens[0].field, (gens[0].rows, gens[0].cols)
@@ -301,15 +327,15 @@ def closure_bfs(gens, cap: int = 5 * 10**6):
             raise MixedFields("generators over different fields")
         if (g.rows, g.cols) != shape or g.rows != g.cols:
             raise ShapeMismatch("generators must be square and same shape")
-    combiners = [_combiner(F, g.data, g.cols) for g in gens]
+    images = [_RowImages(_combiner(F, g.data, g.cols)).__getitem__ for g in gens]
     ident = Mat.identity(F, gens[0].rows).data
     seen = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for m in frontier:
-            for combine in combiners:
-                prod = tuple(map(combine, m))
+            for image in images:
+                prod = tuple(map(image, m))
                 if prod not in seen:
                     seen.add(prod)
                     if len(seen) > cap:

@@ -27,13 +27,16 @@ the packed w^j t^k modulo the degree-d modulus.  The ring builds its digit
 fold and those rows once, so everything that works modulo one polynomial
 keeps one ring: Poly.powmod (one ring per call), is_irreducible (one per
 call), the distinct-degree split (one per part not yet split off), the
-equal-degree split (one per product split), and grouporder's t-orders and
-residues t^k mod chi.  Its slots hold the sum of both folds (see _Ring).
+equal-degree split (one per product split), and grouporder's element
+orders (one per distinct-degree piece of chi for its t-order, and one for
+the residues t^k mod chi).  Its slots hold the sum of both folds (see
+_Ring).
 
 Factorization is squarefree decomposition, then distinct-degree,
 then equal-degree splitting (Cantor-Zassenhaus, with the additive trace-map
 variant in characteristic 2); the splitting randomness is a PRNG seeded
-from the polynomial's bytes so output order is reproducible.
+from the polynomial's bytes so output order is reproducible.  Element
+orders stop after the distinct-degree split and draw nothing at random.
 """
 
 from __future__ import annotations

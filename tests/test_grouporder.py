@@ -1,10 +1,11 @@
 """Group orders, element orders, prime sets, certificates, closure BFS."""
 
+import itertools
 import random
 
 import pytest
 
-from sympgen import claims, gf, grouporder
+from sympgen import claims, gf, grouporder, poly
 from sympgen.errors import BadParam, CheckFailed, MixedFields, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
@@ -21,8 +22,8 @@ from sympgen.grouporder import (
     varpi,
     varpi_group,
 )
-from sympgen.matrix import Mat
-from sympgen.poly import Poly, _Ring
+from sympgen.matrix import Mat, char_poly
+from sympgen.poly import Poly, _Ring, is_irreducible
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -66,33 +67,35 @@ def test_element_order_mixed():
 
 
 def test_element_order_verification_raises_on_a_wrong_order(monkeypatch):
-    # diag(2, 1) over F_3 has order 2; claim 4 for the factor t - 2
+    # diag(2, 1) over F_3 has order 2; claim 4 for its one distinct-degree
+    # piece (t - 2)(t - 1)
     monkeypatch.setattr(grouporder, "_poly_t_order",
-                        lambda irr: FactoredInt({2: 2}))
+                        lambda piece, d: FactoredInt({2: 2}))
     m = Mat(F3, [[2, 0], [0, 1]])
     with pytest.raises(CheckFailed):
         element_order(m)
 
 
 def test_element_order_raises_on_a_wrong_order_with_a_unipotent_part(monkeypatch):
-    # diag(J_2(3), 1) over F_7 has order 42; claim 2 for the factor t - 3.
-    # No g^(2 * 7^k) is the identity, and since no Jordan block is longer
-    # than the multiplicity 2, the search must stop at 7^1
+    # diag(J_2(3), 1) over F_7 has order 42; claim 2 for the pieces t - 3
+    # and t - 1.  No g^(2 * 7^k) is the identity, and since no Jordan block
+    # is longer than the multiplicity 2, the search must stop at 7^1
     monkeypatch.setattr(grouporder, "_poly_t_order",
-                        lambda irr: FactoredInt({2: 1}))
+                        lambda piece, d: FactoredInt({2: 1}))
     m = Mat(gf.standard_field(7), [[3, 1, 0], [0, 3, 0], [0, 0, 1]])
     with pytest.raises(CheckFailed):
         element_order(m)
 
 
 def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
-    # diag(2, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1); with
-    # (t - 2)^2 in its place the order still comes out 2 and every power
-    # check passes, but (g - 2)^2 = diag(0, 1) is not zero
+    # diag(2, 1, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1)^2; with
+    # (t - 2)^3 in its place the order still comes out 2, and as 2 is below
+    # the degree 3, r_2 = t^2 and r_1 = t and every power check passes; but
+    # (g - 2)^3 = diag(0, 2, 2) is not zero
     monkeypatch.setattr(grouporder, "char_poly",
-                        lambda g: Poly(F3, [-2, 1]) ** 2)
+                        lambda g: Poly(F3, [-2, 1]) ** 3)
     with pytest.raises(CheckFailed):
-        element_order(Mat(F3, [[2, 0], [0, 1]]))
+        element_order(Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -214,6 +217,50 @@ def test_element_order_matches_naive_with_repeated_factors(q):
     assert _matches_naive(mats) >= 15
 
 
+def _companion_of(f):
+    """The companion matrix of a monic f, whose chi is f."""
+    ctx, n = f.field, f.degree
+    return Mat.from_function(ctx, n, n, lambda i, j: FieldElem(ctx, ctx.neg(f.coeffs[i]))
+                             if j == n - 1 else int(i == j + 1))
+
+
+def _split_shapes(ctx, rng):
+    """Matrices whose chi the distinct-degree split leaves short of its
+    irreducibles, conjugated by a random invertible matrix: two irreducibles
+    of one degree in one piece, with a repeated factor, a Jordan block at 1,
+    and chi a p-th power."""
+    k = 3 if ctx.q == 2 else 2  # F_2 has one irreducible quadratic
+    c1, c2 = [_companion_of(f) for f in (
+        Poly._make(ctx, [*low, 1]) for low in itertools.product(range(ctx.q), repeat=k))
+              if is_irreducible(f)][:2]
+    # [[c1, I], [0, c1]]: chi = f^2, and g is not semisimple
+    twisted = Mat.block_diag([c1, c1]) + Mat.from_function(
+        ctx, 2 * k, 2 * k, lambda i, j: int(i + k == j))
+    shapes = [[c1, c2], [c1, c2, _jordan(ctx, 1, 2)], [c1, c1, c2],
+              [twisted, c2, _jordan(ctx, 1, 3)], [c1, c2] * ctx.p,
+              [_jordan(ctx, 1, ctx.p), c1, c2] * ctx.p]
+    mats = []
+    for blocks in shapes:
+        m = Mat.block_diag(blocks)
+        p = _random_invertible(ctx, m.rows, rng)
+        mats.append(p.inverse() * m * p)
+    return mats
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_matches_naive_without_an_equal_degree_split(q, monkeypatch):
+    def split(*args):
+        raise RuntimeError("element_order split a distinct-degree piece")
+
+    ctx = gf.standard_field(q)
+    mats = _split_shapes(ctx, random.Random(300 + q))
+    # the last two have chi a p-th power: its derivative vanishes
+    assert all(char_poly(m).derivative().is_zero() for m in mats[-2:])
+    expected = [naive_element_order(m) for m in mats]
+    monkeypatch.setattr(poly, "_equal_degree_split", split)
+    assert [element_order(m).value() for m in mats] == expected
+
+
 def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
     # the exact checks evaluate t^k mod chi at g (Paterson-Stockmeyer);
     # powering each dim-28 witness to its order took 176-407 products
@@ -265,13 +312,38 @@ def test_closure_bfs_trivial():
 @pytest.mark.parametrize("q,expected", [(3, 24), (4, 60), (5, 120), (7, 336),
                                         (8, 504), (9, 720)])
 def test_closure_bfs_sl2(q, expected):
-    ctx = gf.standard_field(q)
+    assert closure_bfs(_sl2_gens(gf.standard_field(q))) == order_sl(2, q).value() == expected
+
+
+def _sl2_gens(ctx):
     gens = [Mat(ctx, [[1, 1], [0, 1]]), Mat(ctx, [[1, 0], [1, 1]])]
     if ctx.f > 1:
         # transvections over the full field need a field generator too
         w = ctx.gen()
         gens += [Mat(ctx, [[1, w], [0, 1]]), Mat(ctx, [[1, 0], [w, 1]])]
-    assert closure_bfs(gens) == order_sl(2, q).value() == expected
+    return gens
+
+
+def test_closure_bfs_forms_each_row_image_once(monkeypatch):
+    # the 720 elements of SL_2(9) have 80 distinct rows, the nonzero vectors
+    # of F_9^2; a combiner run per row of every element would run 1440 times
+    combiner, runs = grouporder._combiner, []
+
+    def counting(F, rows, cols):
+        combine, calls = combiner(F, rows, cols), []
+        runs.append(calls)
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return combine(coeffs)
+        return counted
+
+    monkeypatch.setattr(grouporder, "_combiner", counting)
+    gens = _sl2_gens(gf.standard_field(9))
+    assert closure_bfs(gens) == 720
+    assert len(runs) == len(gens)
+    for calls in runs:
+        assert len(calls) == len(set(calls)) <= 80
 
 
 def test_closure_bfs_rejects_generators_over_different_fields():

@@ -97,6 +97,19 @@ def test_no_sympy_import():
     assert SOURCES and _imports_of("sympy") == []
 
 
+def test_grouporder_imports_neither_factor_nor_random():
+    # an element order needs only the distinct-degree pieces of chi, so
+    # grouporder runs no equal-degree split and draws nothing at random
+    tree = ast.parse((Path(sympgen.__file__).parent / "grouporder.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module or ""} | {alias.name for alias in node.names}
+    assert "poly" in names and not names & {"factor", "random"}
+
+
 def _prime_field_forks(module):
     """The functions and methods of a module that read is_prime_field."""
     tree = ast.parse((Path(sympgen.__file__).parent / module).read_text())
