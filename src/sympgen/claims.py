@@ -391,19 +391,23 @@ def _generates(b: FieldElem) -> bool:
 
 
 def _admissible(field: FieldCtx, cond):
-    """The predicate a -> (a meets cond), with each polynomial built once."""
+    """The predicate v -> (the packed value v meets cond), with each
+    polynomial built once.  The non-vanishing checks evaluate on packed
+    values (Poly._eval); only the minimal-field test and the sigma
+    condition see a FieldElem."""
     if cond.get("special") == "sigma":
-        return lambda a: _sigma_of(field, a) is not None
-    nz = [Poly(field, coeffs) for coeffs in cond["nz"]]
+        return lambda v: _sigma_of(field, FieldElem(field, v)) is not None
+    nz = [Poly(field, coeffs)._eval for coeffs in cond["nz"]]
     sub = cond.get("sub")
     expr = None if sub is None else Poly(field, sub[0])
-    return lambda a: (all(f.eval(a) for f in nz)
-                      and (expr is None or _generates(expr.eval(a))))
+    return lambda v: (all(f(v) for f in nz)
+                      and (expr is None or _generates(FieldElem(field, expr._eval(v)))))
 
 
 def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     """All admissible a in F_q^* for the lemma's conditions, enumerated as
-    consecutive powers of the least multiplicative generator."""
+    consecutive powers of the least multiplicative generator, on packed
+    values."""
     field = field or standard_field(q)
     if field.q != q:
         raise BadParam("field size mismatch")
@@ -415,13 +419,13 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     if q in cond.get("exclude_q", ()):
         return []
     admissible = _admissible(field, cond)
-    g = field.mult_generator()
+    g, mul = field.mult_generator().val, field.mul
     out = []
     cur = g
     for _ in range(q - 1):
         if admissible(cur):
-            out.append(cur)
-        cur = cur * g
+            out.append(FieldElem(field, cur))
+        cur = mul(cur, g)
     return out
 
 

@@ -17,9 +17,14 @@ no operation tests the kind again.  The kinds:
   tabled, p = 2   XOR addition, exp/log multiplication;
   tabled, odd p   Zech addition and negation, exp/log multiplication;
   untabled        q > _TABLE_LIMIT: coefficient arithmetic (_raw_add,
-                  _raw_mul, _raw_pow), which also builds the tables.
-The tables are exp/log on the least multiplicative generator g and, for odd p,
-Zech logarithms zech[i] = log(1 + g^i), so a sum is a lookup too:
+                  _raw_mul), and powers and inverses in the ring
+                  F_p[t]/(modulus) (_raw_pow: one poly._Ring per field,
+                  built on first use).
+The tables are exp/log on the least multiplicative generator g, which
+_raw_pow finds.  exp walks the powers of g by one packed linear map:
+multiplication by g is F_p-linear, so each next power is a combination of f
+fixed columns by the digits of the last (see _bind_arithmetic).  For odd p
+there are also Zech logarithms zech[i] = log(1 + g^i), so a sum is a lookup:
 g^a + g^b = g^(a + zech[b - a]) (Huber 1990; Lidl & Niederreiter, Finite
 Fields, 10.1).  Every table holds O(q) entries: about 4q in all.
 """
@@ -153,14 +158,31 @@ class FieldCtx:
         return self.from_coeffs([-c for c in self.coeffs(a)])
 
     def _raw_pow(self, a, e):
-        return _power(a, e, self._raw_mul, 1)
+        """a^e in the ring F_p[t]/(modulus) of this field, built on first use:
+        the generator test before the tables exist, and every power of an
+        untabled field."""
+        from .poly import Poly, _Ring
+        mod = self._mod_poly
+        if self._ring is None:
+            self._ring = _Ring(mod)
+        ring = self._ring
+        x = ring.elem(Poly._make(mod.field, self.coeffs(a)))
+        return self.from_coeffs(ring.poly(_power(x, e, ring.mul, 1)).coeffs)
 
     def _bind_arithmetic(self):
         """Decide the field kind, once, and bind its six operations.  A tabled
-        field binds the coefficient arithmetic first, finds its generator and
-        builds exp/log with it, then rebinds to closures over the tables."""
-        p, q = self.p, self.q
-        self._exp = self._log = self._zech = None
+        field binds the coefficient arithmetic first and finds its generator
+        g, then rebinds to closures over exp/log.
+
+        Multiplication by g is F_p-linear (Lidl & Niederreiter, Finite
+        Fields): if c = sum d_j w^j, then c g = sum d_j (w^j g).  So
+        column j holds the digits of w^j g in byte-aligned slots
+        (poly._pack), f _raw_mul calls in all, and each next power of g is
+        one packed combination of the columns by the digits of the last,
+        unpacked and reduced mod p once (poly._unpack).  A slot sums at most
+        f (p - 1)^2."""
+        p, f, q = self.p, self.f, self.q
+        self._exp = self._log = self._zech = self._ring = None
         if self.is_prime_field:
             self._bind(lambda a, b: (a + b) % p, lambda a: -a % p,
                        lambda a, b: a * b % p, lambda a, e: pow(a, e, p),
@@ -176,12 +198,16 @@ class FieldCtx:
         if q > _TABLE_LIMIT:
             return
         # exp/log on the lexicographically least generator
+        from .poly import _pack, _slot_width, _unpack
         gen = self.mult_generator().val
-        exp, log, cur = [1] * (2 * (q - 1)), [0] * q, 1
+        w, mul = _slot_width(f * (p - 1) ** 2), operator.mul
+        cols = [_pack(self.coeffs(raw_mul(p**j, gen)), w) for j in range(f)]
+        place = [p**j for j in range(f)]
+        exp, log, digits = [0] * (2 * (q - 1)), [0] * q, (1,) + (0,) * (f - 1)
         for i in range(q - 1):
-            exp[i] = exp[i + q - 1] = cur
-            log[cur] = i
-            cur = raw_mul(cur, gen)
+            exp[i] = exp[i + q - 1] = v = sum(map(mul, digits, place))
+            log[v] = i
+            digits = _unpack(sum(map(mul, digits, cols)), f, w, p)
         self._exp, self._log = exp, log
         if p != 2:
             add, neg = self._zech_arithmetic()

@@ -332,14 +332,18 @@ class Poly:
         return Poly._make(F, [F.mul((i % F.p), c) for i, c in enumerate(self.coeffs)][1:])
 
     def eval(self, b) -> FieldElem:
-        """Horner evaluation at b (a FieldElem or coercible int)."""
+        """The value at b (a FieldElem or coercible int), by _eval."""
         F = self.field
-        bv = F.scalar(b)
+        return FieldElem(F, self._eval(F.scalar(b)))
+
+    def _eval(self, v: int) -> int:
+        """Horner evaluation at the packed value v: a packed value."""
+        F = self.field
         mul, add = F.mul, F.add
         acc = 0
         for c in reversed(self.coeffs):
-            acc = add(mul(acc, bv), c)
-        return FieldElem(F, acc)
+            acc = add(mul(acc, v), c)
+        return acc
 
     def reciprocal(self) -> "Poly":
         return Poly._make(self.field, self.coeffs[::-1])
@@ -352,7 +356,8 @@ class Poly:
 
 def roots(p: Poly):
     """The roots of p in its field, lazily, in ascending packed order."""
-    return (b for b in p.field.elements() if not p.eval(b))
+    F = p.field
+    return (FieldElem(F, v) for v in range(F.q) if not p._eval(v))
 
 
 class _Ring:
@@ -485,11 +490,14 @@ def _squarefree_decomposition(p: Poly):
             root = Poly._make(F, [F.pow(c, F.q // char) for c in f.coeffs[::char]])
             recurse(root, base_mult * char)
             return
-        # Yun-style pass
+        # Yun-style pass; once g = 1 the rest w is squarefree and the last part
         g = f.gcd(d)
-        w = f // g
+        w = f // g if g.degree > 0 else f
         mult = 1
         while w.degree > 0:
+            if g.degree < 1:
+                out.append((w.monic(), base_mult * mult))
+                return
             y = w.gcd(g)
             z = w // y
             if z.degree > 0:

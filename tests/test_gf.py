@@ -302,7 +302,7 @@ def _ref_mul(ctx, a, b):
 
 
 def _ref_pow(ctx, a, e):
-    return pow(a, e, ctx.p) if ctx.is_prime_field else ctx._raw_pow(a, e)
+    return pow(a, e, ctx.p) if ctx.is_prime_field else gf._power(a, e, ctx._raw_mul, 1)
 
 
 @pytest.mark.parametrize("q", KINDS)
@@ -337,3 +337,47 @@ def test_mult_generator_is_the_least_generator(q):
     g = ctx.mult_generator().val
     assert order(g) == q - 1
     assert all(order(v) < q - 1 for v in range(2, g))
+
+
+def _walk(ctx, g):
+    """g^0 .. g^(q-2) by repeated _raw_mul: the reference for exp."""
+    out, cur = [], 1
+    for _ in range(ctx.q - 1):
+        out.append(cur)
+        cur = ctx._raw_mul(cur, g)
+    return out
+
+
+@pytest.mark.parametrize("q", [4, 16, 2048, 9, 27, 49, 243, 3**10])
+def test_exp_log_match_the_raw_mul_walk(q):
+    # one field of each tabled kind; F_3^10 is built uncached, freed after
+    p, f = gf._split_prime_power(q)
+    ctx = gf.standard_field(q) if q < 3**10 else gf.FieldCtx(p, f, gf.modulus_for(q))
+    exp, log = ctx._exp, ctx._log
+    assert len(exp) == 2 * (q - 1) and len(log) == q
+    assert exp[:q - 1] == _walk(ctx, ctx.mult_generator().val)
+    assert exp[q - 1:] == exp[:q - 1]
+    assert all(log[exp[i]] == i for i in range(q - 1))
+
+
+@pytest.mark.parametrize("q", [2**17, 3**11])
+def test_raw_pow_in_the_ring_matches_raw_mul(q):
+    ctx = gf.standard_field(q)
+    rng = random.Random(f"raw_pow,{q}")
+    for a in [1, q - 1] + [rng.randrange(1, q) for _ in range(8)]:
+        for e in [0, 1, 2, q - 2, q - 1, q] + [rng.randrange(3, 4 * q) for _ in range(4)]:
+            assert ctx._raw_pow(a, e) == gf._power(a, e, ctx._raw_mul, 1)
+
+
+@pytest.mark.parametrize("q", KINDS)
+def test_packed_eval_matches_eval(q):
+    ctx = gf.standard_field(q)
+    rng = random.Random(f"eval,{q}")
+    polys = [Poly.zero(ctx), Poly.one(ctx), Poly._make(ctx, (q - 1,))]
+    polys += [Poly._make(ctx, [rng.randrange(q) for _ in range(k)]) for k in range(1, 8)]
+    points = [0, 1, q - 1] + [rng.randrange(q) for _ in range(20)]
+    for poly in polys:
+        for v in points:
+            b = FieldElem(ctx, v)
+            want = sum((FieldElem(ctx, c) * b**i for i, c in enumerate(poly.coeffs)), ctx.zero)
+            assert poly._eval(v) == poly.eval(b).val == want.val

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from sympgen import gf
 from sympgen.errors import BadParam
 from sympgen.gf import FieldElem
-from sympgen.poly import Poly, factor, is_irreducible, is_self_reciprocal
+from sympgen.poly import (Poly, _squarefree_decomposition, factor, is_irreducible,
+                          is_self_reciprocal)
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -145,6 +146,59 @@ def test_squarefree_decomposition_pth_powers():
     fac = factor(p)
     assert fac.product() == p
     assert dict(fac.factors) == {Poly(F3, [1, 1]): 3, Poly(F3, [1, 0, 1]): 1}
+
+
+def _ref_squarefree_decomposition(p):
+    """The Yun loop that goes on dividing once g = 1: the reference."""
+    F = p.field
+    out = []
+
+    def recurse(f, base_mult):
+        if f.degree < 1:
+            return
+        d = f.derivative()
+        if d.is_zero():
+            root = Poly._make(F, [F.pow(c, F.q // F.p) for c in f.coeffs[::F.p]])
+            recurse(root, base_mult * F.p)
+            return
+        g = f.gcd(d)
+        w = f // g
+        mult = 1
+        while w.degree > 0:
+            y = w.gcd(g)
+            z = w // y
+            if z.degree > 0:
+                out.append((z.monic(), base_mult * mult))
+            w = y
+            g = g // y
+            mult += 1
+        if g.degree > 0:
+            recurse(g, base_mult)
+
+    recurse(p.monic(), 1)
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_squarefree_decomposition_matches_the_reference_loop(q):
+    F = gf.standard_field(q)
+    rng = random.Random(f"sqfree,{q}")
+
+    def rand_monic(deg):
+        return Poly._make(F, [rng.randrange(q) for _ in range(deg)] + [1])
+
+    cases = []
+    for _ in range(40):
+        poly = Poly._make(F, (rng.randrange(1, q),))
+        for _ in range(rng.randrange(1, 4)):
+            poly = poly * rand_monic(rng.randrange(1, 4)) ** rng.choice([1, 2, 3, F.p, 2 * F.p])
+        cases.append(poly)
+    squarefree = [poly for poly in (rand_monic(rng.randrange(1, 9)) for _ in range(40))
+                  if poly.gcd(poly.derivative()).degree == 0]
+    assert len(squarefree) > 10
+    cases += squarefree + [rand_monic(3) ** (F.p**2), rand_monic(2) ** F.p * rand_monic(2)]
+    for poly in cases:
+        assert _squarefree_decomposition(poly) == _ref_squarefree_decomposition(poly)
 
 
 @given(st.sampled_from([2, 3, 4, 5, 9]), st.data())
