@@ -7,7 +7,12 @@ their data (an (n, q) with its witness words, a list of instances) are
 registered from tables, one body per family.  The two largest families run
 over (q, aspec, tag) instances: ``_VALUES`` compares a value of each pair with
 its expected value, and ``_CHECKS`` requires every boolean of a per-pair check
-to hold.  The module also houses the
+to hold.  A word in the generators is a plain function of them: the witness
+words of ``DEFAULT_WORDS`` are ``word_fn(x, y, k)``, the rows of ``_CHI_ETA``
+carry ``eta(x, y)``, and the rows of ``_SL_SETS`` carry a base and a tail
+written in the sections s(u) of the conjugates tau^u (prime sets of
+SL_ell(q)).  ``_WSL6``, ``_C_ORDER``, ``_SANITY_SAMPLES`` and ``_QUADFORM``
+are the other tables.  The module also houses the
 admissible-parameter search (:func:`search_parameter`) and the quadratic-form
 obstruction solver for even characteristic.
 """
@@ -36,76 +41,23 @@ from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
 
 
 # ---------------------------------------------------------------------------
-# word ASTs
+# generation witness words: (x, y, k) -> the matrix of the word
 # ---------------------------------------------------------------------------
 
-def gen(name):
-    return ("gen", name)
+def word_xy_k_y(x, y, k):
+    return (x * y) ** k * y
 
 
-def mul(*ws):
-    return ("mul",) + ws
+def word_comm_k_xy(x, y, k):
+    return paper_commutator(x, y) ** k * x * y
 
 
-def pw(w, k):
-    return ("pow", w, k)
+def word_commxy_k_xy(x, y, k):
+    return (paper_commutator(x, y) * x * y) ** k * x * y
 
 
-def cj(w, u):
-    """w conjugated by u: u^-1 w u."""
-    return ("conj", w, u)
-
-
-def cm(w, u):
-    return ("comm", w, u)
-
-
-def inv(w):
-    return ("inv", w)
-
-
-X, Y, TAU = gen("x"), gen("y"), gen("tau")
-XY = mul(X, Y)
-COMM = cm(X, Y)
-
-
-def eval_word(word, env):
-    """Evaluate a word AST against an environment of named matrices."""
-    op = word[0]
-    if op == "gen":
-        return env[word[1]]
-    if op == "mul":
-        acc = eval_word(word[1], env)
-        for w in word[2:]:
-            acc = acc * eval_word(w, env)
-        return acc
-    if op == "pow":
-        return eval_word(word[1], env) ** word[2]
-    if op == "conj":
-        u = eval_word(word[2], env)
-        return u.inverse() * eval_word(word[1], env) * u
-    if op == "comm":
-        return paper_commutator(eval_word(word[1], env), eval_word(word[2], env))
-    if op == "inv":
-        return eval_word(word[1], env).inverse()
-    raise BadParam(f"unknown word node {op!r}")
-
-
-# word shapes used by the generation witnesses
-def word_xy_k_y(k):
-    return mul(pw(XY, k), Y)
-
-
-def word_comm_k_xy(k):
-    return mul(pw(COMM, k), XY)
-
-
-def word_commxy_k_xy(k):
-    return mul(pw(mul(COMM, XY), k), XY)
-
-
-def word_commxy_k_yx(k):
-    return mul(pw(mul(COMM, XY), k), Y, X)
+def word_commxy_k_yx(x, y, k):
+    return (paper_commutator(x, y) * x * y) ** k * y * x
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +81,14 @@ def _resolve_a(field: FieldCtx, aspec):
     raise BadParam(f"bad a-spec {aspec!r}")
 
 
-@lru_cache(maxsize=None)
 def _pair(n, q, recipe="general", aspec=None, tag=None) -> GeneratorPair:
     field = standard_field(q, tag)
-    a = _resolve_a(field, aspec)
+    return _built(recipe, n, q, _resolve_a(field, aspec), field)
+
+
+@lru_cache(maxsize=None)
+def _built(recipe, n, q, a, field) -> GeneratorPair:
+    """One build per resolved pair, however its a was spelled."""
     return build(recipe, n, q, a, field)
 
 
@@ -691,8 +647,7 @@ def _witnesses(n: int, q: int, aspec=None):
         raise UnknownLemma(f"no default witness words for n={n}, q={q}")
     _, _, recipe, default_a, tag, L, word_fn = DEFAULT_WORDS[(n, q)]
     pair = _pair(n, q, recipe, default_a if aspec is None else aspec, tag)
-    env = {"x": pair.x, "y": pair.y}
-    return pair, [eval_word(word_fn(k), env) for k in L]
+    return pair, [word_fn(pair.x, pair.y, k) for k in L]
 
 
 def certify_pair(n: int, q: int, aspec=None) -> Certificate:
@@ -720,45 +675,39 @@ for (_n, _q), _row in DEFAULT_WORDS.items():
     claim(_row[0], _row[1])(partial(_prime_set_claim, _n, _q))
 
 
-@claim("prop-q2-sl9", "q=2-sl9")
-def _prop_q2_sl9():
-    pair = _pair(12, 2, "general", 1)
-    tau = tau_of(pair)
-    env = {"x": pair.x, "y": pair.y, "tau": tau}
-    g = eval_word(mul(TAU, cj(TAU, mul(Y, Y, X)), cj(TAU, Y)), env)
-    ty = eval_word(cj(TAU, Y), env)
-    tyyx = eval_word(cj(TAU, mul(Y, Y, X)), env)
-    got = union_varpi(s_restrict((g ** k) * ty * tyyx, pair.space, 9)
-                      for k in [2, 4, 8, 11, 12])
-    return {"expected": varpi_group("sl", 9, 2), "computed": got}
+def _sl_set_claim(n, q, aspec, tag, ell, base, tail, ks):
+    """The prime sets of base^k tail, k in ks, cover varpi(SL_ell(q)).  base
+    and tail are words in s(u), the section (s_restrict) on the last ell
+    coordinates of tau^u, u a word in x and y, or of tau itself for s()."""
+    pair = _pair(n, q, "general", aspec, tag)
+    tau, x, y = tau_of(pair), pair.x, pair.y
+
+    def s(u=None):
+        return s_restrict(tau if u is None else _cj(tau, u), pair.space, ell)
+    g, h = base(s, x, y), tail(s, x, y)
+    return {"expected": varpi_group("sl", ell, q),
+            "computed": union_varpi((g ** k) * h for k in ks)}
 
 
-@claim("G7-q8", "G7-q8")
-def _g7_q8():
-    pair = _pair(10, 8, "general", "gen", "G7")
-    tau = tau_of(pair)
-    x, y = pair.x, pair.y
-    g1, g2, g3, g4 = (s_restrict(g, pair.space, 7)
-                      for g in (tau, _cj(tau, y), _cj(tau, y * x),
-                                _cj(tau, y * y * x)))
-    base = g4 * g1 * g3
-    got = union_varpi((base ** k) * g2 for k in [6, 19, 26, 37])
-    return {"expected": varpi_group("sl", 7, 8), "computed": got}
+# claim id -> (anchor, n, q, aspec, tag, ell, base(s, x, y), tail(s, x, y),
+# exponents k)
+_SL_SETS = {
+    "prop-q2-sl9": ("q=2-sl9", 12, 2, 1, None, 9,
+                    lambda s, x, y: s() * s(y * y * x) * s(y),
+                    lambda s, x, y: s(y) * s(y * y * x), (2, 4, 8, 11, 12)),
+    "G7-q8": ("G7-q8", 10, 8, "gen", "G7", 7,
+              lambda s, x, y: s(y * y * x) * s() * s(y * x),
+              lambda s, x, y: s(y), (6, 19, 26, 37)),
+    "remark-q7": ("q7-L", 13, 7, 1, None, 9,
+                  lambda s, x, y: (s() * s(y) ** 2 * s(y * x * y)
+                                   * s(y * x * y * y) * s(y * x)),
+                  lambda s, x, y: (s(y * y) * s((y * x) ** 2) * s((y * x) ** 2 * y)
+                                   * s((y * x) ** 2 * y * y)),
+                  (1, 7, 11, 15, 22)),
+}
 
-
-@claim("remark-q7", "q7-L")
-def _remark_q7():
-    pair = _pair(13, 7, "general", 1)
-    tau = tau_of(pair)
-    x, y = pair.x, pair.y
-    yx2 = (y * x) ** 2
-    base = (tau * _cj(tau, y) ** 2 * _cj(tau, y * x * y)
-            * _cj(tau, y * x * y * y) * _cj(tau, y * x))
-    tail = (_cj(tau, y * y) * _cj(tau, yx2) * _cj(tau, yx2 * y)
-            * _cj(tau, yx2 * y * y))
-    got = union_varpi(s_restrict((base ** k) * tail, pair.space, 9)
-                      for k in [1, 7, 11, 15, 22])
-    return {"expected": varpi_group("sl", 9, 7), "computed": got}
+for _cid, (_anchor, *_row) in _SL_SETS.items():
+    claim(_cid, _anchor)(partial(_sl_set_claim, *_row))
 
 
 def _wsl6_claim(q, aspec, I):
@@ -907,7 +856,7 @@ def _n6_traces(pair):
             c.trace() == F.elem(-2), (c * xy).trace() == -a]
 
 
-def _vanishing_equiv(n, q, eta_word, quotient, cond_odd, cond_even):
+def _vanishing_equiv(n, q, eta, quotient, cond_odd, cond_even):
     """Over every a in F_q^*: chi_eta is divided by the product of the
     quotient polynomials, and the cofactor vanishes at a primitive cube root
     of unity exactly when the stated polynomial in a vanishes."""
@@ -926,7 +875,7 @@ def _vanishing_equiv(n, q, eta_word, quotient, cond_odd, cond_even):
             pair = build("general", n, q, a, field)
         except BadParam:
             continue
-        chi = char_poly(eval_word(eta_word, {"x": pair.x, "y": pair.y}))
+        chi = char_poly(eta(pair.x, pair.y))
         f, rem = divmod(chi, quot)
         if not rem.is_zero():
             ok = False
@@ -947,7 +896,7 @@ def _chi_eta_claim(n, eta, qs, quotient, cond_odd, cond_even, eig_instances, k):
     eig = []
     for pair in _pairs(n, "general", eig_instances):
         F, sp = pair.field, pair.space
-        h = eval_word(eta, {"x": pair.x, "y": pair.y})
+        h = eta(pair.x, pair.y)
         for w in roots(Poly(F, (1, 1, 1))):
             c = w ** k
             eig += _eig_pair(h, w, sp.vector([(1, 4), (-c, -4)]),
@@ -956,22 +905,23 @@ def _chi_eta_claim(n, eta, qs, quotient, cond_odd, cond_even, eig_instances, k):
             "computed": [results, eig]}
 
 
-@claim("main7-chi-eta", "chi-eta-n7")
-def _main7_chi_eta():
-    return _chi_eta_claim(
-        7, mul(Y, pw(XY, 3)), (7, 13, 8), [(1, 1, 1)],
-        (0, 1, 0, 1, 0, 1),       # a(a^2-a+1)(a^2+a+1)
-        (0, 1, 0, 0, 1, 1),       # a(a^4+a^3+1)
-        [(7, 1, None), (16, "gen", "main7")], 1)
+# claim id -> (anchor, n, eta(x, y), qs, quotient polynomials, the stated
+# polynomial in a for q odd and for q even, eigenvector instances, k)
+_CHI_ETA = {
+    "main7-chi-eta": ("chi-eta-n7", 7, lambda x, y: y * (x * y) ** 3, (7, 13, 8),
+                      [(1, 1, 1)],
+                      (0, 1, 0, 1, 0, 1),       # a(a^2-a+1)(a^2+a+1)
+                      (0, 1, 0, 0, 1, 1),       # a(a^4+a^3+1)
+                      ((7, 1, None), (16, "gen", "main7")), 1),
+    "main11-chi-eta": ("chi-eta-n11", 11, lambda x, y: paper_commutator(x, y) ** 2 * y,
+                       (5, 7, 8), [(1, 0, 1), (1, 0, 1), (1, 1, 1)],
+                       (2, 1, 1, 2),             # (a+1)(2a^2-a+2)
+                       (1, 0, 0, 1, 1, 1),       # (a+1)(a^3+a^2+1)
+                       ((7, 2, None), (4, "gen", "main11")), -1),
+}
 
-
-@claim("main11-chi-eta", "chi-eta-n11")
-def _main11_chi_eta():
-    return _chi_eta_claim(
-        11, mul(pw(COMM, 2), Y), (5, 7, 8), [(1, 0, 1), (1, 0, 1), (1, 1, 1)],
-        (2, 1, 1, 2),             # (a+1)(2a^2-a+2)
-        (1, 0, 0, 1, 1, 1),       # (a+1)(a^3+a^2+1)
-        [(7, 2, None), (4, "gen", "main11")], -1)
+for _cid, (_anchor, *_row) in _CHI_ETA.items():
+    claim(_cid, _anchor)(partial(_chi_eta_claim, *_row))
 
 
 @claim("main8-chi-eta", "chi-eta-n8")

@@ -175,12 +175,11 @@ class FieldCtx:
         g, then rebinds to closures over exp/log.
 
         Multiplication by g is F_p-linear (Lidl & Niederreiter, Finite
-        Fields): if c = sum d_j w^j, then c g = sum d_j (w^j g).  So
-        column j holds the digits of w^j g in byte-aligned slots
-        (poly._pack), f _raw_mul calls in all, and each next power of g is
-        one packed combination of the columns by the digits of the last,
-        unpacked and reduced mod p once (poly._unpack).  A slot sums at most
-        f (p - 1)^2."""
+        Fields): if c = sum d_j w^j, then c g = sum d_j (w^j g).  So row j
+        holds the digits of w^j g, f _raw_mul calls in all, and each next
+        power of g is the combination of the rows by the digits of the last,
+        through matrix._combiner over F_p (one packed sum, reduced mod p
+        once)."""
         p, f, q = self.p, self.f, self.q
         self._exp = self._log = self._zech = self._ring = None
         if self.is_prime_field:
@@ -198,16 +197,16 @@ class FieldCtx:
         if q > _TABLE_LIMIT:
             return
         # exp/log on the lexicographically least generator
-        from .poly import _pack, _slot_width, _unpack
+        from .matrix import _combiner  # matrix imports this module
         gen = self.mult_generator().val
-        w, mul = _slot_width(f * (p - 1) ** 2), operator.mul
-        cols = [_pack(self.coeffs(raw_mul(p**j, gen)), w) for j in range(f)]
-        place = [p**j for j in range(f)]
+        times_g = _combiner(standard_field(p),
+                            [self.coeffs(raw_mul(p**j, gen)) for j in range(f)], f)
+        place, mul = [p**j for j in range(f)], operator.mul
         exp, log, digits = [0] * (2 * (q - 1)), [0] * q, (1,) + (0,) * (f - 1)
         for i in range(q - 1):
             exp[i] = exp[i + q - 1] = v = sum(map(mul, digits, place))
             log[v] = i
-            digits = _unpack(sum(map(mul, digits, cols)), f, w, p)
+            digits = times_g(digits)
         self._exp, self._log = exp, log
         if p != 2:
             add, neg = self._zech_arithmetic()
@@ -308,6 +307,18 @@ class FieldCtx:
         return hash((self.p, self.modulus))
 
 
+def _operator(op):
+    """The FieldElem operator self . other = op(F, self.val, other's packed
+    value).  Any other operand than a FieldElem or an int gets
+    NotImplemented, so Python tries its reflected operator (Poly.__rmul__,
+    Mat.__rmul__)."""
+    def method(self, other):
+        if not isinstance(other, (FieldElem, int)):
+            return NotImplemented
+        return FieldElem(self.ctx, op(self.ctx, self.val, self.ctx.scalar(other)))
+    return method
+
+
 class FieldElem:
     """A field element: a FieldCtx plus a packed residue value."""
 
@@ -317,38 +328,12 @@ class FieldElem:
         self.ctx = ctx
         self.val = val
 
-    def _coerce(self, other) -> int:
-        if isinstance(other, (FieldElem, int)):
-            return self.ctx.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.val, self.ctx.inv(v)))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        return FieldElem(self.ctx, self.ctx.mul(v, self.ctx.inv(self.val)))
+    __add__ = __radd__ = _operator(lambda F, a, b: F.add(a, b))
+    __sub__ = _operator(lambda F, a, b: F.sub(a, b))
+    __rsub__ = _operator(lambda F, a, b: F.sub(b, a))
+    __mul__ = __rmul__ = _operator(lambda F, a, b: F.mul(a, b))
+    __truediv__ = _operator(lambda F, a, b: F.mul(a, F.inv(b)))
+    __rtruediv__ = _operator(lambda F, a, b: F.mul(b, F.inv(a)))
 
     def __neg__(self):
         return FieldElem(self.ctx, self.ctx.neg(self.val))

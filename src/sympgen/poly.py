@@ -317,7 +317,8 @@ class Poly:
         if e < 0:
             raise BadParam("negative polynomial power")
         if mod.degree < 1:  # a residue mod a unit is 0; x^0 is 1 as everywhere
-            return self % mod if e else Poly.one(self.field)
+            rem = self % mod  # raises ZeroPolynomial for mod = 0, whatever e
+            return rem if e else Poly.one(self.field)
         ring = _Ring(mod)
         return ring.poly(ring.pow(ring.elem(self), e))
 

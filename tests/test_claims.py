@@ -207,20 +207,34 @@ def test_obstruction_full_sp_inconsistent():
 
 
 # ---------------------------------------------------------------------------
-# word evaluation
+# words
 # ---------------------------------------------------------------------------
 
-def test_eval_word_matches_direct_products():
-    pair = claims._pair(4, 3, "general", 1)
-    env = {"x": pair.x, "y": pair.y}
-    w = claims.mul(claims.pw(claims.XY, 3), claims.Y)
-    assert claims.eval_word(w, env) == (pair.x * pair.y) ** 3 * pair.y
-    c = claims.eval_word(claims.COMM, env)
-    assert c == pair.commutator()
-    conj = claims.eval_word(claims.cj(claims.X, claims.Y), env)
-    assert conj == pair.y.inverse() * pair.x * pair.y
-    inv = claims.eval_word(claims.inv(claims.Y), env)
-    assert inv == pair.y.inverse()
+def test_sl_set_sections_multiply_like_the_full_space_word():
+    # each row multiplies sections s(u) of tau^u; the section is a
+    # homomorphism on these factors, so base^k tail restricted first equals
+    # the section of the full-space word, here at each row's first k
+    from sympgen.construct import tau_of
+    for cid, (_, n, q, aspec, tag, ell, base, tail, ks) in claims._SL_SETS.items():
+        pair = claims._pair(n, q, "general", aspec, tag)
+        tau, x, y = tau_of(pair), pair.x, pair.y
+
+        def full(u=None):
+            return tau if u is None else claims._cj(tau, u)
+
+        def s(u=None):
+            return claims.s_restrict(full(u), pair.space, ell)
+        k = ks[0]
+        whole = base(full, x, y) ** k * tail(full, x, y)
+        assert base(s, x, y) ** k * tail(s, x, y) == claims.s_restrict(
+            whole, pair.space, ell), cid
+
+
+def test_pair_is_cached_on_the_resolved_pair():
+    # a default tag and -1 = 4 over F_5 are spellings of one pair
+    assert (claims._pair(8, 4, "n8alt", "primitive")
+            is claims._pair(8, 4, "n8alt", "primitive", None))
+    assert claims._pair(4, 5, "general", -1) is claims._pair(4, 5, "general", 4)
 
 
 def test_certify_default_words():

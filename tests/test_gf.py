@@ -66,6 +66,21 @@ def test_an_element_never_equals_an_int():
     assert e == F7.elem(10) and len({e, F7.elem(10)}) == 1
 
 
+@pytest.mark.parametrize("q", [7, 9])
+def test_an_element_times_a_polynomial_or_matrix_is_its_scaling(q):
+    # FieldElem returns NotImplemented for other operands, so Python reaches
+    # Poly.__rmul__ and Mat.__rmul__
+    from sympgen.matrix import Mat
+    F = gf.standard_field(q)
+    c = F.elem(2) if q == 7 else F.gen()
+    P = Poly(F, [1, 1, 3])
+    M = Mat(F, [[1, 2], [3, 4]])
+    assert c * P == P.scale(c) and c * M == M.scale(c)
+    for op in (lambda: c + 1.5, lambda: 1.5 - c, lambda: c * 1.5, lambda: c / 1.5):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_division_by_zero():
     F5 = gf.standard_field(5)
     with pytest.raises(DivisionByZero):

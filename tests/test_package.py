@@ -1,6 +1,9 @@
 """Source-level properties of the package."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sympgen
@@ -69,6 +72,18 @@ def test_no_dead_definitions():
             if name not in named
             and not (name.startswith("__") and name.endswith("__"))]
     assert SOURCES and dead == []
+
+
+def test_demos_run():
+    # test_no_dead_definitions counts what the demos name as used, so each
+    # demo must run: every demos/*.py exits 0
+    root = Path(sympgen.__file__).parents[2]
+    demos = sorted((root / "demos").glob("*.py"))
+    env = dict(os.environ, PYTHONPATH=str(Path(sympgen.__file__).parents[1]))
+    failed = [path.name for path in demos
+              if subprocess.run([sys.executable, str(path)], env=env, cwd=root,
+                                capture_output=True).returncode != 0]
+    assert demos and failed == []
 
 
 def test_every_exported_name_resolves():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympgen import gf
-from sympgen.errors import BadParam
+from sympgen.errors import BadParam, ZeroPolynomial
 from sympgen.gf import FieldElem
 from sympgen.poly import (Poly, _squarefree_decomposition, factor, is_irreducible,
                           is_self_reciprocal)
@@ -39,6 +39,12 @@ def test_powmod_rejects_a_negative_exponent(q):
     F = gf.standard_field(q)
     with pytest.raises(BadParam, match="negative polynomial power"):
         Poly.t(F).powmod(-1, Poly(F, [3, 1, 1]))
+
+
+@pytest.mark.parametrize("e", [0, 1, 5])
+def test_powmod_rejects_the_zero_modulus_at_every_exponent(e):
+    with pytest.raises(ZeroPolynomial):
+        Poly.t(F7).powmod(e, Poly.zero(F7))
 
 
 def test_divmod_roundtrip():
