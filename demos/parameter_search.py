@@ -2,9 +2,11 @@
 """Search F_q^* for admissible recipe parameters.
 
 Each generation lemma imposes a finite set of polynomial non-vanishing
-conditions on the recipe parameter a.  `search_parameter` enumerates
-F_q^* (as consecutive powers of the least multiplicative generator) and
-returns the admissible values.  The named parameter used in each proof
+conditions on the recipe parameter a; most also ask that an expression
+expr(a) generate F_q, which is the non-vanishing of expr and of the
+Frobenius differences expr(t^(p^e)) - expr(t).  `search_parameter` returns
+the admissible values of F_q^* in the order of consecutive powers of the
+least multiplicative generator.  The named parameter used in each proof
 must always be among them, and the number of *inadmissible* values is
 bounded by the sum of the degrees of the condition polynomials.
 """

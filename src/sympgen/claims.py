@@ -15,6 +15,15 @@ SL_ell(q)).  ``_WSL6``, ``_C_ORDER``, ``_SANITY_SAMPLES`` and ``_QUADFORM``
 are the other tables.  The module also houses the
 admissible-parameter search (:func:`search_parameter`) and the quadratic-form
 obstruction solver for even characteristic.
+
+The search turns each lemma's conditions into sparse polynomials over F_p
+that must not vanish at a: its "nz" polynomials and, for the minimal-field
+condition F_p[expr(a)] = F_q, expr and one Frobenius difference
+Q_e(t) = expr(t^(p^e)) - expr(t) per maximal proper subfield F_{p^e}
+(:func:`_subfield_polys`).  poly._root_exponents sieves them at every power
+of the field's least generator at once.  Only sigma-a tests each candidate
+on its own: it asks for a root in F_{q^2}, which no polynomial over F_p at a
+states.
 """
 
 from __future__ import annotations
@@ -27,11 +36,12 @@ from functools import lru_cache, partial
 
 from .anchors import ANCHORS
 from .errors import (BadParam, OddCharacteristic, UnknownClaim, UnknownLemma)
+from .factorint import prime_factors
 from .gf import (FieldCtx, FieldElem, embed, modulus_for, mult_order,
                  standard_field, subfield_degree)
 from .matrix import (Mat, _combiner, char_poly, eigenspace, paper_commutator, same_span,
                      similarity_invariants)
-from .poly import Poly, roots
+from .poly import Poly, _root_exponents, roots
 from .grouporder import (Certificate, PrimeSet, element_order,
                          lps_certificate, union_varpi, varpi_group)
 from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
@@ -346,24 +356,33 @@ def _generates(b: FieldElem) -> bool:
     return bool(b) and subfield_degree(b) == b.ctx.f
 
 
-def _admissible(field: FieldCtx, cond):
-    """The predicate v -> (the packed value v meets cond), with each
-    polynomial built once.  The non-vanishing checks evaluate on packed
-    values (Poly._eval); only the minimal-field test and the sigma
-    condition see a FieldElem."""
-    if cond.get("special") == "sigma":
-        return lambda v: _sigma_of(field, FieldElem(field, v)) is not None
-    nz = [Poly(field, coeffs)._eval for coeffs in cond["nz"]]
-    sub = cond.get("sub")
-    expr = None if sub is None else Poly(field, sub[0])
-    return lambda v: (all(f(v) for f in nz)
-                      and (expr is None or _generates(FieldElem(field, expr._eval(v)))))
+def _subfield_polys(field: FieldCtx, expr):
+    """Sparse polynomials over F_p, as (exponent, coefficient) terms, that
+    vanish at a in F_q^* exactly where expr(a) does not generate F_q: expr
+    itself, and Q_e(t) = expr(t^(p^e)) - expr(t) for each maximal proper
+    divisor e = f / r of f (r prime).  expr(a) lies in F_{p^e} iff
+    expr(a)^(p^e) = expr(a), and the Frobenius map fixes expr's F_p
+    coefficients, so expr(a)^(p^e) = expr(a^(p^e)) (Lidl & Niederreiter,
+    Finite Fields, ch. 2)."""
+    terms = list(enumerate(expr))
+    out = [terms]
+    for r in prime_factors(field.f):
+        frob = field.p ** (field.f // r)
+        out.append([(k * frob, c) for k, c in terms] + [(k, -c) for k, c in terms])
+    return out
 
 
 def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
-    """All admissible a in F_q^* for the lemma's conditions, enumerated as
-    consecutive powers of the least multiplicative generator, on packed
-    values."""
+    """All admissible a in F_q^* for the lemma's conditions, in the order
+    g, g^2, ..., g^(q-2), 1 of the powers of the least multiplicative
+    generator g.
+
+    Every lemma but sigma-a is a list of sparse polynomials over F_p that
+    must not vanish at a: the "nz" polynomials, and for the minimal-field
+    condition F_p[expr(a)] = F_q the polynomials of _subfield_polys.  They
+    are sieved over all powers of g at once (poly._root_exponents), and no
+    polynomial is evaluated per candidate.  sigma-a keeps its per-candidate
+    test, since its condition asks for a root of t^2 + a t + 1 in F_{q^2}."""
     field = field or standard_field(q)
     if field.q != q:
         raise BadParam("field size mismatch")
@@ -374,15 +393,16 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
         return []
     if q in cond.get("exclude_q", ()):
         return []
-    admissible = _admissible(field, cond)
-    g, mul = field.mult_generator().val, field.mul
-    out = []
-    cur = g
-    for _ in range(q - 1):
-        if admissible(cur):
-            out.append(FieldElem(field, cur))
-        cur = mul(cur, g)
-    return out
+    powers = field.generator_powers()
+    order = [*range(1, q - 1), 0]  # exponents of g, g^2, ..., g^(q-2), 1
+    if cond.get("special") == "sigma":
+        return [a for a in (FieldElem(field, powers[i]) for i in order)
+                if _sigma_of(field, a) is not None]
+    polys = [list(enumerate(coeffs)) for coeffs in cond["nz"]]
+    if cond.get("sub") is not None:
+        polys += _subfield_polys(field, cond["sub"][0])
+    roots_at = set(_root_exponents(powers, field.p, field.f, polys))
+    return [FieldElem(field, powers[i]) for i in order if i not in roots_at]
 
 
 # (lemma, q) -> a-specification the source text names, to be reproduced by

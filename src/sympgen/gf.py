@@ -16,14 +16,16 @@ no operation tests the kind again.  The kinds:
   prime           integers mod p;
   tabled, p = 2   XOR addition, exp/log multiplication;
   tabled, odd p   Zech addition and negation, exp/log multiplication;
-  untabled        q > _TABLE_LIMIT: coefficient arithmetic (_raw_add,
-                  _raw_mul), and powers and inverses in the ring
-                  F_p[t]/(modulus) (_raw_pow: one poly._Ring per field,
-                  built on first use).
+  untabled        q > _TABLE_LIMIT: coefficient addition (_raw_add), and
+                  products, powers and inverses in the ring F_p[t]/(modulus)
+                  (_ring_mul, _raw_pow: one poly._Ring per field, built on
+                  first use).
 The tables are exp/log on the least multiplicative generator g, which
 _raw_pow finds.  exp walks the powers of g by one packed linear map:
 multiplication by g is F_p-linear, so each next power is a combination of f
-fixed columns by the digits of the last (see _bind_arithmetic).  For odd p
+fixed columns by the digits of the last (see _walk).  generator_powers hands
+the powers g^0 .. g^(q-2) to the parameter search: the head of exp, or the
+same walk on a prime or untabled field.  For odd p
 there are also Zech logarithms zech[i] = log(1 + g^i), so a sum is a lookup:
 g^a + g^b = g^(a + zech[b - a]) (Huber 1990; Lidl & Niederreiter, Finite
 Fields, 10.1).  Every table holds O(q) entries: about 4q in all.
@@ -157,30 +159,34 @@ class FieldCtx:
     def _raw_neg(self, a):
         return self.from_coeffs([-c for c in self.coeffs(a)])
 
-    def _raw_pow(self, a, e):
-        """a^e in the ring F_p[t]/(modulus) of this field, built on first use:
-        the generator test before the tables exist, and every power of an
-        untabled field."""
+    def _to_ring(self, a):
+        """The residue of the packed value a in the ring F_p[t]/(modulus) of
+        this field, built on first use."""
         from .poly import Poly, _Ring
         mod = self._mod_poly
         if self._ring is None:
             self._ring = _Ring(mod)
-        ring = self._ring
-        x = ring.elem(Poly._make(mod.field, self.coeffs(a)))
-        return self.from_coeffs(ring.poly(_power(x, e, ring.mul, 1)).coeffs)
+        return self._ring.elem(Poly._make(mod.field, self.coeffs(a)))
+
+    def _from_ring(self, x):
+        return self.from_coeffs(self._ring.poly(x).coeffs)
+
+    def _raw_pow(self, a, e):
+        """a^e in the ring of this field: the generator test before the
+        tables exist, and every power of an untabled field."""
+        x = self._to_ring(a)
+        return self._from_ring(_power(x, e, self._ring.mul, 1))
+
+    def _ring_mul(self, a, b):
+        """a * b in the ring of this field: the product of an untabled field."""
+        x = self._to_ring(a)
+        return self._from_ring(self._ring.mul(x, self._to_ring(b)))
 
     def _bind_arithmetic(self):
         """Decide the field kind, once, and bind its six operations.  A tabled
-        field binds the coefficient arithmetic first and finds its generator
-        g, then rebinds to closures over exp/log.
-
-        Multiplication by g is F_p-linear (Lidl & Niederreiter, Finite
-        Fields): if c = sum d_j w^j, then c g = sum d_j (w^j g).  So row j
-        holds the digits of w^j g, f _raw_mul calls in all, and each next
-        power of g is the combination of the rows by the digits of the last,
-        through matrix._combiner over F_p (one packed sum, reduced mod p
-        once)."""
-        p, f, q = self.p, self.f, self.q
+        field binds the coefficient arithmetic first, finds its generator g
+        and walks its powers (_walk), then rebinds to closures over exp/log."""
+        p, q = self.p, self.q
         self._exp = self._log = self._zech = self._ring = None
         if self.is_prime_field:
             self._bind(lambda a, b: (a + b) % p, lambda a: -a % p,
@@ -191,27 +197,47 @@ class FieldCtx:
             add, neg, sub = operator.xor, lambda a: a, operator.xor
         else:
             add, neg, sub = self._raw_add, self._raw_neg, None
-        raw_mul = self._raw_mul
-        self._bind(add, neg, lambda a, b: raw_mul(a, b) if a and b else 0,
+        mul = self._raw_mul if q <= _TABLE_LIMIT else self._ring_mul
+        self._bind(add, neg, lambda a, b: mul(a, b) if a and b else 0,
                    self._raw_pow, sub=sub)
         if q > _TABLE_LIMIT:
             return
         # exp/log on the lexicographically least generator
-        from .matrix import _combiner  # matrix imports this module
-        gen = self.mult_generator().val
-        times_g = _combiner(standard_field(p),
-                            [self.coeffs(raw_mul(p**j, gen)) for j in range(f)], f)
-        place, mul = [p**j for j in range(f)], operator.mul
-        exp, log, digits = [0] * (2 * (q - 1)), [0] * q, (1,) + (0,) * (f - 1)
-        for i in range(q - 1):
-            exp[i] = exp[i + q - 1] = v = sum(map(mul, digits, place))
+        exp, log = self._walk(self.mult_generator().val), [0] * q
+        for i, v in enumerate(exp):
             log[v] = i
-            digits = times_g(digits)
+        exp += exp
         self._exp, self._log = exp, log
         if p != 2:
             add, neg = self._zech_arithmetic()
         self._bind(add, neg, lambda a, b: exp[log[a] + log[b]] if a and b else 0,
                    lambda a, e: exp[log[a] * e % (q - 1)], sub=sub)
+
+    def _walk(self, gen):
+        """The packed powers gen^0 .. gen^(q-2), with f calls of mul.
+
+        Multiplication by gen is F_p-linear (Lidl & Niederreiter, Finite
+        Fields): if c = sum d_j w^j, then c gen = sum d_j (w^j gen).  So row j
+        holds the digits of w^j gen, and each next power is the combination of
+        the rows by the digits of the last, through matrix._combiner over F_p
+        (one packed sum, reduced mod p once)."""
+        from .matrix import _combiner  # matrix imports this module
+        p, f = self.p, self.f
+        times_g = _combiner(standard_field(p),
+                            [self.coeffs(self.mul(p**j, gen)) for j in range(f)], f)
+        place, mul = [p**j for j in range(f)], operator.mul
+        powers, digits = [], (1,) + (0,) * (f - 1)
+        for _ in range(self.q - 1):
+            powers.append(sum(map(mul, digits, place)))
+            digits = times_g(digits)
+        return powers
+
+    def generator_powers(self):
+        """The packed powers g^0 .. g^(q-2) of the least multiplicative
+        generator g: the head of exp on a tabled field, else one _walk."""
+        if self._exp is not None:
+            return self._exp[:self.q - 1]
+        return self._walk(self.mult_generator().val)
 
     def _zech_arithmetic(self):
         """add and neg over zech[i] = log(1 + g^i), read from local variables.

@@ -19,7 +19,9 @@ wide enough for _fold_bound: for lists whose shorter one has n
 coefficients, a slot of the product sums at most n f (p - 1)^2 and the fold
 adds at most n f (f - 1) / 2 (p - 1)^3.  Over F_p (f = 1) a value is its one
 digit and there is nothing to fold.  _pack and _unpack are shared with the
-packed rows of matrix._combiner.
+packed rows of matrix._combiner and with _root_exponents, which finds where
+sparse polynomials over F_p vanish at every power of a generator at once
+(the parameter search of claims).
 
 _Ring(mod) is F_q[t]/(mod) on that layout: its elements are packed
 residues, and a product also folds the top d - 1 coefficients back through
@@ -47,7 +49,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, compress, repeat
 
 from .errors import BadParam, MixedFields, ZeroPolynomial
 from .factorint import prime_factors
@@ -99,6 +101,83 @@ def _unpack(n: int, k: int, w: int, p: int):
     if _SWAP:
         arr.byteswap()
     return [v % p for v in arr]
+
+
+_ZERO_BYTES = bytes([1]) + bytes(255)  # 1 for a zero byte, 0 otherwise
+
+
+def _stride(plane, k: int):
+    """[plane[k i % m] for i in range(m)], m = len(plane), 0 <= k < m: the k
+    slices of stride k that the reads wrap through, or m - k slices of the
+    plane read backwards (plane[-i % m]) when k > m / 2."""
+    m = len(plane)
+    if 2 * k > m:
+        plane, k = plane[:1] + plane[:0:-1], m - k
+    if not k:
+        return plane[:1] * m
+    return list(chain.from_iterable(plane[-m * s % k::k] for s in range(k)))
+
+
+def _root_exponents(powers, p: int, f: int, polys):
+    """The exponents i < m = len(powers), ascending, at which some polynomial
+    of polys vanishes at powers[i] = g^i, for g of order m in F_{p^f}.  Each
+    polynomial is over F_p, given as (k, c) terms: exponents k >= 0 and
+    integer coefficients c, read mod p.
+
+    P = sum c_k t^k has P(g^i) = sum c_k g^(k i mod m), so the term of
+    exponent k is a plane of the powers read at k i mod m, every i at once
+    (_stride), packed once per exponent in items of W bytes; a polynomial's
+    values are one big-int sum of its terms.  In characteristic 2 every
+    coefficient is 1 and packed values add by XOR, so the one plane holds
+    the powers themselves.  For odd p an item holds base-p digits of a power
+    in slots wide enough for the most terms times (p - 1)^2, as many as fit
+    in 8 bytes, one plane per such group of digits, and each slot is reduced
+    mod p once.  P(g^i) = 0 exactly where item i of every plane reads 0."""
+    m = len(powers)
+    terms = [[(k % m, c % p) for k, c in poly if c % p] for poly in polys]
+    if p == 2:
+        w, W = 1, _slot_width(max(powers))
+        planes = [powers]
+    else:
+        w = _slot_width(max(map(len, terms), default=0) * (p - 1) ** 2)
+        per = max(8 // w, 1)
+        W = _slot_width((1 << 8 * w * min(per, f)) - 1)
+        digits = []
+        for _ in range(f):
+            digits.append([v % p for v in powers])
+            powers = [v // p for v in powers]
+        planes = []
+        for j in range(0, f, per):
+            plane = digits[j]
+            for s, more in enumerate(digits[j + 1:j + per], 1):
+                plane = [x + (y << 8 * w * s) for x, y in zip(plane, more)]
+            planes.append(plane)
+    slots = W // w  # per item (in characteristic 2: the bytes of a value)
+    reads = {}  # exponent -> its read of every plane, packed
+    vanish = 0  # byte i is 1 where some polynomial vanishes at g^i
+    for poly in terms:
+        sums = [0] * len(planes)
+        for k, c in poly:
+            read = reads.get(k)
+            if read is None:
+                read = reads[k] = [_pack(_stride(plane, k), W) for plane in planes]
+            if p == 2:
+                sums = list(map(operator.xor, sums, read))
+            else:
+                sums = [a + c * r for a, r in zip(sums, read)]
+        flags = 0  # a nonzero byte for each nonzero slot
+        for a in sums:
+            if p != 2:
+                a = _unpack(a, m * slots, w, p)
+                a = int.from_bytes(a if w == 1 else bytes(map(bool, a)), "little")
+            flags |= a
+        # byte 0 of item i becomes the OR of its slots' flags
+        folded = flags
+        for j in range(1, slots):
+            folded |= flags >> 8 * j
+        vanish |= int.from_bytes(
+            folded.to_bytes(m * slots, "little")[::slots].translate(_ZERO_BYTES), "little")
+    return list(compress(range(m), vanish.to_bytes(m, "little")))
 
 
 def _digits(vals, p: int, f: int):

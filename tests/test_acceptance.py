@@ -13,7 +13,7 @@ from sympgen.errors import BadParam, SympgenError
 from sympgen.gf import campoN_bound, standard_field
 from sympgen.grouporder import closure_bfs, element_order, naive_element_order
 from sympgen.matrix import Mat, char_poly
-from sympgen.poly import is_self_reciprocal
+from sympgen.poly import _root_exponents, is_self_reciprocal
 
 
 def _run(cid):
@@ -121,12 +121,10 @@ def test_criterion_5_bireflection_dimensions():
 
 
 # criterion 6 -- the parameter search machinery
-def test_criterion_6_parameter_search():
-    for (lemma, q) in sorted(claims.NAMED_A):
-        assert claims.named_a_reproduced(lemma, q), (lemma, q)
-    assert claims.search_parameter("G9", 7) == []
-    checked = 0
-    for lemma, cond in claims.CONDITIONS.items():
+def _subfield_pairs():
+    """(lemma, q, sub) for each lemma with a minimal-field condition of
+    degree >= 2 over a field of its characteristic, q in a fixed list."""
+    for lemma in claims.CONDITIONS:
         for q in (4, 8, 16, 32, 9, 27, 25, 49):
             field = standard_field(q)
             try:
@@ -140,10 +138,34 @@ def test_criterion_6_parameter_search():
                 continue
             if branch["char"] == "even" and field.p != 2:
                 continue
-            count = claims.subfield_failure_count(lemma, q)
-            bound = campoN_bound(len(sub[0]) - 1, field.p, field.f)
-            assert count <= bound, (lemma, q, count, bound)
-            checked += 1
+            yield lemma, q, sub
+
+
+def test_criterion_6_parameter_search():
+    for (lemma, q) in sorted(claims.NAMED_A):
+        assert claims.named_a_reproduced(lemma, q), (lemma, q)
+    assert claims.search_parameter("G9", 7) == []
+    checked = 0
+    for lemma, q, sub in _subfield_pairs():
+        field = standard_field(q)
+        count = claims.subfield_failure_count(lemma, q)
+        bound = campoN_bound(len(sub[0]) - 1, field.p, field.f)
+        assert count <= bound, (lemma, q, count, bound)
+        checked += 1
+    assert checked >= 10
+
+
+def test_criterion_6_subfield_polys_vanish_where_subfield_degree_fails():
+    # the search sieves expr and Q_e(t) = expr(t^(p^e)) - expr(t); the a at
+    # which one of them vanishes are the a that subfield_failure_count finds
+    # by subfield_degree
+    checked = 0
+    for lemma, q, sub in _subfield_pairs():
+        field = standard_field(q)
+        polys = claims._subfield_polys(field, sub[0])
+        roots = _root_exponents(field.generator_powers(), field.p, field.f, polys)
+        assert len(roots) == claims.subfield_failure_count(lemma, q), (lemma, q)
+        checked += 1
     assert checked >= 10
 
 

@@ -8,6 +8,7 @@ from sympgen import claims
 from sympgen.anchors import ANCHORS
 from sympgen.construct import GeneratorPair, SympSpace, build
 from sympgen.errors import BadParam, OddCharacteristic, UnknownClaim, UnknownLemma
+from sympgen.factorint import prime_factors
 from sympgen.gf import standard_field
 from sympgen.matrix import Mat
 from sympgen.poly import Poly
@@ -135,6 +136,37 @@ def test_search_g9_10_contains_tagged_root_at_q9():
     found = claims.search_parameter("G9-10", 9)
     assert want in found
     assert not Poly(standard_field(9), [2, 1, 1]).eval(want)
+
+
+def _reference_search(lemma, q):
+    """The per-candidate search: Poly.eval of every nz polynomial and
+    _generates of the sub expression at g, g^2, ..., g^(q-1)."""
+    field = standard_field(q)
+    cond = claims._branch_conditions(lemma, field.p)
+    if (cond["char"] == "odd" and field.p == 2
+            or cond["char"] == "even" and (field.p != 2 or q == 2)
+            or q in cond["exclude_q"]):
+        return []
+    nz = [Poly(field, coeffs) for coeffs in cond["nz"]]
+    expr = None if cond["sub"] is None else Poly(field, cond["sub"][0])
+    g = field.mult_generator()
+    out, a = [], g
+    for _ in range(q - 1):
+        if all(P.eval(a) for P in nz) and (expr is None or claims._generates(expr.eval(a))):
+            out.append(a)
+        a *= g
+    return out
+
+
+# every prime power up to 256, 257 (digit slots wider than a byte) and 1024
+# (the XOR plane of characteristic 2)
+SIEVE_QS = [q for q in range(2, 257) if len(prime_factors(q)) == 1] + [257, 1024]
+
+
+@pytest.mark.parametrize("lemma", sorted(set(claims.CONDITIONS) - {"sigma-a"}))
+def test_sieve_matches_the_per_candidate_search(lemma):
+    for q in SIEVE_QS:
+        assert claims.search_parameter(lemma, q) == _reference_search(lemma, q), q
 
 
 def test_search_respects_characteristic_split():

@@ -371,7 +371,7 @@ def test_exp_log_match_the_raw_mul_walk(q):
     exp, log = ctx._exp, ctx._log
     assert len(exp) == 2 * (q - 1) and len(log) == q
     assert exp[:q - 1] == _walk(ctx, ctx.mult_generator().val)
-    assert exp[q - 1:] == exp[:q - 1]
+    assert exp[q - 1:] == exp[:q - 1] == ctx.generator_powers()
     assert all(log[exp[i]] == i for i in range(q - 1))
 
 
@@ -382,6 +382,34 @@ def test_raw_pow_in_the_ring_matches_raw_mul(q):
     for a in [1, q - 1] + [rng.randrange(1, q) for _ in range(8)]:
         for e in [0, 1, 2, q - 2, q - 1, q] + [rng.randrange(3, 4 * q) for _ in range(4)]:
             assert ctx._raw_pow(a, e) == gf._power(a, e, ctx._raw_mul, 1)
+
+
+@pytest.mark.parametrize("q", [2**17, 3**11])
+def test_untabled_mul_matches_raw_mul(q):
+    # the untabled product runs in the field's ring; _raw_mul is the reference
+    ctx = gf.standard_field(q)
+    rng = random.Random(f"ring_mul,{q}")
+    vals = [0, 1, q - 1] + [rng.randrange(2, q) for _ in range(6)]
+    pairs = [(a, b) for a in vals for b in vals]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(200)]
+    for a, b in pairs:
+        assert ctx.mul(a, b) == ctx._raw_mul(a, b)
+
+
+@pytest.mark.parametrize("q", [2, 7, 257, 2**17])
+def test_generator_powers_of_untabled_fields(q):
+    # prime and untabled fields walk the powers of g (tabled fields hand over
+    # the head of exp, checked against the _raw_mul walk above)
+    ctx = gf.standard_field(q)
+    g = ctx.mult_generator().val
+    powers = ctx.generator_powers()
+    assert len(powers) == len(set(powers)) == q - 1 and powers[0] == 1
+    if ctx.is_prime_field:
+        assert powers == [pow(g, i, q) for i in range(q - 1)]
+    else:
+        rng = random.Random(f"powers,{q}")
+        for i in [0, q - 3] + [rng.randrange(q - 2) for _ in range(50)]:
+            assert powers[i + 1] == ctx._raw_mul(powers[i], g)
 
 
 @pytest.mark.parametrize("q", KINDS)

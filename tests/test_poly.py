@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from sympgen import gf
 from sympgen.errors import BadParam, ZeroPolynomial
 from sympgen.gf import FieldElem
-from sympgen.poly import (Poly, _squarefree_decomposition, factor, is_irreducible,
-                          is_self_reciprocal)
+from sympgen.poly import (Poly, _root_exponents, _squarefree_decomposition, factor,
+                          is_irreducible, is_self_reciprocal)
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -26,6 +26,39 @@ def test_eval_condition_polynomial():
 
 def test_eval_zero_poly():
     assert Poly.zero(F5).eval(3) == F5.zero
+
+
+def _ref_root_exponents(field, polys):
+    """The i < q - 1 at which some (k, c) term list sums to 0 at g^i, each
+    term c * (g^i)^k formed with FieldElem arithmetic."""
+    g = field.mult_generator()
+    return [i for i in range(field.q - 1)
+            if any(sum((field.elem(c) * (g ** i) ** k for k, c in poly), field.zero)
+                   == field.zero for poly in polys)]
+
+
+@pytest.mark.parametrize("q", [2, 7, 257, 64, 81])
+def test_root_exponents_match_evaluation(q):
+    # prime fields (257: slots wider than a byte), the XOR plane of
+    # characteristic 2 and digit planes of an odd extension
+    field = gf.standard_field(q)
+    p, f, m = field.p, field.f, q - 1
+    powers = field.generator_powers()
+    everywhere = list(range(m))
+    # a polynomial that is 0 mod p vanishes at every a: none is admissible
+    assert _root_exponents(powers, p, f, [[(0, p), (3, -2 * p), (5, 0)]]) == everywhere
+    assert _root_exponents(powers, p, f, [[]]) == everywhere
+    assert _root_exponents(powers, p, f, []) == []
+    # exponents at or above q - 1 are read mod q - 1
+    assert _root_exponents(powers, p, f, [[(m, 1), (0, -1)]]) == everywhere
+    assert _root_exponents(powers, p, f, [[(q, 1), (1, -1)]]) == everywhere
+    rng = random.Random(f"roots,{q}")
+    for _ in range(4):
+        polys = [[(rng.randrange(3 * q), rng.randrange(-3 * p, 3 * p))
+                  for _ in range(rng.randrange(1, 12))]
+                 for _ in range(rng.randrange(1, 4))]
+        want = _ref_root_exponents(field, polys)
+        assert _root_exponents(powers, p, f, polys) == want, polys
 
 
 def test_eval_hand_arithmetic():
