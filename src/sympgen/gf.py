@@ -19,7 +19,7 @@ no operation tests the kind again.  The kinds:
   untabled        q > _TABLE_LIMIT: coefficient addition (_raw_add), and
                   products, powers and inverses in the ring F_p[t]/(modulus)
                   (_ring_mul, _raw_pow: one poly._Ring per field, built on
-                  first use).
+                  first use; a tabled field uses them to build its tables).
 The tables are exp/log on the least multiplicative generator g, which
 _raw_pow finds.  exp walks the powers of g by one packed linear map:
 multiplication by g is F_p-linear, so each next power is a combination of f
@@ -147,6 +147,7 @@ class FieldCtx:
     # -- arithmetic on packed values --------------------------------------
 
     def _raw_mul(self, a, b):
+        """a * b as a Poly product and remainder: the tests' reference."""
         from .poly import Poly
         fp, mod = self._mod_poly.field, self._mod_poly
         prod = Poly._make(fp, self.coeffs(a)) * Poly._make(fp, self.coeffs(b)) % mod
@@ -178,14 +179,15 @@ class FieldCtx:
         return self._from_ring(_power(x, e, self._ring.mul, 1))
 
     def _ring_mul(self, a, b):
-        """a * b in the ring of this field: the product of an untabled field."""
+        """a * b in the ring of this field: the product of an untabled field,
+        and of a tabled one while its tables are built."""
         x = self._to_ring(a)
         return self._from_ring(self._ring.mul(x, self._to_ring(b)))
 
     def _bind_arithmetic(self):
         """Decide the field kind, once, and bind its six operations.  A tabled
-        field binds the coefficient arithmetic first, finds its generator g
-        and walks its powers (_walk), then rebinds to closures over exp/log."""
+        field binds the untabled arithmetic first, finds its generator g and
+        walks its powers (_walk), then rebinds to closures over exp/log."""
         p, q = self.p, self.q
         self._exp = self._log = self._zech = self._ring = None
         if self.is_prime_field:
@@ -197,8 +199,7 @@ class FieldCtx:
             add, neg, sub = operator.xor, lambda a: a, operator.xor
         else:
             add, neg, sub = self._raw_add, self._raw_neg, None
-        mul = self._raw_mul if q <= _TABLE_LIMIT else self._ring_mul
-        self._bind(add, neg, lambda a, b: mul(a, b) if a and b else 0,
+        self._bind(add, neg, lambda a, b: self._ring_mul(a, b) if a and b else 0,
                    self._raw_pow, sub=sub)
         if q > _TABLE_LIMIT:
             return

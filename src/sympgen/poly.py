@@ -125,34 +125,26 @@ def _root_exponents(powers, p: int, f: int, polys):
     integer coefficients c, read mod p.
 
     P = sum c_k t^k has P(g^i) = sum c_k g^(k i mod m), so the term of
-    exponent k is a plane of the powers read at k i mod m, every i at once
-    (_stride), packed once per exponent in items of W bytes; a polynomial's
-    values are one big-int sum of its terms.  In characteristic 2 every
+    exponent k is each plane of the powers read at k i mod m, every i at
+    once (_stride), packed once per exponent; a polynomial's values are one
+    big-int sum of its terms per plane.  In characteristic 2 every
     coefficient is 1 and packed values add by XOR, so the one plane holds
-    the powers themselves.  For odd p an item holds base-p digits of a power
-    in slots wide enough for the most terms times (p - 1)^2, as many as fit
-    in 8 bytes, one plane per such group of digits, and each slot is reduced
-    mod p once.  P(g^i) = 0 exactly where item i of every plane reads 0."""
+    the powers themselves, an item of W bytes each.  For odd p plane j holds
+    base-p digit j of each power, in slots wide enough for the most terms
+    times (p - 1)^2, and each slot is reduced mod p once.  P(g^i) = 0
+    exactly where item i of every plane reads 0."""
     m = len(powers)
     terms = [[(k % m, c % p) for k, c in poly if c % p] for poly in polys]
     if p == 2:
         w, W = 1, _slot_width(max(powers))
         planes = [powers]
     else:
-        w = _slot_width(max(map(len, terms), default=0) * (p - 1) ** 2)
-        per = max(8 // w, 1)
-        W = _slot_width((1 << 8 * w * min(per, f)) - 1)
-        digits = []
-        for _ in range(f):
-            digits.append([v % p for v in powers])
-            powers = [v // p for v in powers]
+        w = W = _slot_width(max(map(len, terms), default=0) * (p - 1) ** 2)
         planes = []
-        for j in range(0, f, per):
-            plane = digits[j]
-            for s, more in enumerate(digits[j + 1:j + per], 1):
-                plane = [x + (y << 8 * w * s) for x, y in zip(plane, more)]
-            planes.append(plane)
-    slots = W // w  # per item (in characteristic 2: the bytes of a value)
+        for _ in range(f):
+            planes.append([v % p for v in powers])
+            powers = [v // p for v in powers]
+    slots = W // w  # per item: the bytes of a value in characteristic 2, else 1
     reads = {}  # exponent -> its read of every plane, packed
     vanish = 0  # byte i is 1 where some polynomial vanishes at g^i
     for poly in terms:
@@ -168,7 +160,7 @@ def _root_exponents(powers, p: int, f: int, polys):
         flags = 0  # a nonzero byte for each nonzero slot
         for a in sums:
             if p != 2:
-                a = _unpack(a, m * slots, w, p)
+                a = _unpack(a, m, w, p)
                 a = int.from_bytes(a if w == 1 else bytes(map(bool, a)), "little")
             flags |= a
         # byte 0 of item i becomes the OR of its slots' flags

@@ -37,10 +37,10 @@ def _ref_root_exponents(field, polys):
                    == field.zero for poly in polys)]
 
 
-@pytest.mark.parametrize("q", [2, 7, 257, 64, 81])
+@pytest.mark.parametrize("q", [2, 7, 257, 64, 81, 243])
 def test_root_exponents_match_evaluation(q):
     # prime fields (257: slots wider than a byte), the XOR plane of
-    # characteristic 2 and digit planes of an odd extension
+    # characteristic 2 and one plane per digit of an odd extension
     field = gf.standard_field(q)
     p, f, m = field.p, field.f, q - 1
     powers = field.generator_powers()
@@ -59,6 +59,15 @@ def test_root_exponents_match_evaluation(q):
                  for _ in range(rng.randrange(1, 4))]
         want = _ref_root_exponents(field, polys)
         assert _root_exponents(powers, p, f, polys) == want, polys
+    # slots wider than a byte for every odd p, where a carry would mark a
+    # root as not one: 70 copies each of (1, p - 1) and (q, 1) sum to 70 p
+    # times a digit of g^i, which is 0 mod p, so the roots are those of
+    # t^(m/2) - 1 (the even i for odd p)
+    half = [(m // 2, 1), (0, -1)]
+    cancel = [(1, p - 1), (q, 1)] * 70 + half
+    assert _root_exponents(powers, p, f, [cancel]) == _ref_root_exponents(field, [half])
+    long = [(rng.randrange(3 * q), rng.randrange(1, p)) for _ in range(70)]
+    assert _root_exponents(powers, p, f, [long]) == _ref_root_exponents(field, [long])
 
 
 def test_eval_hand_arithmetic():
