@@ -21,11 +21,13 @@ no operation tests the kind again.  The kinds:
                   (_ring_mul, _raw_pow: one poly._Ring per field, built on
                   first use; a tabled field uses them to build its tables).
 The tables are exp/log on the least multiplicative generator g, which
-_raw_pow finds.  exp walks the powers of g by one packed linear map:
-multiplication by g is F_p-linear, so each next power is a combination of f
-fixed columns by the digits of the last (see _walk).  generator_powers hands
-the powers g^0 .. g^(q-2) to the parameter search: the head of exp, or the
-same walk on a prime or untabled field.  For odd p
+_raw_pow finds (from w on: no constant of F_p generates F_q^*).  exp walks
+the powers of g by doubling digit planes: plane j packs base-p digit j of
+the powers found so far, and multiplication by g^n is an F_p-linear map, so
+the next n powers are f combinations of the planes by a matrix that is
+squared after each doubling (see _walk).  generator_powers hands the powers
+g^0 .. g^(q-2) to the parameter search: the head of exp, or the same walk on
+a prime or untabled field.  For odd p
 there are also Zech logarithms zech[i] = log(1 + g^i), so a sum is a lookup:
 g^a + g^b = g^(a + zech[b - a]) (Huber 1990; Lidl & Niederreiter, Finite
 Fields, 10.1).  Every table holds O(q) entries: about 4q in all.
@@ -103,6 +105,7 @@ class FieldCtx:
         self.is_prime_field = f == 1
         self._degree_divisors = tuple(divisors(f))  # ascending
         self._unit_primes = None  # primes dividing q - 1, read on first use
+        self._terms = None  # the text of c*w^i, for elem_string
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
         self._bind_arithmetic()
@@ -110,9 +113,13 @@ class FieldCtx:
     # -- representation ----------------------------------------------------
 
     def coeffs(self, a: int):
-        """Packed value -> length-f coefficient tuple (constant term first)."""
-        p = self.p
-        return tuple((a // p**i) % p for i in range(self.f))
+        """Packed value -> length-f coefficient tuple (constant term first):
+        the one digit loop, which elem_string reads too."""
+        p, digits = self.p, []
+        for _ in range(self.f):
+            a, c = divmod(a, p)
+            digits.append(c)
+        return tuple(digits)
 
     def from_coeffs(self, coeffs) -> int:
         p = self.p
@@ -215,23 +222,42 @@ class FieldCtx:
                    lambda a, e: exp[log[a] * e % (q - 1)], sub=sub)
 
     def _walk(self, gen):
-        """The packed powers gen^0 .. gen^(q-2), with f calls of mul.
+        """The packed powers gen^0 .. gen^(m-1), m = q - 1, by doubling digit
+        planes.
 
-        Multiplication by gen is F_p-linear (Lidl & Niederreiter, Finite
-        Fields): if c = sum d_j w^j, then c gen = sum d_j (w^j gen).  So row j
-        holds the digits of w^j gen, and each next power is the combination of
-        the rows by the digits of the last, through matrix._combiner over F_p
-        (one packed sum, reduced mod p once)."""
+        Plane j is one packed int whose slot s holds base-p digit j of gen^s,
+        for the n powers found so far.  Multiplication by h = gen^n is
+        F_p-linear (Lidl & Niederreiter, Finite Fields): if c = sum d_j w^j,
+        then c h = sum d_j (w^j h).  So with row j of M the digits of w^j h,
+        new plane i = sum_j M[j][i] plane_j holds the digits of gen^(n + s)
+        in slot s: f^2 big-int products by digits, each new plane reduced mod
+        p once (poly._unpack_plane) and shifted above the n slots it extends.
+        Then h becomes h^2, whose rows are those of M M (matrix._combiner over
+        F_p).  After ceil(log2 m) doublings the powers are the Horner sum of
+        the planes by p, read back in slots of _slot_width(m)."""
         from .matrix import _combiner  # matrix imports this module
-        p, f = self.p, self.f
-        times_g = _combiner(standard_field(p),
-                            [self.coeffs(self.mul(p**j, gen)) for j in range(f)], f)
-        place, mul = [p**j for j in range(f)], operator.mul
-        powers, digits = [], (1,) + (0,) * (f - 1)
-        for _ in range(self.q - 1):
-            powers.append(sum(map(mul, digits, place)))
-            digits = times_g(digits)
-        return powers
+        from .poly import _pack, _slot_width, _slots, _unpack_plane
+        p, f, m = self.p, self.f, self.q - 1
+        w = _slot_width(f * (p - 1) ** 2)  # a plane's slot holds a sum of f digit products
+        rows = [self.coeffs(self.mul(p**j, gen)) for j in range(f)]  # h = gen
+        planes, n = [1] + [0] * (f - 1), 1  # the digits of gen^0
+        while n < m:
+            k = min(n, m - n)  # the slots this doubling adds
+            low = planes if k == n else [x & (1 << 8 * w * k) - 1 for x in planes]
+            new = [_pack(_unpack_plane(sum(map(operator.mul, col, low)), k, w, p), w)
+                   for col in zip(*rows)]
+            planes = [x | y << 8 * w * n for x, y in zip(planes, new)]
+            n += k
+            if n < m:  # h -> h^2: row j of M M is the combination of M's rows by row j
+                times_h = _combiner(standard_field(p), rows, f)
+                rows = [times_h(row) for row in rows]
+        W = _slot_width(m)
+        if w < W:  # re-slot the digits, already below p, as wide as the values
+            planes, w = [_pack(_unpack_plane(x, m, w, p), W) for x in planes], W
+        acc = 0
+        for x in reversed(planes):
+            acc = acc * p + x
+        return list(_slots(acc, m, w))
 
     def generator_powers(self):
         """The packed powers g^0 .. g^(q-2) of the least multiplicative
@@ -288,8 +314,10 @@ class FieldCtx:
             add, neg, sub, mul, inv, power)
 
     def mult_generator(self) -> "FieldElem":
-        """Lexicographically least multiplicative generator."""
-        for v in range(2, self.q):
+        """Lexicographically least multiplicative generator.  Over F_{p^f},
+        f > 1, the search starts at w (packed p): a constant c < p has order
+        dividing p - 1 < q - 1."""
+        for v in range(self.p if self.f > 1 else 2, self.q):
             if self._is_generator(v):
                 return FieldElem(self, v)
         return FieldElem(self, 1)  # F_2
@@ -309,19 +337,22 @@ class FieldCtx:
         return f"{self.p}^{self.f}/" + ",".join(str(c) for c in self.modulus)
 
     def elem_string(self, a) -> str:
+        """c0+c1*w+c2*w^2+... with zero terms left out and unit coefficients
+        unwritten ("0" for zero): the terms of the digits of a, read from
+        _terms[i][c], the text of c*w^i, built on first use."""
         if self.is_prime_field:
             return str(a)
-        parts = []
-        for i, c in enumerate(self.coeffs(a)):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*w" if c != 1 else "w")
-            else:
-                parts.append(f"{c}*w^{i}" if c != 1 else f"w^{i}")
-        return "+".join(parts) if parts else "0"
+        if self._terms is None:
+            self._terms = [[""] + [self._term(c, i) for c in range(1, self.p)]
+                           for i in range(self.f)]
+        return "+".join(filter(None, map(operator.getitem, self._terms, self.coeffs(a)))) or "0"
+
+    @staticmethod
+    def _term(c, i):
+        if i == 0:
+            return str(c)
+        power = "w" if i == 1 else f"w^{i}"
+        return power if c == 1 else f"{c}*{power}"
 
     def __repr__(self):
         return f"FieldCtx({self.spec_string})"

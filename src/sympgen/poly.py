@@ -21,7 +21,9 @@ adds at most n f (f - 1) / 2 (p - 1)^3.  Over F_p (f = 1) a value is its one
 digit and there is nothing to fold.  _pack and _unpack are shared with the
 packed rows of matrix._combiner and with _root_exponents, which finds where
 sparse polynomials over F_p vanish at every power of a generator at once
-(the parameter search of claims).
+(the parameter search of claims).  _root_exponents and gf.FieldCtx._walk
+reduce whole planes of q - 1 slots, by byte planes where they fit
+(_unpack_plane).
 
 _Ring(mod) is F_q[t]/(mod) on that layout: its elements are packed
 residues, and a product also folds the top d - 1 coefficients back through
@@ -72,9 +74,15 @@ def _slot_width(bound: int) -> int:
 
 
 def _pack(vals, w: int) -> int:
-    """sum(v_i * 2^(8*w*i)) for non-negative v_i below 2^(8*w)."""
+    """sum(v_i * 2^(8*w*i)) for non-negative v_i below 2^(8*w).  A bytes vals
+    holds one value per byte, and is widened to w-byte slots by one slice
+    assignment (array(code, bytes) would read its raw bytes instead)."""
     if w == 1:
         return int.from_bytes(bytes(vals), "little")
+    if isinstance(vals, bytes):
+        raw = bytearray(len(vals) * w)
+        raw[::w] = vals
+        return int.from_bytes(raw, "little")
     code = _ARRAY_CODES.get(w)
     if code is None:
         return int.from_bytes(b"".join(v.to_bytes(w, "little") for v in vals), "little")
@@ -85,22 +93,46 @@ def _pack(vals, w: int) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _byte_residues(p: int) -> bytes:
-    return bytes(i % p for i in range(256))
+def _byte_residues(p: int, j: int = 0) -> bytes:
+    """The translation table b -> b * 256^j mod p of a byte j of a slot."""
+    scale = pow(256, j, p)
+    return bytes(b * scale % p for b in range(256))
+
+
+def _slots(n: int, k: int, w: int):
+    """The k slots of w bytes of n >= 0 as they are (a sequence of ints)."""
+    raw = n.to_bytes(k * w, "little")
+    if w == 1:
+        return raw
+    code = _ARRAY_CODES.get(w)
+    if code is None:
+        return [int.from_bytes(raw[i:i + w], "little") for i in range(0, k * w, w)]
+    arr = array(code, raw)
+    if _SWAP:
+        arr.byteswap()
+    return arr
 
 
 def _unpack(n: int, k: int, w: int, p: int):
     """The k slots of w bytes of n >= 0, each reduced mod p (a sequence of ints)."""
-    raw = n.to_bytes(k * w, "little")
     if w == 1:
-        return raw.translate(_byte_residues(p))
-    code = _ARRAY_CODES.get(w)
-    if code is None:
-        return [int.from_bytes(raw[i:i + w], "little") % p for i in range(0, k * w, w)]
-    arr = array(code, raw)
-    if _SWAP:
-        arr.byteswap()
-    return [v % p for v in arr]
+        return n.to_bytes(k, "little").translate(_byte_residues(p))
+    return [v % p for v in _slots(n, k, w)]
+
+
+def _unpack_plane(n: int, k: int, w: int, p: int):
+    """_unpack for a whole plane of many slots.  When w (p - 1) < 256 every
+    byte j of every slot is translated at once to its residue of b * 256^j
+    and the w byte planes add as ints with no carry between slots; one more
+    translation reduces the sum, and the result is bytes.  Below about 16
+    two-byte or 40 four-byte slots the per-slot list of _unpack is faster, so
+    matrix rows and ring elements keep it."""
+    if w == 1 or w * (p - 1) > 255:
+        return _unpack(n, k, w, p)
+    raw = n.to_bytes(k * w, "little")
+    total = sum(int.from_bytes(raw[j::w].translate(_byte_residues(p, j)), "little")
+                for j in range(w))
+    return total.to_bytes(k, "little").translate(_byte_residues(p))
 
 
 _ZERO_BYTES = bytes([1]) + bytes(255)  # 1 for a zero byte, 0 otherwise
@@ -131,8 +163,8 @@ def _root_exponents(powers, p: int, f: int, polys):
     coefficient is 1 and packed values add by XOR, so the one plane holds
     the powers themselves, an item of W bytes each.  For odd p plane j holds
     base-p digit j of each power, in slots wide enough for the most terms
-    times (p - 1)^2, and each slot is reduced mod p once.  P(g^i) = 0
-    exactly where item i of every plane reads 0."""
+    times (p - 1)^2, and each slot is reduced mod p once (_unpack_plane).
+    P(g^i) = 0 exactly where item i of every plane reads 0."""
     m = len(powers)
     terms = [[(k % m, c % p) for k, c in poly if c % p] for poly in polys]
     if p == 2:
@@ -160,8 +192,9 @@ def _root_exponents(powers, p: int, f: int, polys):
         flags = 0  # a nonzero byte for each nonzero slot
         for a in sums:
             if p != 2:
-                a = _unpack(a, m, w, p)
-                a = int.from_bytes(a if w == 1 else bytes(map(bool, a)), "little")
+                a = _unpack_plane(a, m, w, p)
+                a = int.from_bytes(a if isinstance(a, bytes) else bytes(map(bool, a)),
+                                   "little")
             flags |= a
         # byte 0 of item i becomes the OR of its slots' flags
         folded = flags

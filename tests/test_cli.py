@@ -1,12 +1,17 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
+import os
 import shlex
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import sympgen
 from sympgen import claims
 from sympgen.cli import main, make_parser
 
@@ -129,6 +134,42 @@ def test_search_empty_case(capsys):
     rc, out = run_cli(capsys, "search", "--lemma", "G9", "--q", "7")
     assert rc == 0
     assert json.loads(out)["admissible"] == []
+
+
+# Extension-field output, pinned byte for byte: the sha256 of the whole
+# line, its count, field, and the first and last admissible elements.
+SEARCH_OUTPUTS = {
+    ("irr6", 625): ("388e57a78577514b9584975bd1d85648068f18c24f764f94d3544aa53ef8dcb3",
+                    564, "5^4/2,0,0,0,1",
+                    ["1+w", "1+2*w+w^2", "1+3*w+3*w^2+w^3", "4+4*w+w^2+4*w^3"],
+                    ["3*w+4*w^2+4*w^3", "2+3*w+2*w^2+3*w^3"]),
+    ("ex5", 2048): ("206288a1f288d28cbc34d4724cc152b0d9cdb01825a6ae7543f3d28347aee3aa",
+                    2046, "2^11/1,0,1,0,0,0,0,0,0,0,0,1",
+                    ["w", "w^2", "w^3", "w^4"], ["1+w^9", "w+w^10"]),
+}
+
+
+@pytest.mark.parametrize("lemma,q", sorted(SEARCH_OUTPUTS))
+def test_search_extension_field_output_is_pinned(capsys, lemma, q):
+    sha, count, field, head, tail = SEARCH_OUTPUTS[lemma, q]
+    rc, out = run_cli(capsys, "search", "--lemma", lemma, "--q", str(q))
+    assert rc == 0
+    d = json.loads(out)
+    assert (d["count"], d["field"], d["admissible"][:4], d["admissible"][-2:]) == (
+        count, field, head, tail)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_search_output_is_the_same_under_python_O():
+    # python -O strips assert statements: the field walk, the sieve and the
+    # output must not rest on one
+    argv = ["-m", "sympgen.cli", "search", "--lemma", "9ex", "--q", "729"]
+    env = dict(os.environ, PYTHONPATH=str(Path(sympgen.__file__).parents[1]))
+    plain, optimized = (subprocess.run([sys.executable, *flags, *argv], env=env,
+                                       capture_output=True, text=True, check=True).stdout
+                        for flags in ([], ["-O"]))
+    assert json.loads(plain)["count"] == 666
+    assert optimized == plain
 
 
 def test_search_unknown_lemma_is_an_error(capsys):

@@ -342,11 +342,14 @@ def test_bound_arithmetic_matches_the_coefficient_reference(q):
         ctx.pow(0, -1)
 
 
-@pytest.mark.parametrize("q", [q for q in KINDS if q <= 27])
+@pytest.mark.parametrize("q", [q for q in KINDS if q <= 27] + [361, 529, 961])
 def test_mult_generator_is_the_least_generator(q):
+    # f = 2 with a large p: the search starts at w, past the p - 2 constants
     ctx = gf.standard_field(q)
 
     def order(v):
+        if q > 27:
+            return gf.mult_order(FieldElem(ctx, v)).value()
         return next(k for k in range(1, q) if _ref_pow(ctx, v, k) == 1)
 
     g = ctx.mult_generator().val
@@ -363,14 +366,30 @@ def _walk(ctx, g):
     return out
 
 
-@pytest.mark.parametrize("q", [4, 16, 2048, 9, 27, 49, 243, 3**10])
+def _spot_check_powers(ctx, powers, g):
+    """powers[i + 1] = powers[i] * g by _raw_mul at the ends and 50 random i."""
+    q = ctx.q
+    rng = random.Random(f"powers,{q}")
+    for i in [0, q - 3] + [rng.randrange(q - 2) for _ in range(50)]:
+        assert powers[i + 1] == ctx._raw_mul(powers[i], g)
+
+
+# each tabled kind, and each slot layout of the doubling walk (_walk): digit
+# planes of 1 byte (243), widened to 2-byte values (2048, 3^10), as wide as
+# the values (961) and wider than them (251^2, spot-checked)
+@pytest.mark.parametrize("q", [4, 16, 2048, 9, 27, 49, 243, 961, 3**10, 251**2])
 def test_exp_log_match_the_raw_mul_walk(q):
-    # one field of each tabled kind; F_3^10 is built uncached, freed after
+    # F_3^10 and F_251^2 are built uncached, freed after
     p, f = gf._split_prime_power(q)
     ctx = gf.standard_field(q) if q < 3**10 else gf.FieldCtx(p, f, gf.modulus_for(q))
     exp, log = ctx._exp, ctx._log
+    g = ctx.mult_generator().val
     assert len(exp) == 2 * (q - 1) and len(log) == q
-    assert exp[:q - 1] == _walk(ctx, ctx.mult_generator().val)
+    if q == 251**2:
+        assert exp[0] == 1
+        _spot_check_powers(ctx, exp, g)
+    else:
+        assert exp[:q - 1] == _walk(ctx, g)
     assert exp[q - 1:] == exp[:q - 1] == ctx.generator_powers()
     assert all(log[exp[i]] == i for i in range(q - 1))
 
@@ -396,7 +415,9 @@ def test_untabled_mul_matches_raw_mul(q):
         assert ctx.mul(a, b) == ctx._raw_mul(a, b)
 
 
-@pytest.mark.parametrize("q", [2, 7, 257, 2**17])
+# F_257 has digit planes wider than its values, 2^17 and 3^11 1-byte planes
+# widened to 4-byte values, and 11^5 2-byte planes widened to 4 bytes
+@pytest.mark.parametrize("q", [2, 7, 257, 2**17, 3**11, 11**5])
 def test_generator_powers_of_untabled_fields(q):
     # prime and untabled fields walk the powers of g (tabled fields hand over
     # the head of exp, checked against the _raw_mul walk above)
@@ -407,9 +428,32 @@ def test_generator_powers_of_untabled_fields(q):
     if ctx.is_prime_field:
         assert powers == [pow(g, i, q) for i in range(q - 1)]
     else:
-        rng = random.Random(f"powers,{q}")
-        for i in [0, q - 3] + [rng.randrange(q - 2) for _ in range(50)]:
-            assert powers[i + 1] == ctx._raw_mul(powers[i], g)
+        _spot_check_powers(ctx, powers, g)
+
+
+def _parent_elem_string(ctx, a):
+    """The text of a packed value as elem_string wrote it before its term
+    table: digits a // p**i % p, unit coefficients unwritten."""
+    parts = []
+    for i in range(ctx.f):
+        c = a // ctx.p**i % ctx.p
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        elif i == 1:
+            parts.append(f"{c}*w" if c != 1 else "w")
+        else:
+            parts.append(f"{c}*w^{i}" if c != 1 else f"w^{i}")
+    return "+".join(parts) if parts else "0"
+
+
+@pytest.mark.parametrize("q", [4, 9, 27, 625])
+def test_elem_string_matches_the_digit_formula(q):
+    ctx = gf.standard_field(q)
+    for a in range(q):
+        assert ctx.elem_string(a) == _parent_elem_string(ctx, a)
+        assert ctx.coeffs(a) == tuple(a // ctx.p**i % ctx.p for i in range(ctx.f))
 
 
 @pytest.mark.parametrize("q", KINDS)
