@@ -431,7 +431,7 @@ def test_generator_powers_of_untabled_fields(q):
         _spot_check_powers(ctx, powers, g)
 
 
-def _parent_elem_string(ctx, a):
+def _digit_formula_string(ctx, a):
     """The text of a packed value as elem_string wrote it before its term
     table: digits a // p**i % p, unit coefficients unwritten."""
     parts = []
@@ -452,7 +452,7 @@ def _parent_elem_string(ctx, a):
 def test_elem_string_matches_the_digit_formula(q):
     ctx = gf.standard_field(q)
     for a in range(q):
-        assert ctx.elem_string(a) == _parent_elem_string(ctx, a)
+        assert ctx.elem_string(a) == _digit_formula_string(ctx, a)
         assert ctx.coeffs(a) == tuple(a // ctx.p**i % ctx.p for i in range(ctx.f))
 
 
