@@ -217,7 +217,7 @@ def quadratic_form_obstruction(pair: GeneratorPair) -> Obstruction:
 
 # Each condition set: characteristic requirement, excluded q values,
 # non-vanishing polynomials (ascending integer coefficients, one per factor),
-# and an optional subfield-generation requirement (expression coeffs, degree s).
+# and an optional subfield-generation requirement (expression coeffs).
 # Parity-split lemmas carry separate "odd"/"even" branches.
 
 _A3 = (0, 0, 0, 1)                # a^3
@@ -233,33 +233,27 @@ _G9_NZ = [(-1, 0, 0, 1),
           (2, 0, 0, 1), (-27, 0, 0, 0, 0, 0, 1)]
 
 CONDITIONS = {
-    "M=H": {"char": "any", "nz": [(3, 0, 1), (4, 0, -1, 0, 1)],
-            "sub": (_A2, 2)},
+    "M=H": {"char": "any", "nz": [(3, 0, 1), (4, 0, -1, 0, 1)], "sub": _A2},
     "ex5": {"char": "any", "exclude_q": (2, 4, 25),
-            "nz": [(-2, 0, 1), (3, 0, 1), (-27, 0, 0, 0, 0, 0, 4)],
-            "sub": (_A6, 6)},
+            "nz": [(-2, 0, 1), (3, 0, 1), (-27, 0, 0, 0, 0, 0, 4)], "sub": _A6},
     "irr6": {"char": "any", "exclude_q": (2, 4),
              "nz": [(1, 0, 1), (5, 0, 5, 0, 1), (-5, 3, -5, 3, -1, 1),
                     (75, 0, 159, 0, 123, 0, 45, 0, 9, 0, 1),
                     (-4, 0, 1), (16, 0, -72, 0, 29, 0, -3, 0, 1),
-                    (16, 80, -72, -48, 29, -5, -3, 3, 1, 1)],
-             "sub": (_A2, 2)},
+                    (16, 80, -72, -48, 29, -5, -3, 3, 1, 1)], "sub": _A2},
     "G72": {"char": "even",
             "nz": [(1, 1, 1), (1, 1, 0, 0, 1),
                    _expo(19, {0, 4, 5, 6, 7, 10, 12, 14, 15, 17, 19}),
                    (1, 1), (1, 1, 0, 1), (1, 0, 1, 1), (1, 1, 1, 1, 1),
-                   _expo(13, {0, 2, 3, 6, 9, 11, 13})],
-            "sub": (_A1, 1)},
+                   _expo(13, {0, 2, 3, 6, 9, 11, 13})], "sub": _A1},
     "K9": {"char": "odd",
-           "nz": [(1, 0, 0, 1), (-8, 0, 0, 1), (-2, 0, 1), (2, -2, 1)],
-           "sub": (_A3, 3)},
+           "nz": [(1, 0, 0, 1), (-8, 0, 0, 1), (-2, 0, 1), (2, -2, 1)], "sub": _A3},
     "7ex": {"odd": {"extra": "K9", "nz": [(1, 1, 1)]},
             "even": {"extra": "G72", "nz": [(1, 0, 0, 1, 1)]}},
     "irr8": {"char": "any", "exclude_q": (2,),
              "nz": [(-108, 0, -128, 0, 5)]},
     "8podd": {"char": "odd", "exclude_q": (9,),
-              "nz": [(-108, 0, -128, 0, 5), (1, 0, 0, 0, 4)],
-              "sub": (_A4, 4)},
+              "nz": [(-108, 0, -128, 0, 5), (1, 0, 0, 0, 4)], "sub": _A4},
     "K9even": {"char": "even",
                "nz": [(1, 1), (1, 0, 1, 1),
                       (1, 1, 1), (1, 1, 1, 1, 1), (1, 0, 1, 0, 0, 1),
@@ -274,52 +268,44 @@ CONDITIONS = {
                       _expo(12, {0, 4, 5, 7, 8, 11, 12}),
                       _expo(13, {0, 1, 3, 4, 5, 6, 8, 12, 13}),
                       _expo(18, {0, 4, 6, 10, 11, 12, 14, 17, 18}),
-                      (1, 1, 0, 1)],
-               "sub": (_A3A, 3)},
+                      (1, 1, 0, 1)], "sub": _A3A},
     "K9odd": {"char": "odd",
               "nz": [(2, 1), (-2, 1), (4, 8, 7), (2, 0, 1), (-4, 0, 0, 1),
                      (-3, -1, 1), (1, 1, 1), (2, -1, 0, 1),
-                     (12, -12, 9, -3, 1)],
-              "sub": (_A4_2A3, 4)},
+                     (12, -12, 9, -3, 1)], "sub": _A4_2A3},
     "9ex": {"odd": {"extra": "K9odd", "nz": [(-1, 0, 1), (1, 0, 1, 1)]},
             "even": {"extra": "K9even", "nz": []}},
-    "G9": {"char": "odd", "nz": _G9_NZ, "sub": (_A3, 3)},
+    "G9": {"char": "odd", "nz": _G9_NZ, "sub": _A3},
     "G9-10": {"char": "odd",
               "nz": [(-1, 0, 0, 1), (2, 0, 0, 3), (-2, 0, -1, 1),
                      (4, 0, -2, -4, 1, 1, 1), (8, 0, 0, 1),
-                     (-8, 0, 0, 0, 0, 0, 1)],
-              "sub": (_A3, 3)},
+                     (-8, 0, 0, 0, 0, 0, 1)], "sub": _A3},
     "G9-12": {"char": "odd",
               "nz": [(-1, 0, 0, 1), (1, 1), (-1, 0, 0, 2),
                      (8, 0, 0, 4, 0, 0, 1), (2, -1, 0, 1),
-                     (1, -1, 1, 1, 1, 0, 1)],
-              "sub": (_A3, 3)},
+                     (1, -1, 1, 1, 1, 0, 1)], "sub": _A3},
     "G9-14": {"char": "odd",
               "nz": [(-1, 0, 0, 1), (1, 0, 0, 3), (8, 0, 0, 1),
                      (-2, 0, -1, 1), (4, 0, -2, -4, 1, 1, 1),
-                     (-2, 0, 0, 5), (-8, 0, 0, 0, 0, 0, 1)],
-              "sub": (_A3, 3)},
+                     (-2, 0, 0, 5), (-8, 0, 0, 0, 0, 0, 1)], "sub": _A3},
     "G11": {"char": "even",
             "nz": [(1, 1), (1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 0, 1),
                    _expo(8, {0, 4, 5, 7, 8}),
                    (1, 1, 1, 1, 1), (1, 0, 0, 1, 0, 1),
                    _expo(33, {0, 1, 2, 4, 8, 9, 10, 14, 15, 16, 19, 20, 26,
-                              28, 30, 32, 33})],
-            "sub": (_A1, 1)},
+                              28, 30, 32, 33})], "sub": _A1},
     "Gn11": {"char": "odd",
              "nz": [(2, 1), (2, 3), (4, 0, 3),
                     (1, 1), (2, 2, 1), (-1, 6, 2), (1, 0, 6),
                     (4, 1),
                     (-256, -1792, 4480, 4736, -14432, -27096, 16224, 93948,
                      -118296, -96779, 246067, -73173, -194153, 160134, 54118,
-                     -30924, 42868, 541, -1295, 1710)],
-             "sub": (_A4_2A3, 4)},
+                     -30924, 42868, 541, -1295, 1710)], "sub": _A4_2A3},
     "11ex": {"odd": {"extra": "Gn11", "nz": [(2, -1, 2)]},
              "even": {"extra": "G11", "nz": []}},
     "WSL6": {"char": "odd",
              "nz": _G9_NZ + [(1, 0, 0, 1), (729, 0, 0, 135, 0, 0, -1, 0, 0, 1),
-                             (27, 0, 0, 1)],
-             "sub": (_A3, 3)},
+                             (27, 0, 0, 1)], "sub": _A3},
     "sigma-a": {"char": "even", "special": "sigma"},
 }
 
@@ -400,7 +386,7 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
                 if _sigma_of(field, a) is not None]
     polys = [list(enumerate(coeffs)) for coeffs in cond["nz"]]
     if cond.get("sub") is not None:
-        polys += _subfield_polys(field, cond["sub"][0])
+        polys += _subfield_polys(field, cond["sub"])
     roots_at = set(_root_exponents(powers, field.p, field.f, polys))
     return [FieldElem(field, powers[i]) for i in order if i not in roots_at]
 
@@ -480,7 +466,7 @@ def subfield_failure_count(lemma_id: str, q: int) -> int | None:
     sub = _branch_conditions(lemma_id, field.p).get("sub")
     if sub is None:
         return None
-    expr = Poly(field, sub[0])
+    expr = Poly(field, sub)
     return sum(not _generates(expr.eval(b)) for b in field.units())
 
 

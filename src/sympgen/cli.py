@@ -19,7 +19,7 @@ import sys
 
 from . import claims as _claims
 from .construct import RECIPES, build, tau_of
-from .errors import BadParam, SympgenError
+from .errors import BadParam, SympgenError, UnknownClaim
 from .gf import bundled_moduli, modulus_for, standard_field
 from .grouporder import Certificate
 
@@ -63,6 +63,8 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     results = _claims.run_all(args.filter)
+    if not results:  # a mistyped filter must not read as a pass
+        raise UnknownClaim(f"no claim matches {args.filter!r}")
     print(_claims.report_json(results, stable=not args.timings))
     return 1 if any(r.status == "Fail" for r in results) else 0
 

@@ -231,12 +231,13 @@ class FieldCtx:
         then c h = sum d_j (w^j h).  So with row j of M the digits of w^j h,
         new plane i = sum_j M[j][i] plane_j holds the digits of gen^(n + s)
         in slot s: f^2 big-int products by digits, each new plane reduced mod
-        p once (poly._unpack_plane) and shifted above the n slots it extends.
-        Then h becomes h^2, whose rows are those of M M (matrix._combiner over
-        F_p).  After ceil(log2 m) doublings the powers are the Horner sum of
-        the planes by p, read back in slots of _slot_width(m)."""
+        p once (poly._unpack, by byte planes once a doubling adds enough slots)
+        and shifted above the n slots it extends.  Then h becomes h^2, whose
+        rows are those of M M (matrix._combiner over F_p).  After
+        ceil(log2 m) doublings the powers are the Horner sum of the planes by
+        p, read back in slots of _slot_width(m)."""
         from .matrix import _combiner  # matrix imports this module
-        from .poly import _pack, _slot_width, _slots, _unpack_plane
+        from .poly import _pack, _slot_width, _slots, _unpack
         p, f, m = self.p, self.f, self.q - 1
         w = _slot_width(f * (p - 1) ** 2)  # a plane's slot holds a sum of f digit products
         rows = [self.coeffs(self.mul(p**j, gen)) for j in range(f)]  # h = gen
@@ -244,7 +245,7 @@ class FieldCtx:
         while n < m:
             k = min(n, m - n)  # the slots this doubling adds
             low = planes if k == n else [x & (1 << 8 * w * k) - 1 for x in planes]
-            new = [_pack(_unpack_plane(sum(map(operator.mul, col, low)), k, w, p), w)
+            new = [_pack(_unpack(sum(map(operator.mul, col, low)), k, w, p), w)
                    for col in zip(*rows)]
             planes = [x | y << 8 * w * n for x, y in zip(planes, new)]
             n += k
@@ -253,7 +254,7 @@ class FieldCtx:
                 rows = [times_h(row) for row in rows]
         W = _slot_width(m)
         if w < W:  # re-slot the digits, already below p, as wide as the values
-            planes, w = [_pack(_unpack_plane(x, m, w, p), W) for x in planes], W
+            planes, w = [_pack(_unpack(x, m, w, p), W) for x in planes], W
         acc = 0
         for x in reversed(planes):
             acc = acc * p + x
@@ -433,14 +434,17 @@ def make_ext_field(p: int, f: int, modulus=None) -> FieldCtx:
 
 
 def parse_field_spec(spec: str) -> FieldCtx:
-    """Parse "p^f/c0,c1,...,cf" (bare "p" means the prime field)."""
-    if "/" not in spec:
-        p = int(spec)
-        return FieldCtx(p, 1, None)
-    head, _, tail = spec.partition("/")
+    """Parse "p^f/c0,c1,...,cf" (bare "p" means the prime field); text of
+    another form is a BadParam."""
+    head, slash, tail = spec.partition("/")
     p_str, _, f_str = head.partition("^")
-    p, f = int(p_str), int(f_str or "1")
-    modulus = tuple(int(c) for c in tail.split(","))
+    try:
+        p, f = int(p_str), int(f_str or "1")
+        modulus = tuple(int(c) for c in tail.split(",")) if slash else None
+    except ValueError:
+        raise BadParam(f"bad field spec {spec!r}: want p or p^f/c0,c1,...,cf") from None
+    if not slash and f_str:
+        raise BadParam(f"bad field spec {spec!r}: p^f needs its modulus /c0,c1,...,cf")
     return FieldCtx(p, f, modulus)
 
 

@@ -19,11 +19,13 @@ wide enough for _fold_bound: for lists whose shorter one has n
 coefficients, a slot of the product sums at most n f (p - 1)^2 and the fold
 adds at most n f (f - 1) / 2 (p - 1)^3.  Over F_p (f = 1) a value is its one
 digit and there is nothing to fold.  _pack and _unpack are shared with the
-packed rows of matrix._combiner and with _root_exponents, which finds where
-sparse polynomials over F_p vanish at every power of a generator at once
-(the parameter search of claims).  _root_exponents and gf.FieldCtx._walk
-reduce whole planes of q - 1 slots, by byte planes where they fit
-(_unpack_plane).
+packed rows of matrix._combiner, with gf.FieldCtx._walk and with
+_root_exponents, which finds where sparse polynomials over F_p vanish at
+every power of a generator at once (the parameter search of claims).
+_unpack is the one reduction of packed slots: from _PLANE_SLOTS slots on
+(the whole planes of the walk and the sieve) it reduces byte planes where
+they fit, and below that (matrix rows, ring elements) each slot on its own.
+_digits splits values into base-p digits for the products and the sieve.
 
 _Ring(mod) is F_q[t]/(mod) on that layout: its elements are packed
 residues, and a product also folds the top d - 1 coefficients back through
@@ -113,22 +115,23 @@ def _slots(n: int, k: int, w: int):
     return arr
 
 
+# the slot count from which _unpack reduces byte planes.  They win from about
+# 40 two-byte, 64 four-byte and 128 eight-byte slots; matrix rows and ring
+# elements, below 64 slots, keep the per-slot list
+_PLANE_SLOTS = 64
+
+
 def _unpack(n: int, k: int, w: int, p: int):
-    """The k slots of w bytes of n >= 0, each reduced mod p (a sequence of ints)."""
+    """The k slots of w bytes of n >= 0, each reduced mod p (a sequence of
+    ints: bytes from a byte translation, else a list).  Below
+    _PLANE_SLOTS slots, or where w (p - 1) > 255, each slot is reduced on
+    its own.  Otherwise every byte j of every slot is translated at once to
+    its residue of b * 256^j, the w byte planes add as ints with no carry
+    between slots, and one more translation reduces the sum."""
     if w == 1:
         return n.to_bytes(k, "little").translate(_byte_residues(p))
-    return [v % p for v in _slots(n, k, w)]
-
-
-def _unpack_plane(n: int, k: int, w: int, p: int):
-    """_unpack for a whole plane of many slots.  When w (p - 1) < 256 every
-    byte j of every slot is translated at once to its residue of b * 256^j
-    and the w byte planes add as ints with no carry between slots; one more
-    translation reduces the sum, and the result is bytes.  Below about 16
-    two-byte or 40 four-byte slots the per-slot list of _unpack is faster, so
-    matrix rows and ring elements keep it."""
-    if w == 1 or w * (p - 1) > 255:
-        return _unpack(n, k, w, p)
+    if k < _PLANE_SLOTS or w * (p - 1) > 255:
+        return [v % p for v in _slots(n, k, w)]
     raw = n.to_bytes(k * w, "little")
     total = sum(int.from_bytes(raw[j::w].translate(_byte_residues(p, j)), "little")
                 for j in range(w))
@@ -161,9 +164,10 @@ def _root_exponents(powers, p: int, f: int, polys):
     once (_stride), packed once per exponent; a polynomial's values are one
     big-int sum of its terms per plane.  In characteristic 2 every
     coefficient is 1 and packed values add by XOR, so the one plane holds
-    the powers themselves, an item of W bytes each.  For odd p plane j holds
-    base-p digit j of each power, in slots wide enough for the most terms
-    times (p - 1)^2, and each slot is reduced mod p once (_unpack_plane).
+    the powers themselves, an item of W bytes each.  For odd p plane j is
+    slice j of the digit-slot layout of the powers (_digits): base-p digit j
+    of each power, in slots wide enough for the most terms times (p - 1)^2,
+    and each slot is reduced mod p once (_unpack).
     P(g^i) = 0 exactly where item i of every plane reads 0."""
     m = len(powers)
     terms = [[(k % m, c % p) for k, c in poly if c % p] for poly in polys]
@@ -172,10 +176,8 @@ def _root_exponents(powers, p: int, f: int, polys):
         planes = [powers]
     else:
         w = W = _slot_width(max(map(len, terms), default=0) * (p - 1) ** 2)
-        planes = []
-        for _ in range(f):
-            planes.append([v % p for v in powers])
-            powers = [v // p for v in powers]
+        digits = _digits(powers, p, f)
+        planes = [digits[j::2 * f - 1] for j in range(f)]
     slots = W // w  # per item: the bytes of a value in characteristic 2, else 1
     reads = {}  # exponent -> its read of every plane, packed
     vanish = 0  # byte i is 1 where some polynomial vanishes at g^i
@@ -192,7 +194,7 @@ def _root_exponents(powers, p: int, f: int, polys):
         flags = 0  # a nonzero byte for each nonzero slot
         for a in sums:
             if p != 2:
-                a = _unpack_plane(a, m, w, p)
+                a = _unpack(a, m, w, p)
                 a = int.from_bytes(a if isinstance(a, bytes) else bytes(map(bool, a)),
                                    "little")
             flags |= a

@@ -132,7 +132,7 @@ def _subfield_pairs():
             except Exception:
                 continue
             sub = branch.get("sub")
-            if sub is None or len(sub[0]) - 1 < 2:
+            if sub is None or len(sub) - 1 < 2:
                 continue
             if branch["char"] == "odd" and field.p == 2:
                 continue
@@ -149,7 +149,7 @@ def test_criterion_6_parameter_search():
     for lemma, q, sub in _subfield_pairs():
         field = standard_field(q)
         count = claims.subfield_failure_count(lemma, q)
-        bound = campoN_bound(len(sub[0]) - 1, field.p, field.f)
+        bound = campoN_bound(len(sub) - 1, field.p, field.f)
         assert count <= bound, (lemma, q, count, bound)
         checked += 1
     assert checked >= 10
@@ -162,7 +162,7 @@ def test_criterion_6_subfield_polys_vanish_where_subfield_degree_fails():
     checked = 0
     for lemma, q, sub in _subfield_pairs():
         field = standard_field(q)
-        polys = claims._subfield_polys(field, sub[0])
+        polys = claims._subfield_polys(field, sub)
         roots = _root_exponents(field.generator_powers(), field.p, field.f, polys)
         assert len(roots) == claims.subfield_failure_count(lemma, q), (lemma, q)
         checked += 1

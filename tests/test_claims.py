@@ -148,7 +148,7 @@ def _reference_search(lemma, q):
             or q in cond["exclude_q"]):
         return []
     nz = [Poly(field, coeffs) for coeffs in cond["nz"]]
-    expr = None if cond["sub"] is None else Poly(field, cond["sub"][0])
+    expr = None if cond["sub"] is None else Poly(field, cond["sub"])
     g = field.mult_generator()
     out, a = [], g
     for _ in range(q - 1):

@@ -94,6 +94,13 @@ def test_verify_filter_and_exit_code(capsys):
     assert all(e["status"] == "Pass" for e in payload)
 
 
+def test_verify_filter_matching_nothing_is_an_error(capsys):
+    rc = main(["verify", "no-such*"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: no claim matches 'no-such*'\n"
+
+
 def test_verify_output_byte_stable(capsys):
     rc1, out1 = run_cli(capsys, "verify", "quadform-n4")
     rc2, out2 = run_cli(capsys, "verify", "quadform-n4")
@@ -193,6 +200,15 @@ def test_certify_has_no_words_option(capsys):
 def test_certify_unknown_pair_is_an_error(capsys):
     rc, _ = run_cli(capsys, "certify", "--n", "4", "--q", "3", "--a", "1")
     assert rc == 2
+
+
+def test_cli_outputs_match_the_benchmark_record(capsys):
+    # the perfbench record of every fields and certify item, byte for byte
+    record = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
+    items = {**record["fields"], **record["certify"]}
+    assert (len(record["fields"]), len(record["certify"])) == (10, 11)
+    for item_id, want in items.items():
+        assert run_cli(capsys, *item_id.split()) == (0, want), item_id
 
 
 def test_readme_command_examples_parse():

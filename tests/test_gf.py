@@ -1,6 +1,7 @@
 """Field arithmetic: defining relations, orders, subfields, embeddings."""
 
 import random
+import re
 
 import pytest
 import sympy
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from sympgen import gf
 from sympgen.errors import (
+    BadParam,
     CheckFailed,
     CompositeCharacteristic,
     DivisionByZero,
@@ -234,6 +236,12 @@ def test_field_spec_roundtrip():
     for q in FIELDS:
         ctx = gf.standard_field(q)
         assert gf.parse_field_spec(ctx.spec_string) == ctx
+
+
+@pytest.mark.parametrize("spec", ["3^2", "abc", "3/1,x", ""])
+def test_malformed_field_spec_is_a_parameter_error(spec):
+    with pytest.raises(BadParam, match=re.escape(repr(spec))):
+        gf.parse_field_spec(spec)
 
 
 def test_bundled_moduli_irreducible():

@@ -157,3 +157,24 @@ def test_one_square_and_multiply():
              and any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.RShift)
                      for n in ast.walk(node))]
     assert found == ["gf._power"]
+
+
+def _references(tree, name):
+    """The nodes of tree that name name: a name, an attribute or an import."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+            or isinstance(node, ast.alias) and node.name.split(".")[-1] == name]
+
+
+def test_one_reader_of_packed_slots():
+    # poly._unpack is the one function that reduces packed slots mod p: the
+    # byte translation tables are read nowhere else, so no second reader
+    # with its own choice of path can grow beside it
+    everywhere = [node for path in SOURCES
+                  for node in _references(ast.parse(path.read_text()), "_byte_residues")]
+    poly = ast.parse((Path(sympgen.__file__).parent / "poly.py").read_text())
+    unpack, = [node for node in poly.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_unpack"]
+    inside = _references(unpack, "_byte_residues")
+    assert inside and len(everywhere) == len(inside)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from sympgen import gf
 from sympgen.errors import BadParam, ZeroPolynomial
 from sympgen.gf import FieldElem
-from sympgen.poly import (Poly, _root_exponents, _squarefree_decomposition, factor,
-                          is_irreducible, is_self_reciprocal)
+from sympgen.poly import (_PLANE_SLOTS, Poly, _root_exponents, _slots,
+                          _squarefree_decomposition, _unpack, factor, is_irreducible,
+                          is_self_reciprocal)
 
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
@@ -26,6 +27,19 @@ def test_eval_condition_polynomial():
 
 def test_eval_zero_poly():
     assert Poly.zero(F5).eval(3) == F5.zero
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+@pytest.mark.parametrize("p", [2, 3, 7, 31, 127, 257])
+def test_unpack_reduces_every_slot(w, p):
+    # both sides of the slot count where byte planes take over, where
+    # w (p - 1) fits a byte (w = 2, 4, 8 with small p) and where it does not
+    rng = random.Random(f"unpack,{w},{p}")
+    for k in (1, _PLANE_SLOTS - 1, _PLANE_SLOTS, 3 * _PLANE_SLOTS + 1):
+        full = (1 << 8 * w * k) - 1  # every slot at 2^(8w) - 1
+        for n in (rng.getrandbits(8 * w * k), full, 0):
+            want = [v % p for v in _slots(n, k, w)]
+            assert list(_unpack(n, k, w, p)) == want, (k, n == full)
 
 
 def _ref_root_exponents(field, polys):
