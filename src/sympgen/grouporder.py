@@ -10,15 +10,25 @@ orders modulo the factors (Lidl & Niederreiter, Finite Fields, 3.1).  So
 the semisimple part is the lcm of ord(t mod g_d) over the pieces g_d, the
 products of the degree-d irreducibles of each squarefree part
 (factorint.multiplicative_order in the ring F_q[t]/(g_d)), and the
-unipotent part is the p-power covering the largest multiplicity.  The
-result is checked without raising g to N: once chi(g) = 0 is checked by
-evaluation, g^k = r_k(g) with r_k = t^k mod chi (Cayley-Hamilton),
-evaluated by Paterson-Stockmeyer.  The residues r_(N/l), for every prime l
-of N, come from one product tree of powers in the ring F_q[t]/(chi), and
-r_N = r_(N/l)^l for the least l.  The order N must give r_N(g) = I, and for
-each prime l of N, g^(N/l) != I is shown on a witness vector:
-r_(N/l)(g) e_1, a combination of the Krylov vectors g^i e_1, differs from
-e_1, or else r_(N/l)(g) e_2 differs from e_2; only if neither does is
+unipotent part is the p-power covering the largest multiplicity.  Every
+modulus of one call (chi, its parts and their pieces) has one poly._Ring.
+The result is checked without raising g to N: once chi(g) = 0 is checked,
+g^k = r_k(g) with r_k = t^k mod chi (Cayley-Hamilton).  The residues
+r_(N/l), for every prime l of N, come from one product tree of powers in
+the ring F_q[t]/(chi), and r_N = r_(N/l)^l for the least l.  The order N
+must give r_N(g) = I, and r_(N/l)(g) != I for each prime l of N.
+
+When e_1 is cyclic for g (char_poly's Hessenberg reduction fixes e_1, so
+no zero subdiagonal entry says so), every check reads on e_1 alone
+(_krylov; Keller-Gehrig, Fast algorithms for the characteristic
+polynomial, TCS 36, 1985).  The Krylov matrix K of rows g^j e_1 (j < d) is
+checked invertible by Mat._echelon, so the certificate does not rest on
+the reduction.  A polynomial r(g) commutes with g, so
+r(g) g^j e_1 = g^j r(g) e_1: with K invertible, chi(g) e_1 = 0 gives
+chi(g) = 0, and r(g) = I iff r(g) e_1 = e_1, for every r_N and r_(N/l).
+Otherwise (_Powers) r(g) is evaluated by Paterson-Stockmeyer, and
+g^(N/l) != I is shown first on a witness vector: r_(N/l)(g) e_1 differs
+from e_1, or else r_(N/l)(g) e_2 differs from e_2; only if neither does is
 r_(N/l)(g) evaluated in full.  The certificate thus rests neither on the
 split of chi nor on the t-orders.
 """
@@ -26,6 +36,7 @@ split of chi nor on the t-orders.
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
 from itertools import chain
 
@@ -33,7 +44,7 @@ from .errors import BadParam, CheckFailed, MixedFields, ShapeMismatch, SingularM
 from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
                         multiplicative_order)
 from .gf import _split_prime_power
-from .matrix import Mat, _combiner, char_poly
+from .matrix import Mat, _char_poly_cyclic, _combiner
 from .poly import Poly, _distinct_degree, _Ring, _squarefree_decomposition
 
 
@@ -96,61 +107,91 @@ def order_sl(n: int, q: int) -> FactoredInt:
     return result
 
 
-def _poly_t_order(piece: Poly, d: int) -> FactoredInt:
-    """Multiplicative order of t modulo piece, a squarefree product of
-    irreducibles of degree d, none of them t.  Modulo each factor the order
-    divides q^d - 1, so modulo their product it divides it too: one
-    multiplicative_order in the ring of piece, with group order q^d - 1."""
-    F = piece.field
+class _Memo(dict):
+    """key -> make(key), each value made once, on first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _poly_t_order(ring: _Ring, d: int) -> FactoredInt:
+    """Multiplicative order of t in ring = F_q[t]/(piece), piece a squarefree
+    product of irreducibles of degree d, none of them t.  Modulo each factor
+    the order divides q^d - 1, so modulo their product it divides it too:
+    one multiplicative_order with group order q^d - 1."""
+    F = ring.mod.field
     group = factor_q_pow_minus_one(F.p, F.f * d)
-    ring = _Ring(piece)
     # ring elements are reduced, so the residue 1 is the int 1
     return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
 
 
-class _Powers:
-    """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod chi, where
-    chi = char_poly(g); exact because construction checks chi(g) = 0.
+def _krylov(g: Mat, cp: Poly):
+    """The test r -> [r(g) = I] for polynomials r of degree at most d = dim g,
+    read on e_1 alone, or None if the Krylov vectors v_j = g^j e_1 (j < d)
+    do not span F_q^d.  The v_j for j <= d come from one matrix._combiner
+    over g's columns, and their rank from Mat._echelon.  Once they span, a
+    polynomial r in g commutes with g, so r(g) v_j = g^j r(g) e_1: r(g) = I
+    iff r(g) e_1 = e_1, and r(g) = 0 iff r(g) e_1 = 0.  So chi(g) = 0 is
+    checked here as chi(g) e_1 = 0, chi = cp, and every r(g) is the one
+    combination sum r_j v_j."""
+    F, d = g.field, g.rows
+    step = _combiner(F, tuple(zip(*g.data)), d)  # v -> g v
+    vecs = [tuple(int(i == 0) for i in range(d))]
+    while len(vecs) <= d:
+        vecs.append(step(vecs[-1]))
+    if len(Mat._make(F, tuple(vecs[:d]))._echelon()[1]) < d:
+        return None
+    combine, e_1 = _combiner(F, vecs, d), vecs[0]
+    if any(combine(cp.coeffs)):
+        raise CheckFailed("g is not a root of its characteristic polynomial")
+    return lambda r: combine(r.coeffs) == e_1
 
-    The residues r_k are powers of t in ring = poly._Ring(chi), so every
-    residue of one element_order call shares its fold set-up, and the r_(N/l)
-    for all primes l of N come from one product tree of powers.
+
+class _Powers:
+    """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod chi, for
+    chi = char_poly(g) the modulus of ring: exact because construction
+    checks chi(g) = 0, so that g^k - r_k(g) = s(g) chi(g) = 0.  This is the
+    path of an element order when e_1 is not cyclic for g (see _krylov).
 
     r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
     m = ceil(sqrt(d)) for d = dim g, and the giant step g^m take m - 1
     products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
     products more.  A block is one matrix._combiner over the m baby powers,
     each flattened into one row of d^2 entries, and the combination is cut
-    back into d rows.  A Horner step maps one more combiner, made once over
-    the rows of g^m, over the rows of the sum so far.  fixes(r, i) tests
-    r(g) e_i = e_i on the Krylov vectors g^j e_i (j < d), built on first use
-    from column i of the baby powers and about d/m products by (g^m)^T, and
-    combined with r's coefficients by one more _combiner.
+    back into d rows.  A Horner step maps g^m's kept combiner (Mat._right)
+    over the rows of the sum so far.  fixes(r, i) tests r(g) e_i = e_i on
+    the Krylov vectors g^j e_i (j < d), built on first use from column i of
+    the baby powers and about d/m products by (g^m)^T, and combined with r's
+    coefficients by one more _combiner; a False there shows r(g) != I, but
+    a True shows r(g) = I only where those vectors span, so is_identity
+    evaluates r(g) in full after it.
+
+    Where the g^j e_1 do span (K invertible), r(g) commutes with g, so
+    chi(g) e_1 = 0 gives chi(g) = 0 and r(g) e_1 = e_1 gives r(g) = I:
+    element_order then takes _krylov, and _Powers serves the other inputs.
     """
 
-    __slots__ = ("ring", "t", "baby", "giant", "flat", "step", "krylov")
+    __slots__ = ("baby", "giant", "flat", "step", "krylov")
 
-    def __init__(self, g: Mat, cp: Poly):
+    def __init__(self, g: Mat, ring: _Ring):
         F, d = g.field, g.rows
-        self.ring = _Ring(cp)
-        self.t = self.ring.elem(Poly.t(F))
         m = math.isqrt(max(d - 1, 0)) + 1
         powers = [Mat.identity(F, d), g]
         while len(powers) <= m:
             powers.append(powers[-1] * g)
         self.baby, self.giant = powers[:m], powers[m]
         self.flat = _combiner(F, [tuple(chain.from_iterable(b.data)) for b in self.baby], d * d)
-        self.step = _combiner(F, self.giant.data, d)  # row -> row g^m
+        self.step = self.giant._right()  # row -> row g^m
         self.krylov = {}
-        if any(map(any, self.at(cp).data)):
+        if any(map(any, self.at(ring.mod).data)):
             raise CheckFailed("g is not a root of its characteristic polynomial")
-
-    def residues(self, order: FactoredInt) -> list:
-        """The packed r_(N/l) for the primes l of N = order, in ascending
-        order, from one product tree rooted at t^(N / rad N)."""
-        primes = order.primes()
-        root = self.ring.pow(self.t, order.value_unchecked() // math.prod(primes))
-        return _cofactor_powers(root, primes, self.ring.pow)
 
     def combine(self, coeffs) -> Mat:
         d, flat = self.giant.rows, self.flat(coeffs)
@@ -187,31 +228,42 @@ class _Powers:
 
 def element_order(g: Mat) -> FactoredInt:
     """Exact order of an invertible matrix via its characteristic polynomial,
-    checked by evaluating t^k mod chi at g (see _Powers)."""
+    checked by evaluating t^k mod chi at g: on e_1 alone when e_1 is cyclic
+    for g (_krylov), else in full (_Powers)."""
     F = g.field
-    cp = char_poly(g)
+    cp, cyclic = _char_poly_cyclic(g)
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
+    rings = _Memo(_Ring)  # one ring per modulus: chi, its parts and pieces
     order = FactoredInt.one()
     max_mult = 1
     for part, mult in _squarefree_decomposition(cp):
         max_mult = max(max_mult, mult)
-        for piece, d in _distinct_degree(part):
-            order = order.lcm(_poly_t_order(piece, d))
-    powers = _Powers(g, cp)
-    ring = powers.ring
-    # r_N = r_(N/l)^l for the least prime l of N; unipotent part: the least
-    # p^k with g^(N0 p^k) = I for the semisimple order N0.  No Jordan block
-    # is longer than the largest multiplicity, so once p^k reaches it
-    # without giving I, N0 is wrong
-    primes = order.primes()
-    checks = list(zip(primes, powers.residues(order)))
-    r_n = ring.pow(checks[0][1], primes[0]) if primes else powers.t
-    n_val, base, k = order.value_unchecked(), powers.at(ring.poly(r_n)), 0
-    while not base.is_identity():
+        for piece, d in _distinct_degree(part, rings.__getitem__):
+            order = order.lcm(_poly_t_order(rings[piece], d))
+    # the r_(N/l) for the primes l of N from one product tree rooted at
+    # t^(N / rad N), and r_N = r_(N/l)^l for the least l
+    ring, primes, n_val = rings[cp], order.primes(), order.value_unchecked()
+    t = ring.elem(Poly.t(F))
+    checks = list(zip(primes, _cofactor_powers(
+        ring.pow(t, n_val // math.prod(primes)), primes, ring.pow)))
+    r_n = ring.pow(checks[0][1], primes[0]) if primes else t
+    is_identity = cyclic and _krylov(g, cp)
+    if is_identity:
+        base, done, power = r_n, lambda x: is_identity(ring.poly(x)), ring.pow
+    else:
+        powers = _Powers(g, ring)
+        is_identity = powers.is_identity
+        base, done, power = powers.at(ring.poly(r_n)), Mat.is_identity, operator.pow
+    # unipotent part: the least p^k with g^(N0 p^k) = I for the semisimple
+    # order N0, base being r_(N0 p^k) on e_1 and g^(N0 p^k) itself on
+    # _Powers.  No Jordan block is longer than the largest multiplicity, so
+    # once p^k reaches it without giving I, N0 is wrong
+    k = 0
+    while not done(base):
         if F.p ** k >= max_mult:
             raise CheckFailed(f"g^{n_val} is not the identity")
-        base, n_val, k = base ** F.p, n_val * F.p, k + 1
+        base, n_val, k = power(base, F.p), n_val * F.p, k + 1
     if k:
         # N = N0 p^k with p prime to N0: r_(N/l) = r_(N0/l)^(p^k) for l | N0,
         # and r_(N/p) = r_N0^(p^(k-1))
@@ -219,7 +271,7 @@ def element_order(g: Mat) -> FactoredInt:
         checks = sorted([(prime, ring.pow(r, F.p ** k)) for prime, r in checks]
                         + [(F.p, ring.pow(r_n, F.p ** (k - 1)))])
     for prime, r in checks:
-        if powers.is_identity(ring.poly(r)):
+        if is_identity(ring.poly(r)):
             raise CheckFailed(f"g^({n_val}/{prime}) is the identity")
     return order
 
@@ -295,26 +347,11 @@ def lps_certificate(witnesses, target, obstruction_inconsistent=None) -> Certifi
 OVERFLOW = "Overflow"
 
 
-class _RowImages(dict):
-    """row -> row g for one generator g, each image formed once, on first
-    lookup, by g's matrix._combiner; equal rows get the same image tuple."""
-
-    __slots__ = ("combine",)
-
-    def __init__(self, combine):
-        super().__init__()
-        self.combine = combine
-
-    def __missing__(self, row):
-        image = self[row] = self.combine(row)
-        return image
-
-
 def closure_bfs(gens, cap: int = 5 * 10**6):
     """Exact size of the generated matrix group, or OVERFLOW past cap.
 
     A plain breadth-first search over the elements as tuples of rows.  Each
-    generator g keeps a _RowImages over one matrix._combiner of its rows, so
+    generator g keeps a _Memo over one matrix._combiner of its rows, so
     a product m g looks up the image of each row of m, and the combiner runs
     once per distinct row, not once per row of every element.  The elements
     in seen thus share their row tuples.  Generators over different fields
@@ -327,7 +364,7 @@ def closure_bfs(gens, cap: int = 5 * 10**6):
             raise MixedFields("generators over different fields")
         if (g.rows, g.cols) != shape or g.rows != g.cols:
             raise ShapeMismatch("generators must be square and same shape")
-    images = [_RowImages(_combiner(F, g.data, g.cols)).__getitem__ for g in gens]
+    images = [_Memo(_combiner(F, g.data, g.cols)).__getitem__ for g in gens]
     ident = Mat.identity(F, gens[0].rows).data
     seen = {ident}
     frontier = [ident]

@@ -22,13 +22,22 @@ combination is one big-int sum of c_i * packed_row_i, and its slots are
 unpacked and reduced mod p once (delayed reduction).  Over an extension
 field each row keeps its multiples c * row_i, formed by the field's mul the
 first time c is used (the table of multiples of Albrecht's M4RIE, filled
-lazily), and a combination chains maps of the field's add over them.
+lazily), and a combination chains maps of the field's add over them.  A
+Mat keeps the combiner of its rows once a product has used it as the right
+factor (Mat._right), so repeated products by one matrix (the letters of a
+word, g in the powers of g) build it once; over F_{p^f} its multiples
+c * row then last as long as the matrix.  Equality and hash read only the
+field and the entries.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation is kept alongside as an independent cross-check
-for small dimensions.  similarity_invariants reads the invariant factors
-from the nullities of f(M)^k, f over the irreducible factors of char_poly:
-kernel is the one elimination, _echelon, as for det, inverse and solve.
+for small dimensions.  The reduction works on the coordinates 2 .. n, so
+it fixes e_1, and _char_poly_cyclic also reports whether e_1 is cyclic
+for M (no subdiagonal entry of the Hessenberg form is 0); grouporder's
+element orders read their checks on e_1 alone when it is.
+similarity_invariants reads the invariant factors from the nullities of
+f(M)^k, f over the irreducible factors of char_poly: kernel is the one
+elimination, _echelon, as for det, inverse and solve.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ def _identity_data(n: int):
 class Mat:
     """Immutable dense matrix; entries are packed field values."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "data", "_comb")
 
     def __init__(self, field: FieldCtx, rows):
         scalar = field.scalar
@@ -175,8 +184,16 @@ class Mat:
         self._check_same(other)
         if self.cols != other.rows:
             raise ShapeMismatch(f"{self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        combine = _combiner(self.field, other.data, other.cols)
-        return Mat._make(self.field, tuple(map(combine, self.data)), other.cols)
+        return Mat._make(self.field, tuple(map(other._right(), self.data)), other.cols)
+
+    def _right(self):
+        """row -> row self: the _combiner of self's rows, built on first use
+        and kept, so that products by one right factor build it once."""
+        try:
+            return self._comb
+        except AttributeError:
+            self._comb = _combiner(self.field, self.data, self.cols)
+            return self._comb
 
     __rmul__ = scale
 
@@ -229,11 +246,12 @@ class Mat:
             pv = m[r][c]
             det = mul(det, pv)
             pv_inv = inv(pv)
-            m[r] = [mul(pv_inv, v) for v in m[r]]
+            # the rows from r on are 0 left of column c: row operations start at c
+            row = m[r][c:] = [mul(pv_inv, v) for v in m[r][c:]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
                     factor = m[i][c]
-                    m[i] = [sub(v, mul(factor, w)) for v, w in zip(m[i], m[r])]
+                    m[i][c:] = [sub(v, mul(factor, w)) for v, w in zip(m[i][c:], row)]
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -338,13 +356,22 @@ def char_poly(m: Mat) -> Poly:
     """Monic characteristic polynomial det(tI - M) via Hessenberg reduction."""
     if not m.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
+    return _char_poly_cyclic(m)[0]
+
+
+def _char_poly_cyclic(m: Mat):
+    """(char_poly(m), whether e_1 is cyclic for m).  The reduction to upper
+    Hessenberg form H = P^-1 M P works on rows and columns 2 .. n only, so
+    P e_1 = e_1 and M^j e_1 = P H^j e_1: e_1 is cyclic for M iff it is for
+    H, iff no subdiagonal entry of H is 0."""
     F = m.field
     n = m.rows
     if n == 0:
-        return Poly.one(F)
+        return Poly.one(F), True
     mul, add, sub, inv, neg = F.mul, F.add, F.sub, F.inv, F.neg
     h = [list(r) for r in m.data]
-    # similarity reduction to upper Hessenberg form
+    # similarity reduction to upper Hessenberg form; rows c + 1 on are 0
+    # left of column c, so row operations start at c
     for c in range(n - 2):
         pr = next((i for i in range(c + 1, n) if h[i][c]), None)
         if pr is None:
@@ -357,7 +384,7 @@ def char_poly(m: Mat) -> Poly:
         for i in range(c + 2, n):
             if h[i][c]:
                 factor = mul(h[i][c], pv_inv)
-                h[i] = [sub(v, mul(factor, w)) for v, w in zip(h[i], h[c + 1])]
+                h[i][c:] = [sub(v, mul(factor, w)) for v, w in zip(h[i][c:], h[c + 1][c:])]
                 for r in range(n):
                     h[r][c + 1] = add(h[r][c + 1], mul(factor, h[r][i]))
     # charpoly recurrence on the Hessenberg form
@@ -379,7 +406,7 @@ def char_poly(m: Mat) -> Poly:
                 for jj, cv in enumerate(polys[i - 1]):
                     cur[jj] = sub(cur[jj], mul(coef, cv))
         polys.append(cur)
-    return Poly._make(F, polys[n])
+    return Poly._make(F, polys[n]), all(h[i + 1][i] for i in range(n - 1))
 
 
 def char_poly_berkowitz(m: Mat) -> Poly:

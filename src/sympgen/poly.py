@@ -22,9 +22,9 @@ digit and there is nothing to fold.  _pack and _unpack are shared with the
 packed rows of matrix._combiner, with gf.FieldCtx._walk and with
 _root_exponents, which finds where sparse polynomials over F_p vanish at
 every power of a generator at once (the parameter search of claims).
-_unpack is the one reduction of packed slots: from _PLANE_SLOTS slots on
-(the whole planes of the walk and the sieve) it reduces byte planes where
-they fit, and below that (matrix rows, ring elements) each slot on its own.
+_unpack is the one reduction of packed slots: from 16 w slots of w bytes on
+(the whole planes of the walk and the sieve, the longer ring elements) it
+reduces byte planes where they fit, and below that each slot on its own.
 _digits splits values into base-p digits for the products and the sieve.
 
 _Ring(mod) is F_q[t]/(mod) on that layout: its elements are packed
@@ -34,8 +34,8 @@ fold and those rows once, so everything that works modulo one polynomial
 keeps one ring: Poly.powmod (one ring per call), is_irreducible (one per
 call), the distinct-degree split (one per part not yet split off), the
 equal-degree split (one per product split), and grouporder's element
-orders (one per distinct-degree piece of chi for its t-order, and one for
-the residues t^k mod chi).  Its slots hold the sum of both folds (see
+orders (one per modulus in a call: chi, the parts of its distinct-degree
+split and their pieces, shared where two of these are equal).  Its slots hold the sum of both folds (see
 _Ring).
 
 Factorization is squarefree decomposition, then distinct-degree,
@@ -115,22 +115,17 @@ def _slots(n: int, k: int, w: int):
     return arr
 
 
-# the slot count from which _unpack reduces byte planes.  They win from about
-# 40 two-byte, 64 four-byte and 128 eight-byte slots; matrix rows and ring
-# elements, below 64 slots, keep the per-slot list
-_PLANE_SLOTS = 64
-
-
 def _unpack(n: int, k: int, w: int, p: int):
     """The k slots of w bytes of n >= 0, each reduced mod p (a sequence of
-    ints: bytes from a byte translation, else a list).  Below
-    _PLANE_SLOTS slots, or where w (p - 1) > 255, each slot is reduced on
-    its own.  Otherwise every byte j of every slot is translated at once to
-    its residue of b * 256^j, the w byte planes add as ints with no carry
-    between slots, and one more translation reduces the sum."""
+    ints: bytes from a byte translation, else a list).  Below 16 w slots,
+    or where w (p - 1) > 255, each slot is reduced on its own.  Otherwise
+    every byte j of every slot is translated at once to its residue of
+    b * 256^j, the w byte planes add as ints with no carry between slots,
+    and one more translation reduces the sum.  Byte planes win from about
+    40 two-byte, 64 four-byte and 128 eight-byte slots."""
     if w == 1:
         return n.to_bytes(k, "little").translate(_byte_residues(p))
-    if k < _PLANE_SLOTS or w * (p - 1) > 255:
+    if k < 16 * w or w * (p - 1) > 255:
         return [v % p for v in _slots(n, k, w)]
     raw = n.to_bytes(k * w, "little")
     total = sum(int.from_bytes(raw[j::w].translate(_byte_residues(p, j)), "little")
@@ -619,10 +614,10 @@ def _squarefree_decomposition(p: Poly):
     return out
 
 
-def _distinct_degree(p: Poly):
+def _distinct_degree(p: Poly, ring_of=_Ring):
     """Split a squarefree monic polynomial into (product, degree) pieces.
-    h = t^(q^d) is raised by q in the ring of the part f not yet split off;
-    a new ring is built only when a piece leaves f."""
+    h = t^(q^d) is raised by q in the ring ring_of(f) of the part f not yet
+    split off; a new ring is needed only when a piece leaves f."""
     F = p.field
     q = F.q
     out = []
@@ -631,7 +626,7 @@ def _distinct_degree(p: Poly):
     f = p
     d = 0
     while f.degree >= 2 * (d + 1):
-        ring = _Ring(f)
+        ring = ring_of(f)
         x = ring.elem(h)
         while f.degree >= 2 * (d + 1):
             d += 1

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from sympgen import claims, gf, grouporder, poly
+from sympgen import claims, gf, grouporder, matrix, poly
 from sympgen.errors import BadParam, CheckFailed, MixedFields, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
@@ -92,10 +92,21 @@ def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
     # (t - 2)^3 in its place the order still comes out 2, and as 2 is below
     # the degree 3, r_2 = t^2 and r_1 = t and every power check passes; but
     # (g - 2)^3 = diag(0, 2, 2) is not zero
-    monkeypatch.setattr(grouporder, "char_poly",
-                        lambda g: Poly(F3, [-2, 1]) ** 3)
+    monkeypatch.setattr(grouporder, "_char_poly_cyclic",
+                        lambda g: (Poly(F3, [-2, 1]) ** 3, False))
     with pytest.raises(CheckFailed):
         element_order(Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_element_order_raises_when_a_cyclic_g_is_not_a_root_of_its_charpoly(monkeypatch):
+    # the cyclic twin: the 3-cycle over F_3 has order 3, chi = t^3 - 1, and
+    # e_1 is cyclic for it.  With (t - 2)^3 = t^3 + 1 in its place the order
+    # would come out 6, as t^6 = 1 mod t^3 + 1 and no r_(6/l) e_1 is e_1;
+    # the Krylov check chi(g) e_1 = 2 e_1 != 0 stops it
+    monkeypatch.setattr(grouporder, "_char_poly_cyclic",
+                        lambda g: (Poly(F3, [-2, 1]) ** 3, True))
+    with pytest.raises(CheckFailed, match="not a root"):
+        element_order(Mat(F3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -151,6 +162,16 @@ def _small_order_blocks(ctx, dim, rng, repeated):
     return p.inverse() * Mat.block_diag(blocks) * p
 
 
+def _e1_fixed(q):
+    """diag(1, A) over F_q for small-order blocks A of dims 1 .. 7: each
+    fixes e_1, so e_1 is not cyclic for it."""
+    ctx = gf.standard_field(q)
+    rng = random.Random(100 + q)
+    one = Mat.identity(ctx, 1)
+    return [Mat.block_diag([one, _small_order_blocks(ctx, dim - 1, rng, repeated=False)])
+            for dim in range(2, 9) for _ in range(3)]
+
+
 def _matches_naive(mats, cap=10**4):
     checked = 0
     for m in mats:
@@ -165,12 +186,7 @@ def _matches_naive(mats, cap=10**4):
 def test_element_order_matches_naive_with_e1_fixed(q):
     # g = diag(1, A) fixes e_1, so no Krylov witness can show g^(N/l) != I
     # and every prime check takes the full evaluation
-    ctx = gf.standard_field(q)
-    rng = random.Random(100 + q)
-    one = Mat.identity(ctx, 1)
-    mats = [Mat.block_diag([one, _small_order_blocks(ctx, dim - 1, rng, repeated=False)])
-            for dim in range(2, 9) for _ in range(3)]
-    assert _matches_naive(mats) >= 15
+    assert _matches_naive(_e1_fixed(q)) >= 15
 
 
 def _full_evaluations(mats):
@@ -190,15 +206,18 @@ def _full_evaluations(mats):
     return orders, len(calls) - 2 * len(mats)
 
 
+@pytest.mark.parametrize("q,full", [(2, 8), (3, 5), (4, 3), (9, 1)])
+def test_e1_fixed_matrices_take_as_many_full_evaluations_as_before(q, full):
+    # e_1 is not cyclic for diag(1, A), so these orders stay on _Powers, and
+    # their full evaluations stay at the counts taken before the Krylov path
+    assert _full_evaluations(_e1_fixed(q))[1] == full
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_a_second_krylov_witness_saves_full_evaluations(q, monkeypatch):
     # the matrices of the e_1-fixed test: each of their prime checks took the
     # full evaluation on e_1 alone; e_2 shows g^(N/l) != I on most of them
-    ctx = gf.standard_field(q)
-    rng = random.Random(100 + q)
-    one = Mat.identity(ctx, 1)
-    mats = [Mat.block_diag([one, _small_order_blocks(ctx, dim - 1, rng, repeated=False)])
-            for dim in range(2, 9) for _ in range(3)]
+    mats = _e1_fixed(q)
     orders, full = _full_evaluations(mats)
     checks = sum(len(o.primes()) for o in orders)
     fixes = grouporder._Powers.fixes
@@ -215,6 +234,89 @@ def test_element_order_matches_naive_with_repeated_factors(q):
     mats = [_small_order_blocks(ctx, dim, rng, repeated=True)
             for dim in range(2, 9) for _ in range(3)]
     assert _matches_naive(mats) >= 15
+
+
+def _with_e1_cyclic(m, v, rng):
+    """P^-1 m P for a random invertible P with P e_1 = v: e_1 is cyclic for
+    it iff v is cyclic for m."""
+    ctx, n = m.field, m.rows
+    while True:
+        p = Mat(ctx, [[v[i]] + [FieldElem(ctx, rng.randrange(ctx.q)) for _ in range(n - 1)]
+                      for i in range(n)])
+        if p.det():
+            return p.inverse() * m * p
+
+
+def _cyclic_shapes(ctx, rng):
+    """Matrices with e_1 cyclic: lower Jordan blocks of distinct eigenvalues
+    (the unipotent loop), and companion matrices of random polynomials,
+    both conjugated by a random P that takes e_1 to a cyclic vector."""
+    mats = []
+    for dim in range(1, 9):
+        lams = [FieldElem(ctx, v) for v in range(1, ctx.q)]
+        rng.shuffle(lams)
+        blocks, size = [], 0
+        for i, lam in enumerate(lams):
+            k = dim - size if i == len(lams) - 1 else min(rng.randrange(1, 5), dim - size)
+            blocks.append(_jordan(ctx, lam, k).transpose())  # e_1 of the block is cyclic
+            size += k
+            if size == dim:
+                break
+        m = Mat.block_diag(blocks)
+        v = [int(any(i == sum(b.rows for b in blocks[:j]) for j in range(len(blocks))))
+             for i in range(dim)]
+        mats.append(_with_e1_cyclic(m, v, rng))
+        f = Poly._make(ctx, [rng.randrange(1, ctx.q)]
+                       + [rng.randrange(ctx.q) for _ in range(dim - 1)] + [1])
+        mats.append(_with_e1_cyclic(_companion_of(f), [int(i == 0) for i in range(dim)], rng))
+    return mats
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_matches_naive_when_e1_is_cyclic(q, monkeypatch):
+    # every order here is certified on the Krylov vectors of e_1 alone: no
+    # _Powers is built, so no r(g) is evaluated in full
+    def powers(*args):
+        raise RuntimeError("a cyclic g took the _Powers path")
+
+    mats = _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))
+    assert all(matrix._char_poly_cyclic(m)[1] for m in mats)
+    monkeypatch.setattr(grouporder._Powers, "__init__", powers)
+    assert _matches_naive(mats) >= 12
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_a_cyclic_g_makes_no_full_evaluation(q):
+    mats = _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))
+    orders, full = _full_evaluations(mats)
+    assert full == -2 * len(mats)  # not even chi(g) and r_N(g)
+
+
+def test_a_forced_cyclic_flag_never_yields_a_wrong_order(monkeypatch):
+    # the certificate checks the rank of the Krylov vectors itself: told
+    # that e_1 is cyclic where it is not, element_order falls back to _Powers
+    mats = [Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]), Mat.identity(F3, 3),
+            Mat.identity(F2, 2), *_e1_fixed(4)]
+    assert not any(matrix._char_poly_cyclic(m)[1] for m in mats)
+    monkeypatch.setattr(grouporder, "_char_poly_cyclic", lambda m: (char_poly(m), True))
+    assert _matches_naive(mats) == len(mats)
+
+
+def test_element_order_builds_one_ring_when_chi_is_irreducible(monkeypatch):
+    # chi is the modulus of the distinct-degree split, its one piece's
+    # t-order and the residues t^k mod chi: one _Ring for all three
+    f = next(f for f in (Poly._make(F3, [*low, 1])
+                         for low in itertools.product(range(3), repeat=5))
+             if is_irreducible(f))
+    init, built = _Ring.__init__, []
+
+    def counting(self, mod):
+        built.append(mod)
+        init(self, mod)
+
+    monkeypatch.setattr(_Ring, "__init__", counting)
+    assert element_order(_companion_of(f)).value() == 242
+    assert built == [f]
 
 
 def _companion_of(f):

@@ -147,6 +147,35 @@ def test_combiner_forms_each_multiple_of_a_row_once(monkeypatch):
     assert len(calls) <= 6 * 2 * 5
 
 
+@pytest.mark.parametrize("q", [3, 9])
+def test_products_by_one_right_factor_build_its_combiner_once(q, monkeypatch):
+    from sympgen import matrix
+
+    F, rng = gf.standard_field(q), random.Random(q)
+    b = Mat._make(F, tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(4)))
+    lefts = [Mat._make(F, tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(r)))
+             for r in (4, 1, 4, 3)]
+    built, combiner = [], matrix._combiner
+    monkeypatch.setattr(matrix, "_combiner",
+                        lambda *args: built.append(args) or combiner(*args))
+    products = [a * b for a in lefts] + [b * b]
+    assert len(built) == 1
+    # byte-identical to a fresh combiner's products, also where the kept
+    # multiples c * row over F_9 were formed by an earlier product
+    fresh = [tuple(map(combiner(F, b.data, 4), a.data)) for a in lefts + [b]]
+    assert [m.data for m in products] == fresh
+
+
+@pytest.mark.parametrize("q", [3, 9])
+def test_a_kept_combiner_changes_neither_equality_nor_hash(q):
+    F = gf.standard_field(q)
+    rows = ((1, 2, 0), (0, 1, 2), (2, 0, 1))
+    used, fresh = Mat._make(F, rows), Mat(F, rows)
+    square = used * used  # used now keeps its combiner; fresh has built none
+    assert used == fresh and fresh == used and hash(used) == hash(fresh)
+    assert {fresh: square}[used] is square
+
+
 @pytest.mark.parametrize("q", PRIMES + EXTENSIONS + UNTABLED)
 def test_powmod_matches_repeated_mulmod(q):
     F = field(q)

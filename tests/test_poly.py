@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympgen import gf
 from sympgen.errors import BadParam, ZeroPolynomial
 from sympgen.gf import FieldElem
-from sympgen.poly import (_PLANE_SLOTS, Poly, _root_exponents, _slots,
+from sympgen.poly import (Poly, _root_exponents, _slots,
                           _squarefree_decomposition, _unpack, factor, is_irreducible,
                           is_self_reciprocal)
 
@@ -32,10 +32,10 @@ def test_eval_zero_poly():
 @pytest.mark.parametrize("w", [1, 2, 4, 8])
 @pytest.mark.parametrize("p", [2, 3, 7, 31, 127, 257])
 def test_unpack_reduces_every_slot(w, p):
-    # both sides of the slot count where byte planes take over, where
+    # both sides of the slot count 16 w where byte planes take over, where
     # w (p - 1) fits a byte (w = 2, 4, 8 with small p) and where it does not
     rng = random.Random(f"unpack,{w},{p}")
-    for k in (1, _PLANE_SLOTS - 1, _PLANE_SLOTS, 3 * _PLANE_SLOTS + 1):
+    for k in (1, 16 * w - 1, 16 * w, 48 * w + 1, 64):
         full = (1 << 8 * w * k) - 1  # every slot at 2^(8w) - 1
         for n in (rng.getrandbits(8 * w * k), full, 0):
             want = [v % p for v in _slots(n, k, w)]
