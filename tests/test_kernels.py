@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sympgen import gf
+from sympgen import gf, matrix
 from sympgen.construct import SympSpace, build
 from sympgen.errors import BadParam, MixedFields, ShapeMismatch
 from sympgen.gf import FieldCtx, FieldElem
@@ -149,20 +149,17 @@ def test_combiner_forms_each_multiple_of_a_row_once(monkeypatch):
 
 @pytest.mark.parametrize("q", [3, 9])
 def test_products_by_one_right_factor_build_its_combiner_once(q, monkeypatch):
-    from sympgen import matrix
-
     F, rng = gf.standard_field(q), random.Random(q)
     b = Mat._make(F, tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(4)))
     lefts = [Mat._make(F, tuple(tuple(rng.randrange(q) for _ in range(4)) for _ in range(r)))
              for r in (4, 1, 4, 3)]
-    built, combiner = [], matrix._combiner
-    monkeypatch.setattr(matrix, "_combiner",
-                        lambda *args: built.append(args) or combiner(*args))
+    built = []
+    monkeypatch.setattr(matrix, "_combiner", lambda *args: built.append(args) or _combiner(*args))
     products = [a * b for a in lefts] + [b * b]
     assert len(built) == 1
     # byte-identical to a fresh combiner's products, also where the kept
     # multiples c * row over F_9 were formed by an earlier product
-    fresh = [tuple(map(combiner(F, b.data, 4), a.data)) for a in lefts + [b]]
+    fresh = [tuple(map(_combiner(F, b.data, 4), a.data)) for a in lefts + [b]]
     assert [m.data for m in products] == fresh
 
 
