@@ -153,13 +153,6 @@ class FieldCtx:
 
     # -- arithmetic on packed values --------------------------------------
 
-    def _raw_mul(self, a, b):
-        """a * b as a Poly product and remainder: the tests' reference."""
-        from .poly import Poly
-        fp, mod = self._mod_poly.field, self._mod_poly
-        prod = Poly._make(fp, self.coeffs(a)) * Poly._make(fp, self.coeffs(b)) % mod
-        return self.from_coeffs(prod.coeffs)
-
     def _raw_add(self, a, b):
         p = self.p
         return self.from_coeffs([(x + y) % p for x, y in zip(self.coeffs(a), self.coeffs(b))])

@@ -3,40 +3,50 @@
 |Sp_2n(q)| and |SL_n(q)| are kept factored; every q^d - 1 term is factored
 through its cyclotomic decomposition so nothing large ever reaches the
 integer-factoring backend.  Element orders come from the characteristic
-polynomial chi, split no further than its squarefree parts and their
-distinct-degree pieces.  The order of t modulo an irreducible of degree d
-divides q^d - 1, and modulo a squarefree product it is the lcm of the
-orders modulo the factors (Lidl & Niederreiter, Finite Fields, 3.1).  So
-the semisimple part is the lcm of ord(t mod g_d) over the pieces g_d, the
-products of the degree-d irreducibles of each squarefree part
-(factorint.multiplicative_order in the ring F_q[t]/(g_d)), and the
-unipotent part is the p-power covering the largest multiplicity.  Every
-modulus of one call (chi, its parts and their pieces) has one poly._Ring.
-The result is checked without raising g to N: once chi(g) = 0 is checked,
-g^k = r_k(g) with r_k = t^k mod chi (Cayley-Hamilton).  The residues
-r_(N/l), for every prime l of N, come from one product tree of powers in
-the ring F_q[t]/(chi), and r_N = r_(N/l)^l for the least l.  The order N
-must give r_N(g) = I, and r_(N/l)(g) != I for each prime l of N.
+polynomial chi, split no further than its squarefree parts (P, m) and
+their distinct-degree pieces.  The order of t modulo an irreducible of
+degree d divides q^d - 1, and modulo a squarefree product it is the lcm of
+the orders modulo the factors (Lidl & Niederreiter, Finite Fields, 3.1).
+So the semisimple part N0 is the lcm of ord(t mod g_d) over the pieces
+g_d, the products of the degree-d irreducibles of each squarefree part
+(factorint.multiplicative_order in the ring F_q[t]/(g_d)).  The p-part is
+set by the longest Jordan block (Celler & Leedham-Green, Calculating the
+order of an invertible matrix, DIMACS Series 28, 1997): t^N0 - 1 is
+squarefree and divisible by every irreducible f of chi, and no Jordan
+block for f is longer than f's multiplicity m, so with
+a_k = prod P^min(m, p^k), a_k(g) = 0 iff g^(N0 p^k) = I.  The least such
+k (_annihilator) gives N = N0 p^k; once p^k reaches the largest
+multiplicity, a_k = chi.  Every modulus of one call (chi, its parts, their
+pieces and the a_k) has one poly._Ring.
 
-When e_1 is cyclic for g (char_poly's Hessenberg reduction fixes e_1, so
-no zero subdiagonal entry says so), every check reads on e_1 alone
-(_krylov; Keller-Gehrig, Fast algorithms for the characteristic
-polynomial, TCS 36, 1985).  The Krylov matrix K of rows g^j e_1 (j < d) is
-checked invertible by Mat._echelon, so the certificate does not rest on
-the reduction.  A polynomial r(g) commutes with g, so
-r(g) g^j e_1 = g^j r(g) e_1: with K invertible, chi(g) e_1 = 0 gives
-chi(g) = 0, and r(g) = I iff r(g) e_1 = e_1, for every r_N and r_(N/l).
-Otherwise (_Powers) r(g) is evaluated by Paterson-Stockmeyer, and
-g^(N/l) != I is shown first on a witness vector: r_(N/l)(g) e_1 differs
-from e_1, or else r_(N/l)(g) e_2 differs from e_2; only if neither does is
-r_(N/l)(g) evaluated in full.  The certificate thus rests neither on the
-split of chi nor on the t-orders.
+The result is checked without raising g to N, and without trusting the
+split of chi or the t-orders: a_k(g) = 0 is checked, so that
+g^j = r_j(g) with r_j = t^j mod a_k.  The residues r_(N/l), for every
+prime l of N (p included when k > 0), come from one product tree of
+powers in the ring F_q[t]/(a_k), and r_N = r_(N/l)^l for the least l.
+r_N = 1 in the ring gives g^N - I = s(g) a_k(g) = 0, and r_(N/l)(g) != I
+is checked at g for each l.  A wrong N0 or a wrong split raises
+CheckFailed; it never yields a wrong order.
+
+a_k(g) = 0 is tested on e_1 first: a_k(g) e_1 != 0 rules a_k out, from
+the Krylov vectors g^j e_1 (j <= deg a_k).  When e_1 is cyclic for g
+(char_poly's Hessenberg reduction fixes e_1, so no zero subdiagonal entry
+says so), every check reads on e_1 alone (Keller-Gehrig, Fast algorithms
+for the characteristic polynomial, TCS 36, 1985).  The Krylov matrix K of
+rows g^j e_1 (j < d) is checked invertible by Mat._echelon, so the
+certificate does not rest on the reduction.  A polynomial r(g) commutes
+with g, so r(g) g^j e_1 = g^j r(g) e_1: with K invertible, r(g) = 0 iff
+r(g) e_1 = 0, and r(g) = I iff r(g) e_1 = e_1.  Otherwise (_Powers) a
+candidate that passes on e_1 is evaluated in full by Paterson-Stockmeyer,
+with baby steps sized from deg a_k, not from dim g, and g^(N/l) != I is
+shown first on a witness vector: r_(N/l)(g) e_1 differs from e_1, or else
+r_(N/l)(g) e_2 differs from e_2; only if neither does is r_(N/l)(g)
+evaluated in full.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from itertools import chain
 
@@ -132,66 +142,81 @@ def _poly_t_order(ring: _Ring, d: int) -> FactoredInt:
     return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
 
 
-def _krylov(g: Mat, cp: Poly):
-    """The test r -> [r(g) = I] for polynomials r of degree at most d = dim g,
-    read on e_1 alone, or None if the Krylov vectors v_j = g^j e_1 (j < d)
-    do not span F_q^d.  The v_j for j <= d come from one matrix._combiner
-    over g's columns, and their rank from Mat._echelon.  Once they span, a
-    polynomial r in g commutes with g, so r(g) v_j = g^j r(g) e_1: r(g) = I
-    iff r(g) e_1 = e_1, and r(g) = 0 iff r(g) e_1 = 0.  So chi(g) = 0 is
-    checked here as chi(g) e_1 = 0, chi = cp, and every r(g) is the one
-    combination sum r_j v_j."""
+def _annihilator(g: Mat, cyclic: bool, parts, rings: _Memo):
+    """(k, ring, is_identity) for the least k with a_k(g) = 0, where a_k is
+    the product of P^min(m, p^k) over the squarefree parts (P, m) of chi,
+    ring = rings[a_k], and is_identity(r) tests r(g) = I for r of degree
+    below deg a_k.
+
+    Each candidate is tested on e_1 first: a_k(g) e_1 is one _combiner of
+    a_k's coefficients over the Krylov vectors v_j = g^j e_1 (j <= deg a_k),
+    each v_(j+1) = g v_j from one combiner over g's columns, and a nonzero
+    a_k(g) e_1 rules a_k out.  If cyclic (matrix._char_poly_cyclic's flag)
+    and the v_j (j < d) have rank d by Mat._echelon, a polynomial r in g
+    commutes with g, so r(g) v_j = g^j r(g) e_1: r(g) = 0 iff r(g) e_1 = 0,
+    and r(g) = I iff r(g) e_1 = e_1, and every check reads on e_1 alone.
+    Otherwise a candidate that passes on e_1 is evaluated in full by a
+    _Powers on its ring, which keeps these v_j as its witness for e_1.  Once
+    p^k reaches the largest multiplicity, a_k = chi, and if that does not
+    kill g either, CheckFailed."""
     F, d = g.field, g.rows
     step = _combiner(F, tuple(zip(*g.data)), d)  # v -> g v
     vecs = [tuple(int(i == 0) for i in range(d))]
-    while len(vecs) <= d:
-        vecs.append(step(vecs[-1]))
-    if len(Mat._make(F, tuple(vecs[:d]))._echelon()[1]) < d:
-        return None
-    combine, e_1 = _combiner(F, vecs, d), vecs[0]
-    if any(combine(cp.coeffs)):
-        raise CheckFailed("g is not a root of its characteristic polynomial")
-    return lambda r: combine(r.coeffs) == e_1
+
+    def krylov(n):  # v_j for j < n
+        while len(vecs) < n:
+            vecs.append(step(vecs[-1]))
+        return vecs[:n]
+
+    cyclic = cyclic and len(Mat._make(F, tuple(krylov(d)))._echelon()[1]) == d
+    top, k = max((mult for _, mult in parts), default=1), 0
+    while True:
+        a = math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
+        combine = _combiner(F, krylov(a.degree + 1), d)  # r -> r(g) e_1
+        if not any(combine(a.coeffs)):
+            if cyclic:
+                return k, rings[a], lambda r: combine(r.coeffs) == vecs[0]
+            powers = _Powers(g, rings[a], combine)
+            if powers.kills(a):
+                return k, rings[a], powers.is_identity
+        if F.p ** k >= top:
+            raise CheckFailed("g is not a root of its characteristic polynomial")
+        k += 1
 
 
 class _Powers:
-    """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod chi, for
-    chi = char_poly(g) the modulus of ring: exact because construction
-    checks chi(g) = 0, so that g^k - r_k(g) = s(g) chi(g) = 0.  This is the
-    path of an element order when e_1 is not cyclic for g (see _krylov).
+    """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod a, for a the
+    modulus of ring and of degree D: exact once kills(a) has checked
+    a(g) = 0, as then g^k - r_k(g) = s(g) a(g) = 0.  element_order builds
+    one for each candidate annihilator a_k that passes its e_1 test, when
+    e_1 is not cyclic for g (see _annihilator).
 
     r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
-    m = ceil(sqrt(d)) for d = dim g, and the giant step g^m take m - 1
-    products; r(g) is Horner in g^m over the blocks sum c_j g^j, about d/m
-    products more.  A block is one matrix._combiner over the m baby powers,
-    each flattened into one row of d^2 entries, and the combination is cut
-    back into d rows.  A Horner step maps g^m's kept combiner (Mat._right)
-    over the rows of the sum so far.  fixes(r, i) tests r(g) e_i = e_i on
-    the Krylov vectors g^j e_i (j < d), built on first use from column i of
-    the baby powers and about d/m products by (g^m)^T, and combined with r's
-    coefficients by one more _combiner; a False there shows r(g) != I, but
-    a True shows r(g) = I only where those vectors span, so is_identity
-    evaluates r(g) in full after it.
+    m = ceil(sqrt(D)), sized from the modulus and not from dim g, and the
+    giant step g^m take m - 1 products; r(g) is Horner in g^m over the
+    blocks sum c_j g^j, about D/m products more.  A block is one
+    matrix._combiner over the m baby powers, each flattened into one row of
+    d^2 entries (d = dim g), and the combination is cut back into d rows.  A
+    Horner step maps g^m's kept combiner (Mat._right) over the rows of the
+    sum so far.  fixes(r, i) tests r(g) e_i = e_i on the Krylov vectors
+    g^j e_i (j < D): for e_1 the search's combiner at_e1 (the coefficients
+    of r -> r(g) e_1), for e_2 one built on first use from column 2 of the
+    baby powers and about D/m products by (g^m)^T.  A False there shows
+    r(g) != I, but a True shows r(g) = I only where those vectors span, so
+    is_identity evaluates r(g) in full after it."""
 
-    Where the g^j e_1 do span (K invertible), r(g) commutes with g, so
-    chi(g) e_1 = 0 gives chi(g) = 0 and r(g) e_1 = e_1 gives r(g) = I:
-    element_order then takes _krylov, and _Powers serves the other inputs.
-    """
+    __slots__ = ("degree", "baby", "giant", "flat", "step", "krylov")
 
-    __slots__ = ("baby", "giant", "flat", "step", "krylov")
-
-    def __init__(self, g: Mat, ring: _Ring):
-        F, d = g.field, g.rows
-        m = math.isqrt(max(d - 1, 0)) + 1
+    def __init__(self, g: Mat, ring: _Ring, at_e1):
+        F, d, self.degree = g.field, g.rows, ring.mod.degree
+        m = math.isqrt(max(self.degree - 1, 0)) + 1
         powers = [Mat.identity(F, d), g]
         while len(powers) <= m:
             powers.append(powers[-1] * g)
         self.baby, self.giant = powers[:m], powers[m]
         self.flat = _combiner(F, [tuple(chain.from_iterable(b.data)) for b in self.baby], d * d)
         self.step = self.giant._right()  # row -> row g^m
-        self.krylov = {}
-        if any(map(any, self.at(ring.mod).data)):
-            raise CheckFailed("g is not a root of its characteristic polynomial")
+        self.krylov = {0: at_e1}
 
     def combine(self, coeffs) -> Mat:
         d, flat = self.giant.rows, self.flat(coeffs)
@@ -206,6 +231,10 @@ class _Powers:
             acc = Mat._make(F, tuple(map(self.step, acc.data)), d) + self.combine(block)
         return acc
 
+    def kills(self, r: Poly) -> bool:
+        """r(g) = 0, evaluated in full."""
+        return not any(map(any, self.at(r).data))
+
     def fixes(self, r: Poly, i: int) -> bool:
         d = self.giant.rows
         if i not in self.krylov:
@@ -213,10 +242,10 @@ class _Powers:
             block = Mat._make(F, tuple(tuple(row[i] for row in b.data) for b in self.baby))
             giant_t = self.giant.transpose()
             vecs = list(block.data)  # row j is g^j e_i
-            while len(vecs) < d:
+            while len(vecs) < self.degree:
                 block = block * giant_t
                 vecs.extend(block.data)
-            self.krylov[i] = _combiner(F, vecs[:d], d)
+            self.krylov[i] = _combiner(F, vecs[:self.degree], d)
         return self.krylov[i](r.coeffs) == tuple(int(j == i) for j in range(d))
 
     def is_identity(self, r: Poly) -> bool:
@@ -227,49 +256,33 @@ class _Powers:
 
 
 def element_order(g: Mat) -> FactoredInt:
-    """Exact order of an invertible matrix via its characteristic polynomial,
-    checked by evaluating t^k mod chi at g: on e_1 alone when e_1 is cyclic
-    for g (_krylov), else in full (_Powers)."""
+    """Exact order of an invertible matrix via its characteristic polynomial
+    chi, checked by evaluating t^k mod a_k at g for the least annihilator
+    a_k | chi of _annihilator: on e_1 alone when e_1 is cyclic for g, else
+    in full (_Powers)."""
     F = g.field
     cp, cyclic = _char_poly_cyclic(g)
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
-    rings = _Memo(_Ring)  # one ring per modulus: chi, its parts and pieces
+    rings = _Memo(_Ring)  # one ring per modulus: chi, its parts and pieces, a_k
+    parts = list(_squarefree_decomposition(cp))
     order = FactoredInt.one()
-    max_mult = 1
-    for part, mult in _squarefree_decomposition(cp):
-        max_mult = max(max_mult, mult)
+    for part, _ in parts:
         for piece, d in _distinct_degree(part, rings.__getitem__):
             order = order.lcm(_poly_t_order(rings[piece], d))
-    # the r_(N/l) for the primes l of N from one product tree rooted at
-    # t^(N / rad N), and r_N = r_(N/l)^l for the least l
-    ring, primes, n_val = rings[cp], order.primes(), order.value_unchecked()
+    # N = N0 p^k, N0 the semisimple order and k the least with a_k(g) = 0
+    k, ring, is_identity = _annihilator(g, cyclic, parts, rings)
+    if k:
+        order = order * FactoredInt._make({F.p: k})
+    # r_N and the r_(N/l) for the primes l of N from one product tree rooted
+    # at t^(N / rad N); t^N = 1 mod a_k and a_k(g) = 0 give g^N = I.  The
+    # residue 1 is the int 1 but for dim g = 0, where a_k = 1 and it is 0
+    primes, n_val = order.primes(), order.value_unchecked()
     t = ring.elem(Poly.t(F))
     checks = list(zip(primes, _cofactor_powers(
         ring.pow(t, n_val // math.prod(primes)), primes, ring.pow)))
-    r_n = ring.pow(checks[0][1], primes[0]) if primes else t
-    is_identity = cyclic and _krylov(g, cp)
-    if is_identity:
-        base, done, power = r_n, lambda x: is_identity(ring.poly(x)), ring.pow
-    else:
-        powers = _Powers(g, ring)
-        is_identity = powers.is_identity
-        base, done, power = powers.at(ring.poly(r_n)), Mat.is_identity, operator.pow
-    # unipotent part: the least p^k with g^(N0 p^k) = I for the semisimple
-    # order N0, base being r_(N0 p^k) on e_1 and g^(N0 p^k) itself on
-    # _Powers.  No Jordan block is longer than the largest multiplicity, so
-    # once p^k reaches it without giving I, N0 is wrong
-    k = 0
-    while not done(base):
-        if F.p ** k >= max_mult:
-            raise CheckFailed(f"g^{n_val} is not the identity")
-        base, n_val, k = power(base, F.p), n_val * F.p, k + 1
-    if k:
-        # N = N0 p^k with p prime to N0: r_(N/l) = r_(N0/l)^(p^k) for l | N0,
-        # and r_(N/p) = r_N0^(p^(k-1))
-        order = order * FactoredInt._make({F.p: k})
-        checks = sorted([(prime, ring.pow(r, F.p ** k)) for prime, r in checks]
-                        + [(F.p, ring.pow(r_n, F.p ** (k - 1)))])
+    if (ring.pow(checks[0][1], primes[0]) if primes else t) != ring.elem(Poly.one(F)):
+        raise CheckFailed(f"g^{n_val} is not the identity")
     for prime, r in checks:
         if is_identity(ring.poly(r)):
             raise CheckFailed(f"g^({n_val}/{prime}) is the identity")

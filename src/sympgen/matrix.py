@@ -354,8 +354,6 @@ def paper_commutator(x: Mat, y: Mat) -> Mat:
 
 def char_poly(m: Mat) -> Poly:
     """Monic characteristic polynomial det(tI - M) via Hessenberg reduction."""
-    if not m.is_square():
-        raise NotSquare("characteristic polynomial needs a square matrix")
     return _char_poly_cyclic(m)[0]
 
 
@@ -364,6 +362,8 @@ def _char_poly_cyclic(m: Mat):
     Hessenberg form H = P^-1 M P works on rows and columns 2 .. n only, so
     P e_1 = e_1 and M^j e_1 = P H^j e_1: e_1 is cyclic for M iff it is for
     H, iff no subdiagonal entry of H is 0."""
+    if not m.is_square():
+        raise NotSquare("characteristic polynomial needs a square matrix")
     F = m.field
     n = m.rows
     if n == 0:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from sympgen import claims, gf, grouporder, matrix, poly
-from sympgen.errors import BadParam, CheckFailed, MixedFields, SympgenError
+from sympgen.errors import BadParam, CheckFailed, MixedFields, NotSquare, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
 from sympgen.grouporder import (
@@ -19,6 +19,7 @@ from sympgen.grouporder import (
     naive_element_order,
     order_sl,
     order_sp,
+    union_varpi,
     varpi,
     varpi_group,
 )
@@ -89,12 +90,12 @@ def test_element_order_raises_on_a_wrong_order_with_a_unipotent_part(monkeypatch
 
 def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
     # diag(2, 1, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1)^2; with
-    # (t - 2)^3 in its place the order still comes out 2, and as 2 is below
-    # the degree 3, r_2 = t^2 and r_1 = t and every power check passes; but
-    # (g - 2)^3 = diag(0, 2, 2) is not zero
+    # (t - 2)^3 in its place the order still comes out 2, and both
+    # candidates a_0 = t - 2 and a_1 = (t - 2)^3 pass on e_1 = g e_1 / 2;
+    # but neither g - 2 nor (g - 2)^3 = diag(0, 2, 2) is zero
     monkeypatch.setattr(grouporder, "_char_poly_cyclic",
                         lambda g: (Poly(F3, [-2, 1]) ** 3, False))
-    with pytest.raises(CheckFailed):
+    with pytest.raises(CheckFailed, match="not a root"):
         element_order(Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
 
@@ -190,27 +191,36 @@ def test_element_order_matches_naive_with_e1_fixed(q):
 
 
 def _full_evaluations(mats):
-    """The orders of mats, and how many prime checks evaluated r(g) in full:
-    calls of _Powers.at past the two that every order makes (chi(g) and
-    r_N(g))."""
-    at = grouporder._Powers.at
-    calls = []
+    """The orders of mats, how many prime checks evaluated r(g) in full (the
+    calls of _Powers.at past the one that each _Powers makes, a_k(g) for its
+    candidate annihilator a_k), and the degree of each a_k that built one."""
+    at, init = grouporder._Powers.at, grouporder._Powers.__init__
+    calls, builds = [], []
 
     def counting(self, r):
         calls.append(1)
         return at(self, r)
 
+    def building(self, g, ring, at_e1):
+        builds.append(ring.mod.degree)
+        init(self, g, ring, at_e1)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grouporder._Powers, "at", counting)
+        mp.setattr(grouporder._Powers, "__init__", building)
         orders = [element_order(m) for m in mats]
-    return orders, len(calls) - 2 * len(mats)
+    return orders, len(calls) - len(builds), builds
 
 
 @pytest.mark.parametrize("q,full", [(2, 8), (3, 5), (4, 3), (9, 1)])
 def test_e1_fixed_matrices_take_as_many_full_evaluations_as_before(q, full):
     # e_1 is not cyclic for diag(1, A), so these orders stay on _Powers, and
-    # their full evaluations stay at the counts taken before the Krylov path
-    assert _full_evaluations(_e1_fixed(q))[1] == full
+    # their prime checks' full evaluations stay at the counts taken before
+    # the Krylov path: whether g^(N/l) fixes e_1 and e_2 does not depend on
+    # the modulus.  As g fixes e_1 and t - 1 divides every a_k, no candidate
+    # fails on e_1, and each builds a _Powers
+    _, got, degrees = _full_evaluations(_e1_fixed(q))
+    assert (got, len(degrees)) == (full, {2: 44, 3: 35, 4: 46, 9: 36}[q])
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -218,12 +228,107 @@ def test_a_second_krylov_witness_saves_full_evaluations(q, monkeypatch):
     # the matrices of the e_1-fixed test: each of their prime checks took the
     # full evaluation on e_1 alone; e_2 shows g^(N/l) != I on most of them
     mats = _e1_fixed(q)
-    orders, full = _full_evaluations(mats)
+    orders, full, builds = _full_evaluations(mats)
     checks = sum(len(o.primes()) for o in orders)
+    assert checks == {2: 19, 3: 31, 4: 35, 9: 37}[q]
     fixes = grouporder._Powers.fixes
     monkeypatch.setattr(grouporder._Powers, "fixes", lambda self, r, i: i == 1 or fixes(self, r, i))
-    assert _full_evaluations(mats) == (orders, checks)  # e_1 alone: every check
+    assert _full_evaluations(mats) == (orders, checks, builds)  # e_1 alone: every check
     assert 2 * full < checks
+
+
+def _long_jordan_shapes(ctx, rng):
+    """Derogatory matrices with a Jordan block longer than p, so that the
+    order's p-part is p^2 or more: a repeated Jordan block, beside a shorter
+    one for the same eigenvalue or a repeated companion block, conjugated by
+    a random invertible matrix."""
+    p = ctx.p
+    lams = [FieldElem(ctx, v) for v in range(1, ctx.q)]
+    quad = next(f for f in (Poly._make(ctx, [*low, 1])
+                            for low in itertools.product(range(ctx.q), repeat=2))
+                if is_irreducible(f))
+    mats = []
+    for i in range(6):
+        lam = rng.choice(lams)
+        long = _jordan(ctx, lam, p + 1 + rng.randrange(2))
+        rest = ([long, _jordan(ctx, lam, rng.randrange(1, 3))] if i % 2
+                else [_companion_of(quad)] * 2)
+        m = Mat.block_diag([long, *rest])
+        p_mat = _random_invertible(ctx, m.rows, rng)
+        mats.append(p_mat.inverse() * m * p_mat)
+    return mats
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_matches_naive_with_jordan_blocks_longer_than_p(q):
+    # a_0 and a_1 leave the long blocks alive, so the search reaches k >= 2
+    ctx = gf.standard_field(q)
+    mats = _long_jordan_shapes(ctx, random.Random(500 + q))
+    assert not any(matrix._char_poly_cyclic(m)[1] for m in mats)
+    assert _matches_naive(mats) == len(mats)
+    assert all(element_order(m).factors[ctx.p] >= 2 for m in mats)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_a_semisimple_derogatory_g_builds_powers_once_on_the_radical(q):
+    # diag(A, A, A) for A the companion matrix of an irreducible f: chi = f^3,
+    # and a_0 = f kills g, so one _Powers is built, on the ring of f
+    ctx = gf.standard_field(q)
+    rng = random.Random(600 + q)
+    f = next(f for f in (Poly._make(ctx, [*low, 1])
+                         for low in itertools.product(range(ctx.q), repeat=3))
+             if is_irreducible(f))
+    p_mat = _random_invertible(ctx, 9, rng)
+    g = p_mat.inverse() * Mat.block_diag([_companion_of(f)] * 3) * p_mat
+    orders, full, degrees = _full_evaluations([g])
+    # and g^(N/l) - I is invertible, so e_1 shows each g^(N/l) != I
+    assert degrees == [f.degree] and full == 0
+    assert orders[0].value() == naive_element_order(g)
+
+
+@pytest.mark.parametrize("q,degree", [(2, 2), (3, 3)])
+def test_a_candidate_that_fails_on_e1_builds_no_powers(q, degree):
+    # g = diag(J, 1) with J a lower Jordan block at 1 of length 2: chi is
+    # (t - 1)^3 and g e_1 = e_1 + e_2, so a_0 = t - 1 is ruled out on e_1
+    # alone; a_1 = (t - 1)^min(3, p) kills g, and only it builds a _Powers
+    g = Mat(gf.standard_field(q), [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
+    assert not matrix._char_poly_cyclic(g)[1]
+    orders, _, degrees = _full_evaluations([g])
+    assert degrees == [degree] and orders[0].value() == q
+
+
+@pytest.mark.parametrize("wrong", [lambda o: o * FactoredInt({2: 1}),
+                                   lambda o: o * FactoredInt({5: 1}),
+                                   lambda o: FactoredInt.one()],
+                         ids=["doubled", "times-5", "one"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_a_wrong_t_order_on_the_annihilator_path_never_yields_a_wrong_order(
+        q, wrong, monkeypatch):
+    # a t-order too large leaves some g^(N/l) = I, one too small t^N != 1
+    # mod a_k: both raise CheckFailed, whatever k the search found
+    ctx = gf.standard_field(q)
+    mats = _long_jordan_shapes(ctx, random.Random(500 + q)) + _e1_fixed(q)[::4]
+    expected = [element_order(m) for m in mats]
+    t_order = grouporder._poly_t_order
+    monkeypatch.setattr(grouporder, "_poly_t_order", lambda ring, d: wrong(t_order(ring, d)))
+    raised = 0
+    for m, order in zip(mats, expected):
+        try:
+            assert element_order(m) == order
+        except CheckFailed:
+            raised += 1
+    # only a unipotent g (N0 = 1) may pass, and only under "one"
+    assert raised >= len(mats) - sum(set(o.primes()) <= {ctx.p} for o in expected) > 0
+
+
+@pytest.mark.parametrize("rows", [[[0, 1, 0], [1, 0, 0]], [[1, 0, 0, 0]],
+                                  [[1, 0], [0, 1], [1, 1]]], ids=["2x3", "1x4", "3x2"])
+def test_element_order_rejects_a_non_square_matrix(rows):
+    m = Mat(F3, rows)
+    for check in (element_order, varpi, lambda g: union_varpi([g]),
+                  lambda g: lps_certificate([g], ("sp", 4, 3))):
+        with pytest.raises(NotSquare):
+            check(m)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -288,8 +393,7 @@ def test_element_order_matches_naive_when_e1_is_cyclic(q, monkeypatch):
 @pytest.mark.parametrize("q", [2, 9])
 def test_a_cyclic_g_makes_no_full_evaluation(q):
     mats = _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))
-    orders, full = _full_evaluations(mats)
-    assert full == -2 * len(mats)  # not even chi(g) and r_N(g)
+    assert _full_evaluations(mats)[1:] == (0, [])  # no _Powers: nothing in full
 
 
 def test_a_forced_cyclic_flag_never_yields_a_wrong_order(monkeypatch):
@@ -400,6 +504,11 @@ def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatc
         counts.append(0)
         element_order(w)
     assert max(counts) <= 550 and sum(counts) <= 5200, counts
+
+
+def test_element_order_of_the_empty_matrix():
+    # GL_0 is trivial: chi = a_0 = 1, and the ring F_q[t]/(1) is zero
+    assert element_order(Mat.identity(F3, 0)).value() == 1
 
 
 def test_varpi_identity_empty():
