@@ -11,8 +11,10 @@ constructor: FieldElem(F, v), F.from_coeffs, or the trusted Mat._make and
 Poly._make.  A FieldElem never equals an int.
 
 FieldCtx.__init__ decides the kind of field once (_bind_arithmetic) and binds
-add, neg, sub, mul, inv and pow on packed values as closures on the instance;
-no operation tests the kind again.  The kinds:
+add, neg, sub, mul, inv and pow on packed values as closures on the instance,
+and axpy(a, xs, ys) = [a x + y for x, y in zip(xs, ys)], the one row update
+of elimination, Hessenberg reduction and Euclid; no operation tests the kind
+again.  The kinds:
   prime           integers mod p;
   tabled, p = 2   XOR addition, exp/log multiplication;
   tabled, odd p   Zech addition and negation, exp/log multiplication;
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from itertools import repeat
 
 from .errors import (
     BadParam,
@@ -185,15 +188,16 @@ class FieldCtx:
         return self._from_ring(self._ring.mul(x, self._to_ring(b)))
 
     def _bind_arithmetic(self):
-        """Decide the field kind, once, and bind its six operations.  A tabled
-        field binds the untabled arithmetic first, finds its generator g and
-        walks its powers (_walk), then rebinds to closures over exp/log."""
+        """Decide the field kind, once, and bind its six operations and axpy.
+        A tabled field binds the untabled arithmetic first, finds its generator
+        g and walks its powers (_walk), then rebinds to closures over exp/log."""
         p, q = self.p, self.q
         self._exp = self._log = self._zech = self._ring = None
         if self.is_prime_field:
             self._bind(lambda a, b: (a + b) % p, lambda a: -a % p,
                        lambda a, b: a * b % p, lambda a, e: pow(a, e, p),
-                       sub=lambda a, b: (a - b) % p)
+                       sub=lambda a, b: (a - b) % p,
+                       axpy=lambda a, xs, ys: [(a * x + y) % p for x, y in zip(xs, ys)])
             return
         if p == 2:
             add, neg, sub = operator.xor, lambda a: a, operator.xor
@@ -209,10 +213,23 @@ class FieldCtx:
             log[v] = i
         exp += exp
         self._exp, self._log = exp, log
-        if p != 2:
+        # axpy: the exp/log product, then XOR or one Zech add (log[0] is 0)
+        if p == 2:
+            def axpy(a, xs, ys):
+                if not a:
+                    return list(ys)
+                la = log[a]
+                return [exp[la + log[x]] ^ y if x else y for x, y in zip(xs, ys)]
+        else:
             add, neg = self._zech_arithmetic()
+
+            def axpy(a, xs, ys):
+                if not a:
+                    return list(ys)
+                la = log[a]
+                return [add(exp[la + log[x]], y) if x else y for x, y in zip(xs, ys)]
         self._bind(add, neg, lambda a, b: exp[log[a] + log[b]] if a and b else 0,
-                   lambda a, e: exp[log[a] * e % (q - 1)], sub=sub)
+                   lambda a, e: exp[log[a] * e % (q - 1)], sub=sub, axpy=axpy)
 
     def _walk(self, gen):
         """The packed powers gen^0 .. gen^(m-1), m = q - 1, by doubling digit
@@ -286,9 +303,11 @@ class FieldCtx:
 
         return add, neg
 
-    def _bind(self, add, neg, mul, unit_pow, sub=None):
-        """Set the six operations.  unit_pow(a, e) takes a != 0, 0 <= e < q - 1:
-        zero and negative exponents are handled here (0**0 = 1) for every kind."""
+    def _bind(self, add, neg, mul, unit_pow, sub=None, axpy=None):
+        """Set the six operations and axpy(a, xs, ys), the new list a x + y
+        (list(ys) for a = 0; by default from mul and add).  unit_pow(a, e)
+        takes a != 0, 0 <= e < q - 1: zero and negative exponents are handled
+        here (0**0 = 1) for every kind."""
         m = self.q - 1
 
         def inv(a):
@@ -304,8 +323,9 @@ class FieldCtx:
             return 0 if e else 1
 
         sub = sub or (lambda a, b: add(a, neg(b)))
-        self.add, self.neg, self.sub, self.mul, self.inv, self.pow = (
-            add, neg, sub, mul, inv, power)
+        axpy = axpy or (lambda a, xs, ys: list(map(add, map(mul, repeat(a), xs), ys)))
+        self.add, self.neg, self.sub, self.mul, self.inv, self.pow, self.axpy = (
+            add, neg, sub, mul, inv, power, axpy)
 
     def mult_generator(self) -> "FieldElem":
         """Lexicographically least multiplicative generator.  Over F_{p^f},

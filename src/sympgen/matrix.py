@@ -30,11 +30,15 @@ c * row then last as long as the matrix.  Equality and hash read only the
 field and the entries.
 
 char_poly runs Hessenberg reduction over the field; a division-free
-Berkowitz implementation is kept alongside as an independent cross-check
-for small dimensions.  The reduction works on the coordinates 2 .. n, so
-it fixes e_1, and _char_poly_cyclic also reports whether e_1 is cyclic
-for M (no subdiagonal entry of the Hessenberg form is 0); grouporder's
-element orders read their checks on e_1 alone when it is.
+Berkowitz implementation, on add and mul alone, is kept alongside as an
+independent cross-check for small dimensions.  Each row operation of
+_echelon and of the reduction is one call of the field's axpy; a reduction
+step makes all its row operations (row_i -= f_i row_(c+1)) before its
+column operations (col_(c+1) += f_i col_i, one axpy per row i), which
+commute with them.  The reduction works on the coordinates 2 .. n, so it
+fixes e_1, and _char_poly_cyclic also reports whether e_1 is cyclic for M
+(no subdiagonal entry of the Hessenberg form is 0); grouporder's element
+orders read their checks on e_1 alone when it is.
 similarity_invariants reads the invariant factors from the nullities of
 f(M)^k, f over the irreducible factors of char_poly: kernel is the one
 elimination, _echelon, as for det, inverse and solve.
@@ -229,7 +233,7 @@ class Mat:
         """Reduced row echelon form of [self | augment], pivots taken only in
         self's columns; returns (self's rows, pivot cols, det, augment's rows)."""
         F = self.field
-        mul, inv, neg, sub = F.mul, F.inv, F.neg, F.sub
+        mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
         n = self.cols
         m = ([[*r, *a] for r, a in zip(self.data, augment.data)] if augment is not None
              else [list(r) for r in self.data])
@@ -250,8 +254,7 @@ class Mat:
             row = m[r][c:] = [mul(pv_inv, v) for v in m[r][c:]]
             for i in range(self.rows):
                 if i != r and m[i][c]:
-                    factor = m[i][c]
-                    m[i][c:] = [sub(v, mul(factor, w)) for v, w in zip(m[i][c:], row)]
+                    m[i][c:] = axpy(neg(m[i][c]), row, m[i][c:])
             pivots.append(c)
             r += 1
             if r == self.rows:
@@ -368,7 +371,7 @@ def _char_poly_cyclic(m: Mat):
     n = m.rows
     if n == 0:
         return Poly.one(F), True
-    mul, add, sub, inv, neg = F.mul, F.add, F.sub, F.inv, F.neg
+    mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
     h = [list(r) for r in m.data]
     # similarity reduction to upper Hessenberg form; rows c + 1 on are 0
     # left of column c, so row operations start at c
@@ -380,22 +383,22 @@ def _char_poly_cyclic(m: Mat):
             h[c + 1], h[pr] = h[pr], h[c + 1]
             for i in range(n):
                 h[i][c + 1], h[i][pr] = h[i][pr], h[i][c + 1]
-        pv_inv = inv(h[c + 1][c])
+        pv_inv, pivot_row, factors = inv(h[c + 1][c]), h[c + 1][c:], []
         for i in range(c + 2, n):
             if h[i][c]:
                 factor = mul(h[i][c], pv_inv)
-                h[i][c:] = [sub(v, mul(factor, w)) for v, w in zip(h[i][c:], h[c + 1][c:])]
-                for r in range(n):
-                    h[r][c + 1] = add(h[r][c + 1], mul(factor, h[r][i]))
+                h[i][c:] = axpy(neg(factor), pivot_row, h[i][c:])
+                factors.append((i, factor))
+        col = [row[c + 1] for row in h]  # then col_(c+1) += factor col_i
+        for i, factor in factors:
+            col = axpy(factor, [row[i] for row in h], col)
+        for row, v in zip(h, col):
+            row[c + 1] = v
     # charpoly recurrence on the Hessenberg form
     polys = [[1]]  # p_0 = 1, coefficient lists constant-first
     for k in range(1, n + 1):
-        akk = h[k - 1][k - 1]
         prev = polys[k - 1]
-        cur = [0] * (len(prev) + 1)
-        for i, cv in enumerate(prev):  # (t - a_kk) * p_{k-1}
-            cur[i + 1] = add(cur[i + 1], cv)
-            cur[i] = sub(cur[i], mul(akk, cv))
+        cur = axpy(neg(h[k - 1][k - 1]), prev + [0], [0] + prev)  # (t - a_kk) p_(k-1)
         beta = 1
         for i in range(k - 1, 0, -1):
             beta = mul(beta, h[i][i - 1])
@@ -403,8 +406,7 @@ def _char_poly_cyclic(m: Mat):
                 break
             coef = mul(beta, h[i - 1][k - 1])
             if coef:
-                for jj, cv in enumerate(polys[i - 1]):
-                    cur[jj] = sub(cur[jj], mul(coef, cv))
+                cur[:i] = axpy(neg(coef), polys[i - 1], cur[:i])
         polys.append(cur)
     return Poly._make(F, polys[n]), all(h[i + 1][i] for i in range(n - 1))
 

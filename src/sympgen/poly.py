@@ -53,7 +53,7 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress
 
 from .errors import BadParam, MixedFields, ZeroPolynomial
 from .factorint import prime_factors
@@ -392,16 +392,9 @@ class Poly:
         self._check(other)
         if other.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        F = self.field
-        mul, sub = F.mul, F.sub
-        rem, d = list(self.coeffs), other.degree
-        low, lead_inv = other.coeffs[:d], F.inv(other.lead())
-        quo = [0] * max(len(rem) - d, 0)
-        for top in range(len(rem) - 1, d - 1, -1):  # rem[top] is cancelled, not stored
-            if rem[top]:
-                coef = quo[top - d] = mul(rem[top], lead_inv)
-                rem[top - d:top] = map(sub, rem[top - d:top], map(mul, repeat(coef), low))
-        return Poly._make(F, quo), Poly._make(F, rem[:d])
+        rem = list(self.coeffs)
+        quo = _divide(self.field, rem, other.coeffs)
+        return Poly._make(self.field, quo), Poly._make(self.field, rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -424,10 +417,13 @@ class Poly:
         return ring.poly(ring.pow(ring.elem(self), e))
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        """The monic gcd (0 for two zeros), by Euclid on coefficient lists."""
+        self._check(other)
+        F, a, b = self.field, list(self.coeffs), list(other.coeffs)
+        while b:
+            _divide(F, a, b)
+            a, b = b, a
+        return Poly._make(F, a).monic()
 
     def derivative(self) -> "Poly":
         F = self.field
@@ -454,6 +450,24 @@ class Poly:
         """The polynomial over new_field whose coefficients are fn(c), for fn
         taking a FieldElem to a FieldElem of new_field (or an int)."""
         return Poly(new_field, [fn(FieldElem(self.field, c)) for c in self.coeffs])
+
+
+def _divide(F: FieldCtx, rem: list, div) -> list:
+    """Long division of the coefficient list rem by div (nonzero, no
+    trailing zeros), one axpy per step from the top coefficient down: rem
+    becomes the remainder, with no trailing zeros, and the quotient is returned."""
+    d = len(div) - 1
+    mul, neg, axpy = F.mul, F.neg, F.axpy
+    low, lead_inv = div[:d], F.inv(div[d])
+    quo = [0] * max(len(rem) - d, 0)
+    for top in range(len(rem) - 1, d - 1, -1):
+        if rem[top]:
+            coef = quo[top - d] = mul(rem[top], lead_inv)
+            rem[top - d:top] = axpy(neg(coef), low, rem[top - d:top])
+    del rem[d:]  # the cancelled coefficients, never stored
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo
 
 
 def roots(p: Poly):

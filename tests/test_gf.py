@@ -359,6 +359,28 @@ def test_bound_arithmetic_matches_the_coefficient_reference(q):
         ctx.pow(0, -1)
 
 
+@pytest.mark.parametrize("q", KINDS)
+def test_axpy_matches_its_definition(q):
+    # axpy(a, xs, ys) is the new list [add(mul(a, x), y)], bound per field
+    # kind beside the six operations; a = 0 and zero entries take their own
+    # branches in the tabled kernels
+    ctx = gf.standard_field(q)
+    assert "axpy" not in vars(gf.FieldCtx) and "axpy" in vars(ctx)
+    rng = random.Random(f"axpy,{q}")
+    for n in (0, 1, 2, 9, 30):
+        xs = [rng.choice([0, rng.randrange(q)]) for _ in range(n)]
+        ys = [rng.choice([0, rng.randrange(q)]) for _ in range(n)]
+        xs[:2], ys[:2] = [0, 0][:n], [0, q - 1][:n]  # the pairs (0, 0), (0, q - 1)
+        kept = list(ys)
+        for a in (0, 1, q - 1, rng.randrange(1, q)):
+            want = [ctx.add(ctx.mul(a, x), y) for x, y in zip(xs, ys)]
+            got = ctx.axpy(a, xs, ys)
+            assert got == want == ctx.axpy(a, tuple(xs), tuple(ys))
+            assert type(got) is list and got is not ys
+            got.append(0)  # a new list: ys stays as it was
+            assert ys == kept
+
+
 @pytest.mark.parametrize("q", [q for q in KINDS if q <= 27] + [361, 529, 961])
 def test_mult_generator_is_the_least_generator(q):
     # f = 2 with a large p: the search starts at w, past the p - 2 constants

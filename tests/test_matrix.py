@@ -23,6 +23,9 @@ from sympgen.poly import Poly, is_irreducible, is_self_reciprocal
 F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
 F5 = gf.standard_field(5)
+# one field or more of each kind, as in test_gf: prime, tabled p = 2, tabled
+# odd, untabled
+KINDS = [2, 7, 16, 27, 2**17, 3**11]
 
 
 def rand_mat(ctx, n, rng):
@@ -88,13 +91,30 @@ def test_char_poly_companion():
     assert char_poly(c) == Poly(F5, [1, 2, 0, 1])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+@pytest.mark.parametrize("q", sorted({2, 3, 4, 5, 8, 9, *KINDS}))
 def test_char_poly_cross_check(q):
+    # every field kind, so each of its axpy kernels (the generic one of an
+    # untabled field too) meets the Berkowitz oracle on add and mul; the
+    # sparse matrices take the pivot swaps and zero subdiagonals
     ctx = gf.standard_field(q)
-    rng = random.Random(q)
-    for n in [1, 2, 3, 5, 8, 12]:
+    rng, sparse_rng = random.Random(q), random.Random(f"sparse,{q}")
+    for n in [1, 2, 3, 5, 8, 12] if q <= 27 else [1, 2, 3, 5]:
         m = rand_mat(ctx, n, rng)
         assert char_poly(m) == char_poly_berkowitz(m)
+        sparse = Mat._make(ctx, tuple(tuple(sparse_rng.randrange(q) if sparse_rng.random() < 0.3
+                                            else 0 for _ in range(n)) for _ in range(n)))
+        assert char_poly(sparse) == char_poly_berkowitz(sparse)
+
+
+@pytest.mark.parametrize("q", KINDS)
+def test_inverse_times_the_matrix_is_the_identity(q):
+    ctx = gf.standard_field(q)
+    rng = random.Random(f"inverse,{q}")
+    for n in [1, 2, 3, 5, 8] if q <= 27 else [1, 2, 4]:
+        m = rand_mat(ctx, n, rng)
+        while not m.det():
+            m = rand_mat(ctx, n, rng)
+        assert m.inverse() * m == Mat.identity(ctx, n) == m * m.inverse()
 
 
 def test_char_poly_det_and_trace_coeffs():

@@ -178,3 +178,15 @@ def test_one_reader_of_packed_slots():
                if isinstance(node, ast.FunctionDef) and node.name == "_unpack"]
     inside = _references(unpack, "_byte_residues")
     assert inside and len(everywhere) == len(inside)
+
+
+def test_one_row_update():
+    # the field's axpy is the row operation of the elimination, of the
+    # Hessenberg reduction and of poly's long division (divmod and gcd);
+    # char_poly_berkowitz, the oracle that checks char_poly, stays on add and
+    # mul and so shares no kernel with it
+    found = sorted(f"{path.stem}.{node.name}"
+                   for path in SOURCES if path.stem in ("matrix", "poly")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.FunctionDef) and _references(node, "axpy"))
+    assert found == ["matrix._char_poly_cyclic", "matrix._echelon", "poly._divide"]

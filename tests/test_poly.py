@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympgen import gf
-from sympgen.errors import BadParam, ZeroPolynomial
+from sympgen.errors import BadParam, MixedFields, ZeroPolynomial
 from sympgen.gf import FieldElem
 from sympgen.poly import (Poly, _root_exponents, _slots,
                           _squarefree_decomposition, _unpack, factor, is_irreducible,
@@ -17,6 +17,9 @@ F2 = gf.standard_field(2)
 F3 = gf.standard_field(3)
 F5 = gf.standard_field(5)
 F7 = gf.standard_field(7)
+# one field or more of each kind, as in test_gf: prime, tabled p = 2, tabled
+# odd, untabled
+KINDS = [2, 7, 16, 27, 2**17, 3**11]
 
 
 def test_eval_condition_polynomial():
@@ -208,6 +211,41 @@ def test_squarefree_decomposition_pth_powers():
     fac = factor(p)
     assert fac.product() == p
     assert dict(fac.factors) == {Poly(F3, [1, 1]): 3, Poly(F3, [1, 0, 1]): 1}
+
+
+def test_gcd_checks_the_fields_first():
+    # Euclid's list loop checks no field, so gcd checks them first, also
+    # when one side is zero
+    a = Poly(F3, [1, 2, 1])
+    for x, y in [(a, Poly.zero(F5)), (Poly.zero(F5), a), (a, Poly(F5, [1, 1]))]:
+        with pytest.raises(MixedFields):
+            x.gcd(y)
+
+
+def _ref_gcd(a, b):
+    """Euclid on Poly remainders, made monic: the reference for the list
+    loop of Poly.gcd."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+@pytest.mark.parametrize("q", KINDS)
+def test_gcd_matches_the_reference_euclid(q):
+    F = gf.standard_field(q)
+    rng = random.Random(f"gcd,{q}")
+
+    def rand(deg):  # degree deg or less, zero for deg = -1
+        return Poly._make(F, [rng.randrange(q) for _ in range(deg + 1)])
+
+    zero, cases = Poly.zero(F), []
+    for _ in range(20 if q <= 27 else 4):
+        a, b, c = rand(rng.randrange(-1, 12)), rand(rng.randrange(-1, 9)), rand(rng.randrange(5))
+        cases += [(a, b), (b, a), (a * c, b * c), (a * c, c), (a, zero), (zero, a)]
+    for a, b in cases + [(zero, zero)]:
+        g = a.gcd(b)
+        assert g == _ref_gcd(a, b)
+        assert g.is_zero() if a.is_zero() and b.is_zero() else g.lead() == 1
 
 
 def _ref_squarefree_decomposition(p):
