@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from .anchors import ANCHORS
-from .errors import (BadParam, OddCharacteristic, UnknownClaim, UnknownLemma)
+from .errors import (BadParam, OddCharacteristic, OutOfRange, UnknownClaim, UnknownLemma)
 from .factorint import prime_factors
 from .gf import (FieldCtx, FieldElem, embed, modulus_for, mult_order,
                  standard_field, subfield_degree)
@@ -358,10 +358,15 @@ def _subfield_polys(field: FieldCtx, expr):
     return out
 
 
+# The search tables all q - 1 powers of g and the sieve's digit planes, about
+# 300 bytes an element: 2^22 of them take about 1.2 GB.
+_SEARCH_LIMIT = 1 << 22
+
+
 def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     """All admissible a in F_q^* for the lemma's conditions, in the order
     g, g^2, ..., g^(q-2), 1 of the powers of the least multiplicative
-    generator g.
+    generator g; OutOfRange past q - 1 = _SEARCH_LIMIT, before any table.
 
     Every lemma but sigma-a is a list of sparse polynomials over F_p that
     must not vanish at a: the "nz" polynomials, and for the minimal-field
@@ -369,6 +374,8 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     are sieved over all powers of g at once (poly._root_exponents), and no
     polynomial is evaluated per candidate.  sigma-a keeps its per-candidate
     test, since its condition asks for a root of t^2 + a t + 1 in F_{q^2}."""
+    if q - 1 > _SEARCH_LIMIT:
+        raise OutOfRange(f"search over F_{q}: q - 1 is past the bound 2^22")
     field = field or standard_field(q)
     if field.q != q:
         raise BadParam("field size mismatch")

@@ -28,33 +28,29 @@ r_N = 1 in the ring gives g^N - I = s(g) a_k(g) = 0, and r_(N/l)(g) != I
 is checked at g for each l.  A wrong N0 or a wrong split raises
 CheckFailed; it never yields a wrong order.
 
-a_k(g) = 0 is tested on e_1 first: a_k(g) e_1 != 0 rules a_k out, from
-the Krylov vectors g^j e_1 (j <= deg a_k).  When e_1 is cyclic for g
-(char_poly's Hessenberg reduction fixes e_1, so no zero subdiagonal entry
-says so), every check reads on e_1 alone (Keller-Gehrig, Fast algorithms
-for the characteristic polynomial, TCS 36, 1985).  The Krylov matrix K of
-rows g^j e_1 (j < d) is checked invertible by Mat._echelon, so the
-certificate does not rest on the reduction.  A polynomial r(g) commutes
-with g, so r(g) g^j e_1 = g^j r(g) e_1: with K invertible, r(g) = 0 iff
-r(g) e_1 = 0, and r(g) = I iff r(g) e_1 = e_1.  Otherwise (_Powers) a
-candidate that passes on e_1 is evaluated in full by Paterson-Stockmeyer,
-with baby steps sized from deg a_k, not from dim g, and g^(N/l) != I is
-shown first on a witness vector: r_(N/l)(g) e_1 differs from e_1, or else
-r_(N/l)(g) e_2 differs from e_2; only if neither does is r_(N/l)(g)
-evaluated in full.
+Every check reads on the Krylov vectors g^j e_i of a few witnesses e_i, and
+no r(g) is formed in full (Keller-Gehrig, Fast algorithms for the
+characteristic polynomial, TCS 36, 1985).  A polynomial r(g) commutes with
+g, so r(g) g^j e_i = g^j r(g) e_i: where the g^j e_i of the witnesses span
+V, r(g) = 0 iff every r(g) e_i = 0, and r(g) = I iff every
+r(g) e_i = e_i.  e_1 is the first witness, and a_k(g) e_1 != 0 rules a_k
+out.  At the first a_k with a_k(g) e_1 = 0, the vectors g^j e_1
+(j < deg a_k) span the cyclic space of e_1; one Mat._echelon of them adds
+as witnesses the e_i whose column holds no pivot, since any v less its
+pivot rows lies on those coordinates.  The witnesses hold for every later
+candidate.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import chain
 
 from .errors import BadParam, CheckFailed, MixedFields, ShapeMismatch, SingularMatrix
 from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
                         multiplicative_order)
 from .gf import _split_prime_power
-from .matrix import Mat, _char_poly_cyclic, _combiner
+from .matrix import Mat, _combiner, char_poly
 from .poly import Poly, _distinct_degree, _Ring, _squarefree_decomposition
 
 
@@ -142,126 +138,53 @@ def _poly_t_order(ring: _Ring, d: int) -> FactoredInt:
     return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
 
 
-def _annihilator(g: Mat, cyclic: bool, parts, rings: _Memo):
+def _annihilator(g: Mat, parts, rings: _Memo):
     """(k, ring, is_identity) for the least k with a_k(g) = 0, where a_k is
     the product of P^min(m, p^k) over the squarefree parts (P, m) of chi,
     ring = rings[a_k], and is_identity(r) tests r(g) = I for r of degree
     below deg a_k.
 
-    Each candidate is tested on e_1 first: a_k(g) e_1 is one _combiner of
-    a_k's coefficients over the Krylov vectors v_j = g^j e_1 (j <= deg a_k),
-    each v_(j+1) = g v_j from one combiner over g's columns, and a nonzero
-    a_k(g) e_1 rules a_k out.  If cyclic (matrix._char_poly_cyclic's flag)
-    and the v_j (j < d) have rank d by Mat._echelon, a polynomial r in g
-    commutes with g, so r(g) v_j = g^j r(g) e_1: r(g) = 0 iff r(g) e_1 = 0,
-    and r(g) = I iff r(g) e_1 = e_1, and every check reads on e_1 alone.
-    Otherwise a candidate that passes on e_1 is evaluated in full by a
-    _Powers on its ring, which keeps these v_j as its witness for e_1.  Once
-    p^k reaches the largest multiplicity, a_k = chi, and if that does not
-    kill g either, CheckFailed."""
+    r(g) e_i is one _combiner of r's coefficients over the Krylov vectors
+    krylov[i] = [g^j e_i], each g^(j+1) e_i from one combiner over g's
+    columns.  Each candidate is tested on e_1 first, and a nonzero
+    a_k(g) e_1 rules it out.  At the first that passes, one Mat._echelon of
+    the g^j e_1 (j < deg a_k) adds the witnesses e_i of the columns without
+    a pivot, and from then on a candidate is taken iff a_k(g) e_i = 0 for
+    every witness; is_identity(r) tests r(g) e_i = e_i on each.  Once p^k
+    reaches the largest multiplicity, a_k = chi, and if that does not kill
+    g either, CheckFailed."""
     F, d = g.field, g.rows
     step = _combiner(F, tuple(zip(*g.data)), d)  # v -> g v
-    vecs = [tuple(int(i == 0) for i in range(d))]
+    krylov = _Memo(lambda i: [tuple(int(i == j) for j in range(d))])  # i -> [g^j e_i]
 
-    def krylov(n):  # v_j for j < n
+    def at(i, n):  # r -> r(g) e_i, for r of degree below n
+        vecs = krylov[i]
         while len(vecs) < n:
             vecs.append(step(vecs[-1]))
-        return vecs[:n]
+        return _combiner(F, vecs[:n], d)
 
-    cyclic = cyclic and len(Mat._make(F, tuple(krylov(d)))._echelon()[1]) == d
-    top, k = max((mult for _, mult in parts), default=1), 0
+    witnesses, top, k = None, max((mult for _, mult in parts), default=1), 0
     while True:
         a = math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
-        combine = _combiner(F, krylov(a.degree + 1), d)  # r -> r(g) e_1
-        if not any(combine(a.coeffs)):
-            if cyclic:
-                return k, rings[a], lambda r: combine(r.coeffs) == vecs[0]
-            powers = _Powers(g, rings[a], combine)
-            if powers.kills(a):
-                return k, rings[a], powers.is_identity
+        checks = [(at(0, a.degree + 1), krylov[0][0])]
+        if not any(checks[0][0](a.coeffs)):
+            if witnesses is None:
+                pivots = Mat._make(F, tuple(krylov[0][:a.degree]), d)._echelon()[1]
+                witnesses = [i for i in range(d) if i not in pivots]  # e_1 is a pivot
+            checks += [(at(i, a.degree + 1), krylov[i][0]) for i in witnesses]
+            if not any(any(combine(a.coeffs)) for combine, _ in checks[1:]):
+                return k, rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
         if F.p ** k >= top:
             raise CheckFailed("g is not a root of its characteristic polynomial")
         k += 1
 
 
-class _Powers:
-    """Powers g^k of a square matrix g as r_k(g), r_k = t^k mod a, for a the
-    modulus of ring and of degree D: exact once kills(a) has checked
-    a(g) = 0, as then g^k - r_k(g) = s(g) a(g) = 0.  element_order builds
-    one for each candidate annihilator a_k that passes its e_1 test, when
-    e_1 is not cyclic for g (see _annihilator).
-
-    r(g) is evaluated by Paterson-Stockmeyer: the baby powers g^0 .. g^(m-1),
-    m = ceil(sqrt(D)), sized from the modulus and not from dim g, and the
-    giant step g^m take m - 1 products; r(g) is Horner in g^m over the
-    blocks sum c_j g^j, about D/m products more.  A block is one
-    matrix._combiner over the m baby powers, each flattened into one row of
-    d^2 entries (d = dim g), and the combination is cut back into d rows.  A
-    Horner step maps g^m's kept combiner (Mat._right) over the rows of the
-    sum so far.  fixes(r, i) tests r(g) e_i = e_i on the Krylov vectors
-    g^j e_i (j < D): for e_1 the search's combiner at_e1 (the coefficients
-    of r -> r(g) e_1), for e_2 one built on first use from column 2 of the
-    baby powers and about D/m products by (g^m)^T.  A False there shows
-    r(g) != I, but a True shows r(g) = I only where those vectors span, so
-    is_identity evaluates r(g) in full after it."""
-
-    __slots__ = ("degree", "baby", "giant", "flat", "step", "krylov")
-
-    def __init__(self, g: Mat, ring: _Ring, at_e1):
-        F, d, self.degree = g.field, g.rows, ring.mod.degree
-        m = math.isqrt(max(self.degree - 1, 0)) + 1
-        powers = [Mat.identity(F, d), g]
-        while len(powers) <= m:
-            powers.append(powers[-1] * g)
-        self.baby, self.giant = powers[:m], powers[m]
-        self.flat = _combiner(F, [tuple(chain.from_iterable(b.data)) for b in self.baby], d * d)
-        self.step = self.giant._right()  # row -> row g^m
-        self.krylov = {0: at_e1}
-
-    def combine(self, coeffs) -> Mat:
-        d, flat = self.giant.rows, self.flat(coeffs)
-        return Mat._make(self.giant.field, tuple(flat[i * d:i * d + d] for i in range(d)), d)
-
-    def at(self, r: Poly) -> Mat:
-        m, c = len(self.baby), r.coeffs
-        blocks = [c[s:s + m] for s in range(0, len(c), m)] or [()]
-        acc = self.combine(blocks.pop())
-        F, d = self.giant.field, self.giant.rows
-        for block in reversed(blocks):
-            acc = Mat._make(F, tuple(map(self.step, acc.data)), d) + self.combine(block)
-        return acc
-
-    def kills(self, r: Poly) -> bool:
-        """r(g) = 0, evaluated in full."""
-        return not any(map(any, self.at(r).data))
-
-    def fixes(self, r: Poly, i: int) -> bool:
-        d = self.giant.rows
-        if i not in self.krylov:
-            F = self.giant.field
-            block = Mat._make(F, tuple(tuple(row[i] for row in b.data) for b in self.baby))
-            giant_t = self.giant.transpose()
-            vecs = list(block.data)  # row j is g^j e_i
-            while len(vecs) < self.degree:
-                block = block * giant_t
-                vecs.extend(block.data)
-            self.krylov[i] = _combiner(F, vecs[:self.degree], d)
-        return self.krylov[i](r.coeffs) == tuple(int(j == i) for j in range(d))
-
-    def is_identity(self, r: Poly) -> bool:
-        """r(g) = I, shown false where possible on the witnesses e_1, then
-        e_2, before r(g) is evaluated in full."""
-        return (all(self.fixes(r, i) for i in range(min(2, self.giant.rows)))
-                and self.at(r).is_identity())
-
-
 def element_order(g: Mat) -> FactoredInt:
     """Exact order of an invertible matrix via its characteristic polynomial
-    chi, checked by evaluating t^k mod a_k at g for the least annihilator
-    a_k | chi of _annihilator: on e_1 alone when e_1 is cyclic for g, else
-    in full (_Powers)."""
+    chi, checked by evaluating t^k mod a_k on the Krylov witnesses of
+    _annihilator, for a_k | chi the least annihilator of g."""
     F = g.field
-    cp, cyclic = _char_poly_cyclic(g)
+    cp = char_poly(g)
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
     rings = _Memo(_Ring)  # one ring per modulus: chi, its parts and pieces, a_k
@@ -271,7 +194,7 @@ def element_order(g: Mat) -> FactoredInt:
         for piece, d in _distinct_degree(part, rings.__getitem__):
             order = order.lcm(_poly_t_order(rings[piece], d))
     # N = N0 p^k, N0 the semisimple order and k the least with a_k(g) = 0
-    k, ring, is_identity = _annihilator(g, cyclic, parts, rings)
+    k, ring, is_identity = _annihilator(g, parts, rings)
     if k:
         order = order * FactoredInt._make({F.p: k})
     # r_N and the r_(N/l) for the primes l of N from one product tree rooted
@@ -290,13 +213,27 @@ def element_order(g: Mat) -> FactoredInt:
 
 
 def naive_element_order(g: Mat, cap: int = 10**4):
-    """Order by direct iteration; None if it exceeds cap."""
+    """The least k <= cap with g^k = I, or None, by baby steps and giant
+    steps on products, equality and hash alone (Shanks, Class number, a
+    theory of factorization and genera, Proc. Symp. Pure Math. 20, 1971):
+    the baby steps g^j -> j (j < m = isqrt(cap) + 1), then the giant steps
+    g^(im) for i = 1, 2, ...  Below the order the powers of g differ, so no
+    baby step is I past j = 0, and the first g^(im) that equals some g^j is
+    the first with im >= ord g: it gives ord g = im - j."""
+    m = math.isqrt(cap) + 1
     ident = Mat.identity(g.field, g.rows)
-    cur = g
-    for k in range(1, cap + 1):
-        if cur == ident:
-            return k
-        cur = cur * g
+    baby, power = {}, ident
+    for j in range(m):
+        if j and power == ident:
+            return j
+        baby[power] = j
+        power = power * g
+    giant = power
+    for i in range(1, (cap - 1) // m + 2):  # while im - (m - 1) <= cap
+        j = baby.get(giant)
+        if j is not None:
+            return i * m - j if i * m - j <= cap else None
+        giant = giant * power
     return None
 
 

@@ -15,19 +15,19 @@ same_span take them as they are.
 
 Every linear combination sum c_i row_i is formed in one place, _combiner:
 the rows of a product (combinations of the right factor's rows), the image
-of a vector (a combination of the columns) and the sums of matrices and
-vectors behind the order checks.  Over a prime field each row becomes one
-integer of byte-aligned slots (poly._pack) wide enough for m (p - 1)^2, a
-combination is one big-int sum of c_i * packed_row_i, and its slots are
-unpacked and reduced mod p once (delayed reduction).  Over an extension
+of a vector (a combination of the columns) and the vectors r(g) e_i of
+the order checks (combinations of Krylov vectors).  Over a prime field
+each row becomes one integer of byte-aligned slots (poly._pack) wide
+enough for m (p - 1)^2, a combination is one big-int sum of
+c_i * packed_row_i, and its slots are unpacked and reduced mod p once
+(delayed reduction).  Over an extension
 field each row keeps its multiples c * row_i, formed by the field's mul the
 first time c is used (the table of multiples of Albrecht's M4RIE, filled
 lazily), and a combination chains maps of the field's add over them.  A
 Mat keeps the combiner of its rows once a product has used it as the right
 factor (Mat._right), so repeated products by one matrix (the letters of a
-word, g in the powers of g) build it once; over F_{p^f} its multiples
-c * row then last as long as the matrix.  Equality and hash read only the
-field and the entries.
+word) build it once; over F_{p^f} its multiples c * row then last as long
+as the matrix.  Equality and hash read only the field and the entries.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation, on add and mul alone, is kept alongside as an
@@ -35,10 +35,7 @@ independent cross-check for small dimensions.  Each row operation of
 _echelon and of the reduction is one call of the field's axpy; a reduction
 step makes all its row operations (row_i -= f_i row_(c+1)) before its
 column operations (col_(c+1) += f_i col_i, one axpy per row i), which
-commute with them.  The reduction works on the coordinates 2 .. n, so it
-fixes e_1, and _char_poly_cyclic also reports whether e_1 is cyclic for M
-(no subdiagonal entry of the Hessenberg form is 0); grouporder's element
-orders read their checks on e_1 alone when it is.
+commute with them.
 similarity_invariants reads the invariant factors from the nullities of
 f(M)^k, f over the irreducible factors of char_poly: kernel is the one
 elimination, _echelon, as for det, inverse and solve.
@@ -357,20 +354,12 @@ def paper_commutator(x: Mat, y: Mat) -> Mat:
 
 def char_poly(m: Mat) -> Poly:
     """Monic characteristic polynomial det(tI - M) via Hessenberg reduction."""
-    return _char_poly_cyclic(m)[0]
-
-
-def _char_poly_cyclic(m: Mat):
-    """(char_poly(m), whether e_1 is cyclic for m).  The reduction to upper
-    Hessenberg form H = P^-1 M P works on rows and columns 2 .. n only, so
-    P e_1 = e_1 and M^j e_1 = P H^j e_1: e_1 is cyclic for M iff it is for
-    H, iff no subdiagonal entry of H is 0."""
     if not m.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
     F = m.field
     n = m.rows
     if n == 0:
-        return Poly.one(F), True
+        return Poly.one(F)
     mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
     h = [list(r) for r in m.data]
     # similarity reduction to upper Hessenberg form; rows c + 1 on are 0
@@ -408,7 +397,7 @@ def _char_poly_cyclic(m: Mat):
             if coef:
                 cur[:i] = axpy(neg(coef), polys[i - 1], cur[:i])
         polys.append(cur)
-    return Poly._make(F, polys[n]), all(h[i + 1][i] for i in range(n - 1))
+    return Poly._make(F, polys[n])
 
 
 def char_poly_berkowitz(m: Mat) -> Poly:

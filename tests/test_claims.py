@@ -7,9 +7,10 @@ import pytest
 from sympgen import claims
 from sympgen.anchors import ANCHORS
 from sympgen.construct import GeneratorPair, SympSpace, build
-from sympgen.errors import BadParam, OddCharacteristic, UnknownClaim, UnknownLemma
+from sympgen.errors import (BadParam, OddCharacteristic, OutOfRange, UnknownClaim,
+                            UnknownLemma)
 from sympgen.factorint import prime_factors
-from sympgen.gf import standard_field
+from sympgen.gf import FieldCtx, standard_field
 from sympgen.matrix import Mat
 from sympgen.poly import Poly
 
@@ -112,6 +113,19 @@ def test_report_json_stable_mode_is_byte_stable():
 def test_search_unknown_lemma():
     with pytest.raises(UnknownLemma):
         claims.search_parameter("no-such-lemma", 7)
+
+
+@pytest.mark.parametrize("q,refused", [(4194304, False), (4194319, True)],
+                         ids=["2^22", "next-prime-past-2^22+1"])
+def test_search_refuses_q_past_its_bound_before_any_table(q, refused, monkeypatch):
+    # q - 1 = 2^22 - 1 is inside the bound and reaches the table of powers;
+    # the prime 4194319 is the least prime power with q - 1 > 2^22
+    def table(self):
+        raise RuntimeError("generator_powers")
+
+    monkeypatch.setattr(FieldCtx, "generator_powers", table)
+    with pytest.raises(OutOfRange if refused else RuntimeError):
+        claims.search_parameter("irr6", q)
 
 
 def test_search_g9_empty_at_q7():

@@ -179,6 +179,13 @@ def test_search_output_is_the_same_under_python_O():
     assert optimized == plain
 
 
+def test_search_past_its_bound_exits_2(capsys):
+    # 2^23: q - 1 is past the search's bound 2^22, refused before any table
+    assert main(["search", "--lemma", "irr6", "--q", str(2**23)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "past the bound 2^22" in err
+
+
 def test_search_unknown_lemma_is_an_error(capsys):
     rc, _ = run_cli(capsys, "search", "--lemma", "bogus", "--q", "7")
     assert rc == 2

@@ -1,11 +1,12 @@
 """Group orders, element orders, prime sets, certificates, closure BFS."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from sympgen import claims, gf, grouporder, matrix, poly
+from sympgen import claims, gf, grouporder, poly
 from sympgen.errors import BadParam, CheckFailed, MixedFields, NotSquare, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
@@ -92,9 +93,9 @@ def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
     # diag(2, 1, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1)^2; with
     # (t - 2)^3 in its place the order still comes out 2, and both
     # candidates a_0 = t - 2 and a_1 = (t - 2)^3 pass on e_1 = g e_1 / 2;
-    # but neither g - 2 nor (g - 2)^3 = diag(0, 2, 2) is zero
-    monkeypatch.setattr(grouporder, "_char_poly_cyclic",
-                        lambda g: (Poly(F3, [-2, 1]) ** 3, False))
+    # but on the witness e_2, neither g - 2 nor (g - 2)^3 = diag(0, 2, 2)
+    # is zero
+    monkeypatch.setattr(grouporder, "char_poly", lambda g: Poly(F3, [-2, 1]) ** 3)
     with pytest.raises(CheckFailed, match="not a root"):
         element_order(Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
@@ -104,8 +105,7 @@ def test_element_order_raises_when_a_cyclic_g_is_not_a_root_of_its_charpoly(monk
     # e_1 is cyclic for it.  With (t - 2)^3 = t^3 + 1 in its place the order
     # would come out 6, as t^6 = 1 mod t^3 + 1 and no r_(6/l) e_1 is e_1;
     # the Krylov check chi(g) e_1 = 2 e_1 != 0 stops it
-    monkeypatch.setattr(grouporder, "_char_poly_cyclic",
-                        lambda g: (Poly(F3, [-2, 1]) ** 3, True))
+    monkeypatch.setattr(grouporder, "char_poly", lambda g: Poly(F3, [-2, 1]) ** 3)
     with pytest.raises(CheckFailed, match="not a root"):
         element_order(Mat(F3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
 
@@ -165,7 +165,7 @@ def _small_order_blocks(ctx, dim, rng, repeated):
 
 def _e1_fixed(q):
     """diag(1, A) over F_q for small-order blocks A of dims 1 .. 7: each
-    fixes e_1, so e_1 is not cyclic for it."""
+    fixes e_1, so e_1 spans its own Krylov space."""
     ctx = gf.standard_field(q)
     rng = random.Random(100 + q)
     one = Mat.identity(ctx, 1)
@@ -185,56 +185,62 @@ def _matches_naive(mats, cap=10**4):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_element_order_matches_naive_with_e1_fixed(q):
-    # g = diag(1, A) fixes e_1, so no Krylov witness can show g^(N/l) != I
-    # and every prime check takes the full evaluation
+    # g = diag(1, A) fixes e_1, so e_1 alone can show no g^(N/l) != I and
+    # every check reads on the witnesses e_2 .. e_d as well
     assert _matches_naive(_e1_fixed(q)) >= 15
 
 
-def _full_evaluations(mats):
-    """The orders of mats, how many prime checks evaluated r(g) in full (the
-    calls of _Powers.at past the one that each _Powers makes, a_k(g) for its
-    candidate annihilator a_k), and the degree of each a_k that built one."""
-    at, init = grouporder._Powers.at, grouporder._Powers.__init__
-    calls, builds = [], []
+def _e1_rank(g):
+    """The dimension of the span of the Krylov vectors g^j e_1 (j < dim g):
+    e_1 is cyclic for g iff it is dim g."""
+    vecs = [tuple(int(i == 0) for i in range(g.rows))]
+    while len(vecs) < g.rows:
+        vecs.append(g.apply(vecs[-1]))
+    return g.rows - len(Mat._make(g.field, tuple(vecs)).kernel())
 
-    def counting(self, r):
-        calls.append(1)
-        return at(self, r)
 
-    def building(self, g, ring, at_e1):
-        builds.append(ring.mod.degree)
-        init(self, g, ring, at_e1)
+def _certificates(mats):
+    """The orders of mats and, per call of element_order, the products it
+    made, its eliminations, its number of Krylov witnesses (e_1 and the e_i
+    of the columns without a pivot in its elimination) and the k and a_k of
+    its certificate."""
+    mul, echelon, annihilator = Mat.__mul__, Mat._echelon, grouporder._annihilator
+    calls = []
 
+    def product(self, other):
+        calls[-1]["products"] += 1
+        return mul(self, other)
+
+    def eliminate(self, augment=None):
+        out = echelon(self, augment)
+        calls[-1]["witnesses"].append(1 + self.cols - len(out[1]))
+        return out
+
+    def certify(g, parts, rings):
+        k, ring, is_identity = annihilator(g, parts, rings)
+        calls[-1]["k"], calls[-1]["a"] = k, ring.mod
+        return k, ring, is_identity
+
+    orders = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grouporder._Powers, "at", counting)
-        mp.setattr(grouporder._Powers, "__init__", building)
-        orders = [element_order(m) for m in mats]
-    return orders, len(calls) - len(builds), builds
-
-
-@pytest.mark.parametrize("q,full", [(2, 8), (3, 5), (4, 3), (9, 1)])
-def test_e1_fixed_matrices_take_as_many_full_evaluations_as_before(q, full):
-    # e_1 is not cyclic for diag(1, A), so these orders stay on _Powers, and
-    # their prime checks' full evaluations stay at the counts taken before
-    # the Krylov path: whether g^(N/l) fixes e_1 and e_2 does not depend on
-    # the modulus.  As g fixes e_1 and t - 1 divides every a_k, no candidate
-    # fails on e_1, and each builds a _Powers
-    _, got, degrees = _full_evaluations(_e1_fixed(q))
-    assert (got, len(degrees)) == (full, {2: 44, 3: 35, 4: 46, 9: 36}[q])
+        mp.setattr(Mat, "__mul__", product)
+        mp.setattr(Mat, "_echelon", eliminate)
+        mp.setattr(grouporder, "_annihilator", certify)
+        for m in mats:
+            calls.append({"products": 0, "witnesses": []})
+            orders.append(element_order(m))
+    return orders, calls
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_a_second_krylov_witness_saves_full_evaluations(q, monkeypatch):
-    # the matrices of the e_1-fixed test: each of their prime checks took the
-    # full evaluation on e_1 alone; e_2 shows g^(N/l) != I on most of them
+def test_a_second_krylov_witness_saves_full_evaluations(q):
+    # g = diag(1, A) fixes e_1, so its one elimination has the one pivot of
+    # e_1 and every e_i is a witness: the checks read on e_1 .. e_d, and no
+    # r(g) is formed in full
     mats = _e1_fixed(q)
-    orders, full, builds = _full_evaluations(mats)
-    checks = sum(len(o.primes()) for o in orders)
-    assert checks == {2: 19, 3: 31, 4: 35, 9: 37}[q]
-    fixes = grouporder._Powers.fixes
-    monkeypatch.setattr(grouporder._Powers, "fixes", lambda self, r, i: i == 1 or fixes(self, r, i))
-    assert _full_evaluations(mats) == (orders, checks, builds)  # e_1 alone: every check
-    assert 2 * full < checks
+    _, calls = _certificates(mats)
+    assert [c["witnesses"] for c in calls] == [[m.rows] for m in mats]
+    assert not any(c["products"] for c in calls)
 
 
 def _long_jordan_shapes(ctx, rng):
@@ -264,7 +270,7 @@ def test_element_order_matches_naive_with_jordan_blocks_longer_than_p(q):
     # a_0 and a_1 leave the long blocks alive, so the search reaches k >= 2
     ctx = gf.standard_field(q)
     mats = _long_jordan_shapes(ctx, random.Random(500 + q))
-    assert not any(matrix._char_poly_cyclic(m)[1] for m in mats)
+    assert all(_e1_rank(m) < m.rows for m in mats)
     assert _matches_naive(mats) == len(mats)
     assert all(element_order(m).factors[ctx.p] >= 2 for m in mats)
 
@@ -272,7 +278,7 @@ def test_element_order_matches_naive_with_jordan_blocks_longer_than_p(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_a_semisimple_derogatory_g_builds_powers_once_on_the_radical(q):
     # diag(A, A, A) for A the companion matrix of an irreducible f: chi = f^3,
-    # and a_0 = f kills g, so one _Powers is built, on the ring of f
+    # and a_0 = f kills g, so the residues t^j are powers in the ring of f
     ctx = gf.standard_field(q)
     rng = random.Random(600 + q)
     f = next(f for f in (Poly._make(ctx, [*low, 1])
@@ -280,9 +286,11 @@ def test_a_semisimple_derogatory_g_builds_powers_once_on_the_radical(q):
              if is_irreducible(f))
     p_mat = _random_invertible(ctx, 9, rng)
     g = p_mat.inverse() * Mat.block_diag([_companion_of(f)] * 3) * p_mat
-    orders, full, degrees = _full_evaluations([g])
-    # and g^(N/l) - I is invertible, so e_1 shows each g^(N/l) != I
-    assert degrees == [f.degree] and full == 0
+    orders, calls = _certificates([g])
+    assert (calls[0]["k"], calls[0]["a"]) == (0, f)
+    # the cyclic space of e_1 has dimension deg f = 3, so 9 - 3 unit vectors
+    # join e_1 as witnesses
+    assert calls[0]["witnesses"] == [7] and calls[0]["products"] == 0
     assert orders[0].value() == naive_element_order(g)
 
 
@@ -290,11 +298,14 @@ def test_a_semisimple_derogatory_g_builds_powers_once_on_the_radical(q):
 def test_a_candidate_that_fails_on_e1_builds_no_powers(q, degree):
     # g = diag(J, 1) with J a lower Jordan block at 1 of length 2: chi is
     # (t - 1)^3 and g e_1 = e_1 + e_2, so a_0 = t - 1 is ruled out on e_1
-    # alone; a_1 = (t - 1)^min(3, p) kills g, and only it builds a _Powers
+    # alone; a_1 = (t - 1)^min(3, p) kills g, and only it takes the one
+    # elimination, which adds the witness e_3
     g = Mat(gf.standard_field(q), [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
-    assert not matrix._char_poly_cyclic(g)[1]
-    orders, _, degrees = _full_evaluations([g])
-    assert degrees == [degree] and orders[0].value() == q
+    assert _e1_rank(g) == 2
+    orders, calls = _certificates([g])
+    assert calls == [{"products": 0, "witnesses": [2], "k": 1,
+                      "a": Poly(g.field, [-1, 1]) ** min(3, q)}]
+    assert orders[0].value() == q and calls[0]["a"].degree == degree
 
 
 @pytest.mark.parametrize("wrong", [lambda o: o * FactoredInt({2: 1}),
@@ -378,32 +389,43 @@ def _cyclic_shapes(ctx, rng):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_element_order_matches_naive_when_e1_is_cyclic(q, monkeypatch):
-    # every order here is certified on the Krylov vectors of e_1 alone: no
-    # _Powers is built, so no r(g) is evaluated in full
-    def powers(*args):
-        raise RuntimeError("a cyclic g took the _Powers path")
-
+def test_element_order_matches_naive_when_e1_is_cyclic(q):
     mats = _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))
-    assert all(matrix._char_poly_cyclic(m)[1] for m in mats)
-    monkeypatch.setattr(grouporder._Powers, "__init__", powers)
+    assert all(_e1_rank(m) == m.rows for m in mats)
     assert _matches_naive(mats) >= 12
 
 
 @pytest.mark.parametrize("q", [2, 9])
 def test_a_cyclic_g_makes_no_full_evaluation(q):
+    # e_1 is cyclic, so a_k(g) e_1 = 0 only for a_k = chi, its g^j e_1
+    # (j < dim g) have a pivot in every column, and e_1 is the one witness
     mats = _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))
-    assert _full_evaluations(mats)[1:] == (0, [])  # no _Powers: nothing in full
+    _, calls = _certificates(mats)
+    assert [(c["products"], c["witnesses"]) for c in calls] == [(0, [1])] * len(mats)
 
 
-def test_a_forced_cyclic_flag_never_yields_a_wrong_order(monkeypatch):
-    # the certificate checks the rank of the Krylov vectors itself: told
-    # that e_1 is cyclic where it is not, element_order falls back to _Powers
+def test_diagonal_matrices_take_every_unit_vector_as_a_witness():
+    # g e_1 is a multiple of e_1, so the elimination of its one Krylov
+    # vector leaves every other column without a pivot
     mats = [Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]), Mat.identity(F3, 3),
-            Mat.identity(F2, 2), *_e1_fixed(4)]
-    assert not any(matrix._char_poly_cyclic(m)[1] for m in mats)
-    monkeypatch.setattr(grouporder, "_char_poly_cyclic", lambda m: (char_poly(m), True))
+            Mat.identity(F2, 2)]
+    _, calls = _certificates(mats)
+    assert [c["witnesses"] for c in calls] == [[3], [3], [2]]
     assert _matches_naive(mats) == len(mats)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_forms_no_product_and_at_most_one_elimination(q):
+    # every check reads on Krylov vectors, each from one combiner over g's
+    # columns: no Mat product, and one elimination to choose the witnesses
+    ctx = gf.standard_field(q)
+    rng = random.Random(700 + q)
+    mats = (_e1_fixed(q) + _long_jordan_shapes(ctx, random.Random(500 + q))
+            + _cyclic_shapes(ctx, random.Random(400 + q)) + _split_shapes(ctx, rng)
+            + [_small_order_blocks(ctx, dim, rng, repeated=True) for dim in range(2, 9)]
+            + [_random_invertible(ctx, dim, rng) for dim in range(1, 9)])
+    _, calls = _certificates(mats)
+    assert all(c["products"] == 0 and len(c["witnesses"]) == 1 for c in calls)
 
 
 def test_element_order_builds_one_ring_when_chi_is_irreducible(monkeypatch):
@@ -468,8 +490,8 @@ def test_element_order_matches_naive_without_an_equal_degree_split(q, monkeypatc
 
 
 def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
-    # the exact checks evaluate t^k mod chi at g (Paterson-Stockmeyer);
-    # powering each dim-28 witness to its order took 176-407 products
+    # the exact checks evaluate t^k mod a_k on Krylov vectors, and form no
+    # product; powering each dim-28 witness to its order took 176-407
     _, witnesses = claims._witnesses(14, 7)
     product = Mat.__mul__
     counts = []
@@ -482,7 +504,7 @@ def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
     for w in witnesses:
         counts.append(0)
         element_order(w)
-    assert max(counts) <= 40, counts
+    assert not any(counts), counts
 
 
 def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatch):
@@ -509,6 +531,53 @@ def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatc
 def test_element_order_of_the_empty_matrix():
     # GL_0 is trivial: chi = a_0 = 1, and the ring F_q[t]/(1) is zero
     assert element_order(Mat.identity(F3, 0)).value() == 1
+
+
+def _plain_order(g, cap):
+    """The reference for naive_element_order: g, g^2, ... up to g^cap."""
+    ident, power = Mat.identity(g.field, g.rows), g
+    for k in range(1, cap + 1):
+        if power == ident:
+            return k
+        power = power * g
+    return None
+
+
+def _cycle(ctx, n):
+    """The permutation matrix of an n-cycle: order n."""
+    return Mat.from_function(ctx, n, n, lambda i, j: int(j == (i + 1) % n))
+
+
+# caps on both sides of the squares 16 and 25; m = isqrt(cap) + 1 baby steps
+@pytest.mark.parametrize("cap", [15, 16, 17, 24, 25, 26])
+def test_naive_element_order_matches_plain_iteration(cap):
+    m = math.isqrt(cap) + 1
+    mats = [Mat.identity(F3, 3), _cycle(F2, m), _cycle(F2, m + 1), _cycle(F2, cap),
+            _cycle(F2, cap + 1), _cycle(F3, 2 * m), _cycle(F3, 2 * m + 1)]
+    rng = random.Random(cap)
+    for q in (2, 3, 4, 5):
+        mats += [_random_invertible(gf.standard_field(q), rng.randrange(1, 4), rng)
+                 for _ in range(20)]
+    got = [naive_element_order(g, cap) for g in mats]
+    assert got == [_plain_order(g, cap) for g in mats]
+    # order 1, order m exactly, the cap itself and one past it
+    assert got[:5] == [1, m, m + 1, cap, None]
+
+
+def test_naive_element_order_takes_about_two_square_roots_of_the_cap(monkeypatch):
+    product, count = Mat.__mul__, []
+
+    def counting(self, other):
+        count.append(1)
+        return product(self, other)
+
+    # a generator of F_9973^* has order 9972, of F_10007^* order 10006
+    big, past = (gf.standard_field(p) for p in (9973, 10007))
+    g = Mat(big, [[big.mult_generator()]])
+    monkeypatch.setattr(Mat, "__mul__", counting)
+    assert naive_element_order(g) == 9972
+    assert len(count) <= 2 * 101
+    assert naive_element_order(Mat(past, [[past.mult_generator()]])) is None
 
 
 def test_varpi_identity_empty():

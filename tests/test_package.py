@@ -189,4 +189,4 @@ def test_one_row_update():
                    for path in SOURCES if path.stem in ("matrix", "poly")
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef) and _references(node, "axpy"))
-    assert found == ["matrix._char_poly_cyclic", "matrix._echelon", "poly._divide"]
+    assert found == ["matrix._echelon", "matrix.char_poly", "poly._divide"]
