@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import takewhile
 
 from .errors import BadParam, CheckFailed, MixedFields, ShapeMismatch, SingularMatrix
 from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
@@ -150,9 +151,10 @@ def _annihilator(g: Mat, parts, rings: _Memo):
     a_k(g) e_1 rules it out.  At the first that passes, one Mat._echelon of
     the g^j e_1 (j < deg a_k) adds the witnesses e_i of the columns without
     a pivot, and from then on a candidate is taken iff a_k(g) e_i = 0 for
-    every witness; is_identity(r) tests r(g) e_i = e_i on each.  Once p^k
-    reaches the largest multiplicity, a_k = chi, and if that does not kill
-    g either, CheckFailed."""
+    every witness, tried in turn up to the first it leaves alive;
+    is_identity(r) tests r(g) e_i = e_i on each.  Once p^k reaches the
+    largest multiplicity, a_k = chi, and if that does not kill g either,
+    CheckFailed."""
     F, d = g.field, g.rows
     step = _combiner(F, tuple(zip(*g.data)), d)  # v -> g v
     krylov = _Memo(lambda i: [tuple(int(i == j) for j in range(d))])  # i -> [g^j e_i]
@@ -163,16 +165,20 @@ def _annihilator(g: Mat, parts, rings: _Memo):
             vecs.append(step(vecs[-1]))
         return _combiner(F, vecs[:n], d)
 
+    def killed(a, i):  # (r -> r(g) e_i, e_i) if a(g) e_i = 0, else None
+        combine = at(i, a.degree + 1)
+        return None if any(combine(a.coeffs)) else (combine, krylov[i][0])
+
     witnesses, top, k = None, max((mult for _, mult in parts), default=1), 0
     while True:
         a = math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
-        checks = [(at(0, a.degree + 1), krylov[0][0])]
-        if not any(checks[0][0](a.coeffs)):
+        checks = [killed(a, 0)]
+        if checks[0]:
             if witnesses is None:
                 pivots = Mat._make(F, tuple(krylov[0][:a.degree]), d)._echelon()[1]
                 witnesses = [i for i in range(d) if i not in pivots]  # e_1 is a pivot
-            checks += [(at(i, a.degree + 1), krylov[i][0]) for i in witnesses]
-            if not any(any(combine(a.coeffs)) for combine, _ in checks[1:]):
+            checks += takewhile(bool, (killed(a, i) for i in witnesses))  # to the first alive
+            if len(checks) > len(witnesses):
                 return k, rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
         if F.p ** k >= top:
             raise CheckFailed("g is not a root of its characteristic polynomial")
@@ -217,23 +223,23 @@ def naive_element_order(g: Mat, cap: int = 10**4):
     steps on products, equality and hash alone (Shanks, Class number, a
     theory of factorization and genera, Proc. Symp. Pure Math. 20, 1971):
     the baby steps g^j -> j (j < m = isqrt(cap) + 1), then the giant steps
-    g^(im) for i = 1, 2, ...  Below the order the powers of g differ, so no
-    baby step is I past j = 0, and the first g^(im) that equals some g^j is
-    the first with im >= ord g: it gives ord g = im - j."""
+    g^(im) for i = 1, 2, ...  The first repeated power of an invertible g is
+    I, at j = ord g; any other means g is singular.  Otherwise, for an
+    invertible g, the first g^(im) equal to some g^j has im - j = ord g,
+    which one product g^((i-1)m) g^(m-j) = I confirms: never for a singular g."""
     m = math.isqrt(cap) + 1
-    ident = Mat.identity(g.field, g.rows)
-    baby, power = {}, ident
+    baby, powers = {}, [Mat.identity(g.field, g.rows)]  # powers[j] = g^j, j <= m
     for j in range(m):
-        if j and power == ident:
-            return j
-        baby[power] = j
-        power = power * g
-    giant = power
+        if powers[j] in baby:
+            return j if baby[powers[j]] == 0 else None
+        baby[powers[j]] = j
+        powers.append(powers[j] * g)
+    ident, giant, before = powers[0], powers[m], powers[0]  # g^(im), g^((i-1)m)
     for i in range(1, (cap - 1) // m + 2):  # while im - (m - 1) <= cap
         j = baby.get(giant)
         if j is not None:
-            return i * m - j if i * m - j <= cap else None
-        giant = giant * power
+            return i * m - j if i * m - j <= cap and before * powers[m - j] == ident else None
+        giant, before = giant * powers[m], giant
     return None
 
 

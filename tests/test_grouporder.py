@@ -308,6 +308,28 @@ def test_a_candidate_that_fails_on_e1_builds_no_powers(q, degree):
     assert orders[0].value() == q and calls[0]["a"].degree == degree
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_a_candidate_is_tried_on_the_witnesses_up_to_the_first_it_leaves_alive(
+        q, monkeypatch):
+    # g = diag(1, J, I_3) with J a lower Jordan block at 1 of length 2: a_0 =
+    # t - 1 kills e_1 but not the next witness e_2, as g e_2 = e_2 + e_3, so
+    # it builds the combiners of e_1 and e_2 alone; a_1 = (t - 1)^p kills g
+    # and builds one on each of the six witnesses
+    ctx = gf.standard_field(q)
+    g = Mat.block_diag([Mat.identity(ctx, 1), _jordan(ctx, 1, 2).transpose(),
+                        Mat.identity(ctx, 3)])
+    combiner, built = grouporder._combiner, []
+
+    def counting(F, rows, cols):
+        built.append(len(rows))
+        return combiner(F, rows, cols)
+
+    monkeypatch.setattr(grouporder, "_combiner", counting)
+    assert element_order(g).value() == q
+    # rows: g's 6 columns for the step v -> g v, then deg a + 1 Krylov vectors
+    assert built == [6, 2, 2] + [q + 1] * 6
+
+
 @pytest.mark.parametrize("wrong", [lambda o: o * FactoredInt({2: 1}),
                                    lambda o: o * FactoredInt({5: 1}),
                                    lambda o: FactoredInt.one()],
@@ -548,6 +570,17 @@ def _cycle(ctx, n):
     return Mat.from_function(ctx, n, n, lambda i, j: int(j == (i + 1) % n))
 
 
+def _singular_shapes(m):
+    """Singular matrices, which no power takes to I: a nilpotent, idempotents,
+    zero, and diag(N, C) for N nilpotent of length 3 and C an n-cycle, whose
+    powers repeat from g^3 on with period n; for n >= m - 3 the baby steps
+    g^j (j < m) all differ, and a giant step meets one of g^3 .. g^(m-1)."""
+    nilpotent = _jordan(F3, 0, 3)
+    return ([Mat(F2, [[0, 1], [0, 0]]), Mat(F2, [[1, 0], [0, 0]]), Mat(F3, [[1, 1], [0, 0]]),
+             Mat.zeros(F2, 2)]
+            + [Mat.block_diag([nilpotent, _cycle(F3, n)]) for n in (m - 3, m - 2, m - 1, m)])
+
+
 # caps on both sides of the squares 16 and 25; m = isqrt(cap) + 1 baby steps
 @pytest.mark.parametrize("cap", [15, 16, 17, 24, 25, 26])
 def test_naive_element_order_matches_plain_iteration(cap):
@@ -558,10 +591,13 @@ def test_naive_element_order_matches_plain_iteration(cap):
     for q in (2, 3, 4, 5):
         mats += [_random_invertible(gf.standard_field(q), rng.randrange(1, 4), rng)
                  for _ in range(20)]
-    got = [naive_element_order(g, cap) for g in mats]
-    assert got == [_plain_order(g, cap) for g in mats]
-    # order 1, order m exactly, the cap itself and one past it
+    singular = _singular_shapes(m)
+    got = [naive_element_order(g, cap) for g in mats + singular]
+    assert got == [_plain_order(g, cap) for g in mats + singular]
+    # order 1, order m exactly, the cap itself and one past it; no singular g
+    # has an order
     assert got[:5] == [1, m, m + 1, cap, None]
+    assert got[len(mats):] == [None] * len(singular)
 
 
 def test_naive_element_order_takes_about_two_square_roots_of_the_cap(monkeypatch):
@@ -578,6 +614,10 @@ def test_naive_element_order_takes_about_two_square_roots_of_the_cap(monkeypatch
     assert naive_element_order(g) == 9972
     assert len(count) <= 2 * 101
     assert naive_element_order(Mat(past, [[past.mult_generator()]])) is None
+    # a nilpotent's powers repeat at g^2 = g^3 = 0, which ends the search
+    count.clear()
+    assert naive_element_order(Mat(F2, [[0, 1], [0, 0]])) is None
+    assert len(count) == 3
 
 
 def test_varpi_identity_empty():
