@@ -213,7 +213,7 @@ class FieldCtx:
             log[v] = i
         exp += exp
         self._exp, self._log = exp, log
-        # axpy: the exp/log product, then XOR or one Zech add (log[0] is 0)
+        # axpy: the exp/log product, then XOR or the Zech step inline
         if p == 2:
             def axpy(a, xs, ys):
                 if not a:
@@ -222,12 +222,24 @@ class FieldCtx:
                 return [exp[la + log[x]] ^ y if x else y for x, y in zip(xs, ys)]
         else:
             add, neg = self._zech_arithmetic()
+            zech, m = self._zech, q - 1
 
             def axpy(a, xs, ys):
+                # a x = g^s, s reduced mod q - 1 so that zech[log y - s] is
+                # in range; a zero sum g^s + y has no logarithm (None)
                 if not a:
                     return list(ys)
-                la = log[a]
-                return [add(exp[la + log[x]], y) if x else y for x, y in zip(xs, ys)]
+                la, out = log[a], []
+                for x, y in zip(xs, ys):
+                    if x:
+                        s = (la + log[x]) % m
+                        if y:
+                            z = zech[log[y] - s]
+                            y = 0 if z is None else exp[s + z]
+                        else:
+                            y = exp[s]
+                    out.append(y)
+                return out
         self._bind(add, neg, lambda a, b: exp[log[a] + log[b]] if a and b else 0,
                    lambda a, e: exp[log[a] * e % (q - 1)], sub=sub, axpy=axpy)
 

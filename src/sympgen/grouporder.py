@@ -28,17 +28,15 @@ r_N = 1 in the ring gives g^N - I = s(g) a_k(g) = 0, and r_(N/l)(g) != I
 is checked at g for each l.  A wrong N0 or a wrong split raises
 CheckFailed; it never yields a wrong order.
 
-Every check reads on the Krylov vectors g^j e_i of a few witnesses e_i, and
-no r(g) is formed in full (Keller-Gehrig, Fast algorithms for the
-characteristic polynomial, TCS 36, 1985).  A polynomial r(g) commutes with
-g, so r(g) g^j e_i = g^j r(g) e_i: where the g^j e_i of the witnesses span
-V, r(g) = 0 iff every r(g) e_i = 0, and r(g) = I iff every
-r(g) e_i = e_i.  e_1 is the first witness, and a_k(g) e_1 != 0 rules a_k
-out.  At the first a_k with a_k(g) e_1 = 0, the vectors g^j e_1
-(j < deg a_k) span the cyclic space of e_1; one Mat._echelon of them adds
-as witnesses the e_i whose column holds no pivot, since any v less its
-pivot rows lies on those coordinates.  The witnesses hold for every later
-candidate.
+chi and the witnesses come from one Keller-Gehrig spin of g (matrix._spin;
+Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS 36,
+1985): e_1 and then each e_i whose column holds no pivot yet, with the
+Krylov vectors g^j e_i of each, unreduced.  Every check reads on those
+vectors, and no r(g) is formed in full.  A polynomial r(g) commutes with
+g, so r(g) g^j e_i = g^j r(g) e_i: as the g^j e_i of the witnesses span V,
+r(g) = 0 iff every r(g) e_i = 0, and r(g) = I iff every r(g) e_i = e_i.
+The span is the one output of the spin that is trusted; chi is not, since
+a_k(g) e_i = 0 is checked on vectors made from g itself.
 """
 
 from __future__ import annotations
@@ -47,11 +45,12 @@ import math
 from enum import Enum
 from itertools import takewhile
 
-from .errors import BadParam, CheckFailed, MixedFields, ShapeMismatch, SingularMatrix
+from .errors import (BadParam, CheckFailed, MixedFields, NotSquare, ShapeMismatch,
+                     SingularMatrix)
 from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
                         multiplicative_order)
 from .gf import _split_prime_power
-from .matrix import Mat, _combiner, char_poly
+from .matrix import Mat, _combiner, _spin
 from .poly import Poly, _distinct_degree, _Ring, _squarefree_decomposition
 
 
@@ -139,47 +138,34 @@ def _poly_t_order(ring: _Ring, d: int) -> FactoredInt:
     return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
 
 
-def _annihilator(g: Mat, parts, rings: _Memo):
+def _annihilator(g: Mat, parts, rings: _Memo, step, krylov, witnesses):
     """(k, ring, is_identity) for the least k with a_k(g) = 0, where a_k is
     the product of P^min(m, p^k) over the squarefree parts (P, m) of chi,
     ring = rings[a_k], and is_identity(r) tests r(g) = I for r of degree
     below deg a_k.
 
+    step, krylov and witnesses come from the spin of g (matrix._spin):
     r(g) e_i is one _combiner of r's coefficients over the Krylov vectors
-    krylov[i] = [g^j e_i], each g^(j+1) e_i from one combiner over g's
-    columns.  Each candidate is tested on e_1 first, and a nonzero
-    a_k(g) e_1 rules it out.  At the first that passes, one Mat._echelon of
-    the g^j e_1 (j < deg a_k) adds the witnesses e_i of the columns without
-    a pivot, and from then on a candidate is taken iff a_k(g) e_i = 0 for
-    every witness, tried in turn up to the first it leaves alive;
-    is_identity(r) tests r(g) e_i = e_i on each.  Once p^k reaches the
-    largest multiplicity, a_k = chi, and if that does not kill g either,
-    CheckFailed."""
+    krylov[i] = [g^j e_i], extended by step as a_k needs.  Each candidate
+    is tried on the witnesses in turn, e_1 first, up to the first it leaves
+    alive, and taken iff a_k(g) e_i = 0 on every one; is_identity(r) tests
+    r(g) e_i = e_i on each.  Once p^k reaches the largest multiplicity,
+    a_k = chi, and if that does not kill g either, CheckFailed."""
     F, d = g.field, g.rows
-    step = _combiner(F, tuple(zip(*g.data)), d)  # v -> g v
-    krylov = _Memo(lambda i: [tuple(int(i == j) for j in range(d))])  # i -> [g^j e_i]
-
-    def at(i, n):  # r -> r(g) e_i, for r of degree below n
-        vecs = krylov[i]
-        while len(vecs) < n:
-            vecs.append(step(vecs[-1]))
-        return _combiner(F, vecs[:n], d)
 
     def killed(a, i):  # (r -> r(g) e_i, e_i) if a(g) e_i = 0, else None
-        combine = at(i, a.degree + 1)
-        return None if any(combine(a.coeffs)) else (combine, krylov[i][0])
+        vecs = krylov[i]
+        while len(vecs) <= a.degree:
+            vecs.append(step(vecs[-1]))
+        combine = _combiner(F, vecs[:a.degree + 1], d)
+        return None if any(combine(a.coeffs)) else (combine, vecs[0])
 
-    witnesses, top, k = None, max((mult for _, mult in parts), default=1), 0
+    top, k = max((mult for _, mult in parts), default=1), 0
     while True:
         a = math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
-        checks = [killed(a, 0)]
-        if checks[0]:
-            if witnesses is None:
-                pivots = Mat._make(F, tuple(krylov[0][:a.degree]), d)._echelon()[1]
-                witnesses = [i for i in range(d) if i not in pivots]  # e_1 is a pivot
-            checks += takewhile(bool, (killed(a, i) for i in witnesses))  # to the first alive
-            if len(checks) > len(witnesses):
-                return k, rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
+        checks = list(takewhile(bool, (killed(a, i) for i in witnesses)))  # to the first alive
+        if len(checks) == len(witnesses):
+            return k, rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
         if F.p ** k >= top:
             raise CheckFailed("g is not a root of its characteristic polynomial")
         k += 1
@@ -187,10 +173,13 @@ def _annihilator(g: Mat, parts, rings: _Memo):
 
 def element_order(g: Mat) -> FactoredInt:
     """Exact order of an invertible matrix via its characteristic polynomial
-    chi, checked by evaluating t^k mod a_k on the Krylov witnesses of
-    _annihilator, for a_k | chi the least annihilator of g."""
+    chi from the spin of g (matrix._spin), checked by evaluating t^k mod a_k
+    on the Krylov vectors of its witnesses (_annihilator), for a_k | chi the
+    least annihilator of g."""
+    if not g.is_square():
+        raise NotSquare("element order needs a square matrix")
     F = g.field
-    cp = char_poly(g)
+    cp, step, krylov, witnesses = _spin(g)
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
     rings = _Memo(_Ring)  # one ring per modulus: chi, its parts and pieces, a_k
@@ -200,7 +189,7 @@ def element_order(g: Mat) -> FactoredInt:
         for piece, d in _distinct_degree(part, rings.__getitem__):
             order = order.lcm(_poly_t_order(rings[piece], d))
     # N = N0 p^k, N0 the semisimple order and k the least with a_k(g) = 0
-    k, ring, is_identity = _annihilator(g, parts, rings)
+    k, ring, is_identity = _annihilator(g, parts, rings, step, krylov, witnesses)
     if k:
         order = order * FactoredInt._make({F.p: k})
     # r_N and the r_(N/l) for the primes l of N from one product tree rooted

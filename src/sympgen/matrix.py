@@ -31,8 +31,11 @@ as the matrix.  Equality and hash read only the field and the entries.
 
 char_poly runs Hessenberg reduction over the field; a division-free
 Berkowitz implementation, on add and mul alone, is kept alongside as an
-independent cross-check for small dimensions.  Each row operation of
-_echelon and of the reduction is one call of the field's axpy; a reduction
+independent cross-check for small dimensions.  _spin, the third, is the
+Keller-Gehrig spin of grouporder.element_order: it reads chi off the
+Krylov vectors of a few unit vectors and hands those vectors on to the
+order checks.  Each row operation of _echelon, of the spin and of the
+reduction is one call of the field's axpy; a reduction
 step makes all its row operations (row_i -= f_i row_(c+1)) before its
 column operations (col_(c+1) += f_i col_i, one axpy per row i), which
 commute with them.
@@ -398,6 +401,50 @@ def char_poly(m: Mat) -> Poly:
                 cur[:i] = axpy(neg(coef), polys[i - 1], cur[:i])
         polys.append(cur)
     return Poly._make(F, polys[n])
+
+
+def _spin(g: Mat):
+    """(chi, step, krylov, witnesses) of a square g by one Keller-Gehrig spin
+    (Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS
+    36, 1985; Neunhoeffer & Praeger, LMS J. Comput. Math. 11, 2008).
+
+    step(v) = g v is one _combiner over g's columns.  witnesses lists the
+    unit vectors e_i in the order taken, and krylov[i] = [g^j e_i] holds
+    their Krylov vectors as step makes them, unreduced.  e_1 is the first
+    witness, and each later one the first e_i whose column holds no pivot
+    among the rows kept so far, so e_i itself is a new row.  A copy of each
+    g^j e_i is reduced against the kept rows, one axpy per row.  The rows of
+    the current witness carry their coefficients in g^0 e_i .. g^j e_i past
+    column d; those of earlier witnesses drop them, as they span a
+    g-invariant W.  The first g^m e_i that reduces to 0 gives the monic
+    rho_i = t^m - ..., the characteristic polynomial of g on the cyclic
+    space of e_i mod W, and chi = prod rho_i.  The spin ends at rank dim g,
+    so the g^j e_i (j < deg rho_i) of the witnesses span V."""
+    F, d = g.field, g.rows
+    mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
+    step = _combiner(F, tuple(zip(*g.data)), d)
+    kept = []  # (pivot c, row from c on scaled to 1 at c, then coefficients)
+    pivots, krylov, witnesses, chi = set(), {}, [], Poly.one(F)
+    while len(kept) < d:
+        i = next(c for c in range(d) if c not in pivots)
+        witnesses.append(i)
+        vecs = krylov[i] = [tuple(int(i == c) for c in range(d))]
+        block = len(kept)  # kept[block:] are this witness's rows
+        while True:
+            w = [*vecs[-1], *repeat(0, len(vecs) - 1), 1]  # g^m e_i, then t^m
+            for c, row in kept:
+                if w[c]:
+                    w[c:c + len(row)] = axpy(neg(w[c]), row, w[c:c + len(row)])
+            c = next((c for c in range(d) if w[c]), None)
+            if c is None:
+                break
+            pv_inv = inv(w[c])
+            kept.append((c, [mul(pv_inv, v) for v in w[c:]]))
+            pivots.add(c)
+            vecs.append(step(vecs[-1]))
+        chi = chi * Poly._make(F, w[d:])
+        kept[block:] = [(c, row[:d - c]) for c, row in kept[block:]]
+    return chi, step, krylov, witnesses
 
 
 def char_poly_berkowitz(m: Mat) -> Poly:

@@ -1,5 +1,6 @@
 """Field arithmetic: defining relations, orders, subfields, embeddings."""
 
+import itertools
 import random
 import re
 
@@ -379,6 +380,19 @@ def test_axpy_matches_its_definition(q):
             assert type(got) is list and got is not ys
             got.append(0)  # a new list: ys stays as it was
             assert ys == kept
+
+
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_zech_axpy_matches_add_and_mul_for_every_a(q):
+    # the odd-p tabled axpy takes the Zech step inline, on the exponent sum
+    # mod q - 1: for every a, on every pair (x, y), among them the q - 1
+    # pairs a x = -y whose sum 0 has no logarithm
+    ctx = gf.standard_field(q)
+    xs, ys = zip(*itertools.product(range(q), repeat=2))
+    for a in range(q):
+        got = ctx.axpy(a, xs, ys)
+        assert got == list(map(ctx.add, map(ctx.mul, itertools.repeat(a), xs), ys))
+        assert sum(1 for x, y, v in zip(xs, ys, got) if x and y and not v) == (q - 1 if a else 0)
 
 
 @pytest.mark.parametrize("q", [q for q in KINDS if q <= 27] + [361, 529, 961])

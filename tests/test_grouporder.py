@@ -89,13 +89,20 @@ def test_element_order_raises_on_a_wrong_order_with_a_unipotent_part(monkeypatch
         element_order(m)
 
 
+def _with_chi(monkeypatch, chi):
+    """Make the spin of element_order return chi in place of the real one,
+    with its real witnesses and Krylov vectors."""
+    spin = grouporder._spin
+    monkeypatch.setattr(grouporder, "_spin", lambda g: (chi, *spin(g)[1:]))
+
+
 def test_element_order_raises_when_g_is_not_a_root_of_its_charpoly(monkeypatch):
     # diag(2, 1, 1) over F_3 has order 2 and charpoly (t - 2)(t - 1)^2; with
     # (t - 2)^3 in its place the order still comes out 2, and both
     # candidates a_0 = t - 2 and a_1 = (t - 2)^3 pass on e_1 = g e_1 / 2;
     # but on the witness e_2, neither g - 2 nor (g - 2)^3 = diag(0, 2, 2)
     # is zero
-    monkeypatch.setattr(grouporder, "char_poly", lambda g: Poly(F3, [-2, 1]) ** 3)
+    _with_chi(monkeypatch, Poly(F3, [-2, 1]) ** 3)
     with pytest.raises(CheckFailed, match="not a root"):
         element_order(Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]))
 
@@ -105,7 +112,7 @@ def test_element_order_raises_when_a_cyclic_g_is_not_a_root_of_its_charpoly(monk
     # e_1 is cyclic for it.  With (t - 2)^3 = t^3 + 1 in its place the order
     # would come out 6, as t^6 = 1 mod t^3 + 1 and no r_(6/l) e_1 is e_1;
     # the Krylov check chi(g) e_1 = 2 e_1 != 0 stops it
-    monkeypatch.setattr(grouporder, "char_poly", lambda g: Poly(F3, [-2, 1]) ** 3)
+    _with_chi(monkeypatch, Poly(F3, [-2, 1]) ** 3)
     with pytest.raises(CheckFailed, match="not a root"):
         element_order(Mat(F3, [[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
 
@@ -200,11 +207,11 @@ def _e1_rank(g):
 
 
 def _certificates(mats):
-    """The orders of mats and, per call of element_order, the products it
-    made, its eliminations, its number of Krylov witnesses (e_1 and the e_i
-    of the columns without a pivot in its elimination) and the k and a_k of
-    its certificate."""
-    mul, echelon, annihilator = Mat.__mul__, Mat._echelon, grouporder._annihilator
+    """The orders of mats and, per call of element_order, the products and
+    the eliminations it made, the witnesses e_i of its spin (as indices i)
+    and the k and a_k of its certificate."""
+    mul, echelon = Mat.__mul__, Mat._echelon
+    spin, annihilator = grouporder._spin, grouporder._annihilator
     calls = []
 
     def product(self, other):
@@ -212,12 +219,16 @@ def _certificates(mats):
         return mul(self, other)
 
     def eliminate(self, augment=None):
-        out = echelon(self, augment)
-        calls[-1]["witnesses"].append(1 + self.cols - len(out[1]))
+        calls[-1]["eliminations"] += 1
+        return echelon(self, augment)
+
+    def spun(g):
+        out = spin(g)
+        calls[-1]["witnesses"] = list(out[3])
         return out
 
-    def certify(g, parts, rings):
-        k, ring, is_identity = annihilator(g, parts, rings)
+    def certify(*args):
+        k, ring, is_identity = annihilator(*args)
         calls[-1]["k"], calls[-1]["a"] = k, ring.mod
         return k, ring, is_identity
 
@@ -225,22 +236,28 @@ def _certificates(mats):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Mat, "__mul__", product)
         mp.setattr(Mat, "_echelon", eliminate)
+        mp.setattr(grouporder, "_spin", spun)
         mp.setattr(grouporder, "_annihilator", certify)
         for m in mats:
-            calls.append({"products": 0, "witnesses": []})
+            calls.append({"products": 0, "eliminations": 0})
             orders.append(element_order(m))
     return orders, calls
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
 def test_a_second_krylov_witness_saves_full_evaluations(q):
-    # g = diag(1, A) fixes e_1, so its one elimination has the one pivot of
-    # e_1 and every e_i is a witness: the checks read on e_1 .. e_d, and no
-    # r(g) is formed in full
+    # g = diag(1, A) fixes e_1, whose Krylov space is spanned by e_1 alone;
+    # the next witness is e_2, and from there the spin of g is that of A, one
+    # coordinate on: the witnesses are e_1 and A's, 52-73 for the 21
+    # matrices where the unit vectors number 105, and no r(g) is formed in
+    # full
     mats = _e1_fixed(q)
     _, calls = _certificates(mats)
-    assert [c["witnesses"] for c in calls] == [[m.rows] for m in mats]
-    assert not any(c["products"] for c in calls)
+    assert [c["witnesses"] for c in calls] == [
+        [0] + [i + 1 for i in grouporder._spin(Mat._make(m.field, tuple(
+            row[1:] for row in m.data[1:])))[3]] for m in mats]
+    assert sum(len(c["witnesses"]) for c in calls) == {2: 73, 3: 62, 4: 58, 9: 52}[q]
+    assert not any(c["products"] or c["eliminations"] for c in calls)
 
 
 def _long_jordan_shapes(ctx, rng):
@@ -288,9 +305,11 @@ def test_a_semisimple_derogatory_g_builds_powers_once_on_the_radical(q):
     g = p_mat.inverse() * Mat.block_diag([_companion_of(f)] * 3) * p_mat
     orders, calls = _certificates([g])
     assert (calls[0]["k"], calls[0]["a"]) == (0, f)
-    # the cyclic space of e_1 has dimension deg f = 3, so 9 - 3 unit vectors
-    # join e_1 as witnesses
-    assert calls[0]["witnesses"] == [7] and calls[0]["products"] == 0
+    # each witness's cyclic space, less the earlier ones', has dimension
+    # deg f = 3, so three witnesses span V: the fewest for g's three
+    # invariant factors f
+    assert len(calls[0]["witnesses"]) == 3
+    assert calls[0]["products"] == calls[0]["eliminations"] == 0
     assert orders[0].value() == naive_element_order(g)
 
 
@@ -298,12 +317,12 @@ def test_a_semisimple_derogatory_g_builds_powers_once_on_the_radical(q):
 def test_a_candidate_that_fails_on_e1_builds_no_powers(q, degree):
     # g = diag(J, 1) with J a lower Jordan block at 1 of length 2: chi is
     # (t - 1)^3 and g e_1 = e_1 + e_2, so a_0 = t - 1 is ruled out on e_1
-    # alone; a_1 = (t - 1)^min(3, p) kills g, and only it takes the one
-    # elimination, which adds the witness e_3
+    # alone; a_1 = (t - 1)^min(3, p) kills g.  The spin spans e_1, e_2 from
+    # e_1 and adds the witness e_3
     g = Mat(gf.standard_field(q), [[1, 0, 0], [1, 1, 0], [0, 0, 1]])
     assert _e1_rank(g) == 2
     orders, calls = _certificates([g])
-    assert calls == [{"products": 0, "witnesses": [2], "k": 1,
+    assert calls == [{"products": 0, "eliminations": 0, "witnesses": [0, 2], "k": 1,
                       "a": Poly(g.field, [-1, 1]) ** min(3, q)}]
     assert orders[0].value() == q and calls[0]["a"].degree == degree
 
@@ -311,10 +330,11 @@ def test_a_candidate_that_fails_on_e1_builds_no_powers(q, degree):
 @pytest.mark.parametrize("q", [2, 3])
 def test_a_candidate_is_tried_on_the_witnesses_up_to_the_first_it_leaves_alive(
         q, monkeypatch):
-    # g = diag(1, J, I_3) with J a lower Jordan block at 1 of length 2: a_0 =
-    # t - 1 kills e_1 but not the next witness e_2, as g e_2 = e_2 + e_3, so
-    # it builds the combiners of e_1 and e_2 alone; a_1 = (t - 1)^p kills g
-    # and builds one on each of the six witnesses
+    # g = diag(1, J, I_3) with J a lower Jordan block at 1 of length 2: the
+    # witnesses are e_1, e_2 (which spans e_3 too), e_4, e_5 and e_6.  a_0 =
+    # t - 1 kills e_1 but not e_2, as g e_2 = e_2 + e_3, so it builds the
+    # combiners of e_1 and e_2 alone; a_1 = (t - 1)^p kills g and builds one
+    # on each of the five witnesses
     ctx = gf.standard_field(q)
     g = Mat.block_diag([Mat.identity(ctx, 1), _jordan(ctx, 1, 2).transpose(),
                         Mat.identity(ctx, 3)])
@@ -326,8 +346,8 @@ def test_a_candidate_is_tried_on_the_witnesses_up_to_the_first_it_leaves_alive(
 
     monkeypatch.setattr(grouporder, "_combiner", counting)
     assert element_order(g).value() == q
-    # rows: g's 6 columns for the step v -> g v, then deg a + 1 Krylov vectors
-    assert built == [6, 2, 2] + [q + 1] * 6
+    # rows: deg a + 1 Krylov vectors; the step v -> g v is the spin's
+    assert built == [2, 2] + [q + 1] * 5
 
 
 @pytest.mark.parametrize("wrong", [lambda o: o * FactoredInt({2: 1}),
@@ -419,27 +439,41 @@ def test_element_order_matches_naive_when_e1_is_cyclic(q):
 
 @pytest.mark.parametrize("q", [2, 9])
 def test_a_cyclic_g_makes_no_full_evaluation(q):
-    # e_1 is cyclic, so a_k(g) e_1 = 0 only for a_k = chi, its g^j e_1
-    # (j < dim g) have a pivot in every column, and e_1 is the one witness
+    # e_1 is cyclic, so its g^j e_1 (j < dim g) span V, the spin ends on
+    # e_1, and e_1 is the one witness
     mats = _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))
     _, calls = _certificates(mats)
-    assert [(c["products"], c["witnesses"]) for c in calls] == [(0, [1])] * len(mats)
+    assert ([(c["products"], c["eliminations"], c["witnesses"]) for c in calls]
+            == [(0, 0, [0])] * len(mats))
+
+
+@pytest.mark.parametrize("q", [2, 9])
+def test_diag_1_a_with_e1_cyclic_for_a_takes_two_witnesses(q):
+    # diag(1, A) with e_1 cyclic for A: e_1 spans its own Krylov space and
+    # e_2 the rest, so the spin takes 2 witnesses, not d
+    one = Mat.identity(gf.standard_field(q), 1)
+    mats = [Mat.block_diag([one, a])
+            for a in _cyclic_shapes(gf.standard_field(q), random.Random(400 + q))]
+    _, calls = _certificates(mats)
+    assert [c["witnesses"] for c in calls] == [[0, 1]] * len(mats)
+    assert _matches_naive(mats) >= 12
 
 
 def test_diagonal_matrices_take_every_unit_vector_as_a_witness():
-    # g e_1 is a multiple of e_1, so the elimination of its one Krylov
-    # vector leaves every other column without a pivot
+    # g e_i is a multiple of e_i, so each e_i spans its own Krylov space and
+    # the spin takes them all
     mats = [Mat(F3, [[2, 0, 0], [0, 1, 0], [0, 0, 1]]), Mat.identity(F3, 3),
             Mat.identity(F2, 2)]
     _, calls = _certificates(mats)
-    assert [c["witnesses"] for c in calls] == [[3], [3], [2]]
+    assert [c["witnesses"] for c in calls] == [[0, 1, 2], [0, 1, 2], [0, 1]]
     assert _matches_naive(mats) == len(mats)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_element_order_forms_no_product_and_at_most_one_elimination(q):
+def test_element_order_forms_no_product_and_no_elimination(q):
     # every check reads on Krylov vectors, each from one combiner over g's
-    # columns: no Mat product, and one elimination to choose the witnesses
+    # columns, and the spin that chooses the witnesses reduces copies of
+    # them: no Mat product and no Mat._echelon
     ctx = gf.standard_field(q)
     rng = random.Random(700 + q)
     mats = (_e1_fixed(q) + _long_jordan_shapes(ctx, random.Random(500 + q))
@@ -447,7 +481,7 @@ def test_element_order_forms_no_product_and_at_most_one_elimination(q):
             + [_small_order_blocks(ctx, dim, rng, repeated=True) for dim in range(2, 9)]
             + [_random_invertible(ctx, dim, rng) for dim in range(1, 9)])
     _, calls = _certificates(mats)
-    assert all(c["products"] == 0 and len(c["witnesses"]) == 1 for c in calls)
+    assert all(c["products"] == c["eliminations"] == 0 for c in calls)
 
 
 def test_element_order_builds_one_ring_when_chi_is_irreducible(monkeypatch):

@@ -11,6 +11,7 @@ from sympgen.gf import FieldElem
 from sympgen.errors import ShapeMismatch, SingularMatrix
 from sympgen.matrix import (
     Mat,
+    _spin,
     char_poly,
     char_poly_berkowitz,
     eigenspace,
@@ -181,6 +182,74 @@ def _companion(f):
     F, d = f.field, f.degree
     return Mat._make(F, tuple(tuple(F.neg(f.coeffs[i]) if j == d - 1 else int(i == j + 1)
                                     for j in range(d)) for i in range(d)))
+
+
+def _echelon(F, vecs):
+    """The pivot columns of the span of vecs, by plain Gaussian elimination on
+    F's sub, mul and inv alone: apart from Mat._echelon and the axpy kernels."""
+    rows, pivots = [list(v) for v in vecs], []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv_inv = F.inv(rows[r][c])
+        for i in range(r + 1, len(rows)):
+            f = F.mul(rows[i][c], pv_inv)
+            rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
+def _conjugate(m, rng):
+    while True:
+        c = rand_mat(m.field, m.rows, rng)
+        if c.det():
+            return c * m * c.inverse()
+
+
+def _jordan(F, lam, k):
+    return Mat._make(F, tuple(tuple(lam if i == j else int(j == i + 1) for j in range(k))
+                              for i in range(k)), k)
+
+
+def _spin_shapes(F, rng):
+    """0x0, 1x1, singular, diagonal, cyclic, derogatory and Jordan shapes."""
+    q = F.q
+    f = next(p for p in (Poly._make(F, (c0, c1, 1)) for c0 in range(1, q) for c1 in range(q))
+             if is_irreducible(p))
+    lam = rng.randrange(1, q)
+    shapes = [Mat.identity(F, 0), Mat._make(F, ((0,),)), Mat._make(F, ((lam,),)),
+              Mat.zeros(F, 3), _jordan(F, 0, 4), Mat.block_diag([_jordan(F, 0, 2), _companion(f)]),
+              Mat.block_diag([Mat._make(F, ((v,),)) for v in (lam, 1, lam, 0, 1)]),
+              Mat.identity(F, 4), _companion(f * f * Poly(F, (lam, 1))),
+              Mat.block_diag([_companion(f)] * 3), Mat.block_diag([_companion(f), _jordan(F, 1, 2),
+                                                                   _companion(f)]),
+              Mat.block_diag([_jordan(F, lam, 3), _jordan(F, lam, 2), _jordan(F, lam, 1)])]
+    singular = rand_mat(F, 5, rng)
+    singular = Mat._make(F, singular.data[:4] + (singular.data[1],))
+    return shapes + [singular] + [_conjugate(m, rng) for m in shapes[5:]]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 25])
+def test_spin_chi_matches_hessenberg_and_berkowitz(q):
+    # each witness adds the cyclic space of its e_i, less the earlier ones';
+    # the Krylov vectors g^j e_i (j < deg rho_i) are made by step, start at
+    # e_i, and span V
+    F = gf.standard_field(q)
+    for m in _spin_shapes(F, random.Random(f"spin,{q}")):
+        chi, step, krylov, witnesses = _spin(m)
+        assert chi == char_poly(m) == char_poly_berkowitz(m)
+        assert list(krylov) == witnesses == sorted(witnesses)
+        assert witnesses[:1] == ([0] if m.rows else [])
+        heads = []
+        for i in witnesses:
+            vecs = krylov[i]
+            assert vecs[0] == tuple(int(i == j) for j in range(m.rows))
+            assert all(step(u) == m.apply(u) == v for u, v in zip(vecs, vecs[1:]))
+            heads += vecs[:-1]  # the last is the first dependent one
+        assert len(heads) == m.rows == len(_echelon(F, heads))
 
 
 @pytest.mark.parametrize("q", [4, 5, 9])
