@@ -22,8 +22,8 @@ condition F_p[expr(a)] = F_q, expr and one Frobenius difference
 Q_e(t) = expr(t^(p^e)) - expr(t) per maximal proper subfield F_{p^e}
 (:func:`_subfield_polys`).  poly._root_exponents sieves them at every power
 of the field's least generator at once.  Only sigma-a tests each candidate
-on its own: it asks for a root in F_{q^2}, which no polynomial over F_p at a
-states.
+on its own: it asks that t have order q + 1 modulo t^2 + a t + 1, which no
+polynomial over F_p at a states.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .gf import (FieldCtx, FieldElem, embed, modulus_for, mult_order,
                  standard_field, subfield_degree)
 from .matrix import (Mat, _combiner, char_poly, eigenspace, paper_commutator, same_span,
                      similarity_invariants)
-from .poly import Poly, _root_exponents, roots
+from .poly import Poly, _Ring, _root_exponents, roots
 from .grouporder import (Certificate, PrimeSet, element_order,
                          lps_certificate, union_varpi, varpi_group)
 from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
@@ -311,12 +311,19 @@ CONDITIONS = {
 
 
 def _sigma_of(field: FieldCtx, a: FieldElem):
-    """Least root of t^2 + a t + 1 in F_{q^2} if its order is q+1, else None."""
+    """The least root of t^2 + a t + 1 in F_{q^2}."""
     big = standard_field(field.q * field.q)
-    sigma = next(roots(Poly(big, [1, embed(field, big)(a), 1])), None)
-    if sigma is not None and mult_order(sigma).value() == field.q + 1:
-        return sigma
-    return None
+    return next(roots(Poly(big, [1, embed(field, big)(a), 1])))
+
+
+def _has_sigma(field: FieldCtx, a: FieldElem) -> bool:
+    """The roots of t^2 + a t + 1 have order q + 1: t^(q+1) = 1 and
+    t^((q+1)/l) != 1 for each prime l | q + 1, in one ring
+    F_q[t]/(t^2 + a t + 1).  A root in F_q has order dividing q - 1, so this
+    holds only where the ring is F_{q^2} and t one of its roots."""
+    ring, e = _Ring(Poly(field, [1, a, 1])), field.q + 1
+    t = ring.elem(Poly.t(field))
+    return ring.pow(t, e) == 1 and all(ring.pow(t, e // l) != 1 for l in prime_factors(e))
 
 
 def _branch_conditions(lemma_id: str, p: int):
@@ -373,7 +380,8 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     condition F_p[expr(a)] = F_q the polynomials of _subfield_polys.  They
     are sieved over all powers of g at once (poly._root_exponents), and no
     polynomial is evaluated per candidate.  sigma-a keeps its per-candidate
-    test, since its condition asks for a root of t^2 + a t + 1 in F_{q^2}."""
+    test (_has_sigma), since its condition asks that the roots of
+    t^2 + a t + 1 have order q + 1 in F_{q^2}."""
     if q - 1 > _SEARCH_LIMIT:
         raise OutOfRange(f"search over F_{q}: q - 1 is past the bound 2^22")
     field = field or standard_field(q)
@@ -390,7 +398,7 @@ def search_parameter(lemma_id: str, q: int, field: FieldCtx | None = None):
     order = [*range(1, q - 1), 0]  # exponents of g, g^2, ..., g^(q-2), 1
     if cond.get("special") == "sigma":
         return [a for a in (FieldElem(field, powers[i]) for i in order)
-                if _sigma_of(field, a) is not None]
+                if _has_sigma(field, a)]
     polys = [list(enumerate(coeffs)) for coeffs in cond["nz"]]
     if cond.get("sub") is not None:
         polys += _subfield_polys(field, cond["sub"])

@@ -293,10 +293,18 @@ def _y2_action(n: int, field: FieldCtx, q: int) -> Mat:
     return b.build()
 
 
+# x, y and their factors are dense 2n x 2n matrices, so memory grows as n^2:
+# n = 512 takes about 100 MB and 5 s, and n = 4096 would take gigabytes.
+_N_LIMIT = 512
+
+
 def build_general(n: int, q: int, a, field: FieldCtx | None = None) -> GeneratorPair:
-    """The section-2 recipe: x = x1 x2, y = y1 y2."""
+    """The section-2 recipe: x = x1 x2, y = y1 y2; OutOfRange past
+    n = _N_LIMIT, before any matrix."""
     if not (n == 4 or n >= 6):
         raise BadParam("general recipe needs n = 4 or n >= 6")
+    if n > _N_LIMIT:
+        raise OutOfRange(f"general recipe at n = {n}: n is past the bound {_N_LIMIT}")
     if (n, q) == (4, 2):
         raise BadParam("(n, q) = (4, 2) is excluded")
     space, a = _setup(n, q, a, field)

@@ -13,8 +13,8 @@ Poly._make.  A FieldElem never equals an int.
 FieldCtx.__init__ decides the kind of field once (_bind_arithmetic) and binds
 add, neg, sub, mul, inv and pow on packed values as closures on the instance,
 and axpy(a, xs, ys) = [a x + y for x, y in zip(xs, ys)], the one row update
-of elimination, Hessenberg reduction and Euclid; no operation tests the kind
-again.  The kinds:
+of elimination, the Keller-Gehrig spin and Euclid; no operation tests the
+kind again.  The kinds:
   prime           integers mod p;
   tabled, p = 2   XOR addition, exp/log multiplication;
   tabled, odd p   Zech addition and negation, exp/log multiplication;

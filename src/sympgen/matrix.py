@@ -29,16 +29,13 @@ factor (Mat._right), so repeated products by one matrix (the letters of a
 word) build it once; over F_{p^f} its multiples c * row then last as long
 as the matrix.  Equality and hash read only the field and the entries.
 
-char_poly runs Hessenberg reduction over the field; a division-free
-Berkowitz implementation, on add and mul alone, is kept alongside as an
-independent cross-check for small dimensions.  _spin, the third, is the
-Keller-Gehrig spin of grouporder.element_order: it reads chi off the
-Krylov vectors of a few unit vectors and hands those vectors on to the
-order checks.  Each row operation of _echelon, of the spin and of the
-reduction is one call of the field's axpy; a reduction
-step makes all its row operations (row_i -= f_i row_(c+1)) before its
-column operations (col_(c+1) += f_i col_i, one axpy per row i), which
-commute with them.
+char_poly reads chi off the Keller-Gehrig spin _spin, the one chi of the
+package: it spins the Krylov vectors of a few unit vectors, multiplies
+the characteristic polynomials of the cyclic pieces once, and hands the
+vectors on to the order checks of grouporder.element_order.  A
+division-free Berkowitz implementation, on add and mul alone, is kept
+alongside as its independent oracle for small dimensions.  Each row
+operation of _echelon and of the spin is one call of the field's axpy.
 similarity_invariants reads the invariant factors from the nullities of
 f(M)^k, f over the irreducible factors of char_poly: kernel is the one
 elimination, _echelon, as for det, inverse and solve.
@@ -356,51 +353,10 @@ def paper_commutator(x: Mat, y: Mat) -> Mat:
 
 
 def char_poly(m: Mat) -> Poly:
-    """Monic characteristic polynomial det(tI - M) via Hessenberg reduction."""
+    """Monic characteristic polynomial det(tI - M), read off the spin of M."""
     if not m.is_square():
         raise NotSquare("characteristic polynomial needs a square matrix")
-    F = m.field
-    n = m.rows
-    if n == 0:
-        return Poly.one(F)
-    mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
-    h = [list(r) for r in m.data]
-    # similarity reduction to upper Hessenberg form; rows c + 1 on are 0
-    # left of column c, so row operations start at c
-    for c in range(n - 2):
-        pr = next((i for i in range(c + 1, n) if h[i][c]), None)
-        if pr is None:
-            continue
-        if pr != c + 1:
-            h[c + 1], h[pr] = h[pr], h[c + 1]
-            for i in range(n):
-                h[i][c + 1], h[i][pr] = h[i][pr], h[i][c + 1]
-        pv_inv, pivot_row, factors = inv(h[c + 1][c]), h[c + 1][c:], []
-        for i in range(c + 2, n):
-            if h[i][c]:
-                factor = mul(h[i][c], pv_inv)
-                h[i][c:] = axpy(neg(factor), pivot_row, h[i][c:])
-                factors.append((i, factor))
-        col = [row[c + 1] for row in h]  # then col_(c+1) += factor col_i
-        for i, factor in factors:
-            col = axpy(factor, [row[i] for row in h], col)
-        for row, v in zip(h, col):
-            row[c + 1] = v
-    # charpoly recurrence on the Hessenberg form
-    polys = [[1]]  # p_0 = 1, coefficient lists constant-first
-    for k in range(1, n + 1):
-        prev = polys[k - 1]
-        cur = axpy(neg(h[k - 1][k - 1]), prev + [0], [0] + prev)  # (t - a_kk) p_(k-1)
-        beta = 1
-        for i in range(k - 1, 0, -1):
-            beta = mul(beta, h[i][i - 1])
-            if beta == 0:
-                break
-            coef = mul(beta, h[i - 1][k - 1])
-            if coef:
-                cur[:i] = axpy(neg(coef), polys[i - 1], cur[:i])
-        polys.append(cur)
-    return Poly._make(F, polys[n])
+    return _spin(m)[0]
 
 
 def _spin(g: Mat):
@@ -424,7 +380,7 @@ def _spin(g: Mat):
     mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
     step = _combiner(F, tuple(zip(*g.data)), d)
     kept = []  # (pivot c, row from c on scaled to 1 at c, then coefficients)
-    pivots, krylov, witnesses, chi = set(), {}, [], Poly.one(F)
+    pivots, krylov, witnesses, rhos = set(), {}, [], []
     while len(kept) < d:
         i = next(c for c in range(d) if c not in pivots)
         witnesses.append(i)
@@ -442,8 +398,9 @@ def _spin(g: Mat):
             kept.append((c, [mul(pv_inv, v) for v in w[c:]]))
             pivots.add(c)
             vecs.append(step(vecs[-1]))
-        chi = chi * Poly._make(F, w[d:])
+        rhos.append(Poly._make(F, w[d:]))
         kept[block:] = [(c, row[:d - c]) for c, row in kept[block:]]
+    chi = functools.reduce(operator.mul, rhos) if rhos else Poly.one(F)
     return chi, step, krylov, witnesses
 
 

@@ -10,9 +10,9 @@ from sympgen.construct import GeneratorPair, SympSpace, build
 from sympgen.errors import (BadParam, OddCharacteristic, OutOfRange, UnknownClaim,
                             UnknownLemma)
 from sympgen.factorint import prime_factors
-from sympgen.gf import FieldCtx, standard_field
+from sympgen.gf import FieldCtx, embed, mult_order, standard_field
 from sympgen.matrix import Mat
-from sympgen.poly import Poly
+from sympgen.poly import Poly, roots
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +181,22 @@ SIEVE_QS = [q for q in range(2, 257) if len(prime_factors(q)) == 1] + [257, 1024
 def test_sieve_matches_the_per_candidate_search(lemma):
     for q in SIEVE_QS:
         assert claims.search_parameter(lemma, q) == _reference_search(lemma, q), q
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32, 64])
+def test_sigma_search_matches_the_root_scan(q):
+    # the per-candidate reference: the least root of t^2 + a t + 1 found by a
+    # scan of F_{q^2}, a kept iff that root has multiplicative order q + 1
+    field, big = standard_field(q), standard_field(q * q)
+    into = embed(field, big)
+    g = field.mult_generator()
+    want, a = [], g
+    for _ in range(q - 1):
+        sigma = next(roots(Poly(big, [1, into(a), 1])), None)
+        if sigma is not None and mult_order(sigma).value() == q + 1:
+            want.append(a)
+        a *= g
+    assert want and claims.search_parameter("sigma-a", q) == want
 
 
 def test_search_respects_characteristic_split():

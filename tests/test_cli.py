@@ -186,6 +186,17 @@ def test_search_past_its_bound_exits_2(capsys):
     assert out == "" and "past the bound 2^22" in err
 
 
+def test_build_past_its_n_bound_exits_2_before_any_matrix(capsys, monkeypatch):
+    # n = 513 is one past the general recipe's bound 512
+    def made(*args):
+        raise RuntimeError("a matrix was made")
+
+    monkeypatch.setattr(sympgen.matrix.Mat, "_make", made)
+    assert main(["build", "--n", "513", "--q", "2", "--a", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "n = 513: n is past the bound 512" in err
+
+
 def test_search_unknown_lemma_is_an_error(capsys):
     rc, _ = run_cli(capsys, "search", "--lemma", "bogus", "--q", "7")
     assert rc == 2

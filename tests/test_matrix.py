@@ -96,7 +96,7 @@ def test_char_poly_companion():
 def test_char_poly_cross_check(q):
     # every field kind, so each of its axpy kernels (the generic one of an
     # untabled field too) meets the Berkowitz oracle on add and mul; the
-    # sparse matrices take the pivot swaps and zero subdiagonals
+    # sparse matrices take the spin through several witnesses
     ctx = gf.standard_field(q)
     rng, sparse_rng = random.Random(q), random.Random(f"sparse,{q}")
     for n in [1, 2, 3, 5, 8, 12] if q <= 27 else [1, 2, 3, 5]:
@@ -233,14 +233,14 @@ def _spin_shapes(F, rng):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 25])
-def test_spin_chi_matches_hessenberg_and_berkowitz(q):
+def test_spin_chi_matches_berkowitz(q):
     # each witness adds the cyclic space of its e_i, less the earlier ones';
     # the Krylov vectors g^j e_i (j < deg rho_i) are made by step, start at
     # e_i, and span V
     F = gf.standard_field(q)
     for m in _spin_shapes(F, random.Random(f"spin,{q}")):
         chi, step, krylov, witnesses = _spin(m)
-        assert chi == char_poly(m) == char_poly_berkowitz(m)
+        assert chi == char_poly_berkowitz(m)
         assert list(krylov) == witnesses == sorted(witnesses)
         assert witnesses[:1] == ([0] if m.rows else [])
         heads = []

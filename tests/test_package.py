@@ -182,7 +182,7 @@ def test_one_reader_of_packed_slots():
 
 def test_one_row_update():
     # the field's axpy is the row operation of the elimination, of the
-    # Hessenberg reduction, of the Keller-Gehrig spin and of poly's long
+    # Keller-Gehrig spin (char_poly reads chi off it) and of poly's long
     # division (divmod and gcd);
     # char_poly_berkowitz, the oracle that checks char_poly, stays on add and
     # mul and so shares no kernel with it
@@ -190,4 +190,4 @@ def test_one_row_update():
                    for path in SOURCES if path.stem in ("matrix", "poly")
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef) and _references(node, "axpy"))
-    assert found == ["matrix._echelon", "matrix._spin", "matrix.char_poly", "poly._divide"]
+    assert found == ["matrix._echelon", "matrix._spin", "poly._divide"]
