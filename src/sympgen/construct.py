@@ -294,7 +294,7 @@ def _y2_action(n: int, field: FieldCtx, q: int) -> Mat:
 
 
 # x, y and their factors are dense 2n x 2n matrices, so memory grows as n^2:
-# n = 512 takes about 100 MB and 5 s, and n = 4096 would take gigabytes.
+# n = 512 takes about 100 MB and 5 s, and n = 4096 would take 64 times that.
 _N_LIMIT = 512
 
 
