@@ -158,9 +158,10 @@ def _vec(field, coords):
 
 def _vcombo(field, vectors_coeffs):
     """Linear combination of vectors, [(coeff, vec), ...]; coefficients are
-    FieldElems or ints."""
+    FieldElems or ints, packed into a tuple, since the combiner reads its
+    coefficients more than once."""
     coeffs, vecs = zip(*vectors_coeffs)
-    return _combiner(field, vecs, len(vecs[0]))(map(field.scalar, coeffs))
+    return _combiner(field, vecs, len(vecs[0]))(tuple(map(field.scalar, coeffs)))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,11 @@ class SympSpace:
 
     @classmethod
     def make(cls, n: int, field: FieldCtx) -> "SympSpace":
-        J = Mat.from_function(
-            field, 2 * n, 2 * n,
-            lambda i, j: (-1 if (i < n and j == i + n) else
-                          (1 if (i >= n and j == i - n) else 0)))
-        return cls(n=n, field=field, J=J)
+        # row i < n is -e_{i+n}, row n + i is e_i; packed 0 and 1 need no field
+        minus, zero = field.neg(1), (0,)
+        rows = ([zero * (n + i) + (minus,) + zero * (n - 1 - i) for i in range(n)]
+                + [zero * i + (1,) + zero * (2 * n - 1 - i) for i in range(n)])
+        return cls(n=n, field=field, J=Mat._make(field, tuple(rows), 2 * n))
 
     def idx(self, i: int) -> int:
         """Column index of the signed basis vector e_i (i in +-1..+-n)."""

@@ -45,9 +45,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from itertools import repeat
+from itertools import compress, repeat
 
-from .errors import MixedFields, NotSquare, ShapeMismatch, SingularMatrix
+from .errors import CheckFailed, MixedFields, NotSquare, ShapeMismatch, SingularMatrix
 from .gf import FieldCtx, FieldElem, _power
 from .poly import Poly, _pack, _slot_width, _unpack, factor
 
@@ -246,9 +246,11 @@ class Mat:
                 det = neg(det)
             pv = m[r][c]
             det = mul(det, pv)
-            pv_inv = inv(pv)
             # the rows from r on are 0 left of column c: row operations start at c
-            row = m[r][c:] = [mul(pv_inv, v) for v in m[r][c:]]
+            row = m[r][c:]
+            if pv != 1:
+                pv_inv = inv(pv)
+                row = m[r][c:] = [mul(pv_inv, v) for v in row]
             for i in range(self.rows):
                 if i != r and m[i][c]:
                     m[i][c:] = axpy(neg(m[i][c]), row, m[i][c:])
@@ -314,37 +316,58 @@ _CHAIN = 1000
 
 def _combiner(F: FieldCtx, rows, cols: int):
     """combine(coeffs) = the tuple sum c_i * rows[i] of length cols, for rows
-    of packed values over F and packed coefficients, at most one per row (a
-    row without one counts as 0).  The one prime/extension fork of matrix
-    arithmetic: over F_p each row is packed once, in slots wide enough for
-    len(rows) (p - 1)^2, and a combination is one big-int sum, unpacked and
-    reduced mod p once; over an extension field each row keeps its
-    multiples c * row, formed by the field's mul the first time c is used,
-    and the nonzero terms chain maps of the field's add over them."""
+    of packed values over F and a sequence (not an iterator: it is read more
+    than once) of packed coefficients, at most one per row (a row without
+    one counts as 0).  The rows are kept as tuples, and where coeffs is the
+    unit vector e_j, j within the rows, combine returns rows[j] itself, with
+    no arithmetic.  Otherwise only the nonzero coefficients are read.  The
+    one prime/extension fork of matrix arithmetic: over F_p each row is
+    packed once, in slots wide enough for len(rows) (p - 1)^2, and a
+    combination is one big-int sum, unpacked and reduced mod p once; over
+    an extension field each row keeps its multiples c * row, formed by the
+    field's mul the first time c is used, and the terms chain maps of the
+    field's add over them."""
+    rows = tuple(map(tuple, rows))
     if F.is_prime_field:
         p, mul = F.p, operator.mul
         w = _slot_width(len(rows) * (p - 1) ** 2)
         packed = [_pack(row, w) for row in rows]
 
         def combine(coeffs):
-            return tuple(_unpack(sum(map(mul, coeffs, packed)), cols, w, p))
+            row = _unit_row(coeffs, rows)
+            if row is not None:
+                return row
+            terms = map(mul, filter(None, coeffs), compress(packed, coeffs))
+            return tuple(_unpack(sum(terms), cols, w, p))
         return combine
     mul, add, zero, chain = F.mul, F.add, (0,) * cols, _CHAIN
     multiples = [{1: row} for row in rows]  # c -> c * row
 
     def combine(coeffs):
+        row = _unit_row(coeffs, rows)
+        if row is not None:
+            return row
         acc, depth = zero, 0  # depth: terms in the chain
-        for c, kept in zip(coeffs, multiples):
-            if c:
-                term = kept.get(c)
-                if term is None:
-                    term = kept[c] = tuple(map(mul, repeat(c), kept[1]))
-                acc = map(add, acc, term) if depth else term
-                depth += 1
-                if depth == chain:
-                    acc, depth = tuple(acc), 1
+        for c, kept in compress(zip(coeffs, multiples), coeffs):
+            term = kept.get(c)
+            if term is None:
+                term = kept[c] = tuple(map(mul, repeat(c), kept[1]))
+            acc = map(add, acc, term) if depth else term
+            depth += 1
+            if depth == chain:
+                acc, depth = tuple(acc), 1
         return tuple(acc)
     return combine
+
+
+def _unit_row(coeffs, rows):
+    """rows[j] if coeffs is the unit vector e_j (one nonzero entry, a 1)
+    with j < len(rows), else None."""
+    if coeffs.count(0) + 1 == len(coeffs) and 1 in coeffs:
+        j = coeffs.index(1)
+        if j < len(rows):
+            return rows[j]
+    return None
 
 
 def paper_commutator(x: Mat, y: Mat) -> Mat:
@@ -394,8 +417,11 @@ def _spin(g: Mat):
             c = next((c for c in range(d) if w[c]), None)
             if c is None:
                 break
-            pv_inv = inv(w[c])
-            kept.append((c, [mul(pv_inv, v) for v in w[c:]]))
+            row = w[c:]
+            if row[0] != 1:
+                pv_inv = inv(row[0])
+                row = [mul(pv_inv, v) for v in row]
+            kept.append((c, row))
             pivots.add(c)
             vecs.append(step(vecs[-1]))
         rhos.append(Poly._make(F, w[d:]))
@@ -477,7 +503,8 @@ def similarity_invariants(m: Mat):
     for each irreducible f of degree d and multiplicity mult in char_poly(M),
     the nullity n_k of f(M)^k rises to d mult, and (n_k - n_{k-1}) / d blocks
     f^j of M have j >= k.  The i-th largest invariant factor is the product
-    of f^#{k : that count >= i} over the factors f."""
+    of f^#{k : that count >= i} over the factors f.  A nullity that stops
+    rising below d mult, or passes it, raises CheckFailed."""
     if not m.is_square():
         raise NotSquare("similarity invariants need a square matrix")
     F = m.field
@@ -487,11 +514,13 @@ def similarity_invariants(m: Mat):
         a = m + eye.scale(FieldElem(F, f.coeffs[-2]))  # f(M) by Horner; f monic
         for c in f.coeffs[-3::-1]:
             a = a * m + eye.scale(FieldElem(F, c))
-        counts, nullity, power = [], 0, a
+        counts, nullity, power, full = [], 0, a, f.degree * mult
         while True:
             prev, nullity = nullity, len(power.kernel())
+            if nullity == prev or nullity > full:
+                raise CheckFailed(f"nullities of f(M)^k reach {nullity}, not {full}")
             counts.append((nullity - prev) // f.degree)
-            if nullity == f.degree * mult:
+            if nullity == full:
                 break
             power = power * a
         exponents.append((f, [sum(c >= i for c in counts) for i in range(1, counts[0] + 1)]))
