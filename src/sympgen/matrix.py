@@ -16,18 +16,25 @@ same_span take them as they are.
 Every linear combination sum c_i row_i is formed in one place, _combiner:
 the rows of a product (combinations of the right factor's rows), the image
 of a vector (a combination of the columns) and the vectors r(g) e_i of
-the order checks (combinations of Krylov vectors).  Over a prime field
-each row becomes one integer of byte-aligned slots (poly._pack) wide
-enough for m (p - 1)^2, a combination is one big-int sum of
-c_i * packed_row_i, and its slots are unpacked and reduced mod p once
-(delayed reduction).  Over an extension
-field each row keeps its multiples c * row_i, formed by the field's mul the
-first time c is used (the table of multiples of Albrecht's M4RIE, filled
-lazily), and a combination chains maps of the field's add over them.  A
-Mat keeps the combiner of its rows once a product has used it as the right
-factor (Mat._right), so repeated products by one matrix (the letters of a
-word) build it once; over F_{p^f} its multiples c * row then last as long
-as the matrix.  Equality and hash read only the field and the entries.
+the order checks (combinations of Krylov vectors).  Its coefficients come
+as a sequence, read more than once, and only the nonzero ones count: the
+generators are built one basis image at a time, so most rows of x, y, tau
+and their short words are unit vectors e_j, and for those the combination
+is row j itself, returned as the same tuple with no arithmetic (a product
+then shares that row with its right factor, as the elements of
+grouporder.closure_bfs share theirs).  Over a prime field each row
+becomes one integer of byte-aligned slots (poly._pack) wide enough for
+m (p - 1)^2, a combination is one big-int sum of c_i * packed_row_i over
+the nonzero c_i, and its slots are unpacked and reduced mod p once
+(delayed reduction).  Over an extension field each row keeps its
+multiples c * row_i, formed by the field's mul the first time c is used
+(the table of multiples of Albrecht's M4RIE, filled lazily), and a
+combination chains maps of the field's add over those of the nonzero c_i.
+A Mat keeps the combiner of its rows once a product has used it as the
+right factor (Mat._right), so repeated products by one matrix (the
+letters of a word) build it once; over F_{p^f} its multiples c * row then
+last as long as the matrix.  Equality and hash read only the field and
+the entries.
 
 char_poly reads chi off the Keller-Gehrig spin _spin, the one chi of the
 package: it spins the Krylov vectors of a few unit vectors, multiplies
@@ -35,7 +42,8 @@ the characteristic polynomials of the cyclic pieces once, and hands the
 vectors on to the order checks of grouporder.element_order.  A
 division-free Berkowitz implementation, on add and mul alone, is kept
 alongside as its independent oracle for small dimensions.  Each row
-operation of _echelon and of the spin is one call of the field's axpy.
+operation of _echelon and of the spin is one call of the field's axpy, and
+a pivot row is scaled to 1 only where its pivot is not 1 already.
 similarity_invariants reads the invariant factors from the nullities of
 f(M)^k, f over the irreducible factors of char_poly: kernel is the one
 elimination, _echelon, as for det, inverse and solve.

@@ -120,13 +120,23 @@ def test_combiner_matches_a_loop_of_field_ops(q):
             draw = (lambda: q - 1) if top else (lambda: rng.randrange(q))
             rows = [tuple(draw() for _ in range(cols)) for _ in range(n)]
             combine = _combiner(F, rows, cols)
+            units = [[int(i == j) for i in range(n)] for j in {0, n - 1} if n]  # first, last
+            short = [int(i == n // 2 - 1) for i in range(n // 2)]  # fewer than rows, 1 last
+            lone = [0] * n  # one entry, not a unit
+            if n and q > 2:
+                lone[n // 2] = rng.randrange(2, q)
             for coeffs in ([draw() for _ in range(n)],
                            [0] * n,
                            [draw() if i % 2 else 0 for i in range(n)],
-                           [draw() for _ in range(n // 2)]):  # fewer than rows
+                           [draw() for _ in range(n // 2)],  # fewer than rows
+                           *units, short, lone,
+                           [0] * n + [1],  # a 1 past the last row
+                           [draw() if rng.random() < 0.1 else 0 for _ in range(n)]):
                 got = combine(coeffs)
                 assert type(got) is tuple and got == ref(coeffs, rows, cols)
                 assert all(type(v) is int and 0 <= v < q for v in got)
+                if coeffs in units or coeffs == short and 1 in short:
+                    assert got is rows[coeffs.index(1)]  # the row itself
 
 
 def test_combiner_forms_each_multiple_of_a_row_once(monkeypatch):
@@ -145,6 +155,37 @@ def test_combiner_forms_each_multiple_of_a_row_once(monkeypatch):
     combine = _combiner(F, rows, 5)
     assert [combine(coeffs) for coeffs in draws] == expected
     assert len(calls) <= 6 * 2 * 5
+
+
+@pytest.mark.parametrize("q", [7, 9])
+def test_a_permutation_times_a_matrix_selects_its_rows(q, monkeypatch):
+    # a fresh field, so that counting its mul closure counts nothing else
+    F = FieldCtx(q, 1, None) if q == 7 else FieldCtx(3, 2, gf.modulus_for(9))
+    rng = random.Random(q)
+    n = 6
+    perm = rng.sample(range(n), n)
+    left = Mat._make(F, tuple(tuple(int(j == perm[i]) for j in range(n)) for i in range(n)))
+    right = Mat._make(F, tuple(tuple(rng.randrange(q) for _ in range(5)) for _ in range(n)))
+    expected = ref_matmul(F, left.data, right.data, 5)
+    unpacks, muls = [], []
+    unpack, mul = matrix._unpack, F.mul
+    monkeypatch.setattr(matrix, "_unpack", lambda *args: unpacks.append(1) or unpack(*args))
+    monkeypatch.setattr(F, "mul", lambda a, b: muls.append(1) or mul(a, b))
+    product = left * right
+    assert product.data == expected
+    assert all(row is right.data[perm[i]] for i, row in enumerate(product.data))
+    assert unpacks == [] and muls == []
+
+
+@pytest.mark.parametrize("n", [2, 5, 11])
+@pytest.mark.parametrize("q", [2, 7, 9])
+def test_the_symplectic_form_equals_the_entrywise_one(q, n):
+    F = gf.standard_field(q)
+    old = Mat.from_function(F, 2 * n, 2 * n,
+                            lambda i, j: (-1 if (i < n and j == i + n) else
+                                          (1 if (i >= n and j == i - n) else 0)))
+    J = SympSpace.make(n, F).J
+    assert J == old and J.data == old.data and (J.rows, J.cols) == (2 * n, 2 * n)
 
 
 @pytest.mark.parametrize("q", [3, 9])

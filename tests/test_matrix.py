@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympgen import gf
+from sympgen import gf, matrix
 from sympgen.gf import FieldElem
-from sympgen.errors import ShapeMismatch, SingularMatrix
+from sympgen.errors import CheckFailed, ShapeMismatch, SingularMatrix
 from sympgen.matrix import (
     Mat,
     _spin,
@@ -268,6 +268,84 @@ def test_similarity_invariants_recover_a_known_chain(q):
             break
     assert similarity_invariants(c * m * c.inverse()) == chain
     assert similarity_invariants(Mat.identity(ctx, 0)) == []
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_similarity_invariants_refuse_a_wrong_multiplicity(shift, monkeypatch):
+    # chi's factors reported with mult + 1: the nullities of f(M)^k stall
+    # below deg f (mult + 1); with mult - 1 they pass deg f (mult - 1).  No
+    # Jordan block is longer than 1 here, so n_1 is already deg f mult
+    real = matrix.factor
+    monkeypatch.setattr(matrix, "factor", lambda f: [(g, mult + shift) for g, mult in real(f)])
+    c = _companion(Poly(F5, [2, 0, 1]))  # t^2 + 2, irreducible over F_5
+    for m in (Mat.identity(F3, 3), Mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 2]]),
+              Mat.block_diag([c, c])):
+        with pytest.raises(CheckFailed):
+            similarity_invariants(m)
+
+
+def _gauss_jordan(F, rows, ncols):
+    """(reduced rows, pivot cols, det of the square part) by plain
+    Gauss-Jordan on F's neg, sub, mul and inv alone, every pivot row scaled
+    by its inverse: apart from Mat._echelon and the axpy kernels."""
+    m, pivots, det = [list(r) for r in rows], [], 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            det = F.neg(det)
+        det = F.mul(det, m[r][c])
+        pv_inv = F.inv(m[r][c])
+        m[r] = [F.mul(pv_inv, v) for v in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots, det
+
+
+def _unit_pivot_shapes(F, n, rng):
+    """A permutation, upper and lower unitriangular matrices, and singular
+    ones: a permutation and an upper unitriangular matrix with a row zeroed."""
+    perm = rng.sample(range(n), n)
+    p = [[int(j == perm[i]) for j in range(n)] for i in range(n)]
+    upper = [[1 if i == j else rng.randrange(F.q) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+    lower = [list(col) for col in zip(*upper)]
+    gone = rng.randrange(n)
+    cut_p, cut_upper = [r[:] for r in p], [r[:] for r in upper]
+    cut_p[gone], cut_upper[gone] = [0] * n, [0] * n
+    return [Mat._make(F, tuple(map(tuple, m))) for m in (p, upper, lower, cut_p, cut_upper)]
+
+
+@pytest.mark.parametrize("q", KINDS)
+def test_unit_pivot_eliminations_match_gauss_jordan(q):
+    # pivots of 1 throughout: _echelon copies those rows, unscaled
+    ctx = gf.standard_field(q)
+    rng = random.Random(f"unit pivots,{q}")
+    for n in [1, 2, 5, 9]:
+        for m in _unit_pivot_shapes(ctx, n, rng):
+            red, pivots, det = _gauss_jordan(ctx, m.data, n)
+            assert m.det().val == (det if len(pivots) == n else 0)
+            kernel = []
+            for fc in (c for c in range(n) if c not in pivots):
+                vec = [0] * n
+                vec[fc] = 1
+                for r, pc in enumerate(pivots):
+                    vec[pc] = ctx.neg(red[r][fc])
+                kernel.append(tuple(vec))
+            assert m.kernel() == kernel
+            if len(pivots) < n:
+                with pytest.raises(SingularMatrix):
+                    m.inverse()
+                continue
+            eye = Mat.identity(ctx, n).data
+            aug, _, _ = _gauss_jordan(ctx, [r + e for r, e in zip(m.data, eye)], n)
+            assert m.inverse().data == tuple(tuple(row[n:]) for row in aug)
 
 
 def test_paper_commutator_involution_case():
