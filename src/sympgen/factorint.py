@@ -23,7 +23,8 @@ x^(N / l^e) for all prime powers l^e of N come from one product tree
 (_cofactor_powers, a Huffman tree on their bit lengths), and each is then
 raised by l until it is the identity (Sutherland, Order computations in
 generic groups, PhD thesis, MIT 2007, ch. 7).  A group order that x^N does
-not reach raises CheckFailed.
+not reach raises CheckFailed.  It is the one order search of the package:
+gf's multiplicative orders and grouporder's element orders both call it.
 """
 
 from __future__ import annotations
@@ -356,7 +357,8 @@ def _cofactor_powers(x, parts, power):
 
 
 def multiplicative_order(modulus_order: FactoredInt, x, power, is_one) -> FactoredInt:
-    """Order of x in a group whose exponent divides N = modulus_order.
+    """Order of x, for N = modulus_order a multiple of it, such as the
+    exponent of x's group; x^N = 1 is checked, not trusted.
 
     power(y, n) must return y^n and is_one(y) tell whether y is the
     identity.  For each prime power l^e of N, y = x^(N / l^e) comes from one

@@ -2,31 +2,29 @@
 
 |Sp_2n(q)| and |SL_n(q)| are kept factored; every q^d - 1 term is factored
 through its cyclotomic decomposition so nothing large ever reaches the
-integer-factoring backend.  Element orders come from the characteristic
-polynomial chi, split no further than its squarefree parts (P, m) and
-their distinct-degree pieces.  The order of t modulo an irreducible of
-degree d divides q^d - 1, and modulo a squarefree product it is the lcm of
-the orders modulo the factors (Lidl & Niederreiter, Finite Fields, 3.1).
-So the semisimple part N0 is the lcm of ord(t mod g_d) over the pieces
-g_d, the products of the degree-d irreducibles of each squarefree part
-(factorint.multiplicative_order in the ring F_q[t]/(g_d)).  The p-part is
-set by the longest Jordan block (Celler & Leedham-Green, Calculating the
-order of an invertible matrix, DIMACS Series 28, 1997): t^N0 - 1 is
-squarefree and divisible by every irreducible f of chi, and no Jordan
-block for f is longer than f's multiplicity m, so with
-a_k = prod P^min(m, p^k), a_k(g) = 0 iff g^(N0 p^k) = I.  The least such
-k (_annihilator) gives N = N0 p^k; once p^k reaches the largest
-multiplicity, a_k = chi.  Every modulus of one call (chi, its parts, their
-pieces and the a_k) has one poly._Ring.
+integer-factoring backend.
 
-The result is checked without raising g to N, and without trusting the
-split of chi or the t-orders: a_k(g) = 0 is checked, so that
-g^j = r_j(g) with r_j = t^j mod a_k.  The residues r_(N/l), for every
-prime l of N (p included when k > 0), come from one product tree of
-powers in the ring F_q[t]/(a_k), and r_N = r_(N/l)^l for the least l.
-r_N = 1 in the ring gives g^N - I = s(g) a_k(g) = 0, and r_(N/l)(g) != I
-is checked at g for each l.  A wrong N0 or a wrong split raises
-CheckFailed; it never yields a wrong order.
+An element order is one order search (factorint.multiplicative_order;
+Sutherland, Order computations in generic groups, 2007, ch. 7) of t in
+the ring F_q[t]/(a_k), under an exponent bound read off the
+characteristic polynomial chi, split no further than its squarefree parts
+(P, m) and their distinct-degree pieces.  The order of t modulo an
+irreducible of degree d divides q^d - 1 (Lidl & Niederreiter, Finite
+Fields, 3.1), so the semisimple part of g has an order dividing the lcm of
+q^d - 1 over the degrees d of the pieces.  The p-part is set by the
+longest Jordan block (Celler & Leedham-Green, Calculating the order of an
+invertible matrix, DIMACS Series 28, 1997): no Jordan block for a factor
+is longer than its multiplicity m, so a_k = prod P^min(m, p^k) kills g iff
+p^k is at least the longest block, and once p^k reaches the largest
+multiplicity, a_k = chi.  With the least such k (_annihilator), the bound
+is G = lcm_d (q^d - 1) p^k.
+
+Once a_k(g) = 0 is checked, g^j = r_j(g) for the residue r_j = t^j mod
+a_k, so residues stand in for the powers of g, and the search tests each
+one it reaches on g itself.  Neither the split of chi nor the bound is
+trusted: a bound that ord(g) does not divide leaves g^G != I and raises
+CheckFailed, and any other bound gives the exact order.  Every modulus of
+one call (the parts still to split, a_k) has one poly._Ring.
 
 chi and the witnesses come from one Keller-Gehrig spin of g (matrix._spin;
 Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS 36,
@@ -47,8 +45,7 @@ from itertools import takewhile
 
 from .errors import (BadParam, CheckFailed, MixedFields, NotSquare, ShapeMismatch,
                      SingularMatrix)
-from .factorint import (FactoredInt, _cofactor_powers, factor_q_pow_minus_one,
-                        multiplicative_order)
+from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
 from .gf import _split_prime_power
 from .matrix import Mat, _combiner, _spin
 from .poly import Poly, _distinct_degree, _Ring, _squarefree_decomposition
@@ -127,17 +124,6 @@ class _Memo(dict):
         return value
 
 
-def _poly_t_order(ring: _Ring, d: int) -> FactoredInt:
-    """Multiplicative order of t in ring = F_q[t]/(piece), piece a squarefree
-    product of irreducibles of degree d, none of them t.  Modulo each factor
-    the order divides q^d - 1, so modulo their product it divides it too:
-    one multiplicative_order with group order q^d - 1."""
-    F = ring.mod.field
-    group = factor_q_pow_minus_one(F.p, F.f * d)
-    # ring elements are reduced, so the residue 1 is the int 1
-    return multiplicative_order(group, ring.elem(Poly.t(F)), ring.pow, lambda x: x == 1)
-
-
 def _annihilator(g: Mat, parts, rings: _Memo, step, krylov, witnesses):
     """(k, ring, is_identity) for the least k with a_k(g) = 0, where a_k is
     the product of P^min(m, p^k) over the squarefree parts (P, m) of chi,
@@ -172,39 +158,25 @@ def _annihilator(g: Mat, parts, rings: _Memo, step, krylov, witnesses):
 
 
 def element_order(g: Mat) -> FactoredInt:
-    """Exact order of an invertible matrix via its characteristic polynomial
-    chi from the spin of g (matrix._spin), checked by evaluating t^k mod a_k
-    on the Krylov vectors of its witnesses (_annihilator), for a_k | chi the
-    least annihilator of g."""
+    """Exact order of an invertible matrix: one multiplicative_order of t in
+    F_q[t]/(a_k), a_k | chi the least annihilator of g (_annihilator), with
+    the exponent bound lcm_d (q^d - 1) p^k over the degrees d of chi's
+    distinct-degree pieces, and every identity test read on g's witnesses."""
     if not g.is_square():
         raise NotSquare("element order needs a square matrix")
     F = g.field
     cp, step, krylov, witnesses = _spin(g)
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
-    rings = _Memo(_Ring)  # one ring per modulus: chi, its parts and pieces, a_k
+    rings = _Memo(_Ring)  # one ring per modulus: the parts still to split, a_k
     parts = list(_squarefree_decomposition(cp))
-    order = FactoredInt.one()
-    for part, _ in parts:
-        for piece, d in _distinct_degree(part, rings.__getitem__):
-            order = order.lcm(_poly_t_order(rings[piece], d))
-    # N = N0 p^k, N0 the semisimple order and k the least with a_k(g) = 0
+    degrees = {d for part, _ in parts for _, d in _distinct_degree(part, rings.__getitem__)}
     k, ring, is_identity = _annihilator(g, parts, rings, step, krylov, witnesses)
-    if k:
-        order = order * FactoredInt._make({F.p: k})
-    # r_N and the r_(N/l) for the primes l of N from one product tree rooted
-    # at t^(N / rad N); t^N = 1 mod a_k and a_k(g) = 0 give g^N = I.  The
-    # residue 1 is the int 1 but for dim g = 0, where a_k = 1 and it is 0
-    primes, n_val = order.primes(), order.value_unchecked()
-    t = ring.elem(Poly.t(F))
-    checks = list(zip(primes, _cofactor_powers(
-        ring.pow(t, n_val // math.prod(primes)), primes, ring.pow)))
-    if (ring.pow(checks[0][1], primes[0]) if primes else t) != ring.elem(Poly.one(F)):
-        raise CheckFailed(f"g^{n_val} is not the identity")
-    for prime, r in checks:
-        if is_identity(ring.poly(r)):
-            raise CheckFailed(f"g^({n_val}/{prime}) is the identity")
-    return order
+    bound = FactoredInt._make({F.p: k})
+    for d in degrees:
+        bound = bound.lcm(factor_q_pow_minus_one(F.p, F.f * d))
+    return multiplicative_order(bound, ring.elem(Poly.t(F)), ring.pow,
+                                lambda r: is_identity(ring.poly(r)))
 
 
 def naive_element_order(g: Mat, cap: int = 10**4):

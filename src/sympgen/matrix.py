@@ -512,7 +512,8 @@ def similarity_invariants(m: Mat):
     the nullity n_k of f(M)^k rises to d mult, and (n_k - n_{k-1}) / d blocks
     f^j of M have j >= k.  The i-th largest invariant factor is the product
     of f^#{k : that count >= i} over the factors f.  A nullity that stops
-    rising below d mult, or passes it, raises CheckFailed."""
+    rising below d mult, or passes it, raises CheckFailed, and so do
+    invariant factors whose degrees do not add up to dim M."""
     if not m.is_square():
         raise NotSquare("similarity invariants need a square matrix")
     F = m.field
@@ -539,4 +540,7 @@ def similarity_invariants(m: Mat):
             if i < len(e):
                 inv = inv * f ** e[i]
         out.append(inv)
+    if sum(inv.degree for inv in out) != m.rows:
+        raise CheckFailed(f"invariant factors of degrees {[inv.degree for inv in out]} "
+                          f"for dim {m.rows}")
     return out

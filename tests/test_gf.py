@@ -314,9 +314,13 @@ def _table_entries(ctx):
 
 
 def test_field_tables_are_linear_in_q():
-    ctx = gf.standard_field(3**7)
-    assert ctx._exp is not None
-    assert _table_entries(ctx) <= 4 * ctx.q
+    # F_(3^7), and F_(2^16) at q = _TABLE_LIMIT, the largest field that
+    # still builds tables (uncached: freed after the test)
+    largest = gf.FieldCtx(2, 16, gf.modulus_for(2**16))
+    assert largest.q == gf._TABLE_LIMIT
+    for ctx in (gf.standard_field(3**7), largest):
+        assert ctx._exp is not None
+        assert _table_entries(ctx) <= 4 * ctx.q
 
 
 def test_largest_tabled_odd_field_builds():

@@ -68,24 +68,34 @@ def test_element_order_mixed():
     assert element_order(c).value() == 3
 
 
+def _with_bound(monkeypatch, bound):
+    """Make element_order take bound(p, e) in place of the factored q^d - 1
+    = p^e - 1 of each degree d of its distinct-degree pieces."""
+    monkeypatch.setattr(grouporder, "factor_q_pow_minus_one", bound)
+
+
 def test_element_order_verification_raises_on_a_wrong_order(monkeypatch):
-    # diag(2, 1) over F_3 has order 2; claim 4 for its one distinct-degree
-    # piece (t - 2)(t - 1)
-    monkeypatch.setattr(grouporder, "_poly_t_order",
-                        lambda piece, d: FactoredInt({2: 2}))
-    m = Mat(F3, [[2, 0], [0, 1]])
-    with pytest.raises(CheckFailed):
-        element_order(m)
+    # diag(2, 1) over F_3 has order 2 and the one piece (t - 2)(t - 1) of
+    # degree 1; a bound of 3 in place of q - 1 = 2 leaves g^3 = g != I
+    _with_bound(monkeypatch, lambda p, e: FactoredInt({3: 1}))
+    with pytest.raises(CheckFailed, match=r"x\^3 is not"):
+        element_order(Mat(F3, [[2, 0], [0, 1]]))
+
+
+def test_element_order_is_exact_under_a_multiple_of_its_bound(monkeypatch):
+    # the same diag(2, 1) with a bound of 4, a multiple of its order 2: the
+    # search reads each step on g and still finds 2
+    _with_bound(monkeypatch, lambda p, e: FactoredInt({2: 2}))
+    assert element_order(Mat(F3, [[2, 0], [0, 1]])).value() == 2
 
 
 def test_element_order_raises_on_a_wrong_order_with_a_unipotent_part(monkeypatch):
-    # diag(J_2(3), 1) over F_7 has order 42; claim 2 for the pieces t - 3
-    # and t - 1.  No g^(2 * 7^k) is the identity, and since no Jordan block
-    # is longer than the multiplicity 2, the search must stop at 7^1
-    monkeypatch.setattr(grouporder, "_poly_t_order",
-                        lambda piece, d: FactoredInt({2: 1}))
+    # diag(J_2(3), 1) over F_7 has order 42; with 2 for each of the pieces
+    # t - 3 and t - 1, and 7^1 from a_1 = (t - 3)^2 (t - 1), the bound
+    # reaches only 14, and g^14 != I
+    _with_bound(monkeypatch, lambda p, e: FactoredInt({2: 1}))
     m = Mat(gf.standard_field(7), [[3, 1, 0], [0, 3, 0], [0, 0, 1]])
-    with pytest.raises(CheckFailed):
+    with pytest.raises(CheckFailed, match=r"x\^14 is not"):
         element_order(m)
 
 
@@ -350,28 +360,42 @@ def test_a_candidate_is_tried_on_the_witnesses_up_to_the_first_it_leaves_alive(
     assert built == [2, 2] + [q + 1] * 5
 
 
-@pytest.mark.parametrize("wrong", [lambda o: o * FactoredInt({2: 1}),
-                                   lambda o: o * FactoredInt({5: 1}),
-                                   lambda o: FactoredInt.one()],
+@pytest.mark.parametrize("wrong,multiple", [(lambda o: o * FactoredInt({2: 1}), True),
+                                            (lambda o: o * FactoredInt({5: 1}), True),
+                                            (lambda o: FactoredInt.one(), False)],
                          ids=["doubled", "times-5", "one"])
 @pytest.mark.parametrize("q", [3, 4])
 def test_a_wrong_t_order_on_the_annihilator_path_never_yields_a_wrong_order(
-        q, wrong, monkeypatch):
-    # a t-order too large leaves some g^(N/l) = I, one too small t^N != 1
-    # mod a_k: both raise CheckFailed, whatever k the search found
+        q, wrong, multiple, monkeypatch):
+    # a wrong bound lcm_d (q^d - 1) p^k for the order of t mod a_k: one
+    # that is a multiple of the order still gives the exact order, as the
+    # search reads every step on g; one too small leaves g^bound != I and
+    # raises CheckFailed, whatever k the annihilator search found
     ctx = gf.standard_field(q)
     mats = _long_jordan_shapes(ctx, random.Random(500 + q)) + _e1_fixed(q)[::4]
     expected = [element_order(m) for m in mats]
-    t_order = grouporder._poly_t_order
-    monkeypatch.setattr(grouporder, "_poly_t_order", lambda ring, d: wrong(t_order(ring, d)))
-    raised = 0
-    for m, order in zip(mats, expected):
+    bound = grouporder.factor_q_pow_minus_one
+    _with_bound(monkeypatch, lambda p, e: wrong(bound(p, e)))
+    got = []
+    for m in mats:
         try:
-            assert element_order(m) == order
+            got.append(element_order(m))
         except CheckFailed:
-            raised += 1
-    # only a unipotent g (N0 = 1) may pass, and only under "one"
-    assert raised >= len(mats) - sum(set(o.primes()) <= {ctx.p} for o in expected) > 0
+            got.append(None)
+    unipotent = [set(o.primes()) <= {ctx.p} for o in expected]
+    assert len(mats) == 12 and sum(unipotent) == {3: 1, 4: 2}[q]
+    if multiple:
+        assert got == expected
+    else:  # only a unipotent g, whose bound p^k is its order, passes
+        assert got == [o if u else None for o, u in zip(expected, unipotent)]
+
+
+def test_element_order_ignores_an_extra_factor_of_chi(monkeypatch):
+    # the 1x1 identity over F_3 with chi = (t - 1)(t + 1): a_0 = chi kills
+    # g, and t has order 2 modulo chi, but t(g) = g = I, so the search, which
+    # tests each residue on g, finds order 1
+    _with_chi(monkeypatch, Poly(F3, [-1, 1]) * Poly(F3, [1, 1]))
+    assert element_order(Mat.identity(F3, 1)).value() == 1
 
 
 @pytest.mark.parametrize("rows", [[[0, 1, 0], [1, 0, 0]], [[1, 0, 0, 0]],
@@ -564,11 +588,11 @@ def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
 
 
 def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatch):
-    # t-orders by a product tree over the primes of q^d - 1, and the
-    # residues r_(N/l) by one tree on the ring of chi: 282-503 products
-    # mod chi or mod a factor of it per witness, 4747 in all, factor's
-    # included.  One power per t-order candidate and per residue, each
-    # from t, took 493-1683 per witness and 12379 in all
+    # one order search in the ring of a_k over the primes of the bound
+    # lcm_d (q^d - 1) p^k: 118-397 products mod chi, a part of its
+    # distinct-degree split or a_k per witness, 3193 in all.  A t-order
+    # per piece in a ring of its own, then a product tree of the residues
+    # r_(N/l) mod a_k, took 174-505 per witness and 4016 in all
     _, witnesses = claims._witnesses(14, 7)
     product = _Ring.mul
     counts = []
@@ -581,7 +605,7 @@ def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatc
     for w in witnesses:
         counts.append(0)
         element_order(w)
-    assert max(counts) <= 550 and sum(counts) <= 5200, counts
+    assert max(counts) <= 420 and sum(counts) <= 3400, counts
 
 
 def test_element_order_of_the_empty_matrix():

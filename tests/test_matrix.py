@@ -273,13 +273,17 @@ def test_similarity_invariants_recover_a_known_chain(q):
 @pytest.mark.parametrize("shift", [1, -1])
 def test_similarity_invariants_refuse_a_wrong_multiplicity(shift, monkeypatch):
     # chi's factors reported with mult + 1: the nullities of f(M)^k stall
-    # below deg f (mult + 1); with mult - 1 they pass deg f (mult - 1).  No
-    # Jordan block is longer than 1 here, so n_1 is already deg f mult
+    # below deg f (mult + 1); with mult - 1 they pass deg f (mult - 1) where
+    # no Jordan block is longer than 1, so n_1 is already deg f mult.  For
+    # J_3(1) over F_3 and mult - 1 = 2 the nullities run 1, 2 and land on
+    # deg f (mult - 1), leaving the one invariant factor (t - 1)^2 of degree
+    # 2 for dim 3
     real = matrix.factor
     monkeypatch.setattr(matrix, "factor", lambda f: [(g, mult + shift) for g, mult in real(f)])
     c = _companion(Poly(F5, [2, 0, 1]))  # t^2 + 2, irreducible over F_5
+    jordan = Mat(F3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     for m in (Mat.identity(F3, 3), Mat(F3, [[1, 0, 0], [0, 2, 0], [0, 0, 2]]),
-              Mat.block_diag([c, c])):
+              Mat.block_diag([c, c]), jordan):
         with pytest.raises(CheckFailed):
             similarity_invariants(m)
 

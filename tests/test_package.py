@@ -180,6 +180,25 @@ def test_one_reader_of_packed_slots():
     assert inside and len(everywhere) == len(inside)
 
 
+def test_one_order_search():
+    # factorint.multiplicative_order is the one order search: the product
+    # tree of cofactor powers is named in factorint alone, where only the
+    # search calls it, and element_order makes one call of the search
+    named = sorted(path.stem for path in SOURCES
+                   if _references(ast.parse(path.read_text()), "_cofactor_powers"))
+    assert named == ["factorint"]
+    factorint = ast.parse((Path(sympgen.__file__).parent / "factorint.py").read_text())
+    callers = [node.name for node in factorint.body
+               if isinstance(node, ast.FunctionDef) and _references(node, "_cofactor_powers")]
+    assert callers == ["multiplicative_order"]
+    grouporder = ast.parse((Path(sympgen.__file__).parent / "grouporder.py").read_text())
+    calls = [node.name for node in grouporder.body
+             if isinstance(node, ast.FunctionDef)
+             for call in ast.walk(node) if isinstance(call, ast.Call)
+             and _references(call.func, "multiplicative_order")]
+    assert calls == ["element_order"]
+
+
 def test_one_row_update():
     # the field's axpy is the row operation of the elimination, of the
     # Keller-Gehrig spin (char_poly reads chi off it) and of poly's long
