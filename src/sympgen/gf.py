@@ -56,6 +56,20 @@ from .factorint import (FactoredInt, _integer_root, divisors, factor_q_pow_minus
 _TABLE_LIMIT = 1 << 16
 
 
+class _Memo(dict):
+    """key -> make(key), each value made once, on first lookup."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def _power(x, e: int, mul, one):
     """x^e for e >= 0 by right-to-left square-and-multiply: one for e = 0,
     else bit_length(e) + popcount(e) - 2 calls of mul.  No product by one and
@@ -108,7 +122,13 @@ class FieldCtx:
         self.is_prime_field = f == 1
         self._degree_divisors = tuple(divisors(f))  # ascending
         self._unit_primes = None  # primes dividing q - 1, read on first use
-        self._terms = None  # the text of c*w^i, for elem_string
+        # elem_string splits a packed value at h = p^ceil(f/2): the texts of
+        # its low digits (w^0 ..) and of its high ones (w^ceil(f/2) ..), each
+        # made on first use
+        low_digits = (f + 1) // 2
+        self._half = p**low_digits
+        self._low_texts = _Memo(functools.partial(self._digit_text, 0))
+        self._high_texts = _Memo(functools.partial(self._digit_text, low_digits))
         self.zero = FieldElem(self, 0)
         self.one = FieldElem(self, 1)
         self._bind_arithmetic()
@@ -364,14 +384,20 @@ class FieldCtx:
 
     def elem_string(self, a) -> str:
         """c0+c1*w+c2*w^2+... with zero terms left out and unit coefficients
-        unwritten ("0" for zero): the terms of the digits of a, read from
-        _terms[i][c], the text of c*w^i, built on first use."""
+        unwritten ("0" for zero).  a splits at h = p^ceil(f/2) into a % h,
+        the digits of w^0 .. w^(ceil(f/2)-1), and a // h, the digits above:
+        the text of each half is made once per field (_digit_text), and
+        memory grows only with the halves actually written."""
         if self.is_prime_field:
             return str(a)
-        if self._terms is None:
-            self._terms = [[""] + [self._term(c, i) for c in range(1, self.p)]
-                           for i in range(self.f)]
-        return "+".join(filter(None, map(operator.getitem, self._terms, self.coeffs(a)))) or "0"
+        high, low = divmod(a, self._half)
+        low, high = self._low_texts[low], self._high_texts[high]
+        return f"{low}+{high}" if low and high else low or high or "0"
+
+    def _digit_text(self, i0, v):
+        """The terms c*w^(i0+i) of the nonzero digits c of v, joined by "+"
+        ("" for v = 0)."""
+        return "+".join(self._term(c, i) for i, c in enumerate(self.coeffs(v), i0) if c)
 
     @staticmethod
     def _term(c, i):

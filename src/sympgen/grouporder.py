@@ -46,7 +46,7 @@ from itertools import takewhile
 from .errors import (BadParam, CheckFailed, MixedFields, NotSquare, ShapeMismatch,
                      SingularMatrix)
 from .factorint import FactoredInt, factor_q_pow_minus_one, multiplicative_order
-from .gf import _split_prime_power
+from .gf import _Memo, _split_prime_power
 from .matrix import Mat, _combiner, _spin
 from .poly import Poly, _distinct_degree, _Ring, _squarefree_decomposition
 
@@ -108,20 +108,6 @@ def order_sl(n: int, q: int) -> FactoredInt:
     for i in range(2, n + 1):
         result = result * factor_q_pow_minus_one(p, f * i)
     return result
-
-
-class _Memo(dict):
-    """key -> make(key), each value made once, on first lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
 
 
 def _annihilator(g: Mat, parts, rings: _Memo, step, krylov, witnesses):

@@ -138,15 +138,17 @@ _ZERO_BYTES = bytes([1]) + bytes(255)  # 1 for a zero byte, 0 otherwise
 
 
 def _stride(plane, k: int):
-    """[plane[k i % m] for i in range(m)], m = len(plane), 0 <= k < m: the k
-    slices of stride k that the reads wrap through, or m - k slices of the
-    plane read backwards (plane[-i % m]) when k > m / 2."""
+    """[plane[k i % m] for i in range(m)], m = len(plane), 0 <= k < m, of the
+    plane's type (bytes or list): the k slices of stride k that the reads
+    wrap through, or m - k slices of the plane read backwards
+    (plane[-i % m]) when k > m / 2."""
     m = len(plane)
     if 2 * k > m:
         plane, k = plane[:1] + plane[:0:-1], m - k
     if not k:
         return plane[:1] * m
-    return list(chain.from_iterable(plane[-m * s % k::k] for s in range(k)))
+    slices = (plane[-m * s % k::k] for s in range(k))
+    return b"".join(slices) if isinstance(plane, bytes) else list(chain.from_iterable(slices))
 
 
 def _root_exponents(powers, p: int, f: int, polys):
@@ -163,7 +165,10 @@ def _root_exponents(powers, p: int, f: int, polys):
     the powers themselves, an item of W bytes each.  For odd p plane j is
     slice j of the digit-slot layout of the powers (_digits): base-p digit j
     of each power, in slots wide enough for the most terms times (p - 1)^2,
-    and each slot is reduced mod p once (_unpack).
+    and each slot is reduced mod p once (_unpack).  For p < 256 a digit fits
+    a byte and each plane is bytes, so a read is sliced and joined as bytes
+    and widened to its slots by one slice assignment (_pack); the powers of
+    characteristic 2 and the digits of a larger p stay lists.
     P(g^i) = 0 exactly where item i of every plane reads 0."""
     m = len(powers)
     terms = [[(k % m, c % p) for k, c in poly if c % p] for poly in polys]
@@ -173,6 +178,8 @@ def _root_exponents(powers, p: int, f: int, polys):
     else:
         w = W = _slot_width(max(map(len, terms), default=0) * (p - 1) ** 2)
         digits = _digits(powers, p, f)
+        if p < 256:
+            digits = bytes(digits)
         planes = [digits[j::2 * f - 1] for j in range(f)]
     slots = W // w  # per item: the bytes of a value in characteristic 2, else 1
     reads = {}  # exponent -> its read of every plane, packed

@@ -153,6 +153,12 @@ SEARCH_OUTPUTS = {
     ("ex5", 2048): ("206288a1f288d28cbc34d4724cc152b0d9cdb01825a6ae7543f3d28347aee3aa",
                     2046, "2^11/1,0,1,0,0,0,0,0,0,0,0,1",
                     ["w", "w^2", "w^3", "w^4"], ["1+w^9", "w+w^10"]),
+    ("irr6", 1331): ("ba152a6ab46ff9e3fb744aa385628675b2cf423842cfa8776c2e6ab4cc8069cf",
+                     1320, "11^3/4,1,0,1",
+                     ["w", "w^2", "7+10*w", "7*w+10*w^2"], ["9+8*w+9*w^2", "8+8*w^2"]),
+    ("M=H", 243): ("24c36cf37dd0a8eb402dbfc55dc12be4ceeef23b27d33c586bfb15a387dcd20c",
+                   240, "3^5/1,2,0,0,0,1",
+                   ["w", "w^2", "w^3", "w^4"], ["1+2*w^3+2*w^4", "1+2*w^4"]),
 }
 
 

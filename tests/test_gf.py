@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 import sympy
@@ -505,12 +506,32 @@ def _digit_formula_string(ctx, a):
     return "+".join(parts) if parts else "0"
 
 
-@pytest.mark.parametrize("q", [4, 9, 27, 625])
+@pytest.mark.parametrize("q", [4, 8, 9, 27, 32, 243, 625, 1331, 2**17, 3**11, 1000003**2])
 def test_elem_string_matches_the_digit_formula(q):
+    # every element up to q = 1331, and past it the values at the edges of
+    # the split at h = p^ceil(f/2): each half zero, one, full, or just past
     ctx = gf.standard_field(q)
-    for a in range(q):
+    p, h = ctx.p, ctx.p ** -(-ctx.f // 2)
+    for a in range(q) if q <= 1331 else [0, 1, p - 1, p, h - 1, h, q - 1]:
         assert ctx.elem_string(a) == _digit_formula_string(ctx, a)
         assert ctx.coeffs(a) == tuple(a // ctx.p**i % ctx.p for i in range(ctx.f))
+
+
+def test_elem_string_memory_grows_only_with_the_texts_written():
+    # over F_{1000003^2} a table of every term c*w^i would hold 2 (p - 1)
+    # strings, some 10^8 bytes, to write a few elements
+    p = 1000003
+    ctx = gf.FieldCtx(p, 2, gf.modulus_for(p * p))
+    values = [0, 1, 2, p - 1, p, p + 1, 12345 * p + 678, p * p - 1]
+    tracemalloc.start()
+    try:
+        texts = [ctx.elem_string(a) for a in values]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert texts == [_digit_formula_string(ctx, a) for a in values]
+    assert texts[-2] == "678+12345*w"
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("q", KINDS)

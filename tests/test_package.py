@@ -199,6 +199,19 @@ def test_one_order_search():
     assert calls == ["element_order"]
 
 
+def test_one_memo():
+    # gf._Memo is the one dict that makes a missing value on lookup: the
+    # half-digit texts of elem_string, element_order's rings and closure_bfs's
+    # row images all use it
+    found = sorted(f"{path.stem}.{node.name}"
+                   for path in SOURCES
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef)
+                   for item in node.body
+                   if isinstance(item, ast.FunctionDef) and item.name == "__missing__")
+    assert found == ["gf._Memo"]
+
+
 def test_one_row_update():
     # the field's axpy is the row operation of the elimination, of the
     # Keller-Gehrig spin (char_poly reads chi off it) and of poly's long

@@ -54,10 +54,11 @@ def _ref_root_exponents(field, polys):
                    == field.zero for poly in polys)]
 
 
-@pytest.mark.parametrize("q", [2, 7, 257, 64, 81, 243])
+@pytest.mark.parametrize("q", [2, 7, 257, 64, 81, 125, 243, 1331])
 def test_root_exponents_match_evaluation(q):
-    # prime fields (257: slots wider than a byte), the XOR plane of
-    # characteristic 2 and one plane per digit of an odd extension
+    # prime fields (257: digits wider than a byte, so its plane stays a
+    # list), the XOR plane of characteristic 2 and one bytes plane per digit
+    # of an odd extension
     field = gf.standard_field(q)
     p, f, m = field.p, field.f, q - 1
     powers = field.generator_powers()
