@@ -23,8 +23,17 @@ Once a_k(g) = 0 is checked, g^j = r_j(g) for the residue r_j = t^j mod
 a_k, so residues stand in for the powers of g, and the search tests each
 one it reaches on g itself.  Neither the split of chi nor the bound is
 trusted: a bound that ord(g) does not divide leaves g^G != I and raises
-CheckFailed, and any other bound gives the exact order.  Every modulus of
-one call (the parts still to split, a_k) has one poly._Ring.
+CheckFailed, and any other bound gives the exact order.
+
+What depends on chi alone is made once per chi and shared by every g with
+that chi (_split, a functools.lru_cache of _SPLITS entries): the squarefree
+parts and their distinct-degree pieces, the semisimple bound lcm_d (q^d - 1),
+the candidates a_0 .. a_K, and one poly._Ring per candidate, made on first
+use (the ring of a part that the distinct-degree split made is kept when
+that part is a candidate).  Matrices that share chi need not share their
+Jordan blocks, so everything that reads g runs on every call: the spin, the
+witness checks that pick k, and each identity test of the search.  A wrong
+split still cannot give a wrong order.
 
 chi and the witnesses come from one Keller-Gehrig spin of g (matrix._spin;
 Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS 36,
@@ -39,9 +48,11 @@ a_k(g) e_i = 0 is checked on vectors made from g itself.
 
 from __future__ import annotations
 
+import functools
 import math
+from dataclasses import dataclass
 from enum import Enum
-from itertools import takewhile
+from itertools import count, takewhile
 
 from .errors import (BadParam, CheckFailed, MixedFields, NotSquare, ShapeMismatch,
                      SingularMatrix)
@@ -110,19 +121,53 @@ def order_sl(n: int, q: int) -> FactoredInt:
     return result
 
 
-def _annihilator(g: Mat, parts, rings: _Memo, step, krylov, witnesses):
-    """(k, ring, is_identity) for the least k with a_k(g) = 0, where a_k is
-    the product of P^min(m, p^k) over the squarefree parts (P, m) of chi,
-    ring = rings[a_k], and is_identity(r) tests r(g) = I for r of degree
-    below deg a_k.
+_SPLITS = 256  # characteristic polynomials whose _split element_order keeps
+
+
+@dataclass(frozen=True)
+class _Split:
+    """What element_order reads off chi alone: the semisimple bound
+    lcm_d (q^d - 1) over the degrees d of the distinct-degree pieces of chi's
+    squarefree parts (P, m), the candidates a_k = prod P^min(m, p^k) for
+    k = 0 .. K, the least K with p^K at least the largest m (so a_K = chi),
+    and rings[a], the poly._Ring of a candidate a, made on first lookup."""
+
+    bound: FactoredInt
+    candidates: tuple
+    rings: _Memo
+
+
+@functools.lru_cache(maxsize=_SPLITS)
+def _split(chi: Poly) -> _Split:
+    """The _Split of a monic chi; a ring the distinct-degree split made for
+    a part that is also a candidate is kept, the others are dropped."""
+    F = chi.field
+    made = _Memo(_Ring)  # the parts still to split
+    parts = _squarefree_decomposition(chi)
+    bound = FactoredInt.one()
+    for d in {d for part, _ in parts for _, d in _distinct_degree(part, made.__getitem__)}:
+        bound = bound.lcm(factor_q_pow_minus_one(F.p, F.f * d))
+    top = max((mult for _, mult in parts), default=1)
+    candidates = tuple(
+        math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
+        for k in range(next(k for k in count() if F.p ** k >= top) + 1))
+    rings = _Memo(_Ring)
+    rings.update((a, made[a]) for a in candidates if a in made)
+    return _Split(bound, candidates, rings)
+
+
+def _annihilator(g: Mat, split: _Split, step, krylov, witnesses):
+    """(k, ring, is_identity) for the least k with a_k(g) = 0, a_k the
+    candidates of split (_Split), ring = split.rings[a_k], and is_identity(r)
+    tests r(g) = I for r of degree below deg a_k.
 
     step, krylov and witnesses come from the spin of g (matrix._spin):
     r(g) e_i is one _combiner of r's coefficients over the Krylov vectors
     krylov[i] = [g^j e_i], extended by step as a_k needs.  Each candidate
     is tried on the witnesses in turn, e_1 first, up to the first it leaves
     alive, and taken iff a_k(g) e_i = 0 on every one; is_identity(r) tests
-    r(g) e_i = e_i on each.  Once p^k reaches the largest multiplicity,
-    a_k = chi, and if that does not kill g either, CheckFailed."""
+    r(g) e_i = e_i on each.  If the last candidate, a_K = chi, does not kill
+    g either, CheckFailed."""
     F, d = g.field, g.rows
 
     def killed(a, i):  # (r -> r(g) e_i, e_i) if a(g) e_i = 0, else None
@@ -132,36 +177,32 @@ def _annihilator(g: Mat, parts, rings: _Memo, step, krylov, witnesses):
         combine = _combiner(F, vecs[:a.degree + 1], d)
         return None if any(combine(a.coeffs)) else (combine, vecs[0])
 
-    top, k = max((mult for _, mult in parts), default=1), 0
-    while True:
-        a = math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
+    for k, a in enumerate(split.candidates):
         checks = list(takewhile(bool, (killed(a, i) for i in witnesses)))  # to the first alive
         if len(checks) == len(witnesses):
-            return k, rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
-        if F.p ** k >= top:
-            raise CheckFailed("g is not a root of its characteristic polynomial")
-        k += 1
+            return k, split.rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
+    raise CheckFailed("g is not a root of its characteristic polynomial")
 
 
 def element_order(g: Mat) -> FactoredInt:
     """Exact order of an invertible matrix: one multiplicative_order of t in
     F_q[t]/(a_k), a_k | chi the least annihilator of g (_annihilator), with
     the exponent bound lcm_d (q^d - 1) p^k over the degrees d of chi's
-    distinct-degree pieces, and every identity test read on g's witnesses."""
+    distinct-degree pieces, and every identity test read on g's witnesses.
+
+    The split of chi, the bound lcm_d (q^d - 1), the candidates a_k and
+    their rings are shared by every g with the same chi (_split); the spin,
+    the checks that pick k and the search run on each call."""
     if not g.is_square():
         raise NotSquare("element order needs a square matrix")
     F = g.field
     cp, step, krylov, witnesses = _spin(g)
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
-    rings = _Memo(_Ring)  # one ring per modulus: the parts still to split, a_k
-    parts = list(_squarefree_decomposition(cp))
-    degrees = {d for part, _ in parts for _, d in _distinct_degree(part, rings.__getitem__)}
-    k, ring, is_identity = _annihilator(g, parts, rings, step, krylov, witnesses)
-    bound = FactoredInt._make({F.p: k})
-    for d in degrees:
-        bound = bound.lcm(factor_q_pow_minus_one(F.p, F.f * d))
-    return multiplicative_order(bound, ring.elem(Poly.t(F)), ring.pow,
+    split = _split(cp)
+    k, ring, is_identity = _annihilator(g, split, step, krylov, witnesses)
+    return multiplicative_order(split.bound.lcm(FactoredInt._make({F.p: k})),
+                                ring.elem(Poly.t(F)), ring.pow,
                                 lambda r: is_identity(ring.poly(r)))
 
 

@@ -34,10 +34,10 @@ fold and those rows once, so everything that works modulo one polynomial
 keeps one ring: Poly.powmod (one ring per call), is_irreducible (one per
 call), the distinct-degree split (one per part not yet split off), the
 equal-degree split (one per product split), and grouporder's element
-orders (one per modulus in a call: the parts of chi's distinct-degree
-split not yet split off and the annihilator a_k that the order search
-runs in, shared where two are equal).  Its slots hold the sum of both
-folds (see _Ring).
+orders (one per annihilator candidate a_k that an order search runs in,
+kept with the split of its characteristic polynomial chi across calls,
+and shared with the distinct-degree split where a part is a candidate).
+Its slots hold the sum of both folds (see _Ring).
 
 Factorization is squarefree decomposition, then distinct-degree,
 then equal-degree splitting (Cantor-Zassenhaus, with the additive trace-map

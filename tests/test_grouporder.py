@@ -70,8 +70,11 @@ def test_element_order_mixed():
 
 def _with_bound(monkeypatch, bound):
     """Make element_order take bound(p, e) in place of the factored q^d - 1
-    = p^e - 1 of each degree d of its distinct-degree pieces."""
+    = p^e - 1 of each degree d of its distinct-degree pieces.  The splits
+    kept so far hold the true bounds, so they are dropped and every chi is
+    split again under the patched bound."""
     monkeypatch.setattr(grouporder, "factor_q_pow_minus_one", bound)
+    grouporder._split.cache_clear()
 
 
 def test_element_order_verification_raises_on_a_wrong_order(monkeypatch):
@@ -521,7 +524,12 @@ def test_element_order_builds_one_ring_when_chi_is_irreducible(monkeypatch):
         init(self, mod)
 
     monkeypatch.setattr(_Ring, "__init__", counting)
-    assert element_order(_companion_of(f)).value() == 242
+    c = _companion_of(f)
+    assert element_order(c).value() == 242
+    assert built == [f]
+    # a conjugate of c has the same chi, whose split keeps that ring
+    p = _random_invertible(F3, 5, random.Random(5))
+    assert element_order(p.inverse() * c * p).value() == 242
     assert built == [f]
 
 
@@ -611,6 +619,104 @@ def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatc
 def test_element_order_of_the_empty_matrix():
     # GL_0 is trivial: chi = a_0 = 1, and the ring F_q[t]/(1) is zero
     assert element_order(Mat.identity(F3, 0)).value() == 1
+
+
+def _partitions(n, most=None):
+    """The partitions of n into parts of at most most, largest part first."""
+    most = n if most is None else most
+    if n == 0:
+        return [[]]
+    return [[k, *rest] for k in range(min(n, most), 0, -1) for rest in _partitions(n - k, k)]
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["semisimple-first", "jordan-first"])
+@pytest.mark.parametrize("pair,orders", [(([[1, 0], [0, 1]], [[1, 1], [0, 1]]), (1, 3)),
+                                         (([[2, 0], [0, 2]], [[2, 1], [0, 2]]), (2, 6))],
+                         ids=["I_2,J_2(1)", "diag(2,2),J_2(2)"])
+def test_matrices_that_share_chi_keep_their_own_jordan_blocks(pair, orders, first):
+    # each pair over F_3 shares chi = (t - lam)^2 and one split of it, but
+    # a_0 = t - lam kills only the semisimple matrix: the Jordan block needs
+    # a_1 = chi, and its order takes the factor 3, whichever comes first
+    mats = [Mat(F3, rows) for rows in pair]
+    got = {i: element_order(mats[i]).value() for i in (first, 1 - first)}
+    assert (got[0], got[1]) == orders == tuple(naive_element_order(m) for m in mats)
+    info = grouporder._split.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_element_order_is_the_same_with_its_splits_kept_as_without(q):
+    # every Jordan type of lam^d for d <= 5 and the last two lam of F_q^*
+    # (one over F_2), beside J_2 at the first for odd d, each conjugated by
+    # a random P: many matrices share a chi, with
+    # other Jordan blocks.  In a shuffled order, the orders with every split
+    # made afresh, then twice with all of them kept, match the naive order
+    ctx = gf.standard_field(q)
+    rng = random.Random(800 + q)
+    lams = [FieldElem(ctx, v) for v in range(1, ctx.q)][-2:]
+    mats = []
+    for dim in range(1, 6):
+        for lam in lams:
+            for sizes in _partitions(dim):
+                m = Mat.block_diag([_jordan(ctx, lam, k) for k in sizes]
+                                   + [_jordan(ctx, lams[0], 2)] * (dim % 2))
+                p = _random_invertible(ctx, m.rows, rng)
+                mats.append(p.inverse() * m * p)
+    rng.shuffle(mats)
+    cold = []
+    for m in mats:
+        grouporder._split.cache_clear()
+        cold.append(element_order(m))
+    grouporder._split.cache_clear()
+    warm = [element_order(m) for m in mats] + [element_order(m) for m in mats]
+    info = grouporder._split.cache_info()
+    assert len(mats) == 18 * len(lams) and info.misses < len(mats) and info.hits > len(mats)
+    assert warm == cold + cold
+    assert [o.value() for o in cold] == [naive_element_order(m) for m in mats]
+
+
+@pytest.mark.parametrize("wrong", ["bound", "multiplicity"])
+def test_a_wrong_split_in_the_cache_never_yields_a_wrong_order(wrong, monkeypatch):
+    # chi = (t - 2)^2 over F_3, of diag(2, 2) (order 2) and J_2(2) (order
+    # 6), split with 3 in place of q - 1 = 2, or with the one part (t - 2, 1)
+    # and so the one candidate t - 2, and kept.  The matrices read that
+    # split later: each call raises CheckFailed or gives the exact order
+    chi = Poly(F3, [-2, 1]) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        if wrong == "bound":
+            mp.setattr(grouporder, "factor_q_pow_minus_one", lambda p, e: FactoredInt({3: 1}))
+        else:
+            mp.setattr(grouporder, "_squarefree_decomposition",
+                       lambda f: [(Poly(F3, [-2, 1]), 1)])
+        grouporder._split(chi)
+    got = []
+    for rows in ([[2, 0], [0, 2]], [[2, 1], [0, 2]]):
+        try:
+            got.append(element_order(Mat(F3, rows)).value())
+        except CheckFailed:
+            got.append(None)
+    assert got == {"bound": [None, None], "multiplicity": [2, None]}[wrong]
+    info = grouporder._split.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_the_cache_of_splits_keeps_at_most_its_bound():
+    # the 465 diagonal matrices diag(a, b), 1 <= a <= b < 31, over F_31 have
+    # 465 distinct chi = (t - a)(t - b), past the _SPLITS = 256 kept; the
+    # order is lcm(ord a, ord b), before and after the first are dropped
+    F31 = gf.standard_field(31)
+
+    def order(a):
+        return next(k for k in range(1, 31) if pow(a, k, 31) == 1)
+
+    pairs = [(a, b) for a in range(1, 31) for b in range(a, 31)]
+    for _ in range(2):
+        got = [element_order(Mat(F31, [[a, 0], [0, b]])).value() for a, b in pairs]
+        assert got == [math.lcm(order(a), order(b)) for a, b in pairs]
+    info = grouporder._split.cache_info()
+    assert info.maxsize == grouporder._SPLITS == 256
+    assert info.currsize == grouporder._SPLITS < len(pairs)
+    assert info.misses == 2 * len(pairs) and info.hits == 0
 
 
 def _plain_order(g, cap):
