@@ -621,9 +621,8 @@ def test_element_order_of_the_empty_matrix():
     assert element_order(Mat.identity(F3, 0)).value() == 1
 
 
-def _partitions(n, most=None):
+def _partitions(n, most):
     """The partitions of n into parts of at most most, largest part first."""
-    most = n if most is None else most
     if n == 0:
         return [[]]
     return [[k, *rest] for k in range(min(n, most), 0, -1) for rest in _partitions(n - k, k)]
@@ -648,16 +647,16 @@ def test_matrices_that_share_chi_keep_their_own_jordan_blocks(pair, orders, firs
 def test_element_order_is_the_same_with_its_splits_kept_as_without(q):
     # every Jordan type of lam^d for d <= 5 and the last two lam of F_q^*
     # (one over F_2), beside J_2 at the first for odd d, each conjugated by
-    # a random P: many matrices share a chi, with
-    # other Jordan blocks.  In a shuffled order, the orders with every split
-    # made afresh, then twice with all of them kept, match the naive order
+    # a random P: many matrices share a chi, with other Jordan blocks.  In a
+    # shuffled order, the orders with every split made afresh, then twice
+    # with all of them kept, match the naive order
     ctx = gf.standard_field(q)
     rng = random.Random(800 + q)
     lams = [FieldElem(ctx, v) for v in range(1, ctx.q)][-2:]
     mats = []
     for dim in range(1, 6):
         for lam in lams:
-            for sizes in _partitions(dim):
+            for sizes in _partitions(dim, dim):
                 m = Mat.block_diag([_jordan(ctx, lam, k) for k in sizes]
                                    + [_jordan(ctx, lams[0], 2)] * (dim % 2))
                 p = _random_invertible(ctx, m.rows, rng)
