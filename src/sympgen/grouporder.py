@@ -130,11 +130,27 @@ class _Split:
     lcm_d (q^d - 1) over the degrees d of the distinct-degree pieces of chi's
     squarefree parts (P, m), the candidates a_k = prod P^min(m, p^k) for
     k = 0 .. K, the least K with p^K at least the largest m (so a_K = chi),
-    and rings[a], the poly._Ring of a candidate a, made on first lookup."""
+    and searches[a], the _Search of a candidate a, made on first lookup."""
 
     bound: FactoredInt
     candidates: tuple
-    rings: _Memo
+    searches: _Memo
+
+
+class _Search:
+    """The ring work of order searches in F_q[t]/(a) for one candidate a:
+    the ring (poly._Ring), the residue t of t, powers[y, n] = ring.pow(y, n)
+    and polys[y] = ring.poly(y), each made once per exact residue y (and
+    exponent n).  Every search in one ring under one bound raises the same
+    residues by the same exponents, so the powers of a search repeat those
+    of the first; only its identity tests read g."""
+
+    __slots__ = ("ring", "t", "powers", "polys")
+
+    def __init__(self, ring: _Ring):
+        self.ring, self.t = ring, ring.elem(Poly.t(ring.mod.field))
+        self.powers = _Memo(lambda yn: ring.pow(*yn))
+        self.polys = _Memo(ring.poly)
 
 
 @functools.lru_cache(maxsize=_SPLITS)
@@ -151,14 +167,14 @@ def _split(chi: Poly) -> _Split:
     candidates = tuple(
         math.prod((part ** min(mult, F.p ** k) for part, mult in parts), start=Poly.one(F))
         for k in range(next(k for k in count() if F.p ** k >= top) + 1))
-    rings = _Memo(_Ring)
-    rings.update((a, made[a]) for a in candidates if a in made)
-    return _Split(bound, candidates, rings)
+    searches = _Memo(lambda a: _Search(_Ring(a)))
+    searches.update((a, _Search(made[a])) for a in candidates if a in made)
+    return _Split(bound, candidates, searches)
 
 
 def _annihilator(g: Mat, split: _Split, step, krylov, witnesses):
-    """(k, ring, is_identity) for the least k with a_k(g) = 0, a_k the
-    candidates of split (_Split), ring = split.rings[a_k], and is_identity(r)
+    """(k, search, is_identity) for the least k with a_k(g) = 0, a_k the
+    candidates of split (_Split), search = split.searches[a_k], and is_identity(r)
     tests r(g) = I for r of degree below deg a_k.
 
     step, krylov and witnesses come from the spin of g (matrix._spin):
@@ -180,7 +196,8 @@ def _annihilator(g: Mat, split: _Split, step, krylov, witnesses):
     for k, a in enumerate(split.candidates):
         checks = list(takewhile(bool, (killed(a, i) for i in witnesses)))  # to the first alive
         if len(checks) == len(witnesses):
-            return k, split.rings[a], lambda r: all(combine(r.coeffs) == e for combine, e in checks)
+            return k, split.searches[a], lambda r: all(
+                combine(r.coeffs) == e for combine, e in checks)
     raise CheckFailed("g is not a root of its characteristic polynomial")
 
 
@@ -200,10 +217,10 @@ def element_order(g: Mat) -> FactoredInt:
     if cp.coeffs[0] == 0:
         raise SingularMatrix("zero determinant")
     split = _split(cp)
-    k, ring, is_identity = _annihilator(g, split, step, krylov, witnesses)
-    return multiplicative_order(split.bound.lcm(FactoredInt._make({F.p: k})),
-                                ring.elem(Poly.t(F)), ring.pow,
-                                lambda r: is_identity(ring.poly(r)))
+    k, search, is_identity = _annihilator(g, split, step, krylov, witnesses)
+    powers, polys = search.powers, search.polys
+    return multiplicative_order(split.bound.lcm(FactoredInt._make({F.p: k})), search.t,
+                                lambda y, n: powers[y, n], lambda r: is_identity(polys[r]))
 
 
 def naive_element_order(g: Mat, cap: int = 10**4):
@@ -294,11 +311,13 @@ OVERFLOW = "Overflow"
 def closure_bfs(gens, cap: int = 5 * 10**6):
     """Exact size of the generated matrix group, or OVERFLOW past cap.
 
-    A plain breadth-first search over the elements as tuples of rows.  Each
-    generator g keeps a _Memo over one matrix._combiner of its rows, so
-    a product m g looks up the image of each row of m, and the combiner runs
-    once per distinct row, not once per row of every element.  The elements
-    in seen thus share their row tuples.  Generators over different fields
+    A plain breadth-first search over the elements as tuples of row
+    indices: each distinct row gets an int index on first sight, and each
+    generator g keeps a _Memo from the index of a row to the index of its
+    image under one matrix._combiner of g's rows.  A product m g looks up
+    the image of each row index of m, so the combiner runs once per
+    distinct row, not once per row of every element, and no row tuple is
+    hashed again once it has its index.  Generators over different fields
     raise MixedFields."""
     if not gens:
         return 1
@@ -308,8 +327,19 @@ def closure_bfs(gens, cap: int = 5 * 10**6):
             raise MixedFields("generators over different fields")
         if (g.rows, g.cols) != shape or g.rows != g.cols:
             raise ShapeMismatch("generators must be square and same shape")
-    images = [_Memo(_combiner(F, g.data, g.cols)).__getitem__ for g in gens]
-    ident = Mat.identity(F, gens[0].rows).data
+    rows = []  # index -> row
+
+    def new_index(row):
+        rows.append(row)
+        return len(rows) - 1
+
+    index = _Memo(new_index)  # row -> index
+
+    def image_of(combine):
+        return _Memo(lambda i: index[combine(rows[i])]).__getitem__
+
+    images = [image_of(_combiner(F, g.data, g.cols)) for g in gens]
+    ident = tuple(index[row] for row in Mat.identity(F, gens[0].rows).data)
     seen = {ident}
     frontier = [ident]
     while frontier:

@@ -241,9 +241,9 @@ def _certificates(mats):
         return out
 
     def certify(*args):
-        k, ring, is_identity = annihilator(*args)
-        calls[-1]["k"], calls[-1]["a"] = k, ring.mod
-        return k, ring, is_identity
+        k, search, is_identity = annihilator(*args)
+        calls[-1]["k"], calls[-1]["a"] = k, search.ring.mod
+        return k, search, is_identity
 
     orders = []
     with pytest.MonkeyPatch.context() as mp:
@@ -641,6 +641,69 @@ def test_matrices_that_share_chi_keep_their_own_jordan_blocks(pair, orders, firs
     assert (got[0], got[1]) == orders == tuple(naive_element_order(m) for m in mats)
     info = grouporder._split.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def _counting_ring_products(monkeypatch):
+    """A list whose length is the number of _Ring.mul calls from here on."""
+    product, calls = _Ring.mul, []
+
+    def counting(self, x, y):
+        calls.append(None)
+        return product(self, x, y)
+
+    monkeypatch.setattr(_Ring, "mul", counting)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_a_conjugate_takes_no_ring_product(q, monkeypatch):
+    # P^-1 g P has g's chi and g's Jordan blocks, so its search raises the
+    # same residues of the same ring by the same exponents as g's did, and
+    # reads each from the split's memo: only its identity tests run
+    ctx = gf.standard_field(q)
+    rng = random.Random(900 + q)
+    mats = ([_random_invertible(ctx, dim, rng) for dim in range(2, 8)]
+            + _long_jordan_shapes(ctx, rng) + _split_shapes(ctx, rng))
+    calls = _counting_ring_products(monkeypatch)
+    for g in mats:
+        before = len(calls)
+        order = element_order(g)
+        first = len(calls) - before
+        p = _random_invertible(ctx, g.rows, rng)
+        assert element_order(p.inverse() * g * p) == order
+        assert len(calls) - before == first
+    assert calls
+
+
+def test_the_search_memos_of_one_chi_stop_growing(monkeypatch):
+    # chi = f (t + 1)^3 over F_2, f an irreducible cubic, has the candidates
+    # a_0 = f (t + 1), a_1 = f (t + 1)^2 and a_2 = chi, taken by g with
+    # Jordan blocks at 1 of sizes 1 + 1 + 1, 2 + 1 and 3: orders 7, 14, 28.
+    # Once each candidate has run its search, 50 conjugates of the three
+    # add no power and no poly to the memos, and make no ring product
+    f = next(f for f in (Poly._make(F2, [*low, 1])
+                         for low in itertools.product(range(2), repeat=3))
+             if is_irreducible(f))
+    one = FieldElem(F2, 1)
+    types = [Mat.block_diag([_companion_of(f)] + [_jordan(F2, one, k) for k in sizes])
+             for sizes in ([1, 1, 1], [2, 1], [3])]
+    chi = char_poly(types[0])
+    assert [element_order(m).value() for m in types] == [7, 14, 28]
+    searches = grouporder._split(chi).searches
+
+    def sizes():
+        return {a: (len(s.powers), len(s.polys)) for a, s in searches.items()}
+
+    first = sizes()
+    assert len(first) == 3 and all(powers and polys for powers, polys in first.values())
+    calls = _counting_ring_products(monkeypatch)
+    rng = random.Random(33)
+    for _ in range(50):
+        i = rng.randrange(3)
+        p = _random_invertible(F2, 6, rng)
+        assert element_order(p.inverse() * types[i] * p).value() == [7, 14, 28][i]
+        assert sizes() == first
+    assert not calls
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
