@@ -28,12 +28,18 @@ CheckFailed, and any other bound gives the exact order.
 What depends on chi alone is made once per chi and shared by every g with
 that chi (_split, a functools.lru_cache of _SPLITS entries): the squarefree
 parts and their distinct-degree pieces, the semisimple bound lcm_d (q^d - 1),
-the candidates a_0 .. a_K, and one poly._Ring per candidate, made on first
-use (the ring of a part that the distinct-degree split made is kept when
-that part is a candidate).  Matrices that share chi need not share their
-Jordan blocks, so everything that reads g runs on every call: the spin, the
-witness checks that pick k, and each identity test of the search.  A wrong
-split still cannot give a wrong order.
+the candidates a_0 .. a_K, and per candidate a _Search, made on first use:
+its poly._Ring (the ring of a part that the distinct-degree split made is
+kept when that part is a candidate), and the powers and residue
+polynomials of the search, memoized on the exact residue.  The powers of
+a search depend only on chi and k: the product tree raises t by the
+cofactors of the bound, and each leaf raises its residue by its prime.  So
+a g whose chi and k were seen before forms no product in the ring.
+Matrices that share chi need not share their Jordan blocks, so everything
+that reads g runs on every call: the spin, the witness checks that pick k,
+and the identity tests of the search on g's own witnesses.  A wrong split
+still cannot give a wrong order, and a memo keyed on the exact residue and
+exponent cannot give a wrong power.
 
 chi and the witnesses come from one Keller-Gehrig spin of g (matrix._spin;
 Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS 36,
@@ -138,12 +144,10 @@ class _Split:
 
 
 class _Search:
-    """The ring work of order searches in F_q[t]/(a) for one candidate a:
-    the ring (poly._Ring), the residue t of t, powers[y, n] = ring.pow(y, n)
-    and polys[y] = ring.poly(y), each made once per exact residue y (and
-    exponent n).  Every search in one ring under one bound raises the same
-    residues by the same exponents, so the powers of a search repeat those
-    of the first; only its identity tests read g."""
+    """The ring work of the order searches in F_q[t]/(a) for one candidate
+    a: the ring (poly._Ring), the residue t of t, and powers[y, n] =
+    ring.pow(y, n) and polys[y] = ring.poly(y), each made once per exact
+    key."""
 
     __slots__ = ("ring", "t", "powers", "polys")
 
@@ -207,9 +211,10 @@ def element_order(g: Mat) -> FactoredInt:
     the exponent bound lcm_d (q^d - 1) p^k over the degrees d of chi's
     distinct-degree pieces, and every identity test read on g's witnesses.
 
-    The split of chi, the bound lcm_d (q^d - 1), the candidates a_k and
-    their rings are shared by every g with the same chi (_split); the spin,
-    the checks that pick k and the search run on each call."""
+    The split of chi, the bound lcm_d (q^d - 1), the candidates a_k, their
+    rings and the ring powers of each search are shared by every g with the
+    same chi (_split); the spin, the checks that pick k and the identity
+    tests of the search run on each call."""
     if not g.is_square():
         raise NotSquare("element order needs a square matrix")
     F = g.field

@@ -595,6 +595,18 @@ def test_element_order_of_a_main14_q7_witness_takes_few_products(monkeypatch):
     assert not any(counts), counts
 
 
+def _counting_ring_products(monkeypatch):
+    """A list whose length is the number of _Ring.mul calls from here on."""
+    product, calls = _Ring.mul, []
+
+    def counting(self, x, y):
+        calls.append(None)
+        return product(self, x, y)
+
+    monkeypatch.setattr(_Ring, "mul", counting)
+    return calls
+
+
 def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatch):
     # one order search in the ring of a_k over the primes of the bound
     # lcm_d (q^d - 1) p^k: 118-397 products mod chi, a part of its
@@ -602,17 +614,11 @@ def test_element_order_of_a_main14_q7_witness_takes_few_ring_products(monkeypatc
     # per piece in a ring of its own, then a product tree of the residues
     # r_(N/l) mod a_k, took 174-505 per witness and 4016 in all
     _, witnesses = claims._witnesses(14, 7)
-    product = _Ring.mul
-    counts = []
-
-    def counting(self, x, y):
-        counts[-1] += 1
-        return product(self, x, y)
-
-    monkeypatch.setattr(_Ring, "mul", counting)
+    calls, counts = _counting_ring_products(monkeypatch), []
     for w in witnesses:
-        counts.append(0)
+        before = len(calls)
         element_order(w)
+        counts.append(len(calls) - before)
     assert max(counts) <= 420 and sum(counts) <= 3400, counts
 
 
@@ -641,18 +647,6 @@ def test_matrices_that_share_chi_keep_their_own_jordan_blocks(pair, orders, firs
     assert (got[0], got[1]) == orders == tuple(naive_element_order(m) for m in mats)
     info = grouporder._split.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-
-
-def _counting_ring_products(monkeypatch):
-    """A list whose length is the number of _Ring.mul calls from here on."""
-    product, calls = _Ring.mul, []
-
-    def counting(self, x, y):
-        calls.append(None)
-        return product(self, x, y)
-
-    monkeypatch.setattr(_Ring, "mul", counting)
-    return calls
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])

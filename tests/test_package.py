@@ -201,7 +201,8 @@ def test_one_order_search():
 
 def test_one_memo():
     # gf._Memo is the one dict that makes a missing value on lookup: the
-    # half-digit texts of elem_string, element_order's rings and closure_bfs's
+    # half-digit texts of elem_string, element_order's searches with their
+    # ring powers and residue polynomials, and closure_bfs's row indices and
     # row images all use it
     found = sorted(f"{path.stem}.{node.name}"
                    for path in SOURCES
