@@ -8,8 +8,9 @@ registered from tables, one body per family.  The two largest families run
 over (q, aspec, tag) instances: ``_VALUES`` compares a value of each pair with
 its expected value, and ``_CHECKS`` requires every boolean of a per-pair check
 to hold.  A word in the generators is a plain function of them: the witness
-words of ``DEFAULT_WORDS`` are ``word_fn(x, y, k)``, the rows of ``_CHI_ETA``
-carry ``eta(x, y)``, and the rows of ``_SL_SETS`` carry a base and a tail
+words of ``DEFAULT_WORDS`` are B^k T for ``(B, T) = word_fn(x, y)`` and the k
+of an ascending L, formed by powers of B that extend one another, the rows of
+``_CHI_ETA`` carry ``eta(x, y)``, and the rows of ``_SL_SETS`` carry a base and a tail
 written in the sections s(u) of the conjugates tau^u (prime sets of
 SL_ell(q)).  ``_WSL6``, ``_C_ORDER``, ``_SANITY_SAMPLES`` and ``_QUADFORM``
 are the other tables.  The module also houses the
@@ -30,9 +31,11 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import operator
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate
 
 from .anchors import ANCHORS
 from .errors import (BadParam, OddCharacteristic, OutOfRange, UnknownClaim, UnknownLemma)
@@ -51,23 +54,23 @@ from .construct import (GeneratorPair, build, g3_displayed, hat_embed_bottom,
 
 
 # ---------------------------------------------------------------------------
-# generation witness words: (x, y, k) -> the matrix of the word
+# generation witness words: (x, y) -> (base B, tail T), the word B^k T
 # ---------------------------------------------------------------------------
 
-def word_xy_k_y(x, y, k):
-    return (x * y) ** k * y
+def word_xy_k_y(x, y):
+    return x * y, y
 
 
-def word_comm_k_xy(x, y, k):
-    return paper_commutator(x, y) ** k * x * y
+def word_comm_k_xy(x, y):
+    return paper_commutator(x, y), x * y
 
 
-def word_commxy_k_xy(x, y, k):
-    return (paper_commutator(x, y) * x * y) ** k * x * y
+def word_commxy_k_xy(x, y):
+    return paper_commutator(x, y) * x * y, x * y
 
 
-def word_commxy_k_yx(x, y, k):
-    return (paper_commutator(x, y) * x * y) ** k * y * x
+def word_commxy_k_yx(x, y):
+    return paper_commutator(x, y) * x * y, y * x
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +599,10 @@ def report_json(results, stable=True) -> str:
 # ---------------------------------------------------------------------------
 
 # (n, q) -> (claim id, anchor, recipe, aspec, tag, L, word builder); the
-# generation witnesses are word(k) for k in L.  The table is shared with the
-# CLI `certify` subcommand.
+# builder gives the base B and the tail T of the words, and the generation
+# witnesses are B^k T for k in L, strictly ascending, so each power of B
+# extends the one before.  The table is shared with the CLI `certify`
+# subcommand.
 DEFAULT_WORDS = {
     (6, 2): ("prop-q2-n6", "q=2-L67", "general", 1, None, [1, 3, 4, 7, 11],
              word_comm_k_xy),
@@ -664,12 +669,15 @@ DEFAULT_WORDS = {
 
 def _witnesses(n: int, q: int, aspec=None):
     """The pair of DEFAULT_WORDS[(n, q)], with a from aspec when given, and
-    its witness matrices."""
+    its witness matrices B^k T, k in L, each power of B the one before times
+    B^(k - k_prev)."""
     if (n, q) not in DEFAULT_WORDS:
         raise UnknownLemma(f"no default witness words for n={n}, q={q}")
     _, _, recipe, default_a, tag, L, word_fn = DEFAULT_WORDS[(n, q)]
     pair = _pair(n, q, recipe, default_a if aspec is None else aspec, tag)
-    return pair, [word_fn(pair.x, pair.y, k) for k in L]
+    base, tail = word_fn(pair.x, pair.y)
+    steps = (base ** (k - done) for k, done in zip(L, [0, *L]))
+    return pair, [power * tail for power in accumulate(steps, operator.mul)]
 
 
 def certify_pair(n: int, q: int, aspec=None) -> Certificate:

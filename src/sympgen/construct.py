@@ -17,6 +17,7 @@ Recipes: "general" (n = 4 or n >= 6), "n5", "n6alt", "n8alt".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BadParam, CheckFailed, NoTauDefined, OutOfRange
 from .gf import FieldCtx, FieldElem, standard_field
@@ -174,6 +175,12 @@ class GeneratorPair:
         return self.space.field
 
     def commutator(self) -> Mat:
+        """[x, y] = x y^{-1} x y, formed on the first call; later calls
+        return the same immutable Mat."""
+        return self._commutator
+
+    @cached_property
+    def _commutator(self) -> Mat:
         return paper_commutator(self.x, self.y)
 
     def validate(self) -> "GeneratorPair":

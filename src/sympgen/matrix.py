@@ -37,9 +37,11 @@ last as long as the matrix.  Equality and hash read only the field and
 the entries.
 
 char_poly reads chi off the Keller-Gehrig spin _spin, the one chi of the
-package: it spins the Krylov vectors of a few unit vectors, multiplies
-the characteristic polynomials of the cyclic pieces once, and hands the
-vectors on to the order checks of grouporder.element_order.  A
+package: it spins the Krylov vectors of a few unit vectors and hands them
+on to the order checks of grouporder.element_order.  The product of the
+characteristic polynomials rho_i of the cyclic pieces is _chi, an
+lru_cache keyed by the field and the sorted multiset of the rho_i, so it
+is formed once per multiset, whatever order the spin meets them in.  A
 division-free Berkowitz implementation, on add and mul alone, is kept
 alongside as its independent oracle for small dimensions.  Each row
 operation of _echelon and of the spin is one call of the field's axpy, and
@@ -390,6 +392,19 @@ def char_poly(m: Mat) -> Poly:
     return _spin(m)[0]
 
 
+_CHIS = 256  # (field, multiset of rho_i) keys whose product chi _chi keeps
+
+
+@functools.lru_cache(maxsize=_CHIS)
+def _chi(F: FieldCtx, rhos: tuple) -> Poly:
+    """prod rho_i over F, for rhos the sorted tuple of the coefficient tuples
+    of the monic rho_i: the one product of the rho_i, made once per field and
+    multiset, as multiplication commutes."""
+    if not rhos:
+        return Poly.one(F)
+    return functools.reduce(operator.mul, (Poly._make(F, rho) for rho in rhos))
+
+
 def _spin(g: Mat):
     """(chi, step, krylov, witnesses) of a square g by one Keller-Gehrig spin
     (Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS
@@ -406,36 +421,44 @@ def _spin(g: Mat):
     g-invariant W.  The first g^m e_i that reduces to 0 gives the monic
     rho_i = t^m - ..., the characteristic polynomial of g on the cyclic
     space of e_i mod W, and chi = prod rho_i.  The spin ends at rank dim g,
-    so the g^j e_i (j < deg rho_i) of the witnesses span V."""
+    so the g^j e_i (j < deg rho_i) of the witnesses span V.
+
+    chi comes from _chi, an lru_cache of _CHIS entries keyed by the field
+    and the sorted multiset of the rho_i, so a g whose rho_i were seen
+    before, in any order, forms no product of polynomials.  chi is not
+    trusted downstream: element_order checks a_k(g) = 0 and every identity
+    on the Krylov vectors of g itself."""
     F, d = g.field, g.rows
     mul, inv, neg, axpy = F.mul, F.inv, F.neg, F.axpy
     step = _combiner(F, tuple(zip(*g.data)), d)
     kept = []  # (pivot c, row from c on scaled to 1 at c, then coefficients)
-    pivots, krylov, witnesses, rhos = set(), {}, [], []
+    free = [True] * d  # free[c]: no kept row has its pivot in column c
+    krylov, witnesses, rhos = {}, [], []
     while len(kept) < d:
-        i = next(c for c in range(d) if c not in pivots)
+        i = free.index(True)
         witnesses.append(i)
-        vecs = krylov[i] = [tuple(int(i == c) for c in range(d))]
+        v = tuple(int(i == c) for c in range(d))  # the last Krylov vector of e_i so far
+        vecs = krylov[i] = [v]
         block = len(kept)  # kept[block:] are this witness's rows
         while True:
-            w = [*vecs[-1], *repeat(0, len(vecs) - 1), 1]  # g^m e_i, then t^m
+            w = [*v, *repeat(0, len(vecs) - 1), 1]  # g^m e_i, then t^m
             for c, row in kept:
                 if w[c]:
                     w[c:c + len(row)] = axpy(neg(w[c]), row, w[c:c + len(row)])
-            c = next((c for c in range(d) if w[c]), None)
+            c = next(compress(range(d), w), None)
             if c is None:
                 break
             row = w[c:]
             if row[0] != 1:
                 pv_inv = inv(row[0])
-                row = [mul(pv_inv, v) for v in row]
+                row = [mul(pv_inv, x) for x in row]
             kept.append((c, row))
-            pivots.add(c)
-            vecs.append(step(vecs[-1]))
-        rhos.append(Poly._make(F, w[d:]))
+            free[c] = False
+            v = step(v)
+            vecs.append(v)
+        rhos.append(tuple(w[d:]))
         kept[block:] = [(c, row[:d - c]) for c, row in kept[block:]]
-    chi = functools.reduce(operator.mul, rhos) if rhos else Poly.one(F)
-    return chi, step, krylov, witnesses
+    return _chi(F, tuple(sorted(rhos))), step, krylov, witnesses
 
 
 def char_poly_berkowitz(m: Mat) -> Poly:

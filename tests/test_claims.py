@@ -292,6 +292,21 @@ def test_sl_set_sections_multiply_like_the_full_space_word():
             whole, pair.space, ell), cid
 
 
+def test_default_witnesses_are_the_words_of_their_ascending_ks():
+    # _witnesses raises one base B to each k of L by extending the power
+    # before it, so L must ascend strictly; every witness is the word of the
+    # paper at its k, computed here on its own by Mat.__pow__
+    from sympgen.matrix import paper_commutator as comm
+    words = {claims.word_xy_k_y: lambda x, y, k: (x * y) ** k * y,
+             claims.word_comm_k_xy: lambda x, y, k: comm(x, y) ** k * x * y,
+             claims.word_commxy_k_xy: lambda x, y, k: (comm(x, y) * x * y) ** k * x * y,
+             claims.word_commxy_k_yx: lambda x, y, k: (comm(x, y) * x * y) ** k * y * x}
+    for (n, q), (cid, _, _, _, _, L, word_fn) in claims.DEFAULT_WORDS.items():
+        assert L == sorted(set(L)) and L[0] >= 1, cid
+        pair, witnesses = claims._witnesses(n, q)
+        assert witnesses == [words[word_fn](pair.x, pair.y, k) for k in L], cid
+
+
 def test_pair_is_cached_on_the_resolved_pair():
     # a default tag and -1 = 4 over F_5 are spellings of one pair
     assert (claims._pair(8, 4, "n8alt", "primitive")

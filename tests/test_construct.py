@@ -128,6 +128,19 @@ def test_commutator_char_poly_n4():
         assert list(cp.coeffs) == want
 
 
+def test_commutator_is_formed_once_per_pair(monkeypatch):
+    # the second call returns the Mat of the first, with no second inverse
+    F = gf.standard_field(4)
+    pair = build("general", 6, 4, F.gen(), F)
+    calls = []
+    real = Mat.inverse
+    monkeypatch.setattr(Mat, "inverse", lambda m: calls.append(m) or real(m))
+    c = pair.commutator()
+    assert pair.commutator() is c
+    monkeypatch.undo()
+    assert calls == [pair.y] and c == paper_commutator(pair.x, pair.y)
+
+
 def test_trace_identities_n6_alt():
     for q, a in [(3, 1), (5, 2), (7, 3), (9, 4)]:
         F = gf.standard_field(q)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from sympgen import claims, gf, grouporder, poly
+from sympgen import claims, gf, grouporder, matrix, poly
 from sympgen.errors import BadParam, CheckFailed, MixedFields, NotSquare, SympgenError
 from sympgen.factorint import FactoredInt
 from sympgen.gf import FieldElem
@@ -773,6 +773,28 @@ def test_the_cache_of_splits_keeps_at_most_its_bound():
     assert info.maxsize == grouporder._SPLITS == 256
     assert info.currsize == grouporder._SPLITS < len(pairs)
     assert info.misses == 2 * len(pairs) and info.hits == 0
+
+
+def test_a_permutation_conjugate_with_the_same_rhos_forms_no_product_of_chi(monkeypatch):
+    # g = C(t - 2) + C(t^2 + 2) over F_5 spins rho = (t - 2, t^2 + 2), and
+    # its conjugate P g P^-1 by the permutation of basis vectors that moves
+    # the blocks spins rho = (t^2 + 2, t - 2): one multiset, so the spin of
+    # the conjugate takes g's chi from the memo and multiplies no
+    # polynomials.  t^2 = 3 has order 4 in F_5, so both orders are 8
+    F5 = gf.standard_field(5)
+    f, h = Poly(F5, [-2, 1]), Poly(F5, [2, 0, 1])
+    g = Mat.block_diag([_companion_of(f), _companion_of(h)])
+    perm = Mat.from_function(F5, 3, 3, lambda i, j: int(j == (1, 2, 0)[i]))
+    conj = perm * g * perm.inverse()
+    assert conj == Mat.block_diag([_companion_of(h), _companion_of(f)])
+    assert element_order(g).value() == 8
+    products = []
+    real = Poly.__mul__
+    monkeypatch.setattr(Poly, "__mul__", lambda a, b: products.append(1) or real(a, b))
+    chi, _, _, witnesses = matrix._spin(conj)
+    monkeypatch.undo()
+    assert products == [] and chi == f * h and witnesses == [0, 2]
+    assert element_order(conj).value() == 8 == naive_element_order(conj)
 
 
 def _plain_order(g, cap):

@@ -252,6 +252,45 @@ def test_spin_chi_matches_berkowitz(q):
         assert len(heads) == m.rows == len(_echelon(F, heads))
 
 
+def test_char_poly_matches_berkowitz_on_memo_hits_in_another_order():
+    # block_diag(C(f), C(h)) spins rho = (f, h) on the witnesses e_1, e_2 and
+    # block_diag(C(h), C(f)) rho = (h, f) on e_1, e_3: the second is a hit on
+    # the first's chi.  The same
+    # coefficient tuples recur over F_2, F_3, F_4 and F_9 without a cache
+    # clear, and t h has the degrees of (t + 1) h, so a memo keyed without
+    # the field, on the unsorted rho_i or on their degrees gives a wrong chi
+    # or no hit
+    for q in (2, 3, 4, 9):
+        F = gf.standard_field(q)
+        h = Poly(F, (1, 1, 1))  # t^2 + t + 1
+        for f in (Poly(F, (1, 1)), Poly(F, (0, 1))):  # t + 1, t
+            before = matrix._chi.cache_info()
+            first = Mat.block_diag([_companion(f), _companion(h)])
+            again = Mat.block_diag([_companion(h), _companion(f)])
+            assert char_poly(first) == char_poly_berkowitz(first) == f * h
+            assert char_poly(again) == char_poly_berkowitz(again) == f * h
+            after = matrix._chi.cache_info()
+            assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+            assert (_spin(first)[3], _spin(again)[3]) == ([0, 1], [0, 2])
+        rng = random.Random(f"memo,{q}")
+        for m in _spin_shapes(F, rng):
+            assert char_poly(m) == char_poly_berkowitz(m)
+            assert char_poly(m) == char_poly_berkowitz(m)
+
+
+def test_the_memo_of_chi_keeps_at_most_its_bound():
+    # the 300 matrices [a] over F_509 have 300 distinct rho = t - a, past the
+    # _CHIS = 256 kept; the oldest are dropped and made again, still exact
+    F509 = gf.standard_field(509)
+    for _ in range(2):
+        for a in range(1, 301):
+            assert char_poly(Mat(F509, [[a]])) == Poly(F509, (-a, 1))
+    info = matrix._chi.cache_info()
+    assert info.maxsize == matrix._CHIS == 256
+    assert info.currsize == matrix._CHIS
+    assert info.misses == 600 and info.hits == 0
+
+
 @pytest.mark.parametrize("q", [4, 5, 9])
 def test_similarity_invariants_recover_a_known_chain(q):
     # C(f) + C(f g) + C(f^2 g), conjugated, has invariant factors f | f g | f^2 g

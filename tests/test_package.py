@@ -224,3 +224,26 @@ def test_one_row_update():
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.FunctionDef) and _references(node, "axpy"))
     assert found == ["matrix._echelon", "matrix._spin", "poly._divide"]
+
+
+def test_one_product_of_the_rhos():
+    # matrix._chi is the one product of the spin's rho_i into chi, kept per
+    # field and multiset by its lru_cache, and _spin alone hands it the rho_i;
+    # char_poly and element_order read chi off the spin, and
+    # char_poly_berkowitz, the oracle that checks char_poly, is the one other
+    # characteristic polynomial
+    matrix = ast.parse((Path(sympgen.__file__).parent / "matrix.py").read_text())
+    products = [node.name for node in matrix.body if isinstance(node, ast.FunctionDef)
+                and (_references(node, "reduce") or _references(node, "prod"))]
+    assert products == ["_chi"]
+    trees = {path.stem: ast.parse(path.read_text()) for path in SOURCES}
+    readers = {name: sorted(f"{stem}.{node.name}" for stem, tree in trees.items()
+                            for node in ast.walk(tree)
+                            if isinstance(node, ast.FunctionDef) and _references(node, name))
+               for name in ("_chi", "_spin")}
+    assert readers == {"_chi": ["matrix._spin"],
+                       "_spin": ["grouporder.element_order", "matrix.char_poly"]}
+    named = sorted(f"{stem}.{node.name}" for stem, tree in trees.items()
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and "char_poly" in node.name)
+    assert named == ["matrix.char_poly", "matrix.char_poly_berkowitz"]
