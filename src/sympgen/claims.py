@@ -9,10 +9,10 @@ over (q, aspec, tag) instances: ``_VALUES`` compares a value of each pair with
 its expected value, and ``_CHECKS`` requires every boolean of a per-pair check
 to hold.  A word in the generators is a plain function of them: the witness
 words of ``DEFAULT_WORDS`` are B^k T for ``(B, T) = word_fn(x, y)`` and the k
-of an ascending L, formed by powers of B that extend one another, the rows of
-``_CHI_ETA`` carry ``eta(x, y)``, and the rows of ``_SL_SETS`` carry a base and a tail
-written in the sections s(u) of the conjugates tau^u (prime sets of
-SL_ell(q)).  ``_WSL6``, ``_C_ORDER``, ``_SANITY_SAMPLES`` and ``_QUADFORM``
+of an ascending L, formed by powers of B that extend one another, the rows
+of ``_CHI_ETA`` carry ``eta(x, y)``, and the rows of ``_SL_SETS`` carry a
+base and a tail written in the sections s(u) of the conjugates tau^u (prime
+sets of SL_ell(q)).  ``_WSL6``, ``_C_ORDER``, ``_SANITY_SAMPLES`` and ``_QUADFORM``
 are the other tables.  The module also houses the
 admissible-parameter search (:func:`search_parameter`) and the quadratic-form
 obstruction solver for even characteristic.

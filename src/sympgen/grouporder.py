@@ -44,12 +44,14 @@ exponent cannot give a wrong power.
 chi and the witnesses come from one Keller-Gehrig spin of g (matrix._spin;
 Keller-Gehrig, Fast algorithms for the characteristic polynomial, TCS 36,
 1985): e_1 and then each e_i whose column holds no pivot yet, with the
-Krylov vectors g^j e_i of each, unreduced.  Every check reads on those
-vectors, and no r(g) is formed in full.  A polynomial r(g) commutes with
-g, so r(g) g^j e_i = g^j r(g) e_i: as the g^j e_i of the witnesses span V,
-r(g) = 0 iff every r(g) e_i = 0, and r(g) = I iff every r(g) e_i = e_i.
-The span is the one output of the spin that is trusted; chi is not, since
-a_k(g) e_i = 0 is checked on vectors made from g itself.
+Krylov vectors g^j e_i of each, unreduced.  Its product chi = prod rho_i
+is formed once per field and multiset of the rho_i (matrix._chi).  Every
+check reads on those vectors, and no r(g) is formed in full.  A
+polynomial r(g) commutes with g, so r(g) g^j e_i = g^j r(g) e_i: as the
+g^j e_i of the witnesses span V, r(g) = 0 iff every r(g) e_i = 0, and
+r(g) = I iff every r(g) e_i = e_i.  The span is the one output of the spin
+that is trusted; chi is not, since a_k(g) e_i = 0 is checked on vectors
+made from g itself.
 """
 
 from __future__ import annotations

@@ -705,8 +705,8 @@ def test_element_order_is_the_same_with_its_splits_kept_as_without(q):
     # every Jordan type of lam^d for d <= 5 and the last two lam of F_q^*
     # (one over F_2), beside J_2 at the first for odd d, each conjugated by
     # a random P: many matrices share a chi, with other Jordan blocks.  In a
-    # shuffled order, the orders with every split made afresh, then twice
-    # with all of them kept, match the naive order
+    # shuffled order, the orders with every split and chi made afresh, then
+    # twice with all of them kept, match the naive order
     ctx = gf.standard_field(q)
     rng = random.Random(800 + q)
     lams = [FieldElem(ctx, v) for v in range(1, ctx.q)][-2:]
@@ -722,8 +722,10 @@ def test_element_order_is_the_same_with_its_splits_kept_as_without(q):
     cold = []
     for m in mats:
         grouporder._split.cache_clear()
+        matrix._chi.cache_clear()
         cold.append(element_order(m))
     grouporder._split.cache_clear()
+    matrix._chi.cache_clear()
     warm = [element_order(m) for m in mats] + [element_order(m) for m in mats]
     info = grouporder._split.cache_info()
     assert len(mats) == 18 * len(lams) and info.misses < len(mats) and info.hits > len(mats)
